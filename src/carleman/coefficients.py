@@ -20,23 +20,35 @@ Notation used throughout (defined here, in one variable x):
 * ``b_j``: coefficients of the k-th power (X^(1/p) - x^(1/p))^k / k! =
   sum_{j>=k} b_j x^{-(p j - k)/p} (X - x)^j, so b = (1/k!) * (a-series)^k.
 
-The dense-series convolution is the module's hot path: schoolbook O(n^2)
-products over big rationals, truncated at n_max everywhere.
+Primary routes are closed forms over integers (Comtet, *Advanced
+Combinatorics*, 1974; Graham-Knuth-Patashnik, *Concrete Mathematics*):
+
+* (-log(1-x))^k / k! = sum_n [n k] x^n / n!, so c(k, n) = k! [n k] / n!
+  with the unsigned Stirling numbers of the first kind [n k] from the integer
+  recurrence [n+1 k] = n [n k] + [n k-1];
+* (a-series)^k = ((1+t)^(1/p) - 1)^k expands binomially, so
+  b_n = (1/k!) sum_{j=0..k} (-1)^(k-j) C(k, j) binom(j/p, n).
+
+Both live in tables that grow on demand under a lock.  The dense-series
+convolution (:class:`SeriesPoly`, :func:`log_power_table`) and the
+composition enumeration (:func:`ckn_bruteforce`) stay as independent twins
+of the closed forms; the ``ckn-oracle-equivalence`` check and the tests
+compare all three.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, lcm
 
-from mpmath import mp
+from mpmath.libmp import from_int, mpf_div, round_nearest, to_str
 
 from .errors import EnumerationCapError
-from .intervals import working_precision
 from .outcomes import (
     CheckReport,
     EvidenceRow,
@@ -76,10 +88,17 @@ def e_up_pow(m: int) -> Fraction:
 
 
 def dec_str(x: Fraction | int, digits: int = 17) -> str:
-    """Deterministic decimal rendering of an exact rational."""
+    """Deterministic decimal rendering of an exact rational.
+
+    Numerator and denominator are each rounded once to 192 bits (nearest),
+    divided at 192 bits and printed with ``digits`` significant digits: the
+    same digits as ``mp.nstr(mp.mpf(num) / mp.mpf(den), digits)`` at 192
+    bits, without touching mpmath's global precision.
+    """
     fr = Fraction(x)
-    with working_precision(_RENDER_BITS):
-        return mp.nstr(mp.mpf(fr.numerator) / mp.mpf(fr.denominator), digits)
+    num = from_int(fr.numerator, _RENDER_BITS, round_nearest)
+    den = from_int(fr.denominator, _RENDER_BITS, round_nearest)
+    return to_str(mpf_div(num, den, _RENDER_BITS, round_nearest), digits)
 
 
 def leq_with_e_power(lhs: Fraction, rhs_coeff: Fraction, e_exp: int) -> Outcome:
@@ -170,27 +189,50 @@ def log_series(n_max: int) -> SeriesPoly:
 # log-power coefficients c(k, n)
 # ---------------------------------------------------------------------------
 
+_pow_table_lock = threading.RLock()
 _pow_table_cache: dict[tuple[int, int], list[SeriesPoly]] = {}
 
 
 def log_power_table(k_max: int, n_max: int) -> list[SeriesPoly]:
-    """Powers 1..k_max of the log series at order n_max (index 0 unused)."""
+    """Powers 1..k_max of the log series at order n_max (index 0 unused),
+    by iterated convolution: the twin of the Stirling route in :func:`ckn`."""
     key = (k_max, n_max)
-    cached = _pow_table_cache.get(key)
-    if cached is not None:
-        return cached
-    base = log_series(n_max)
-    table: list[SeriesPoly] = [None, base]  # type: ignore[list-item]
-    for _ in range(2, k_max + 1):
-        table.append(table[-1].mul(base))
-    _pow_table_cache[key] = table
-    return table
+    with _pow_table_lock:
+        cached = _pow_table_cache.get(key)
+        if cached is not None:
+            return cached
+        base = log_series(n_max)
+        table: list[SeriesPoly] = [None, base]  # type: ignore[list-item]
+        for _ in range(2, k_max + 1):
+            table.append(table[-1].mul(base))
+        _pow_table_cache[key] = table
+        return table
+
+
+_stirling_lock = threading.RLock()
+#: row n holds the unsigned Stirling numbers [n k] for k = 0..n
+_stirling_rows: list[tuple[int, ...]] = [(1,)]
+
+
+def _stirling_row(n: int) -> tuple[int, ...]:
+    """[n k] for k = 0..n, from [m+1 k] = m [m k] + [m k-1]."""
+    with _stirling_lock:
+        while len(_stirling_rows) <= n:
+            m = len(_stirling_rows) - 1
+            prev = _stirling_rows[m]
+            _stirling_rows.append(
+                (m * prev[0],)
+                + tuple(m * prev[k] + prev[k - 1] for k in range(1, m + 1))
+                + (1,)
+            )
+        return _stirling_rows[n]
 
 
 def ckn(k: int, n: int) -> Fraction:
     """c(k, n): coefficient of x^n in the k-th power of the log series.
 
-    Zero for n < k (every composition part is >= 1); c(1, n) = 1/n.
+    Computed as k! [n k] / n! from the Stirling-number table.  Zero for
+    n < k (every composition part is >= 1); c(1, n) = 1/n.
     """
     if k < 1:
         raise ValueError("k must be >= 1 (k = 0 powers are excluded)")
@@ -198,7 +240,7 @@ def ckn(k: int, n: int) -> Fraction:
         raise ValueError("n must be >= 0")
     if n < k:
         return Fraction(0)
-    return log_power_table(k, n)[k][n]
+    return Fraction(factorial(k) * _stirling_row(n)[k], factorial(n))
 
 
 def ckn_bruteforce(k: int, n: int, cap: int = ENUMERATION_CAP) -> Fraction:
@@ -212,27 +254,27 @@ def ckn_bruteforce(k: int, n: int, cap: int = ENUMERATION_CAP) -> Fraction:
         raise EnumerationCapError(f"composition enumeration capped at n = {cap}")
     if n < k:
         return Fraction(0)
-    total = Fraction(0)
+    # every part divides L = lcm(1..n), so L^k / prod is an integer
+    scale = lcm(*range(1, n + 1)) ** k
+    total = 0
     # compositions of n into k positive parts <-> k-1 cut points in 1..n-1
     for cuts in itertools.combinations(range(1, n), k - 1):
-        parts = [b - a for a, b in zip((0,) + cuts, cuts + (n,))]
         prod = 1
-        for part in parts:
-            prod *= part
-        total += Fraction(1, prod)
-    return total
+        for a, b in zip((0,) + cuts, cuts + (n,)):
+            prod *= b - a
+        total += scale // prod
+    return Fraction(total, scale)
 
 
 def verify_ckn_bound(k_max: int, n_max: int) -> CheckReport:
     """Sweep the coefficient estimate c(k, n) <= (2e)^n * k! / n^k over the
     grid 1 <= k <= k_max, 1 <= n <= n_max, together with the intermediate
     Cauchy estimate |c(k, n)| <= 2^n from the same argument."""
-    table = log_power_table(k_max, n_max)
     rows: list[EvidenceRow] = []
     for k in range(1, k_max + 1):
         kfact = factorial(k)
         for n in range(1, n_max + 1):
-            c = table[k][n] if n >= k else Fraction(0)
+            c = ckn(k, n)
             coeff = Fraction(2**n * kfact, n**k)
             lemma = leq_with_e_power(c, coeff, n)
             cauchy = (
@@ -295,17 +337,34 @@ def root_series_signed(p: int, i_max: int) -> SeriesPoly:
     return SeriesPoly(tuple(signed))
 
 
+_root_lock = threading.RLock()
+#: (p, k) -> (falling products prod_{i<n} (j - i p) for j = 0..k, b_0..b_(n-1))
+_root_cache: dict[tuple[int, int], tuple[list[int], list[Fraction]]] = {}
+
+
 def root_power_series(p: int, k: int, n_max: int) -> list[Fraction]:
     """Signed b_j for j = 0..n_max: b = (1/k!) * (signed a-series)^k.
 
+    Closed form: binom(j/p, n) = prod_{i<n} (j - i p) / (p^n n!), so
+    b_n = sum_{j=0..k} (-1)^(k-j) C(k, j) prod_{i<n} (j - i p) / (k! p^n n!),
+    an integer sum divided once.  Memoized per (p, k) and grown with n.
     b_j = 0 for j < k, and b_j = a_j when k = 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    a = root_series_signed(p, n_max)
-    bk = a.pow_convolve(k)
-    inv_kfact = Fraction(1, factorial(k))
-    return [c * inv_kfact for c in bk.coeffs]
+    if p < 2:
+        raise ValueError("p must be an integer >= 2")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    with _root_lock:
+        falling, b = _root_cache.setdefault((p, k), ([1] * (k + 1), []))
+        while len(b) <= n_max:
+            n = len(b)
+            total = sum((-1) ** (k - j) * comb(k, j) * f for j, f in enumerate(falling))
+            b.append(Fraction(total, factorial(k) * p**n * factorial(n)))
+            for j in range(k + 1):
+                falling[j] *= j - n * p
+        return b[: n_max + 1]
 
 
 def verify_root_series_bounds(p: int, k: int, n_max: int) -> CheckReport:

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from carleman import cli
 from carleman.cli import main, shipped_fixture
+from carleman.outcomes import Outcome
 
 SPECS = Path(__file__).resolve().parents[1] / "src" / "carleman" / "data" / "specs"
 
@@ -233,3 +235,28 @@ class TestReportAll:
 
     def test_n_max_one_still_confirms(self, tmp_path):
         assert run(["report-all", "--n-max", "1", "--out", str(tmp_path / "n1")]) == 0
+
+
+class TestCknOracleEquivalence:
+    def test_convolution_from_one_table_build(self, monkeypatch):
+        calls = []
+        real = cli.log_power_table
+        monkeypatch.setattr(
+            cli, "log_power_table", lambda k, n: calls.append((k, n)) or real(k, n)
+        )
+        report = cli._ckn_equivalence_report(4, 10)
+        assert calls == [(4, 10)]
+        assert report.verdict.outcome is Outcome.CONFIRMED
+        assert len(report.rows) == 4 * 11
+        assert all(r.note == "" for r in report.rows)
+
+    def test_stirling_mismatch_refutes_the_row(self, monkeypatch):
+        real = cli.ckn
+        monkeypatch.setattr(
+            cli, "ckn", lambda k, n: real(k, n) + (1 if (k, n) == (2, 5) else 0)
+        )
+        report = cli._ckn_equivalence_report(3, 8)
+        refuted = [r for r in report.rows if r.outcome is Outcome.REFUTED]
+        assert [r.index for r in refuted] == [(2, 5)]
+        assert refuted[0].note.startswith("stirling ")
+        assert report.verdict.outcome is Outcome.REFUTED
