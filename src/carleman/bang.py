@@ -21,6 +21,7 @@ confirms it numerically over the working range.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from math import factorial
 
@@ -68,6 +69,10 @@ class BangSeries:
     rule (table, dilated, and the measured-only double-log family), and
     re-confirms log-convexity of M' numerically over every range it
     actually touches.
+
+    Each certified head sum is computed once per (n, K) and each 2 m_k once
+    per k; refilling either memo reproduces the identical interval, so the
+    memos change no result.
     """
 
     def __init__(self, ws: WeightSequence, confirm_to: int = 64):
@@ -81,7 +86,11 @@ class BangSeries:
             )
         self.rule = rule
         self._confirmed_to = 0
-        self._mk: dict[int, LogReal] = {}
+        self._lock = threading.RLock()
+        self._two_m: dict[int, LogReal] = {}
+        self._heads: dict[tuple[int, int], LogReal] = {}
+        with working_precision(self.bits):
+            self._two = LogReal.from_int(2)
         self._ensure_confirmed(max(confirm_to, 2))
 
     # -- certification ---------------------------------------------------------
@@ -99,29 +108,31 @@ class BangSeries:
                     f"log-convexity of M' not confirmed at index {n} "
                     f"for {self.ws.spec.label()}"
                 )
-        self._confirmed_to = k
+        with self._lock:
+            self._confirmed_to = max(self._confirmed_to, k)
 
-    def ratio(self, k: int) -> LogReal:
-        """m_k = M'_{k+1}/M'_k, cached."""
-        hit = self._mk.get(k)
-        if hit is None:
-            hit = self.ws.ratio_m(k)
-            self._mk[k] = hit
-        return hit
+    def two_m(self, k: int) -> LogReal:
+        """2 m_k = 2 M'_{k+1}/M'_k, memoized."""
+        with self._lock:
+            hit = self._two_m.get(k)
+        if hit is not None:
+            return hit
+        with working_precision(self.bits):
+            value = self._two * self.ws.ratio_m(k)
+        with self._lock:
+            return self._two_m.setdefault(k, value)
 
     def term_magnitude(self, k: int) -> LogReal:
         """Coefficient M'_k / (2 m_k)^k of the k-th cosine term."""
         self._ensure_confirmed(k + 1)
         with working_precision(self.bits):
-            two_mk = LogReal.from_int(2) * self.ratio(k)
-            return self.ws.log_Mprime(k) / two_mk.pow_int(k)
+            return self.ws.log_Mprime(k) / self.two_m(k).pow_int(k)
 
     def deriv_term(self, k: int, n: int) -> LogReal:
         """Magnitude M'_k (2 m_k)^(n-k) of the k-th term's n-th derivative."""
         self._ensure_confirmed(k + 1)
         with working_precision(self.bits):
-            two_mk = LogReal.from_int(2) * self.ratio(k)
-            return self.ws.log_Mprime(k) * two_mk.pow_int(n - k)
+            return self.ws.log_Mprime(k) * self.two_m(k).pow_int(n - k)
 
     # -- derivatives at zero -----------------------------------------------------
 
@@ -137,14 +148,30 @@ class BangSeries:
             raise ValueError("truncation must satisfy K >= n")
         self._ensure_confirmed(K + 1)
         with working_precision(self.bits):
-            return self.ws.log_Mprime(n) * LogReal.from_int(2).pow_int(n - K)
+            return self.ws.log_Mprime(n) * self._two.pow_int(n - K)
+
+    def head_sum(self, n: int, K: int) -> LogReal:
+        """Enclosure of sum_k M'_k (2 m_k)^(n-k): the K+1 term head plus the
+        certified tail interval, memoized per (n, K)."""
+        if K < n:
+            raise ValueError("truncation must satisfy K >= n")
+        self._ensure_confirmed(K + 1)
+        with self._lock:
+            hit = self._heads.get((n, K))
+        if hit is not None:
+            return hit
+        with working_precision(self.bits):
+            head = [self.deriv_term(k, n) for k in range(0, K + 1)]
+            value = sum_values(head, tail_upper=self.tail_bound(n, K))
+        with self._lock:
+            return self._heads.setdefault((n, K), value)
 
     def F_deriv_at_zero(self, n: int, K: int | None = None) -> SignedEnclosure:
         """Signed enclosure of F^(n)(0).
 
         Odd n vanish exactly (odd cosine derivatives at 0).  Even n = 2j
-        carry sign (-1)^j and magnitude sum_k M'_k (2 m_k)^(2j-k), computed
-        as a head of K+1 terms plus the certified tail interval.
+        carry sign (-1)^j and magnitude sum_k M'_k (2 m_k)^(2j-k), the
+        :meth:`head_sum` of K+1 terms plus the certified tail interval.
         """
         if n < 0:
             raise ValueError("n must be >= 0")
@@ -152,14 +179,8 @@ class BangSeries:
             return SignedEnclosure.zero()
         if K is None:
             K = self.default_truncation(n)
-        if K < n:
-            raise ValueError("truncation must satisfy K >= n")
-        self._ensure_confirmed(K + 1)
-        with working_precision(self.bits):
-            head = [self.deriv_term(k, n) for k in range(0, K + 1)]
-            magnitude = sum_values(head, tail_upper=self.tail_bound(n, K))
         sign = 1 if (n // 2) % 2 == 0 else -1
-        return SignedEnclosure(sign, magnitude)
+        return SignedEnclosure(sign, self.head_sum(n, K))
 
     def f_deriv_at_zero(self, n: int, K: int | None = None) -> SignedEnclosure:
         """Signed enclosure of f^(n)(0) for the even factorization
@@ -227,12 +248,9 @@ class BangSeries:
         """
         rows = []
         for n in range(1, n_max + 1):
-            K = self.default_truncation(n)
-            self._ensure_confirmed(K + 1)
+            total = self.head_sum(n, self.default_truncation(n))
             with working_precision(self.bits):
-                head = [self.deriv_term(k, n) for k in range(0, K + 1)]
-                total = sum_values(head, tail_upper=self.tail_bound(n, K))
-                ceiling = LogReal.from_int(2).pow_int(n + 1) * self.ws.log_Mprime(n)
+                ceiling = self._two.pow_int(n + 1) * self.ws.log_Mprime(n)
             rows.append(
                 EvidenceRow(
                     index=(n,),
@@ -249,13 +267,9 @@ class BangSeries:
             rows,
             params=(("n_max", str(n_max)), ("spec", self.ws.spec.label())),
         )
-        with working_precision(self.bits):
-            certificate = BoundCertificate(
-                C=LogReal.from_int(2),
-                R=LogReal.from_int(2),
-                interval_id="R",
-                seq=self.ws.spec,
-            )
+        certificate = BoundCertificate(
+            C=self._two, R=self._two, interval_id="R", seq=self.ws.spec
+        )
         return report, certificate
 
     def sharpness_evidence(self, n_max: int, p: int = 2) -> CheckReport:
@@ -314,9 +328,9 @@ class BangSeries:
             xi_iv = iv_from_fraction(xi)
             for k in range(0, K + 1):
                 coeff = self.term_magnitude(k).value_iv()
-                angle = 2 * self.ratio(k).value_iv() * xi_iv
+                angle = 2 * self.ws.ratio_m(k).value_iv() * xi_iv
                 acc = acc + coeff * iv.cos(angle)
-            tail = LogReal.from_int(2).pow_int(-K).value_iv()
+            tail = self._two.pow_int(-K).value_iv()
             _, tail_hi = iv_endpoints(tail)
             acc = acc + iv_from_endpoints(-tail_hi, tail_hi)
             return LinearEnclosure.from_iv(acc)

@@ -50,7 +50,7 @@ from .outcomes import (
     Verdict,
     aggregate_rows,
 )
-from .reporting import RunReport, check_to_csv, write_report
+from .reporting import RunReport, check_to_csv, write_once, write_report
 from .sequences import SequenceSpec, WeightSequence, load_spec, power_substitute
 from .substitution import (
     TheoremInstance,
@@ -399,9 +399,7 @@ def _write_plot_data(series: BangSeries, path: str, points: int, K: int) -> None
         xi = Fraction(2 * i, points - 1) - 1 if points > 1 else Fraction(0)
         enc = series.eval_F(xi, K)
         lines.append(f"{xi},{mpf_str(enc.lo)},{mpf_str(enc.hi)}")
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_once(Path(path), "\n".join(lines) + "\n")
 
 
 def cmd_bang(args) -> RunReport:
@@ -619,7 +617,8 @@ def main(argv: list[str] | None = None) -> int:
             return 3
     try:
         run = _HANDLERS[args.command](args)
-    except (UsageError, SpecFormatError) as exc:
+    except (UsageError, SpecFormatError, OSError) as exc:
+        # OSError: an output written by the handler itself (--plot-data)
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except CarlemanError as exc:

@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import iv, mp
+from mpmath import iv, libmp, mp
 
 from .errors import PrecisionExhaustedError
 from .outcomes import Outcome
@@ -27,8 +27,11 @@ from .outcomes import Outcome
 DEFAULT_DIGITS = 80
 _GUARD_BITS = 30
 _BITS_PER_DIGIT = 3.3219280948873626
-#: |log value| beyond this is treated as exponent-range overflow.
-_LOG_CAP = 10 ** 24
+#: log values outside [-cap, cap] are treated as exponent-range overflow.
+#: Both bounds are exact mpfs (10^24 needs 56 bits), compared without abs()
+#: or negation, which would round at the active precision.
+_LOG_CAP = mp.make_mpf(libmp.from_int(10**24))
+_NEG_LOG_CAP = mp.make_mpf(libmp.from_int(-(10**24)))
 
 _prec_lock = threading.RLock()
 
@@ -90,17 +93,6 @@ def mpf_to_fraction(x) -> Fraction:
     return -fr if sign else fr
 
 
-def compare_iv(lhs, rhs) -> Outcome:
-    """Three-valued ``lhs <= rhs`` on interval enclosures."""
-    llo, lhi = iv_endpoints(lhs)
-    rlo, rhi = iv_endpoints(rhs)
-    if lhi <= rlo:
-        return Outcome.CONFIRMED
-    if llo > rhi:
-        return Outcome.REFUTED
-    return Outcome.INCONCLUSIVE
-
-
 class LogReal:
     """Enclosure of a positive real, as an interval around its natural log.
 
@@ -116,7 +108,7 @@ class LogReal:
             raise PrecisionExhaustedError(
                 f"invalid log interval [{log_lo}, {log_hi}]"
             )
-        if abs(log_lo) > _LOG_CAP or abs(log_hi) > _LOG_CAP:
+        if log_lo < _NEG_LOG_CAP or log_hi > _LOG_CAP:
             raise PrecisionExhaustedError(
                 "log magnitude exceeds the supported exponent range"
             )

@@ -211,7 +211,7 @@ def write_report(run: RunReport, out: str | None, fmt: str) -> list[Path]:
             target = Path(out)
             if target.suffix != ".json":
                 target = target / f"report-{run.config_hash()}.json"
-        _write_once(target, text)
+        write_once(target, text)
         written.append(target)
         return written
     if fmt != "csv":
@@ -220,7 +220,7 @@ def write_report(run: RunReport, out: str | None, fmt: str) -> list[Path]:
     if base.suffix == ".csv":
         if len(run.checks) != 1:
             raise ValueError("single .csv output requires exactly one check; pass a directory")
-        _write_once(base, check_to_csv(run.checks[0].report))
+        write_once(base, check_to_csv(run.checks[0].report))
         return [base]
     base.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
@@ -238,21 +238,23 @@ def write_report(run: RunReport, out: str | None, fmt: str) -> list[Path]:
             ]
         )
         per_check = base / f"{i:02d}__{_slug(c.report.name)}.csv"
-        _write_once(per_check, check_to_csv(c.report))
+        write_once(per_check, check_to_csv(c.report))
         written.append(per_check)
     summary = base / "summary.csv"
-    _write_once(summary, buf.getvalue())
+    write_once(summary, buf.getvalue())
     written.append(summary)
     return written
 
 
-def _write_once(target: Path, text: str) -> None:
+def write_once(target: Path, text: str) -> None:
+    """Write ``text`` unless ``target`` already holds it; a file with other
+    content raises :class:`FileExistsError` (outputs are append-only)."""
     target.parent.mkdir(parents=True, exist_ok=True)
     if target.exists():
         existing = target.read_text(encoding="utf-8")
         if existing == text:
             return
         raise FileExistsError(
-            f"{target} exists with different content; reports are append-only"
+            f"{target} exists with different content; outputs are append-only"
         )
     target.write_text(text, encoding="utf-8")

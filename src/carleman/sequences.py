@@ -30,7 +30,6 @@ import json
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from pathlib import Path
 
 from mpmath import iv, mp
@@ -81,6 +80,7 @@ def log_factorial(n: int) -> LogReal:
     return LogReal(lo, hi)
 
 
+_tower_lock = threading.RLock()
 _tower_cache: dict[tuple[int, int], int] = {}
 
 
@@ -95,25 +95,26 @@ def tower_threshold(k: int) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     key = (iv.prec, k)
-    cached = _tower_cache.get(key)
-    if cached is not None:
-        return cached
-    t = iv.exp(iv.mpf(1))
-    for _ in range(k - 1):
-        t = iv.exp(t)
-    lo, hi = iv_endpoints(t)
-    try:
-        floor_lo = int(mp.floor(lo))
-        floor_hi = int(mp.floor(hi))
-    except (OverflowError, ValueError) as exc:
-        raise PrecisionExhaustedError(f"tower e^^{k} exceeds the exponent range") from exc
-    if floor_lo != floor_hi:
-        raise PrecisionExhaustedError(
-            f"enclosure of e^^{k} cannot isolate an integer at this precision"
-        )
-    result = floor_lo + 1
-    _tower_cache[key] = result
-    return result
+    with _tower_lock:
+        cached = _tower_cache.get(key)
+        if cached is not None:
+            return cached
+        t = iv.exp(iv.mpf(1))
+        for _ in range(k - 1):
+            t = iv.exp(t)
+        lo, hi = iv_endpoints(t)
+        try:
+            floor_lo = int(mp.floor(lo))
+            floor_hi = int(mp.floor(hi))
+        except (OverflowError, ValueError) as exc:
+            raise PrecisionExhaustedError(f"tower e^^{k} exceeds the exponent range") from exc
+        if floor_lo != floor_hi:
+            raise PrecisionExhaustedError(
+                f"enclosure of e^^{k} cannot isolate an integer at this precision"
+            )
+        result = floor_lo + 1
+        _tower_cache[key] = result
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +142,13 @@ class SequenceSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise SpecFormatError(f"unknown family {self.family!r}")
-        if not isinstance(self.precision, int) or self.precision < 1:
+        if not _is_int(self.precision) or self.precision < 1:
             raise SpecFormatError("precision must be a positive integer")
         if self.family == "gevrey":
             if self.s is None or self.s <= 0:
                 raise SpecFormatError("gevrey requires a positive rational s")
         elif self.family == "iterated_log":
-            if self.k is None or self.k < 1:
+            if not _is_int(self.k) or self.k < 1:
                 raise SpecFormatError("iterated_log requires an integer k >= 1")
         elif self.family == "table":
             if not self.log_values:
@@ -158,7 +159,7 @@ class SequenceSpec:
             if any(b < a for a, b in zip(vals, vals[1:])):
                 raise SpecFormatError("table log_values must be non-decreasing")
         elif self.family == "transformed":
-            if self.base is None or self.p is None or self.p < 2:
+            if self.base is None or not _is_int(self.p) or self.p < 2:
                 raise SpecFormatError("transformed requires a base spec and integer p >= 2")
 
     @property
@@ -216,6 +217,11 @@ class SequenceSpec:
         }
 
 
+def _is_int(x) -> bool:
+    """True for a genuine integer; JSON ``true``/``false`` are not counts."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_decimal(text: str) -> Fraction:
     try:
         return Fraction(str(text))
@@ -234,7 +240,7 @@ def spec_from_dict(doc: dict) -> SequenceSpec:
     if not isinstance(params, dict):
         raise SpecFormatError("params must be an object")
     precision = doc.get("precision", 80)
-    if not isinstance(precision, int):
+    if not _is_int(precision):
         raise SpecFormatError("precision must be an integer")
     kwargs: dict = {"family": family, "precision": precision}
     if family == "gevrey":
@@ -242,7 +248,7 @@ def spec_from_dict(doc: dict) -> SequenceSpec:
             raise SpecFormatError("gevrey params require s")
         kwargs["s"] = _parse_decimal(params["s"])
     elif family == "iterated_log":
-        if not isinstance(params.get("k"), int):
+        if not _is_int(params.get("k")):
             raise SpecFormatError("iterated_log params require integer k")
         kwargs["k"] = params["k"]
     elif family == "table":
@@ -251,7 +257,7 @@ def spec_from_dict(doc: dict) -> SequenceSpec:
             raise SpecFormatError("table params require a log_values list")
         kwargs["log_values"] = tuple(str(v) for v in values)
     elif family == "transformed":
-        if not isinstance(params.get("p"), int):
+        if not _is_int(params.get("p")):
             raise SpecFormatError("transformed params require integer p")
         kwargs["p"] = params["p"]
         kwargs["base"] = spec_from_dict({**params.get("base", {}),
@@ -295,6 +301,8 @@ class WeightSequence:
         self.max_index = max_index
         self.bits = spec.bits
         self._memo: dict[int, LogReal] = {}
+        self._mprime_memo: dict[int, LogReal] = {}
+        self._ratio_memo: dict[int, LogReal] = {}
         self._lock = threading.RLock()
         self._base: WeightSequence | None = None
         if spec.family == "transformed":
@@ -369,18 +377,30 @@ class WeightSequence:
             return self._compute_log_M(n)
 
     def log_Mprime(self, n: int) -> LogReal:
-        """Enclosure of M'_n = n! * M_n."""
-        m = self.log_M(n)
-        if n <= 1:
-            return m
-        with working_precision(self.bits):
-            return LogReal.from_log_iv(log_factorial(n).log_iv() + m.log_iv())
+        """Enclosure of M'_n = n! * M_n, memoized like :meth:`log_M`."""
+        self._check_index(n)
+        with self._lock:
+            hit = self._mprime_memo.get(n)
+        if hit is not None:
+            return hit
+        value = self.log_M(n)
+        if n > 1:
+            with working_precision(self.bits):
+                value = LogReal.from_log_iv(log_factorial(n).log_iv() + value.log_iv())
+        with self._lock:
+            return self._mprime_memo.setdefault(n, value)
 
     def ratio_m(self, k: int) -> LogReal:
-        """Enclosure of the primed ratio m_k = M'_{k+1} / M'_k."""
+        """Enclosure of the primed ratio m_k = M'_{k+1} / M'_k, memoized."""
+        with self._lock:
+            hit = self._ratio_memo.get(k)
+        if hit is not None:
+            return hit
         hi, lo = self.log_Mprime(k + 1), self.log_Mprime(k)
         with working_precision(self.bits):
-            return hi / lo
+            value = hi / lo
+        with self._lock:
+            return self._ratio_memo.setdefault(k, value)
 
 
 def power_substitute(spec: SequenceSpec, p: int):
@@ -437,35 +457,3 @@ class BoundCertificate:
             "seq": self.seq.label(),
         }
 
-
-def exact_log_M(spec: SequenceSpec, n: int) -> Fraction | None:
-    """Exact rational value of M_n where the family admits one (constant,
-    gevrey with integer or half-integer-free rational s via integer powers,
-    table with rational entries is excluded: its values are exp of the
-    entry).  Used as the independent cross-check route in tests.
-
-    Returns the exact value of M_n^(denominator of s) for gevrey so the
-    caller can compare powers; see :func:`exact_log_M_power`.
-    """
-    if spec.family == "constant":
-        return Fraction(1)
-    if spec.family == "gevrey" and spec.s.denominator == 1:
-        return Fraction(factorial(n)) ** spec.s.numerator
-    if spec.family == "transformed":
-        inner = exact_log_M(spec.base, spec.p * n)
-        return inner
-    return None
-
-
-def exact_log_M_power(spec: SequenceSpec, n: int) -> tuple[Fraction, int] | None:
-    """Exact pair (value, b) with M_n^b = value, for families where some
-    integer power of M_n is rational.  Covers gevrey with any rational s."""
-    if spec.family == "constant":
-        return Fraction(1), 1
-    if spec.family == "gevrey":
-        s = spec.s
-        return Fraction(factorial(n)) ** s.numerator, s.denominator
-    if spec.family == "transformed":
-        inner = exact_log_M_power(spec.base, spec.p * n)
-        return inner
-    return None

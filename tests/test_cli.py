@@ -205,6 +205,31 @@ class TestCommands:
         assert len(lines) == 6
         assert lines[1].startswith("-1,")
 
+    def test_boolean_spec_fields_are_three(self, tmp_path, capsys):
+        bad = tmp_path / "bool.json"
+        bad.write_text('{"family":"iterated_log","params":{"k":true},"precision":true}')
+        assert run(["seq-show", "--spec", str(bad)]) == 3
+        assert "error:" in capsys.readouterr().err
+
+    def test_plot_data_is_append_only(self, tmp_path, gevrey_path, capsys):
+        plot = tmp_path / "plot.csv"
+        args = ["bang", "--spec", gevrey_path, "--n-max", "2",
+                "--deriv-n-max", "1", "--sharpness-n-max", "1",
+                "--plot-data", str(plot), "--plot-points", "3", "--plot-k", "16",
+                "--out", str(tmp_path / "b.json")]
+        assert run(args) == 0
+        first = plot.read_bytes()
+        # rewriting identical bytes is fine
+        assert run(args) == 0
+        assert plot.read_bytes() == first
+        # a conflicting file is left alone and the run is a usage error
+        plot.write_text("tampered\n")
+        capsys.readouterr()
+        assert run(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert plot.read_text() == "tampered\n"
+
     def test_precision_override_changes_document(self, tmp_path, gevrey_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run(["seq-show", "--spec", gevrey_path, "--n-max", "3",

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import iv
+from mpmath import iv, libmp, mp
 
 from carleman.errors import PrecisionExhaustedError
 from carleman.intervals import (
@@ -46,6 +46,29 @@ def test_log_interval_must_be_ordered():
         lo, hi = iv_endpoints(iv.log(iv.mpf(3)))
     with pytest.raises(PrecisionExhaustedError):
         LogReal(hi + 1, lo)
+
+
+@pytest.mark.parametrize("bits", [33, 53, BITS])
+def test_log_cap_is_exactly_ten_to_the_24(bits):
+    # 10^24 = 5^24 * 2^24 needs a 56-bit mantissa: a 53-bit conversion
+    # would move the cap below 10^24 and reject the boundary itself; the
+    # check must not depend on the active precision either
+    cap = mp.make_mpf(libmp.from_int(10**24))
+    neg_cap = mp.make_mpf(libmp.from_int(-(10**24)))
+    # the next mpf above 10^24 at 56 bits, and the next integer above it
+    above = (
+        mp.make_mpf(libmp.from_man_exp(5**24 + 1, 24)),
+        mp.make_mpf(libmp.from_int(10**24 + 1)),
+    )
+    below = tuple(mp.make_mpf(libmp.mpf_neg(x._mpf_)) for x in above)
+    with working_precision(bits):
+        x = LogReal(neg_cap, cap)
+        assert (x.log_lo, x.log_hi) == (-(10**24), 10**24)
+        for hi, lo in zip(above, below):
+            with pytest.raises(PrecisionExhaustedError):
+                LogReal(cap, hi)
+            with pytest.raises(PrecisionExhaustedError):
+                LogReal(lo, neg_cap)
 
 
 def test_from_int_encloses_exact_value():

@@ -312,6 +312,25 @@ class TestSpecDocuments:
         with pytest.raises(SpecFormatError):
             spec_from_dict([])
 
+    def test_booleans_are_not_integers(self):
+        # JSON true satisfies isinstance(x, int); it must not load as k = 1
+        # or as a precision of one digit
+        for doc in (
+            {"family": "iterated_log", "params": {"k": True}, "precision": True},
+            {"family": "iterated_log", "params": {"k": True}},
+            {"family": "constant", "params": {}, "precision": True},
+            {"family": "transformed", "params": {"p": True, "base": {"family": "constant"}}},
+        ):
+            with pytest.raises(SpecFormatError):
+                spec_from_dict(doc)
+        for kwargs in (
+            {"family": "iterated_log", "k": True},
+            {"family": "constant", "precision": True},
+            {"family": "transformed", "base": SequenceSpec(family="constant"), "p": True},
+        ):
+            with pytest.raises(SpecFormatError):
+                SequenceSpec(**kwargs)
+
     def test_gevrey_rational_s_from_string(self):
         spec = spec_from_dict({"family": "gevrey", "params": {"s": "3/2"}})
         assert spec.s == Fraction(3, 2)
