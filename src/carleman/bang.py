@@ -39,34 +39,16 @@ from .intervals import (
     sum_values,
     working_precision,
 )
-from .outcomes import CheckReport, EvidenceRow, Outcome, aggregate_rows
-from .sequences import BoundCertificate, SequenceSpec, WeightSequence
-
-
-def _mprime_logconvex_rule(spec: SequenceSpec) -> str | None:
-    """Closed-form reason why M' is log-convex at every index, or None.
-
-    * constant: M'_k = k!, ratios m_k = k+1 strictly increase.
-    * gevrey(s): M'_k = (k!)^(1+s), ratios (k+1)^(1+s) strictly increase.
-    * iterated_log(k): the underlying tower sequence is log-convex from its
-      threshold index on, hence the shifted M is log-convex everywhere, and
-      multiplying by the log-convex k! preserves log-convexity.
-    """
-    if spec.family == "constant":
-        return "M'_k = k!: ratios k+1 increase"
-    if spec.family == "gevrey":
-        return f"M'_k = (k!)^(1+{spec.s}): ratios (k+1)^(1+{spec.s}) increase"
-    if spec.family == "iterated_log":
-        return "shifted tower sequence is log-convex at every index; times k! stays log-convex"
-    return None
+from .outcomes import CheckReport, EvidenceRow, Outcome, aggregate_rows, worst_outcome
+from .sequences import FAMILIES, BoundCertificate, WeightSequence
 
 
 class BangSeries:
     """Term cache and certified evaluators for the extremal series of one
     weight sequence.
 
-    Construction rejects sequences without an all-index ratio-monotonicity
-    rule (table, dilated, and the measured-only double-log family), and
+    Construction rejects sequences whose family has no ``mprime_logconvex``
+    fact (table, dilated, and the measured-only double-log family), and
     re-confirms log-convexity of M' numerically over every range it
     actually touches.
 
@@ -78,13 +60,13 @@ class BangSeries:
     def __init__(self, ws: WeightSequence, confirm_to: int = 64):
         self.ws = ws
         self.bits = ws.bits
-        rule = _mprime_logconvex_rule(ws.spec)
+        rule = FAMILIES[ws.spec.family].mprime_logconvex
         if rule is None:
             raise TailUncertifiedError(
                 f"no all-index log-convexity rule for {ws.spec.label()}; "
                 "tail bounds would be uncertified"
             )
-        self.rule = rule
+        self.rule = rule(ws.spec)
         self._confirmed_to = 0
         self._lock = threading.RLock()
         self._two_m: dict[int, LogReal] = {}
@@ -207,14 +189,7 @@ class BangSeries:
                     Fraction(factorial(j), factorial(2 * j))
                 )
             f_ok = fj.magnitude.geq(f_lower)
-            if not sign_ok:
-                outcome = Outcome.REFUTED
-            elif mag_ok is Outcome.CONFIRMED and f_ok is Outcome.CONFIRMED:
-                outcome = Outcome.CONFIRMED
-            elif mag_ok is Outcome.REFUTED or f_ok is Outcome.REFUTED:
-                outcome = Outcome.REFUTED
-            else:
-                outcome = Outcome.INCONCLUSIVE
+            outcome = worst_outcome([mag_ok, f_ok]) if sign_ok else Outcome.REFUTED
             rows.append(
                 EvidenceRow(
                     index=(j,),
@@ -286,14 +261,7 @@ class BangSeries:
             with working_precision(self.bits):
                 ratio = F2.magnitude / self.ws.log_Mprime(2 * n)
                 ceiling = LogReal.from_int(4).pow_int(n + 2)
-            low_ok = one.leq(ratio)
-            high_ok = ratio.leq(ceiling)
-            if low_ok is Outcome.CONFIRMED and high_ok is Outcome.CONFIRMED:
-                outcome = Outcome.CONFIRMED
-            elif low_ok is Outcome.REFUTED or high_ok is Outcome.REFUTED:
-                outcome = Outcome.REFUTED
-            else:
-                outcome = Outcome.INCONCLUSIVE
+            outcome = worst_outcome([one.leq(ratio), ratio.leq(ceiling)])
             rows.append(
                 EvidenceRow(
                     index=(n,),

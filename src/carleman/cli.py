@@ -375,22 +375,47 @@ def cmd_ineq62(args) -> RunReport:
     return run
 
 
-def _bang_rejection_report(spec: SequenceSpec, message: str) -> CheckReport:
+def _rejection_report(name: str, claim: str, quantity: str,
+                      spec: SequenceSpec, message: str) -> CheckReport:
+    """One inconclusive check standing in for work that could not run on
+    ``spec``, with the error message as its witness note."""
     row = EvidenceRow(
         index=(0,),
-        quantity="construction",
+        quantity=quantity,
         lo="",
         hi="",
         outcome=Outcome.INCONCLUSIVE,
         note=message,
     )
     return CheckReport(
-        name=f"bang-rejected[{spec.label()}]",
-        claim="extremal series requires all-index log-convexity of M'",
+        name=f"{name}[{spec.label()}]",
+        claim=claim,
         verdict=Verdict(Outcome.INCONCLUSIVE, Reason.PRECISION_EXHAUSTED, (row,)),
         params=(("spec", spec.label()),),
         rows=(row,),
     )
+
+
+def _run_bang(run: RunReport, ws: WeightSequence, deriv_n_max: int, n_max: int,
+              sharpness_n_max: int) -> BangSeries | None:
+    """Add the three extremal-series checks to ``run`` and return the series,
+    or add one bang-rejected check and return None when the family has no
+    all-index log-convexity rule for M'."""
+    try:
+        series = BangSeries(ws)
+    except TailUncertifiedError as exc:
+        run.add(_rejection_report(
+            "bang-rejected", "extremal series requires all-index log-convexity of M'",
+            "construction", ws.spec, str(exc),
+        ))
+        return None
+    _timed(run, lambda: series.verify_derivative_lower_bounds(deriv_n_max))
+    t0 = time.perf_counter()
+    membership, certificate = series.verify_membership(n_max)
+    run.add(membership, ms=(time.perf_counter() - t0) * 1000.0,
+            certificate=certificate.as_dict())
+    _timed(run, lambda: series.sharpness_evidence(sharpness_n_max))
+    return series
 
 
 def _write_plot_data(series: BangSeries, path: str, points: int, K: int) -> None:
@@ -405,18 +430,9 @@ def _write_plot_data(series: BangSeries, path: str, points: int, K: int) -> None
 def cmd_bang(args) -> RunReport:
     spec = _load(args.spec, args.precision)
     run = RunReport(config=_config(args))
-    try:
-        series = BangSeries(WeightSequence(spec))
-    except TailUncertifiedError as exc:
-        run.add(_bang_rejection_report(spec, str(exc)))
-        return run
-    _timed(run, lambda: series.verify_derivative_lower_bounds(args.deriv_n_max))
-    t0 = time.perf_counter()
-    membership, certificate = series.verify_membership(args.n_max)
-    run.add(membership, ms=(time.perf_counter() - t0) * 1000.0,
-            certificate=certificate.as_dict())
-    _timed(run, lambda: series.sharpness_evidence(args.sharpness_n_max))
-    if args.plot_data:
+    series = _run_bang(run, WeightSequence(spec), args.deriv_n_max, args.n_max,
+                       args.sharpness_n_max)
+    if series is not None and args.plot_data:
         _write_plot_data(series, args.plot_data, args.plot_points, args.plot_k)
     return run
 
@@ -513,17 +529,7 @@ def run_battery(
 
     # extremal series
     for spec in (constant, gevrey1):
-        try:
-            series = BangSeries(ws[spec.label()])
-        except TailUncertifiedError as exc:
-            run.add(_bang_rejection_report(spec, str(exc)))
-            continue
-        _timed(run, lambda s=series: s.verify_derivative_lower_bounds(d(8)))
-        t0 = time.perf_counter()
-        membership, certificate = series.verify_membership(d(12))
-        run.add(membership, ms=(time.perf_counter() - t0) * 1000.0,
-                certificate=certificate.as_dict())
-        _timed(run, lambda s=series: s.sharpness_evidence(d(6)))
+        _run_bang(run, ws[spec.label()], d(8), d(12), d(6))
 
     # power-substitution bound
     for spec in (gevrey1, paper8):
@@ -534,13 +540,13 @@ def run_battery(
     asm = TheoremInstance(spec=gevrey1, p=2, A=Fraction(1), n_max=d(8))
     _timed(run, lambda: final_bound_assembly(asm, exact_alpha_cap=8))
 
-    # user-supplied documents: criteria sweeps (negative fixtures land here);
-    # a table family only reaches index len(log_values) - 1, so its sweeps
-    # are clamped to the indices that exist
+    # user-supplied documents: criteria sweeps (negative fixtures land here),
+    # clamped to the indices the family defines; an error inside one
+    # document's sweeps becomes one inconclusive check and the run goes on
     for path in extra_specs or []:
         spec = _load(path, precision)
         extra_ws = WeightSequence(spec)
-        top = len(spec.log_values) - 1 if spec.family == "table" else None
+        top = extra_ws.last_index
 
         def clamp(default: int, minimum: int = 1, slack: int = 0) -> int:
             depth = d(default, minimum)
@@ -548,10 +554,16 @@ def run_battery(
                 depth = max(minimum, min(depth, top - slack))
             return depth
 
-        _timed(run, lambda w=extra_ws: check_monotone(w, clamp(20)))
-        if top is None or top >= 2:
-            _timed(run, lambda w=extra_ws: check_log_convex(w, "M", clamp(20, 2)))
-        _timed(run, lambda w=extra_ws: quasianalyticity_report(w, clamp(50, 1, 1)))
+        try:
+            _timed(run, lambda w=extra_ws: check_monotone(w, clamp(20)))
+            if top is None or top >= 2:
+                _timed(run, lambda w=extra_ws: check_log_convex(w, "M", clamp(20, 2)))
+            _timed(run, lambda w=extra_ws: quasianalyticity_report(w, clamp(50, 1, 1)))
+        except CarlemanError as exc:
+            run.add(_rejection_report(
+                "spec-rejected", "criteria sweeps require every swept value to be computable",
+                "criteria sweeps", spec, f"{type(exc).__name__}: {exc}",
+            ))
     return run
 
 

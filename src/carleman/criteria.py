@@ -28,7 +28,7 @@ from .outcomes import (
     Verdict,
     aggregate_rows,
 )
-from .sequences import SequenceSpec, WeightSequence
+from .sequences import FAMILIES, SequenceSpec, WeightSequence
 
 
 def _row(index, quantity, value: LogReal, outcome=None, note="", extra=()) -> EvidenceRow:
@@ -107,45 +107,13 @@ def quasianalyticity_rule(spec: SequenceSpec) -> tuple[str, str] | None:
     """Symbolic convergence/divergence of sum M_n / ((n+1) M_{n+1}) for a
     built-in family, else None.
 
-    The term asymptotics below are closed-form per family; each claim is
-    settled by the harmonic/p-series comparison or Cauchy condensation.
+    The term asymptotics are closed-form per family (the ``quasianalytic``
+    fact of :data:`~carleman.sequences.FAMILIES`); each claim is settled by
+    the harmonic/p-series comparison or Cauchy condensation.
     """
     base, p = spec.base_chain()
-    if base.family == "constant":
-        # terms are exactly 1/(n+1) for every p: the harmonic series
-        return "divergent", "harmonic comparison: terms equal 1/(n+1)"
-    if base.family == "gevrey":
-        # terms 1/(n+1)^(1+s) for p = 1; a dilation only shrinks them
-        # (extra factor ((pn)!/(pn+p)!)^s <= (pn+1)^(-ps))
-        return (
-            "convergent",
-            f"p-series comparison: terms <= 1/(n+1)^(1+{base.s})",
-        )
-    if base.family == "iterated_log":
-        k = base.k
-        if p == 1:
-            # terms ~ 1/((n+1) L_k(n)) >= c/(n log n); condensation on the
-            # divergent Abel-type series
-            return "divergent", "condensation: terms ~ 1/(n * iterated-log_k(n))"
-        if k == 1:
-            # terms ~ 1/(n (log n)^p) with p >= 2: Bertrand series converges
-            return (
-                "convergent",
-                f"condensation: terms ~ 1/(n (log n)^{p}), exponent {p} > 1",
-            )
-        # k >= 2: (L_k n)^p grows slower than any power of log n, so the
-        # condensed series sum 1/(log m)^p-type still diverges
-        return (
-            "divergent",
-            f"condensation: terms ~ 1/(n (iterated-log_{k} n)^{p}) diverge",
-        )
-    if base.family == "paper8":
-        # double-log base: same regime as iterated_log(k=2) for every p
-        return (
-            "divergent",
-            f"condensation: terms ~ 1/(n (log log n)^{max(p,1)}) diverge",
-        )
-    return None
+    rule = FAMILIES[base.family].quasianalytic
+    return None if rule is None else rule(base, p)
 
 
 def carleman_partial_sums(
@@ -216,22 +184,14 @@ def quasianalyticity_report(ws: WeightSequence, n_max: int) -> CheckReport:
 def derivation_closed_rule(spec: SequenceSpec) -> str | None:
     """Symbolic boundedness of sup_n (M_{n+1}/M_n)^(1/n), else None.
 
-    For every built-in family the single-step ratio grows at most
-    polynomially in n ((n+1)^s for gevrey, ~L_k(n)^(1+o(1)) for the
-    iterated-log families), so its n-th root tends to 1 and the sup is
-    finite; index dilation raises the ratio to at most a fixed power and
-    preserves boundedness.
+    Reads the ``derivation_closed`` fact of the innermost base family.  For
+    every built-in family the single-step ratio grows at most polynomially
+    in n, so its n-th root tends to 1 and the sup is finite; index dilation
+    raises the ratio to at most a fixed power and preserves boundedness.
     """
-    base, p = spec.base_chain()
-    if base.family == "constant":
-        return "ratio is identically 1"
-    if base.family == "gevrey":
-        return f"ratio (n+1)^{base.s} is polynomial in n; n-th root tends to 1"
-    if base.family == "iterated_log":
-        return "ratio grows like the iterated logarithm; n-th root tends to 1"
-    if base.family == "paper8":
-        return "ratio grows like the double logarithm; n-th root tends to 1"
-    return None
+    base, _ = spec.base_chain()
+    rule = FAMILIES[base.family].derivation_closed
+    return None if rule is None else rule(base)
 
 
 def check_derivation_closed(ws: WeightSequence, n_max: int) -> CheckReport:
@@ -239,24 +199,9 @@ def check_derivation_closed(ws: WeightSequence, n_max: int) -> CheckReport:
     the family's symbolic boundedness verdict (trend only for tables)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    rows = []
-    running: LogReal | None = None
-    for n in range(1, n_max + 1):
-        with working_precision(ws.bits):
-            ratio = ws.log_M(n + 1) / ws.log_M(n)
-            root = ratio.pow_fraction(Fraction(1, n))
-            running = root if running is None else running.max_with(root)
-        rows.append(
-            _row(
-                (n,),
-                "(M_(n+1)/M_n)^(1/n) (log)",
-                root,
-                extra=(
-                    ("sup_lo", mpf_str(running.log_lo)),
-                    ("sup_hi", mpf_str(running.log_hi)),
-                ),
-            )
-        )
+    rows = _running_sup_rows(
+        lambda n: ws.log_M(n + 1) / ws.log_M(n), n_max, ws.bits, "(M_(n+1)/M_n)^(1/n) (log)"
+    )
     rule = derivation_closed_rule(ws.spec)
     if rule is not None:
         verdict = Verdict(Outcome.CONFIRMED, Reason.SYMBOLIC_COMPARISON, (rows[-1],))
@@ -284,11 +229,8 @@ def check_derivation_closed(ws: WeightSequence, n_max: int) -> CheckReport:
 
 def _gevrey_index(spec: SequenceSpec) -> Fraction | None:
     """Gevrey exponent of a non-dilated spec; constant counts as s = 0."""
-    if spec.family == "constant":
-        return Fraction(0)
-    if spec.family == "gevrey":
-        return spec.s
-    return None
+    index = FAMILIES[spec.family].gevrey_index
+    return None if index is None else index(spec)
 
 
 def check_inclusion(wsM: WeightSequence, wsN: WeightSequence, n_max: int) -> CheckReport:
@@ -308,18 +250,77 @@ def check_inclusion(wsM: WeightSequence, wsN: WeightSequence, n_max: int) -> Che
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    bits = max(wsM.bits, wsN.bits)
+    rows = _running_sup_rows(
+        lambda n: wsM.log_M(n) / wsN.log_M(n),
+        n_max,
+        max(wsM.bits, wsN.bits),
+        "(M_n/N_n)^(1/n) (log)",
+    )
+    specM, specN = wsM.spec, wsN.spec
+    baseM, pM = specM.base_chain()
+    baseN, pN = specN.base_chain()
+
+    def report(claim: str, verdict: Verdict | None = None) -> CheckReport:
+        """The check with its rows; the verdict defaults to a symbolic confirmation."""
+        return CheckReport(
+            name=f"inclusion[{specM.label()} vs {specN.label()}]",
+            claim=claim,
+            verdict=verdict
+            or Verdict(Outcome.CONFIRMED, Reason.SYMBOLIC_COMPARISON, (rows[-1],)),
+            params=(("n_max", str(n_max)), ("seqM", specM.label()), ("seqN", specN.label())),
+            rows=tuple(rows),
+        )
+
+    if specM.structure_key() == specN.structure_key():
+        return report("included: identical sequences (sup = 1)")
+
+    if baseM.structure_key() == baseN.structure_key() and pN % pM == 0 and pN >= pM:
+        monotone = check_monotone(wsM, n_max * (pN // pM))
+        if monotone.verdict.outcome is Outcome.CONFIRMED:
+            return report(
+                "included: N is an index dilation of M and M is "
+                "non-decreasing on the range (sup <= 1)"
+            )
+        return report(
+            "dilation rule prerequisite (monotonicity) not confirmed",
+            Verdict(
+                monotone.verdict.outcome
+                if monotone.verdict.outcome is Outcome.REFUTED
+                else Outcome.INCONCLUSIVE,
+                Reason.PRECISION_EXHAUSTED,
+                monotone.verdict.evidence,
+            ),
+        )
+
+    sM = _gevrey_index(specM)
+    sN = _gevrey_index(specN)
+    if sM is not None and sN is not None:
+        if sM <= sN:
+            return report(f"included: (n!)^({sM}-{sN}) <= 1 pointwise (sup <= 1)")
+        return report(
+            f"not included: sup unbounded, ratio root >= (n/e)^({sM - sN}) "
+            "by the Stirling lower bound"
+        )
+
+    return report(
+        "inclusion undecided (no symbolic rule for this pair)",
+        Verdict(Outcome.INCONCLUSIVE, Reason.DEPTH_EXHAUSTED, (rows[-1],)),
+    )
+
+
+def _running_sup_rows(ratio, n_max: int, bits: int, quantity: str) -> list[EvidenceRow]:
+    """Rows n = 1..n_max of the enclosure of ratio(n)^(1/n), each carrying
+    the running sup of those roots."""
     rows = []
     running: LogReal | None = None
     for n in range(1, n_max + 1):
         with working_precision(bits):
-            ratio = wsM.log_M(n) / wsN.log_M(n)
-            root = ratio.pow_fraction(Fraction(1, n))
+            root = ratio(n).pow_fraction(Fraction(1, n))
             running = root if running is None else running.max_with(root)
         rows.append(
             _row(
                 (n,),
-                "(M_n/N_n)^(1/n) (log)",
+                quantity,
                 root,
                 extra=(
                     ("sup_lo", mpf_str(running.log_lo)),
@@ -327,84 +328,4 @@ def check_inclusion(wsM: WeightSequence, wsN: WeightSequence, n_max: int) -> Che
                 ),
             )
         )
-    params = (
-        ("n_max", str(n_max)),
-        ("seqM", wsM.spec.label()),
-        ("seqN", wsN.spec.label()),
-    )
-
-    specM, specN = wsM.spec, wsN.spec
-    baseM, pM = specM.base_chain()
-    baseN, pN = specN.base_chain()
-
-    if specM.structure_key() == specN.structure_key():
-        verdict = Verdict(Outcome.CONFIRMED, Reason.SYMBOLIC_COMPARISON, (rows[-1],))
-        return CheckReport(
-            name=_inclusion_name(wsM, wsN),
-            claim="included: identical sequences (sup = 1)",
-            verdict=verdict,
-            params=params,
-            rows=tuple(rows),
-        )
-
-    if baseM.structure_key() == baseN.structure_key() and pN % pM == 0 and pN >= pM:
-        monotone = check_monotone(wsM, n_max * (pN // pM))
-        if monotone.verdict.outcome is Outcome.CONFIRMED:
-            verdict = Verdict(Outcome.CONFIRMED, Reason.SYMBOLIC_COMPARISON, (rows[-1],))
-            return CheckReport(
-                name=_inclusion_name(wsM, wsN),
-                claim="included: N is an index dilation of M and M is "
-                "non-decreasing on the range (sup <= 1)",
-                verdict=verdict,
-                params=params,
-                rows=tuple(rows),
-            )
-        verdict = Verdict(
-            monotone.verdict.outcome
-            if monotone.verdict.outcome is Outcome.REFUTED
-            else Outcome.INCONCLUSIVE,
-            Reason.PRECISION_EXHAUSTED,
-            monotone.verdict.evidence,
-        )
-        return CheckReport(
-            name=_inclusion_name(wsM, wsN),
-            claim="dilation rule prerequisite (monotonicity) not confirmed",
-            verdict=verdict,
-            params=params,
-            rows=tuple(rows),
-        )
-
-    sM = _gevrey_index(specM)
-    sN = _gevrey_index(specN)
-    if sM is not None and sN is not None:
-        if sM <= sN:
-            verdict = Verdict(Outcome.CONFIRMED, Reason.SYMBOLIC_COMPARISON, (rows[-1],))
-            return CheckReport(
-                name=_inclusion_name(wsM, wsN),
-                claim=f"included: (n!)^({sM}-{sN}) <= 1 pointwise (sup <= 1)",
-                verdict=verdict,
-                params=params,
-                rows=tuple(rows),
-            )
-        verdict = Verdict(Outcome.CONFIRMED, Reason.SYMBOLIC_COMPARISON, (rows[-1],))
-        return CheckReport(
-            name=_inclusion_name(wsM, wsN),
-            claim=f"not included: sup unbounded, ratio root >= (n/e)^({sM - sN}) "
-            "by the Stirling lower bound",
-            verdict=verdict,
-            params=params,
-            rows=tuple(rows),
-        )
-
-    verdict = Verdict(Outcome.INCONCLUSIVE, Reason.DEPTH_EXHAUSTED, (rows[-1],))
-    return CheckReport(
-        name=_inclusion_name(wsM, wsN),
-        claim="inclusion undecided (no symbolic rule for this pair)",
-        verdict=verdict,
-        params=params,
-        rows=tuple(rows),
-    )
-
-
-def _inclusion_name(wsM: WeightSequence, wsN: WeightSequence) -> str:
-    return f"inclusion[{wsM.spec.label()} vs {wsN.spec.label()}]"
+    return rows

@@ -314,9 +314,6 @@ class LinearEnclosure:
         lo, hi = se.value_endpoints()
         return cls(lo, hi)
 
-    def as_iv(self):
-        return iv_from_endpoints(self.lo, self.hi)
-
     @property
     def width(self):
         r = iv.mpf(self.hi) - iv.mpf(self.lo)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ._version import __version__
-from .outcomes import CheckReport, Outcome
+from .outcomes import CheckReport, Outcome, worst_outcome
 
 #: index column names per check-name prefix (fixed CSV headers per check type)
 _INDEX_COLUMNS = (
@@ -44,6 +44,9 @@ _INDEX_COLUMNS = (
     ("seq-show", ("n",)),
     ("transform-values", ("n",)),
 )
+
+
+_EXIT_CODES = {Outcome.CONFIRMED: 0, Outcome.REFUTED: 1, Outcome.INCONCLUSIVE: 2}
 
 
 def index_columns_for(name: str) -> tuple[str, ...]:
@@ -79,12 +82,7 @@ class RunReport:
 
     def exit_code(self) -> int:
         """0 all confirmed; 1 any refuted; 2 any inconclusive, none refuted."""
-        outs = self.outcomes()
-        if any(o is Outcome.REFUTED for o in outs):
-            return 1
-        if any(o is Outcome.INCONCLUSIVE for o in outs):
-            return 2
-        return 0
+        return _EXIT_CODES[worst_outcome(self.outcomes())]
 
     # -- serialization -----------------------------------------------------
 

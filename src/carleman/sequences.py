@@ -2,21 +2,9 @@
 
 A weight sequence is an increasing sequence M = (M_n) with M_0 = 1 that
 controls derivative growth |f^(n)| <= C R^n n! M_n of a smoothness class.
-Built-in families:
-
-* ``constant``: M_n = 1.
-* ``gevrey(s)``: M_n = (n!)^s for a positive rational s.
-* ``iterated_log(k)``: with L the k-fold iterated logarithm and n_k the
-  smallest integer greater than the k-fold exponential tower e^^k, the
-  shifted normalized sequence M_n = L(n_k)^(-n_k) * L(n_k + n)^(n_k + n).
-  The thresholds n_k are not hardcoded: they are recovered from certified
-  enclosures of e^^k (n_1 = 3, n_2 = 16), and the computation refuses to
-  answer when the enclosure cannot isolate the integer.
-* ``paper8``: the fixed double-log variant M_n =
-  (log log 3)^(-3) * (log log (n+3))^(n+3), which starts below the e^e
-  threshold; its small-index log-convexity is measured, never assumed.
-* ``table``: explicit log M_n values supplied as exact decimal strings.
-* ``transformed``: index dilation M_n -> M_{p n} for an integer p >= 2.
+Each family (constant, gevrey, iterated_log, paper8, table, transformed) is
+one entry of :data:`FAMILIES`: its parameters, label, evaluation, index
+range and the per-family facts the criteria rely on.
 
 All magnitudes are :class:`~carleman.intervals.LogReal` enclosures at the
 spec's working precision (significant decimal digits, default 80).  The same
@@ -28,7 +16,8 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,8 +33,6 @@ from .intervals import (
 )
 
 DEFAULT_MAX_INDEX = 10**6
-
-FAMILIES = ("constant", "gevrey", "iterated_log", "paper8", "table", "transformed")
 
 SPEC_FORMAT_VERSION = 1
 
@@ -128,7 +115,8 @@ class SequenceSpec:
 
     ``precision`` is the working precision in significant decimal digits;
     together with the family parameters it fixes every emitted enclosure
-    bit-for-bit.
+    bit-for-bit.  The parameters a family declares in :data:`FAMILIES` are
+    parsed and validated on construction.
     """
 
     family: str
@@ -140,79 +128,47 @@ class SequenceSpec:
     precision: int = 80
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise SpecFormatError(f"unknown family {self.family!r}")
+        entry = _family(self.family)
         if not _is_int(self.precision) or self.precision < 1:
             raise SpecFormatError("precision must be a positive integer")
-        if self.family == "gevrey":
-            if self.s is None or self.s <= 0:
-                raise SpecFormatError("gevrey requires a positive rational s")
-        elif self.family == "iterated_log":
-            if not _is_int(self.k) or self.k < 1:
-                raise SpecFormatError("iterated_log requires an integer k >= 1")
-        elif self.family == "table":
-            if not self.log_values:
-                raise SpecFormatError("table requires a non-empty log_values list")
-            vals = [_parse_decimal(v) for v in self.log_values]
-            if vals[0] != 0:
-                raise SpecFormatError("table log_values must start with log M_0 = 0")
-            if any(b < a for a, b in zip(vals, vals[1:])):
-                raise SpecFormatError("table log_values must be non-decreasing")
-        elif self.family == "transformed":
-            if self.base is None or not _is_int(self.p) or self.p < 2:
-                raise SpecFormatError("transformed requires a base spec and integer p >= 2")
+        declared = {param.name for param in entry.params} | {"family", "precision"}
+        for field in fields(self):
+            if field.name not in declared and getattr(self, field.name) is not None:
+                raise SpecFormatError(f"{self.family} takes no parameter {field.name}")
+        for param in entry.params:
+            object.__setattr__(self, param.name, param.parse(getattr(self, param.name)))
 
     @property
     def bits(self) -> int:
         return bits_for_digits(self.precision)
 
     def label(self) -> str:
-        if self.family == "gevrey":
-            return f"gevrey(s={self.s})"
-        if self.family == "iterated_log":
-            return f"iterated_log(k={self.k})"
-        if self.family == "table":
-            return f"table(len={len(self.log_values)})"
-        if self.family == "transformed":
-            return f"transformed({self.base.label()}, p={self.p})"
-        return self.family
+        return FAMILIES[self.family].label(self)
 
     def base_chain(self) -> tuple["SequenceSpec", int]:
         """Innermost non-transformed spec and the product of all dilation
         factors along the chain (1 when not transformed)."""
         spec, power = self, 1
-        while spec.family == "transformed":
+        while spec.base is not None:
             power *= spec.p
             spec = spec.base
         return spec, power
 
     def structure_key(self) -> tuple:
         """Family + parameters, ignoring precision (used by symbolic rules)."""
-        if self.family == "gevrey":
-            return ("gevrey", self.s)
-        if self.family == "iterated_log":
-            return ("iterated_log", self.k)
-        if self.family == "table":
-            return ("table", self.log_values)
-        if self.family == "transformed":
-            return ("transformed", self.base.structure_key(), self.p)
-        return (self.family,)
+        values = (getattr(self, param.name) for param in FAMILIES[self.family].params)
+        return (self.family, *(
+            v.structure_key() if isinstance(v, SequenceSpec) else v for v in values
+        ))
 
     def to_dict(self) -> dict:
-        params: dict = {}
-        if self.family == "gevrey":
-            params["s"] = str(self.s)
-        elif self.family == "iterated_log":
-            params["k"] = self.k
-        elif self.family == "table":
-            params["log_values"] = list(self.log_values)
-        elif self.family == "transformed":
-            params["p"] = self.p
-            params["base"] = self.base.to_dict()
         return {
             "version": SPEC_FORMAT_VERSION,
             "family": self.family,
-            "params": params,
+            "params": {
+                param.name: param.dump(getattr(self, param.name))
+                for param in FAMILIES[self.family].params
+            },
             "precision": self.precision,
         }
 
@@ -240,31 +196,8 @@ def spec_from_dict(doc: dict) -> SequenceSpec:
     if not isinstance(params, dict):
         raise SpecFormatError("params must be an object")
     precision = doc.get("precision", 80)
-    if not _is_int(precision):
-        raise SpecFormatError("precision must be an integer")
-    kwargs: dict = {"family": family, "precision": precision}
-    if family == "gevrey":
-        if "s" not in params:
-            raise SpecFormatError("gevrey params require s")
-        kwargs["s"] = _parse_decimal(params["s"])
-    elif family == "iterated_log":
-        if not _is_int(params.get("k")):
-            raise SpecFormatError("iterated_log params require integer k")
-        kwargs["k"] = params["k"]
-    elif family == "table":
-        values = params.get("log_values")
-        if not isinstance(values, list):
-            raise SpecFormatError("table params require a log_values list")
-        kwargs["log_values"] = tuple(str(v) for v in values)
-    elif family == "transformed":
-        if not _is_int(params.get("p")):
-            raise SpecFormatError("transformed params require integer p")
-        kwargs["p"] = params["p"]
-        kwargs["base"] = spec_from_dict({**params.get("base", {}),
-                                         "version": SPEC_FORMAT_VERSION})
-    elif family not in ("constant", "paper8"):
-        raise SpecFormatError(f"unknown family {family!r}")
-    return SequenceSpec(**kwargs)
+    declared = {param.name: params.get(param.name) for param in _family(family).params}
+    return SequenceSpec(family=family, precision=precision, **declared)
 
 
 def load_spec(path: str | Path) -> SequenceSpec:
@@ -281,6 +214,205 @@ def load_spec(path: str | Path) -> SequenceSpec:
 
 def dump_spec(spec: SequenceSpec) -> str:
     return json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the family table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Param:
+    """A family parameter: its :class:`SequenceSpec` field and ``params`` key,
+    its parse-and-validate function, and its inverse for documents."""
+
+    name: str
+    parse: Callable[[object], object]
+    dump: Callable[[object], object] = lambda value: value
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything the package knows about one weight-sequence family.
+
+    ``log_M(ws, n)`` encloses log M_n for n >= 1; ``last_index(spec)`` is the
+    largest index defined (None: unbounded).  Each fact is None when no
+    closed form is encoded.  ``quasianalytic`` and ``derivation_closed`` are
+    read at the end of :meth:`SequenceSpec.base_chain`; ``mprime_logconvex``
+    (M' log-convex at every index) and ``gevrey_index`` are not, so a
+    dilated spec has neither.
+    """
+
+    params: tuple[Param, ...]
+    log_M: Callable
+    label: Callable[[SequenceSpec], str] = lambda spec: spec.family
+    last_index: Callable[[SequenceSpec], int | None] = lambda spec: None
+    quasianalytic: Callable[[SequenceSpec, int], tuple[str, str]] | None = None
+    derivation_closed: Callable[[SequenceSpec], str] | None = None
+    mprime_logconvex: Callable[[SequenceSpec], str] | None = None
+    gevrey_index: Callable[[SequenceSpec], Fraction] | None = None
+
+
+def _family(family) -> Family:
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise SpecFormatError(f"unknown family {family!r}")
+    return FAMILIES[family]
+
+
+def _parse_s(value) -> Fraction:
+    s = None if value is None else _parse_decimal(value)
+    if s is None or s <= 0:
+        raise SpecFormatError("gevrey requires a positive rational s")
+    return s
+
+
+def _parse_integer(minimum: int, message: str) -> Callable[[object], int]:
+    def parse(value) -> int:
+        if not _is_int(value) or value < minimum:
+            raise SpecFormatError(message)
+        return value
+
+    return parse
+
+
+def _parse_log_values(values) -> tuple[str, ...]:
+    if not isinstance(values, (list, tuple)) or not values:
+        raise SpecFormatError("table requires a non-empty log_values list")
+    text = tuple(str(v) for v in values)
+    parsed = [_parse_decimal(v) for v in text]
+    if parsed[0] != 0:
+        raise SpecFormatError("table log_values must start with log M_0 = 0")
+    if any(b < a for a, b in zip(parsed, parsed[1:])):
+        raise SpecFormatError("table log_values must be non-decreasing")
+    return text
+
+
+def _parse_base(base) -> SequenceSpec:
+    if isinstance(base, SequenceSpec):
+        return base
+    if isinstance(base, dict):
+        return spec_from_dict(base)
+    raise SpecFormatError("transformed requires a base spec object")
+
+
+def _shifted_log_M(start: int, k: int, n: int) -> LogReal:
+    """log of L(start)^(-start) * L(start + n)^(start + n), L the k-fold log."""
+    head, norm = iv.mpf(start + n), iv.mpf(start)
+    for _ in range(k):
+        head, norm = iv.log(head), iv.log(norm)
+    return LogReal.from_log_iv(iv.log(head) * (start + n) - iv.log(norm) * start)
+
+
+def _dilated_last_index(spec: SequenceSpec) -> int | None:
+    top = FAMILIES[spec.base.family].last_index(spec.base)
+    return None if top is None else top // spec.p
+
+
+def _iterated_log_quasianalytic(base: SequenceSpec, p: int) -> tuple[str, str]:
+    if p == 1:
+        # terms ~ 1/((n+1) L_k(n)) >= c/(n log n); condensation on the
+        # divergent Abel-type series
+        return "divergent", "condensation: terms ~ 1/(n * iterated-log_k(n))"
+    if base.k == 1:
+        # terms ~ 1/(n (log n)^p) with p >= 2: Bertrand series converges
+        return "convergent", f"condensation: terms ~ 1/(n (log n)^{p}), exponent {p} > 1"
+    # k >= 2: (L_k n)^p grows slower than any power of log n, so the
+    # condensed series sum 1/(log m)^p-type still diverges
+    return "divergent", f"condensation: terms ~ 1/(n (iterated-log_{base.k} n)^{p}) diverge"
+
+
+#: every weight-sequence family, by the name spec documents use
+FAMILIES: dict[str, Family] = {
+    # M_n = 1
+    "constant": Family(
+        params=(),
+        log_M=lambda ws, n: LogReal.one(),
+        # terms are exactly 1/(n+1) for every p: the harmonic series
+        quasianalytic=lambda base, p: ("divergent", "harmonic comparison: terms equal 1/(n+1)"),
+        derivation_closed=lambda base: "ratio is identically 1",
+        mprime_logconvex=lambda spec: "M'_k = k!: ratios k+1 increase",
+        gevrey_index=lambda spec: Fraction(0),
+    ),
+    # M_n = (n!)^s for a positive rational s
+    "gevrey": Family(
+        params=(Param("s", _parse_s, str),),
+        log_M=lambda ws, n: LogReal.from_log_iv(
+            log_factorial(n).log_iv() * iv_from_fraction(ws.spec.s)
+        ),
+        label=lambda spec: f"gevrey(s={spec.s})",
+        # terms 1/(n+1)^(1+s) for p = 1; a dilation only shrinks them
+        # (extra factor ((pn)!/(pn+p)!)^s <= (pn+1)^(-ps))
+        quasianalytic=lambda base, p: (
+            "convergent", f"p-series comparison: terms <= 1/(n+1)^(1+{base.s})"
+        ),
+        derivation_closed=lambda base: (
+            f"ratio (n+1)^{base.s} is polynomial in n; n-th root tends to 1"
+        ),
+        mprime_logconvex=lambda spec: (
+            f"M'_k = (k!)^(1+{spec.s}): ratios (k+1)^(1+{spec.s}) increase"
+        ),
+        gevrey_index=lambda spec: spec.s,
+    ),
+    # M_n = L(n_k)^(-n_k) L(n_k + n)^(n_k + n), L the k-fold logarithm and
+    # n_k = tower_threshold(k) the smallest integer above e^^k
+    "iterated_log": Family(
+        params=(Param("k", _parse_integer(1, "iterated_log requires an integer k >= 1")),),
+        log_M=lambda ws, n: _shifted_log_M(tower_threshold(ws.spec.k), ws.spec.k, n),
+        label=lambda spec: f"iterated_log(k={spec.k})",
+        quasianalytic=_iterated_log_quasianalytic,
+        derivation_closed=lambda base: (
+            "ratio grows like the iterated logarithm; n-th root tends to 1"
+        ),
+        # Write L_j for the j-fold logarithm and g(x) = x log L_k(x), so that
+        # log M_n = g(n_k + n) - g(n_k).  From L_j' = 1/(x L_1 ... L_(j-1)):
+        #   g'(x)  = log L_k + 1/(L_1 ... L_k),
+        #   g''(x) = (1 - sum_{j=1..k} 1/(L_1 ... L_j)) / (x L_1 ... L_k).
+        # For x >= e^^k every L_j(x) >= e^^(k-j), so L_1 ... L_j >= e^j for
+        # j < k and L_1 ... L_k >= e^(k-1); the sum is <= 1 when k = 1
+        # (1/log x <= 1 for x >= e) and <= 1/(e-1) + e^(1-k) < 1 when k >= 2.
+        # So g is convex on [e^^k, oo), and n_k > e^^k makes every second
+        # difference log M_(n-1) - 2 log M_n + log M_(n+1), n >= 1, a second
+        # difference of g inside that range: M is log-convex at every index.
+        # log k! has second differences log((k+1)/k) > 0, and a sum of
+        # convex sequences is convex, so M'_k = k! M_k is log-convex too.
+        mprime_logconvex=lambda spec: (
+            "shifted tower sequence is log-convex at every index; times k! stays log-convex"
+        ),
+    ),
+    # M_n = (log log 3)^(-3) (log log (n+3))^(n+3): it starts below the e^e
+    # threshold of the double log, so its small-index log-convexity is
+    # measured, never assumed, and it has no M' fact
+    "paper8": Family(
+        params=(),
+        log_M=lambda ws, n: _shifted_log_M(3, 2, n),
+        # double-log base: same regime as iterated_log(k=2) for every p
+        quasianalytic=lambda base, p: (
+            "divergent", f"condensation: terms ~ 1/(n (log log n)^{max(p, 1)}) diverge"
+        ),
+        derivation_closed=lambda base: (
+            "ratio grows like the double logarithm; n-th root tends to 1"
+        ),
+    ),
+    # explicit log M_n values as exact decimal strings; each is parsed when
+    # WeightSequence.log_M first asks for it
+    "table": Family(
+        params=(Param("log_values", _parse_log_values, list),),
+        log_M=lambda ws, n: LogReal.from_log_fraction(_parse_decimal(ws.spec.log_values[n])),
+        label=lambda spec: f"table(len={len(spec.log_values)})",
+        last_index=lambda spec: len(spec.log_values) - 1,
+    ),
+    # M_n -> M_(pn) for an integer p >= 2; base first, so that structure keys
+    # read (transformed, base key, p)
+    "transformed": Family(
+        params=(
+            Param("base", _parse_base, lambda base: base.to_dict()),
+            Param("p", _parse_integer(2, "transformed requires an integer p >= 2")),
+        ),
+        log_M=lambda ws, n: ws._base.log_M(ws.spec.p * n),
+        label=lambda spec: f"transformed({spec.base.label()}, p={spec.p})",
+        last_index=_dilated_last_index,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +436,9 @@ class WeightSequence:
         self._mprime_memo: dict[int, LogReal] = {}
         self._ratio_memo: dict[int, LogReal] = {}
         self._lock = threading.RLock()
-        self._base: WeightSequence | None = None
-        if spec.family == "transformed":
-            self._base = WeightSequence(spec.base, max_index=max_index)
-        self._table: list[Fraction] | None = None
-        if spec.family == "table":
-            self._table = [_parse_decimal(v) for v in spec.log_values]
-        self._nk: int | None = None
+        #: largest index the family defines (None: every index up to max_index)
+        self.last_index: int | None = FAMILIES[spec.family].last_index(spec)
+        self._base = None if spec.base is None else WeightSequence(spec.base, max_index)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -319,42 +447,14 @@ class WeightSequence:
             raise IndexRangeError(f"index must be a nonnegative integer, got {n!r}")
         if n > self.max_index:
             raise IndexRangeError(f"index {n} beyond configured maximum {self.max_index}")
-        if self._table is not None and n >= len(self._table):
-            raise IndexRangeError(f"table family has no value at index {n}")
-
-    def _iterated_log(self, m: int, k: int):
-        x = iv.mpf(m)
-        for _ in range(k):
-            x = iv.log(x)
-        return x
+        if self.last_index is not None and n > self.last_index:
+            raise IndexRangeError(f"{self.spec.label()} has no value at index {n}")
 
     def _compute_log_M(self, n: int) -> LogReal:
         # precondition: working precision is active and the index is valid
         if n == 0:
             return LogReal.one()
-        family = self.spec.family
-        if family == "constant":
-            return LogReal.one()
-        if family == "gevrey":
-            return LogReal.from_log_iv(
-                log_factorial(n).log_iv() * iv_from_fraction(self.spec.s)
-            )
-        if family == "iterated_log":
-            if self._nk is None:
-                self._nk = tower_threshold(self.spec.k)
-            nk, k = self._nk, self.spec.k
-            head = iv.log(self._iterated_log(nk + n, k)) * (nk + n)
-            norm = iv.log(self._iterated_log(nk, k)) * nk
-            return LogReal.from_log_iv(head - norm)
-        if family == "paper8":
-            head = iv.log(self._iterated_log(n + 3, 2)) * (n + 3)
-            norm = iv.log(self._iterated_log(3, 2)) * 3
-            return LogReal.from_log_iv(head - norm)
-        if family == "table":
-            return LogReal.from_log_fraction(self._table[n])
-        if family == "transformed":
-            return self._base.log_M(self.spec.p * n)
-        raise AssertionError(f"unhandled family {family}")
+        return FAMILIES[self.spec.family].log_M(self, n)
 
     # -- public surface --------------------------------------------------------
 

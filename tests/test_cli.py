@@ -50,10 +50,18 @@ class TestExitCodes:
     def test_missing_spec_is_three(self, tmp_path):
         assert run(["seq-show", "--spec", str(tmp_path / "nope.json")]) == 3
 
-    def test_malformed_spec_is_three(self, tmp_path):
+    def test_malformed_spec_is_three(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"family": "wat", "params": {}}')
-        assert run(["seq-show", "--spec", str(bad)]) == 3
+        for doc in (
+            '{"family": "wat", "params": {}}',
+            '{"family": ["gevrey"], "params": {"s": "1"}}',
+            '{"family": "transformed", "params": {"p": 2, "base": ["gevrey"]}}',
+            '{"family": "transformed", "params": {"p": 2, '
+            '"base": {"family": "constant", "version": 99}}}',
+        ):
+            bad.write_text(doc)
+            assert run(["seq-show", "--spec", str(bad)]) == 3
+            assert capsys.readouterr().err.startswith("error:")
 
     def test_unknown_check_is_three(self, gevrey_path):
         assert run(["seq-check", "--spec", gevrey_path, "--checks", "bogus"]) == 3
@@ -257,6 +265,41 @@ class TestReportAll:
             "--out", str(tmp_path / "bad"),
         ])
         assert code == 1
+
+    def test_dilated_table_sweeps_are_clamped(self, tmp_path):
+        spec = tmp_path / "dilated_table.json"
+        spec.write_text(json.dumps({
+            "family": "transformed",
+            "params": {"p": 2, "base": {
+                "family": "table",
+                "params": {"log_values": [str(i * i) for i in range(9)]},
+            }},
+        }))
+        out = tmp_path / "r"
+        assert run(["report-all", "--n-max", "8", "--spec", str(spec),
+                    "--out", str(out)]) == 2
+        doc = json.loads(next(out.glob("report-*.json")).read_text())
+        label = "transformed(table(len=9), p=2)"
+        extra = {c["name"]: c for c in doc["checks"] if label in c["name"]}
+        assert sorted(extra) == [f"{name}[{label}]" for name in
+                                 ("log-convex-M", "monotone", "quasianalytic")]
+        assert extra[f"monotone[{label}]"]["params"]["n_max"] == "4"
+
+    def test_failing_extra_spec_keeps_the_run(self, tmp_path):
+        spec = tmp_path / "il4.json"
+        spec.write_text('{"family": "iterated_log", "params": {"k": 4}}')
+        plain, out = tmp_path / "plain", tmp_path / "il4"
+        assert run(["report-all", "--n-max", "2", "--out", str(plain)]) == 0
+        assert run(["report-all", "--n-max", "2", "--spec", str(spec),
+                    "--out", str(out)]) == 2
+        built_in = json.loads(next(plain.glob("report-*.json")).read_text())["checks"]
+        checks = json.loads(next(out.glob("report-*.json")).read_text())["checks"]
+        assert len(built_in) == 57
+        assert checks[:-1] == built_in
+        rejected = checks[-1]
+        assert rejected["name"] == "spec-rejected[iterated_log(k=4)]"
+        assert rejected["verdict"]["outcome"] == "inconclusive"
+        assert rejected["evidence"][0]["note"].startswith("PrecisionExhaustedError: ")
 
     def test_n_max_one_still_confirms(self, tmp_path):
         assert run(["report-all", "--n-max", "1", "--out", str(tmp_path / "n1")]) == 0

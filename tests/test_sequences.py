@@ -149,6 +149,16 @@ class TestTable:
         with pytest.raises(IndexRangeError):
             ws.log_M(3)
 
+    def test_dilated_table_range(self):
+        base = SequenceSpec(family="table", log_values=tuple(str(i * i) for i in range(9)))
+        ws = WeightSequence(SequenceSpec(family="transformed", base=base, p=2))
+        assert ws.last_index == 4
+        assert encloses_log_fraction(ws.log_M(4), Fraction(64), ws.bits)
+        with pytest.raises(IndexRangeError):
+            ws.log_M(5)
+        assert WeightSequence(base).last_index == 8
+        assert WeightSequence(SequenceSpec(family="gevrey", s=Fraction(1))).last_index is None
+
     def test_binary_representable_values_are_exact(self):
         spec = SequenceSpec(family="table", log_values=("0", "0.5"))
         ws = WeightSequence(spec)
@@ -161,6 +171,16 @@ class TestTable:
             SequenceSpec(family="table", log_values=("0", "2", "1"))
         with pytest.raises(SpecFormatError):
             SequenceSpec(family="table", log_values=())
+
+    def test_undeclared_parameters_rejected(self, gevrey1_spec):
+        # a stray base would make base_chain read the wrong family's facts
+        for kwargs in (
+            {"family": "iterated_log", "k": 1, "base": gevrey1_spec, "p": 2},
+            {"family": "constant", "s": Fraction(1)},
+            {"family": "table", "log_values": ("0",), "k": 1},
+        ):
+            with pytest.raises(SpecFormatError):
+                SequenceSpec(**kwargs)
 
 
 class TestMemoDiscipline:
@@ -311,6 +331,19 @@ class TestSpecDocuments:
             spec_from_dict({"family": "constant", "params": {}, "precision": "80"})
         with pytest.raises(SpecFormatError):
             spec_from_dict([])
+        # an unhashable family must not reach the table lookup as a TypeError
+        with pytest.raises(SpecFormatError):
+            spec_from_dict({"family": ["gevrey"], "params": {"s": "1"}})
+        # a nested base must be an object, and its own version is checked
+        for base in (["gevrey"], "constant", None, {"family": "constant", "version": 99}):
+            with pytest.raises(SpecFormatError):
+                spec_from_dict({"family": "transformed", "params": {"p": 2, "base": base}})
+
+    def test_nested_version_defaults_to_one(self, constant_spec):
+        spec = spec_from_dict(
+            {"family": "transformed", "params": {"p": 2, "base": {"family": "constant"}}}
+        )
+        assert spec.base == constant_spec
 
     def test_booleans_are_not_integers(self):
         # JSON true satisfies isinstance(x, int); it must not load as k = 1
