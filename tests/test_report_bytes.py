@@ -1,7 +1,8 @@
 """Pinned report bytes: SHA-256 digests of the JSON document and of the CSV
-tree for a small set of runs that reaches all six weight-sequence families
-and every per-family fact (quasianalyticity, derivation closure, M'
-log-convexity and the Gevrey index, each both present and absent).
+tree for a small set of runs that reaches all six weight-sequence families,
+every per-family fact (quasianalyticity, derivation closure, M'
+log-convexity and the Gevrey index, each both present and absent) and every
+check name the package writes.
 
 A change that alters these reports on purpose updates the digests here and
 records the change in CHANGES.md.
@@ -24,6 +25,9 @@ TRANSFORMED_IL1 = {
     "params": {"p": 2, "base": {"family": "iterated_log", "params": {"k": 1}}},
     "precision": 80,
 }
+
+#: a threshold no working precision can isolate: every sweep on it fails
+ITERATED_LOG4 = {"version": 1, "family": "iterated_log", "params": {"k": 4}}
 
 #: name -> (argv without --out/--format, exit code, JSON digest, CSV-tree digest)
 RUNS = {
@@ -65,6 +69,49 @@ RUNS = {
         "7bf5db468ce42d1aed2f79ca7ab6cf442d8cc8e6549dff57f234c63d8d44b67c",
         "322d409d07511f03fc031a86241cf6b13456defe8cca8088fba4f0c3a7b5d3a2",
     ),
+    "seq-show": (
+        ["seq-show", "--spec", "iterated_log1.json", "--n-max", "3"],
+        0,
+        "d96e2b4c355139a063e5afcdc595e4f93d3cd797d756b354c6359792bc223287",
+        "ec8e3fa1dd53fc882d3762460943335ef4163e7b51755ab8507fb63888686048",
+    ),
+    "seq-transform": (
+        ["seq-transform", "--spec", "iterated_log1.json", "--p", "2", "--n-max", "3"],
+        0,
+        "7cecbce9eb4eeee3962f91f3b3d1bfb68fabdf95af8614931dc66cda2082cfc9",
+        "8f6611bb12d95fd23b39dba1689ea4c547f51ae7aef5fa52a19ca0fcab15a410",
+    ),
+    "ckn": (
+        ["ckn", "--k-max", "3", "--n-max", "4"],
+        0,
+        "06a2d735c0be9141f38869e7926818cde648ae6607e2a2050e41b938b4db3f8b",
+        "30538821de926ed12aac3e1edf1da0b1dadc919599a866afadb6e1e1a315d74d",
+    ),
+    "alpha": (
+        ["alpha", "--p", "2", "--k-max", "2", "--n-max", "4"],
+        0,
+        "81138e48ec737408e9fa7e696abf509e541987cfd6408e363d68af6205b6882d",
+        "ffa796c125f5be7aa737ea67ac5acb76299da3da9e1b3e1664cd0f088e10838c",
+    ),
+    "ineq62": (
+        ["ineq62", "--n-max", "3"],
+        0,
+        "f3e5c598a1e6fd08b1c332bf0de366a6e89cc5fa7d74166a9aa9a156e67924de",
+        "65b7f0b031f2db51f780290f16e501b19957644b8b211401d028c5d1bf905161",
+    ),
+    "thm61": (
+        ["thm61", "--spec", "gevrey1.json", "--n-max", "3", "--assembly-n-max", "2",
+         "--exact-alpha-cap", "2"],
+        0,
+        "0b053a445a7174ea0d6349a8b23fcec6a6c9726c3ec18a07050f1f8d778390c1",
+        "a33fbb56b199c856819d015d9ab635be21155ddb3f11eb23378bfcd69e921cce",
+    ),
+    "report-all-rejected": (
+        ["report-all", "--n-max", "2", "--precision", "20", "--spec", "iterated_log4.json"],
+        2,
+        "a1a120354411ed88c7289919b01c99c258d90ffd490a5ba836d914cfef059ab3",
+        "3a9912bc0e7b25aa475bb3b56c34674deb2bec67d181d00812a8b40b69d0cf67",
+    ),
 }
 
 
@@ -76,6 +123,7 @@ def _spec_files(root: Path) -> None:
     for name in ("gevrey1", "iterated_log1"):
         shutil.copy(SPECS / f"{name}.json", root / f"{name}.json")
     (root / "transformed_il1.json").write_text(json.dumps(TRANSFORMED_IL1))
+    (root / "iterated_log4.json").write_text(json.dumps(ITERATED_LOG4))
 
 
 def _tree_digest(root: Path) -> str:
