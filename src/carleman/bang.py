@@ -42,6 +42,9 @@ from .intervals import (
 from .outcomes import CheckReport, EvidenceRow, Outcome, aggregate_rows, worst_outcome
 from .sequences import FAMILIES, BoundCertificate, WeightSequence
 
+#: the documented CSV layout of the three extremal-series checks
+_CSV_LAYOUT = ("n", "lower_bound_log", "value_log_lo", "value_log_hi", "ceiling_log", "verdict")
+
 
 class BangSeries:
     """Term cache and certified evaluators for the extremal series of one
@@ -210,6 +213,8 @@ class BangSeries:
             "|f^(j)(0)| >= j! M'_{2j}/(2j)!",
             rows,
             params=(("n_max", str(n_max)), ("spec", self.ws.spec.label())),
+            index_columns=("n",),
+            csv_layout=_CSV_LAYOUT,
         )
 
     def verify_membership(self, n_max: int) -> tuple[CheckReport, BoundCertificate]:
@@ -241,6 +246,8 @@ class BangSeries:
             "sum_k M'_k (2 m_k)^(n-k) <= 2^(n+1) M'_n on the tested range",
             rows,
             params=(("n_max", str(n_max)), ("spec", self.ws.spec.label())),
+            index_columns=("n",),
+            csv_layout=_CSV_LAYOUT,
         )
         certificate = BoundCertificate(
             C=self._two, R=self._two, interval_id="R", seq=self.ws.spec
@@ -277,6 +284,8 @@ class BangSeries:
             "0 <= log(|F^(2n)(0)|/M'_{2n}) <= (n+2) log 4 on the tested range",
             rows,
             params=(("n_max", str(n_max)), ("p", str(p)), ("spec", self.ws.spec.label())),
+            index_columns=("n",),
+            csv_layout=_CSV_LAYOUT,
         )
 
     # -- pointwise evaluation ------------------------------------------------------

@@ -3,7 +3,9 @@
 Exit code contract: 0 when every executed check is confirmed, 1 when any
 check is refuted, 2 when any check is inconclusive and none is refuted,
 3 for configuration/usage errors (unreadable or malformed spec documents,
-bad flag combinations).
+bad flag combinations).  An error while running the checks on one spec
+document becomes one inconclusive ``spec-rejected`` check, after the
+checks already run, and the report is still written.
 
 Without ``--out`` the report document goes to stdout (JSON, or CSV for a
 single-check command) and the human summary to stderr; with ``--out`` the
@@ -50,7 +52,7 @@ from .outcomes import (
     Verdict,
     aggregate_rows,
 )
-from .reporting import RunReport, check_to_csv, write_once, write_report
+from .reporting import CheckResult, RunReport, check_to_csv, write_once, write_report
 from .sequences import SequenceSpec, WeightSequence, load_spec, power_substitute
 from .substitution import (
     TheoremInstance,
@@ -88,6 +90,32 @@ def _parse_fraction(text: str) -> Fraction:
         raise UsageError(f"not a rational number: {text!r}") from exc
 
 
+#: the seq-check checks in their default order: name -> runner(ws, n_max)
+_SEQ_CHECKS = {
+    "monotone": check_monotone,
+    "log-convex": lambda ws, n_max: check_log_convex(ws, "M", max(2, n_max)),
+    "log-convex-prime": lambda ws, n_max: check_log_convex(ws, "Mprime", max(2, n_max)),
+    "derivation-closed": check_derivation_closed,
+    "quasianalytic": quasianalyticity_report,
+}
+
+
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= ``minimum``; anything else is a usage
+    error (exit 3)."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}")
+        return value
+
+    return integer
+
+
+_COUNT = _int_at_least(1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carleman",
@@ -101,10 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, n_max_default: int | None = None) -> None:
         p.add_argument("--out", default=None, help="output file or directory")
         p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--precision", type=int, default=None,
+        p.add_argument("--precision", type=_COUNT, default=None,
                        help="override working precision (decimal digits)")
         if n_max_default is not None:
-            p.add_argument("--n-max", type=int, default=n_max_default)
+            p.add_argument("--n-max", type=_COUNT, default=n_max_default)
 
     p = sub.add_parser("seq-show", help="tabulate M_n, M'_n and the primed ratios")
     p.add_argument("--spec", required=True)
@@ -112,12 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("seq-check", help="run sequence criteria checks")
     p.add_argument("--spec", required=True)
-    p.add_argument(
-        "--checks",
-        default="monotone,log-convex,log-convex-prime,derivation-closed,quasianalytic",
-        help="comma list: monotone, log-convex, log-convex-prime, "
-        "derivation-closed, quasianalytic",
-    )
+    p.add_argument("--checks", default=",".join(_SEQ_CHECKS),
+                   help=f"comma list: {', '.join(_SEQ_CHECKS)}")
     common(p, n_max_default=40)
 
     p = sub.add_parser("seq-compare", help="inclusion criterion between two sequences")
@@ -127,48 +151,48 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("seq-transform", help="index-dilated sequence and its verdicts")
     p.add_argument("--spec", required=True)
-    p.add_argument("--p", type=int, default=2)
+    p.add_argument("--p", type=_COUNT, default=2)
     common(p, n_max_default=30)
 
     p = sub.add_parser("ckn", help="log-power coefficient bounds and oracle equivalence")
-    p.add_argument("--k-max", type=int, default=10)
+    p.add_argument("--k-max", type=_COUNT, default=10)
     common(p, n_max_default=30)
 
     p = sub.add_parser("alpha", help="root-substitution series bounds")
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=5)
+    p.add_argument("--p", type=_int_at_least(2), default=2)
+    p.add_argument("--k-max", type=_COUNT, default=5)
     common(p, n_max_default=40)
 
     p = sub.add_parser("ineq62", help="elementary factorial inequality sweep")
-    p.add_argument("--p", type=int, default=2)
+    p.add_argument("--p", type=_int_at_least(2), default=2)
     common(p, n_max_default=20)
 
     p = sub.add_parser("bang", help="extremal cosine series: derivative bounds at 0")
     p.add_argument("--spec", required=True)
-    p.add_argument("--deriv-n-max", type=int, default=8,
+    p.add_argument("--deriv-n-max", type=_COUNT, default=8,
                    help="j range for the F^(2j)(0) lower bounds")
-    p.add_argument("--sharpness-n-max", type=int, default=6)
+    p.add_argument("--sharpness-n-max", type=_COUNT, default=6)
     p.add_argument("--plot-data", default=None,
                    help="write (xi, F_lo, F_hi) samples to this CSV path")
-    p.add_argument("--plot-points", type=int, default=33)
-    p.add_argument("--plot-k", type=int, default=48,
+    p.add_argument("--plot-points", type=_COUNT, default=33)
+    p.add_argument("--plot-k", type=_COUNT, default=48,
                    help="series truncation for the plot samples")
     common(p, n_max_default=12)
 
     p = sub.add_parser("thm61", help="power-substitution bound: coefficient level "
                                      "and assembled final bound")
     p.add_argument("--spec", required=True)
-    p.add_argument("--p", type=int, default=2)
+    p.add_argument("--p", type=_int_at_least(2), default=2)
     p.add_argument("--A", default="1", help="class radius of the hypothesis bound")
-    p.add_argument("--assembly-n-max", type=int, default=10)
-    p.add_argument("--exact-alpha-cap", type=int, default=10)
+    p.add_argument("--assembly-n-max", type=_COUNT, default=10)
+    p.add_argument("--exact-alpha-cap", type=_COUNT, default=10)
     common(p, n_max_default=20)
 
     p = sub.add_parser("report-all", help="full verification battery on the shipped configs")
     p.add_argument("--spec", action="append", default=[],
                    help="additional sequence spec documents to check (repeatable)")
     common(p, n_max_default=None)
-    p.add_argument("--n-max", type=int, default=None,
+    p.add_argument("--n-max", type=_COUNT, default=None,
                    help="scale every battery sweep down to at most this depth")
 
     return parser
@@ -179,14 +203,22 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _timed(run: RunReport, fn, certificate=None) -> None:
+def _timed(run: RunReport, producer, *args) -> CheckResult:
+    """Add ``producer(*args)`` to ``run`` with its wall time."""
     t0 = time.perf_counter()
-    report = fn()
-    ms = (time.perf_counter() - t0) * 1000.0
-    cert_dict = None
-    if certificate is not None:
-        cert_dict = certificate() if callable(certificate) else certificate
-    run.add(report, ms=ms, certificate=cert_dict)
+    report = producer(*args)
+    return run.add(report, ms=(time.perf_counter() - t0) * 1000.0)
+
+
+def _reject_spec(run: RunReport, spec: SequenceSpec, exc: CarlemanError, work: str) -> None:
+    """Add one inconclusive spec-rejected check for ``work`` that raised
+    ``exc`` on ``spec``; a malformed spec stays a usage error."""
+    if isinstance(exc, SpecFormatError):
+        raise exc
+    run.add(_rejection_report(
+        "spec-rejected", f"{work} require every swept value to be computable",
+        work, spec, f"{type(exc).__name__}: {exc}",
+    ))
 
 
 def _seq_show_report(ws: WeightSequence, n_max: int) -> CheckReport:
@@ -215,40 +247,33 @@ def _seq_show_report(ws: WeightSequence, n_max: int) -> CheckReport:
         verdict=Verdict(Outcome.CONFIRMED, Reason.SYMBOLIC_COMPARISON),
         params=(("n_max", str(n_max)), ("spec", ws.spec.label())),
         rows=tuple(rows),
+        index_columns=("n",),
     )
 
 
 def cmd_seq_show(args) -> RunReport:
     spec = _load(args.spec, args.precision)
     run = RunReport(config=_config(args))
-    ws = WeightSequence(spec)
-    _timed(run, lambda: _seq_show_report(ws, args.n_max))
+    try:
+        _timed(run, _seq_show_report, WeightSequence(spec), args.n_max)
+    except CarlemanError as exc:
+        _reject_spec(run, spec, exc, "seq-show checks")
     return run
-
-
-_CHECK_NAMES = ("monotone", "log-convex", "log-convex-prime", "derivation-closed", "quasianalytic")
 
 
 def cmd_seq_check(args) -> RunReport:
     spec = _load(args.spec, args.precision)
     names = [c.strip() for c in args.checks.split(",") if c.strip()]
     for name in names:
-        if name not in _CHECK_NAMES:
-            raise UsageError(f"unknown check {name!r}; available: {', '.join(_CHECK_NAMES)}")
+        if name not in _SEQ_CHECKS:
+            raise UsageError(f"unknown check {name!r}; available: {', '.join(_SEQ_CHECKS)}")
     run = RunReport(config=_config(args))
     ws = WeightSequence(spec)
-    n_max = args.n_max
-    for name in names:
-        if name == "monotone":
-            _timed(run, lambda: check_monotone(ws, n_max))
-        elif name == "log-convex":
-            _timed(run, lambda: check_log_convex(ws, "M", max(2, n_max)))
-        elif name == "log-convex-prime":
-            _timed(run, lambda: check_log_convex(ws, "Mprime", max(2, n_max)))
-        elif name == "derivation-closed":
-            _timed(run, lambda: check_derivation_closed(ws, n_max))
-        elif name == "quasianalytic":
-            _timed(run, lambda: quasianalyticity_report(ws, n_max))
+    try:
+        for name in names:
+            _timed(run, _SEQ_CHECKS[name], ws, args.n_max)
+    except CarlemanError as exc:
+        _reject_spec(run, spec, exc, "seq-check checks")
     return run
 
 
@@ -256,8 +281,7 @@ def cmd_seq_compare(args) -> RunReport:
     specM = _load(args.spec, args.precision)
     specN = _load(args.other, args.precision)
     run = RunReport(config=_config(args))
-    wsM, wsN = WeightSequence(specM), WeightSequence(specN)
-    _timed(run, lambda: check_inclusion(wsM, wsN, args.n_max))
+    _timed(run, check_inclusion, WeightSequence(specM), WeightSequence(specN), args.n_max)
     return run
 
 
@@ -286,17 +310,19 @@ def _transform_values_report(spec: SequenceSpec, p: int, n_max: int) -> CheckRep
         verdict=Verdict(Outcome.CONFIRMED, Reason.SYMBOLIC_COMPARISON),
         params=(("p", str(p)), ("n_max", str(n_max)), ("spec", spec.label())),
         rows=tuple(rows),
+        index_columns=("n",),
     )
 
 
 def cmd_seq_transform(args) -> RunReport:
     spec = _load(args.spec, args.precision)
-    if args.p < 1:
-        raise UsageError("--p must be >= 1")
     run = RunReport(config=_config(args))
-    if args.p >= 2:
-        _timed(run, lambda: _transform_values_report(spec, args.p, args.n_max))
-    _timed(run, lambda: transform_report(spec, args.p, max(8, args.n_max)))
+    try:
+        if args.p >= 2:
+            _timed(run, _transform_values_report, spec, args.p, args.n_max)
+        _timed(run, transform_report, spec, args.p, max(8, args.n_max))
+    except CarlemanError as exc:
+        _reject_spec(run, spec, exc, "seq-transform checks")
     return run
 
 
@@ -327,15 +353,14 @@ def _ckn_equivalence_report(k_max: int, n_max: int) -> CheckReport:
         rows,
         params=(("k_max", str(k_max)), ("n_max", str(n_max))),
         reason_confirmed=Reason.SYMBOLIC_COMPARISON,
+        index_columns=("k", "n"),
     )
 
 
 def cmd_ckn(args) -> RunReport:
-    if args.k_max < 1 or args.n_max < 1:
-        raise UsageError("--k-max and --n-max must be >= 1")
     run = RunReport(config=_config(args))
-    _timed(run, lambda: verify_ckn_bound(args.k_max, args.n_max))
-    _timed(run, lambda: _ckn_equivalence_report(min(6, args.k_max), min(18, args.n_max)))
+    _timed(run, verify_ckn_bound, args.k_max, args.n_max)
+    _timed(run, _ckn_equivalence_report, min(6, args.k_max), min(18, args.n_max))
     return run
 
 
@@ -351,27 +376,22 @@ def _diag_derivative_report(p: int, k_max: int, n_max: int) -> CheckReport:
         "|diagonal derivative| obeys the (2e)^n n^(n-k) x^(-(pn-k)/p) estimate",
         rows,
         params=(("p", str(p)), ("k_max", str(k_max)), ("n_max", str(n_max))),
+        index_columns=("p", "k", "n", "x"),
     )
 
 
 def cmd_alpha(args) -> RunReport:
-    if args.p < 2:
-        raise UsageError("--p must be >= 2")
     run = RunReport(config=_config(args))
-    _timed(run, lambda: verify_root_series_magnitude_bound(args.p, args.n_max))
+    _timed(run, verify_root_series_magnitude_bound, args.p, args.n_max)
     for k in range(1, args.k_max + 1):
-        _timed(run, lambda k=k: verify_root_series_bounds(args.p, k, args.n_max))
-    _timed(run, lambda: _diag_derivative_report(args.p, args.k_max, min(args.n_max, 8)))
+        _timed(run, verify_root_series_bounds, args.p, k, args.n_max)
+    _timed(run, _diag_derivative_report, args.p, args.k_max, min(args.n_max, 8))
     return run
 
 
 def cmd_ineq62(args) -> RunReport:
-    if args.p < 2:
-        raise UsageError("--p must be >= 2")
-    if args.n_max < 1:
-        raise UsageError("--n-max must be >= 1")
     run = RunReport(config=_config(args))
-    _timed(run, lambda: verify_factorial_inequality_sweep(args.p, args.n_max))
+    _timed(run, verify_factorial_inequality_sweep, args.p, args.n_max)
     return run
 
 
@@ -409,12 +429,12 @@ def _run_bang(run: RunReport, ws: WeightSequence, deriv_n_max: int, n_max: int,
             "construction", ws.spec, str(exc),
         ))
         return None
-    _timed(run, lambda: series.verify_derivative_lower_bounds(deriv_n_max))
+    _timed(run, series.verify_derivative_lower_bounds, deriv_n_max)
     t0 = time.perf_counter()
     membership, certificate = series.verify_membership(n_max)
     run.add(membership, ms=(time.perf_counter() - t0) * 1000.0,
             certificate=certificate.as_dict())
-    _timed(run, lambda: series.sharpness_evidence(sharpness_n_max))
+    _timed(run, series.sharpness_evidence, sharpness_n_max)
     return series
 
 
@@ -430,26 +450,30 @@ def _write_plot_data(series: BangSeries, path: str, points: int, K: int) -> None
 def cmd_bang(args) -> RunReport:
     spec = _load(args.spec, args.precision)
     run = RunReport(config=_config(args))
-    series = _run_bang(run, WeightSequence(spec), args.deriv_n_max, args.n_max,
-                       args.sharpness_n_max)
-    if series is not None and args.plot_data:
-        _write_plot_data(series, args.plot_data, args.plot_points, args.plot_k)
+    try:
+        series = _run_bang(run, WeightSequence(spec), args.deriv_n_max, args.n_max,
+                           args.sharpness_n_max)
+        if series is not None and args.plot_data:
+            _write_plot_data(series, args.plot_data, args.plot_points, args.plot_k)
+    except CarlemanError as exc:
+        _reject_spec(run, spec, exc, "bang checks")
     return run
 
 
 def cmd_thm61(args) -> RunReport:
     spec = _load(args.spec, args.precision)
-    if args.p < 2:
-        raise UsageError("--p must be >= 2")
     A = _parse_fraction(args.A)
     if A <= 0:
         raise UsageError("--A must be positive")
     run = RunReport(config=_config(args))
-    inst = TheoremInstance(spec=spec, p=args.p, A=A, n_max=args.n_max)
-    _timed(run, lambda: coeff_level_check(inst),
-           certificate=lambda: coeff_level_certificate(inst).as_dict())
-    asm = TheoremInstance(spec=spec, p=args.p, A=A, n_max=args.assembly_n_max)
-    _timed(run, lambda: final_bound_assembly(asm, exact_alpha_cap=args.exact_alpha_cap))
+    try:
+        inst = TheoremInstance(spec=spec, p=args.p, A=A, n_max=args.n_max)
+        result = _timed(run, coeff_level_check, inst)
+        result.certificate = coeff_level_certificate(inst).as_dict()
+        asm = TheoremInstance(spec=spec, p=args.p, A=A, n_max=args.assembly_n_max)
+        _timed(run, final_bound_assembly, asm, args.exact_alpha_cap)
+    except CarlemanError as exc:
+        _reject_spec(run, spec, exc, "thm61 checks")
     return run
 
 
@@ -483,49 +507,44 @@ def run_battery(
     built_ins = (constant, gevrey1, il1, il2, paper8)
 
     # exact coefficient oracle
-    _timed(run, lambda: verify_ckn_bound(d(10), d(30)))
-    _timed(run, lambda: _ckn_equivalence_report(d(5), d(14)))
+    _timed(run, verify_ckn_bound, d(10), d(30))
+    _timed(run, _ckn_equivalence_report, d(5), d(14))
     for p in (2, 3):
-        _timed(run, lambda p=p: verify_root_series_magnitude_bound(p, d(60)))
-        _timed(run, lambda p=p: verify_root_series_bounds(p, 2, d(40)))
-        _timed(run, lambda p=p: verify_factorial_inequality_sweep(p, d(15)))
+        _timed(run, verify_root_series_magnitude_bound, p, d(60))
+        _timed(run, verify_root_series_bounds, p, 2, d(40))
+        _timed(run, verify_factorial_inequality_sweep, p, d(15))
 
     # sequence criteria
     ws = {spec.label(): WeightSequence(spec) for spec in built_ins}
-    _timed(run, lambda: check_log_convex(ws[constant.label()], "M", d(40, 2)))
-    _timed(run, lambda: check_log_convex(ws[gevrey1.label()], "Mprime", d(40, 2)))
-    _timed(run, lambda: check_log_convex(ws[il1.label()], "M", d(40, 2)))
-    _timed(run, lambda: check_log_convex(ws[il2.label()], "M", d(40, 2)))
+    _timed(run, check_log_convex, ws[constant.label()], "M", d(40, 2))
+    _timed(run, check_log_convex, ws[gevrey1.label()], "Mprime", d(40, 2))
+    _timed(run, check_log_convex, ws[il1.label()], "M", d(40, 2))
+    _timed(run, check_log_convex, ws[il2.label()], "M", d(40, 2))
     # the double-log family starts below its convexity threshold: measured
     # segments only (non-convexity at small n is expected and reported by
     # seq-check, not asserted here)
-    _timed(run, lambda: check_log_convex(ws[paper8.label()], "M", d(60, 9), n_min=7))
-    _timed(run, lambda: check_log_convex(ws[paper8.label()], "Mprime", d(60, 4), n_min=2))
-    _timed(run, lambda: check_monotone(ws[paper8.label()], d(80)))
+    _timed(run, check_log_convex, ws[paper8.label()], "M", d(60, 9), 7)
+    _timed(run, check_log_convex, ws[paper8.label()], "Mprime", d(60, 4), 2)
+    _timed(run, check_monotone, ws[paper8.label()], d(80))
     for spec in built_ins:
-        _timed(run, lambda spec=spec: check_derivation_closed(ws[spec.label()], d(40)))
+        _timed(run, check_derivation_closed, ws[spec.label()], d(40))
 
     # quasianalyticity: base families and dilations
-    _timed(run, lambda: quasianalyticity_report(ws[constant.label()], d(400)))
-    _timed(run, lambda: quasianalyticity_report(ws[gevrey1.label()], d(2000)))
-    _timed(run, lambda: quasianalyticity_report(ws[paper8.label()], d(300)))
-    _timed(run, lambda: transform_report(il1, 2, d(300)))
-    _timed(run, lambda: transform_report(il2, 2, d(300)))
-    _timed(run, lambda: transform_report(il2, 3, d(300)))
-    _timed(run, lambda: transform_report(paper8, 3, d(200)))
+    _timed(run, quasianalyticity_report, ws[constant.label()], d(400))
+    _timed(run, quasianalyticity_report, ws[gevrey1.label()], d(2000))
+    _timed(run, quasianalyticity_report, ws[paper8.label()], d(300))
+    _timed(run, transform_report, il1, 2, d(300))
+    _timed(run, transform_report, il2, 2, d(300))
+    _timed(run, transform_report, il2, 3, d(300))
+    _timed(run, transform_report, paper8, 3, d(200))
 
     # inclusion in the dilated class, plus the strict non-inclusion witness
     for spec in built_ins:
         for p in (2, 3):
             tspec = SequenceSpec(family="transformed", base=spec, p=p,
                                  precision=spec.precision)
-            _timed(
-                run,
-                lambda spec=spec, tspec=tspec: check_inclusion(
-                    ws[spec.label()], WeightSequence(tspec), d(40)
-                ),
-            )
-    _timed(run, lambda: check_inclusion(ws[gevrey1.label()], ws[constant.label()], d(40)))
+            _timed(run, check_inclusion, ws[spec.label()], WeightSequence(tspec), d(40))
+    _timed(run, check_inclusion, ws[gevrey1.label()], ws[constant.label()], d(40))
 
     # extremal series
     for spec in (constant, gevrey1):
@@ -536,9 +555,9 @@ def run_battery(
         for p in (2, 3, 5):
             for A in (Fraction(1), Fraction(3)):
                 inst = TheoremInstance(spec=spec, p=p, A=A, n_max=d(12))
-                _timed(run, lambda inst=inst: coeff_level_check(inst))
+                _timed(run, coeff_level_check, inst)
     asm = TheoremInstance(spec=gevrey1, p=2, A=Fraction(1), n_max=d(8))
-    _timed(run, lambda: final_bound_assembly(asm, exact_alpha_cap=8))
+    _timed(run, final_bound_assembly, asm, 8)
 
     # user-supplied documents: criteria sweeps (negative fixtures land here),
     # clamped to the indices the family defines; an error inside one
@@ -548,33 +567,25 @@ def run_battery(
         extra_ws = WeightSequence(spec)
         top = extra_ws.last_index
 
-        def clamp(default: int, minimum: int = 1, slack: int = 0) -> int:
-            depth = d(default, minimum)
+        def clamp(default: int, slack: int = 0) -> int:
+            depth = d(default)
             if top is not None:
-                depth = max(minimum, min(depth, top - slack))
+                depth = max(1, min(depth, top - slack))
             return depth
 
         try:
-            _timed(run, lambda w=extra_ws: check_monotone(w, clamp(20)))
+            _timed(run, _SEQ_CHECKS["monotone"], extra_ws, clamp(20))
             if top is None or top >= 2:
-                _timed(run, lambda w=extra_ws: check_log_convex(w, "M", clamp(20, 2)))
-            _timed(run, lambda w=extra_ws: quasianalyticity_report(w, clamp(50, 1, 1)))
+                _timed(run, _SEQ_CHECKS["log-convex"], extra_ws, clamp(20))
+            _timed(run, _SEQ_CHECKS["quasianalytic"], extra_ws, clamp(50, slack=1))
         except CarlemanError as exc:
-            run.add(_rejection_report(
-                "spec-rejected", "criteria sweeps require every swept value to be computable",
-                "criteria sweeps", spec, f"{type(exc).__name__}: {exc}",
-            ))
+            _reject_spec(run, spec, exc, "criteria sweeps")
     return run
 
 
 def cmd_report_all(args) -> RunReport:
-    run = run_battery(
-        precision=args.precision,
-        n_max=args.n_max,
-        extra_specs=args.spec,
-        config=_config(args),
-    )
-    return run
+    return run_battery(precision=args.precision, n_max=args.n_max,
+                       extra_specs=args.spec, config=_config(args))
 
 
 # ---------------------------------------------------------------------------
@@ -608,12 +619,6 @@ def _config(args) -> dict:
     }
 
 
-_POSITIVE_FLAGS = (
-    "n_max", "k_max", "precision", "deriv_n_max", "sharpness_n_max",
-    "assembly_n_max", "plot_points", "plot_k", "exact_alpha_cap",
-)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -622,11 +627,6 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 0 for --help/--version, 2 for usage errors; usage
         # errors are exit code 3 in this tool's contract
         return 0 if exc.code == 0 else 3
-    for key in _POSITIVE_FLAGS:
-        value = getattr(args, key, None)
-        if value is not None and value < 1:
-            print(f"error: --{key.replace('_', '-')} must be >= 1", file=sys.stderr)
-            return 3
     try:
         run = _HANDLERS[args.command](args)
     except (UsageError, SpecFormatError, OSError) as exc:

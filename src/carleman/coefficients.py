@@ -301,6 +301,8 @@ def verify_ckn_bound(k_max: int, n_max: int) -> CheckReport:
         "c(k,n) <= (2e)^n k!/n^k and c(k,n) <= 2^n on the grid",
         rows,
         params=(("k_max", str(k_max)), ("n_max", str(n_max))),
+        index_columns=("k", "n"),
+        csv_layout=("k", "n", "c_num", "c_den", "bound_upper", "verdict"),
     )
 
 
@@ -396,6 +398,7 @@ def verify_root_series_bounds(p: int, k: int, n_max: int) -> CheckReport:
         "|b_n| <= c(k,n)/k! <= (2e)^n/n^k",
         rows,
         params=(("p", str(p)), ("k", str(k)), ("n_max", str(n_max))),
+        index_columns=("k", "n"),
     )
 
 
@@ -515,6 +518,7 @@ def verify_factorial_inequality_sweep(p: int, n_max: int) -> CheckReport:
         "n^(pn-k) <= e^(pn) (pn-k)! for all 0 <= k < pn",
         rows,
         params=(("p", str(p)), ("n_max", str(n_max))),
+        index_columns=("p", "n", "k"),
     )
 
 
@@ -537,4 +541,5 @@ def verify_root_series_magnitude_bound(p: int, i_max: int) -> CheckReport:
         rows,
         params=(("p", str(p)), ("i_max", str(i_max))),
         reason_confirmed=Reason.SYMBOLIC_COMPARISON,
+        index_columns=("p", "i"),
     )

@@ -54,6 +54,7 @@ def check_monotone(ws: WeightSequence, n_max: int, n_min: int = 0) -> CheckRepor
         "M_n <= M_{n+1} on the tested range",
         rows,
         params=(("n_max", str(n_max)), ("n_min", str(n_min)), ("spec", ws.spec.label())),
+        index_columns=("n",),
     )
 
 
@@ -95,6 +96,7 @@ def check_log_convex(
             ("n_min", str(n_min)),
             ("spec", ws.spec.label()),
         ),
+        index_columns=("n",),
     )
 
 
@@ -173,6 +175,7 @@ def quasianalyticity_report(ws: WeightSequence, n_max: int) -> CheckReport:
         verdict=verdict,
         params=(("n_max", str(n_max)), ("spec", ws.spec.label())),
         rows=rows,
+        index_columns=("n",),
     )
 
 
@@ -219,6 +222,7 @@ def check_derivation_closed(ws: WeightSequence, n_max: int) -> CheckReport:
             ("rule", rule or "none"),
         ),
         rows=tuple(rows),
+        index_columns=("n",),
     )
 
 
@@ -269,6 +273,7 @@ def check_inclusion(wsM: WeightSequence, wsN: WeightSequence, n_max: int) -> Che
             or Verdict(Outcome.CONFIRMED, Reason.SYMBOLIC_COMPARISON, (rows[-1],)),
             params=(("n_max", str(n_max)), ("seqM", specM.label()), ("seqN", specN.label())),
             rows=tuple(rows),
+            index_columns=("n",),
         )
 
     if specM.structure_key() == specN.structure_key():

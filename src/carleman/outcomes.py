@@ -98,7 +98,10 @@ class CheckReport:
 
     ``params`` echoes the configuration that produced the report (sorted
     key/value string pairs) so serialized reports are self-describing and
-    reproducible.
+    reproducible.  ``index_columns`` names the entries of every row's
+    ``index``; ``csv_layout`` is the fixed CSV header of a check with a
+    documented file format, and None gives index columns, lo/hi, verdict,
+    note and the sorted extras.  Neither is part of the JSON document.
     """
 
     name: str
@@ -106,15 +109,8 @@ class CheckReport:
     verdict: Verdict
     params: tuple[tuple[str, str], ...] = ()
     rows: tuple[EvidenceRow, ...] = ()
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "claim": self.claim,
-            "verdict": self.verdict.as_dict(),
-            "params": {k: v for k, v in self.params},
-            "rows": [r.as_dict() for r in self.rows],
-        }
+    index_columns: tuple[str, ...] = ("i0",)
+    csv_layout: tuple[str, ...] | None = None
 
 
 def aggregate_rows(
@@ -123,6 +119,8 @@ def aggregate_rows(
     rows: list[EvidenceRow],
     params: tuple[tuple[str, str], ...] = (),
     reason_confirmed: Reason = Reason.INTERVAL_SEPARATION,
+    index_columns: tuple[str, ...] = ("i0",),
+    csv_layout: tuple[str, ...] | None = None,
 ) -> CheckReport:
     """Roll per-row outcomes up into a check verdict.
 
@@ -140,7 +138,8 @@ def aggregate_rows(
         verdict = Verdict(Outcome.INCONCLUSIVE, Reason.PRECISION_EXHAUSTED, stuck)
     else:
         verdict = Verdict(Outcome.CONFIRMED, reason_confirmed)
-    return CheckReport(name=name, claim=claim, verdict=verdict, params=params, rows=tuple(rows))
+    return CheckReport(name=name, claim=claim, verdict=verdict, params=params, rows=tuple(rows),
+                       index_columns=index_columns, csv_layout=csv_layout)
 
 
 def worst_outcome(outcomes: list[Outcome]) -> Outcome:

@@ -22,38 +22,7 @@ from pathlib import Path
 from ._version import __version__
 from .outcomes import CheckReport, Outcome, worst_outcome
 
-#: index column names per check-name prefix (fixed CSV headers per check type)
-_INDEX_COLUMNS = (
-    ("ckn-bound", ("k", "n")),
-    ("ckn-oracle", ("k", "n")),
-    ("root-series-magnitude", ("p", "i")),
-    ("root-series-bound", ("k", "n")),
-    ("factorial-inequality", ("p", "n", "k")),
-    ("diag-derivative", ("p", "k", "n", "x")),
-    ("substitution-assembly", ("n", "k", "x")),
-    ("substitution-coefficients", ("n",)),
-    ("transform-quasianalytic", ("n",)),
-    ("quasianalytic", ("n",)),
-    ("log-convex", ("n",)),
-    ("monotone", ("n",)),
-    ("derivation-closed", ("n",)),
-    ("inclusion", ("n",)),
-    ("bang-lower-bounds", ("n",)),
-    ("bang-membership", ("n",)),
-    ("bang-sharpness", ("n",)),
-    ("seq-show", ("n",)),
-    ("transform-values", ("n",)),
-)
-
-
 _EXIT_CODES = {Outcome.CONFIRMED: 0, Outcome.REFUTED: 1, Outcome.INCONCLUSIVE: 2}
-
-
-def index_columns_for(name: str) -> tuple[str, ...]:
-    for prefix, cols in _INDEX_COLUMNS:
-        if name.startswith(prefix):
-            return cols
-    return ("i0",)
 
 
 @dataclass
@@ -74,8 +43,11 @@ class RunReport:
     checks: list[CheckResult] = field(default_factory=list)
     tool_version: str = __version__
 
-    def add(self, report: CheckReport, ms: float = 0.0, certificate: dict | None = None) -> None:
-        self.checks.append(CheckResult(report=report, ms=ms, certificate=certificate))
+    def add(self, report: CheckReport, ms: float = 0.0,
+            certificate: dict | None = None) -> CheckResult:
+        result = CheckResult(report=report, ms=ms, certificate=certificate)
+        self.checks.append(result)
+        return result
 
     def outcomes(self) -> list[Outcome]:
         return [c.report.verdict.outcome for c in self.checks]
@@ -127,20 +99,13 @@ class RunReport:
         return lines
 
 
-#: fixed column layouts demanded by the documented file formats; anything
-#: not listed falls back to index + lo/hi/verdict/note + sorted extras
-_SPECIAL_SCHEMAS = (
-    ("ckn-bound", ("k", "n", "c_num", "c_den", "bound_upper", "verdict")),
-    (
-        "bang-",
-        ("n", "lower_bound_log", "value_log_lo", "value_log_hi", "ceiling_log", "verdict"),
-    ),
-)
-
-
 def _row_mapping(report: CheckReport, row) -> dict[str, str]:
-    idx_cols = index_columns_for(report.name)
-    mapping = {name: str(v) for name, v in zip(idx_cols, row.index)}
+    if len(row.index) != len(report.index_columns):
+        raise ValueError(
+            f"{report.name}: row index {row.index!r} does not match the "
+            f"declared columns {report.index_columns!r}"
+        )
+    mapping = {name: str(v) for name, v in zip(report.index_columns, row.index)}
     mapping.update(
         {
             "lo": row.lo,
@@ -160,19 +125,17 @@ def _row_mapping(report: CheckReport, row) -> dict[str, str]:
 def check_to_csv(report: CheckReport) -> str:
     """Fixed-header CSV for one check.
 
-    Checks with a documented file format use its exact column set; others
-    use index columns, the enclosure columns, verdict, note, and the
-    check's extra columns in sorted order.
+    A check with a documented file format declares its exact column set
+    (``csv_layout``); others use their index columns, the enclosure
+    columns, verdict, note, and the check's extra columns in sorted order.
+    A row whose index does not match the declared index columns raises
+    :class:`ValueError`.
     """
-    headers: list[str] | None = None
-    for prefix, cols in _SPECIAL_SCHEMAS:
-        if report.name.startswith(prefix):
-            headers = list(cols)
-            break
-    if headers is None:
-        idx_cols = index_columns_for(report.name)
+    if report.csv_layout is not None:
+        headers = list(report.csv_layout)
+    else:
         extra_keys = sorted({k for row in report.rows for k, _ in row.extra})
-        headers = list(idx_cols) + ["lo", "hi", "verdict", "note"] + extra_keys
+        headers = list(report.index_columns) + ["lo", "hi", "verdict", "note"] + extra_keys
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["# check", report.name])

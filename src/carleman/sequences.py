@@ -189,7 +189,7 @@ def spec_from_dict(doc: dict) -> SequenceSpec:
     if not isinstance(doc, dict):
         raise SpecFormatError("spec document must be a JSON object")
     version = doc.get("version", SPEC_FORMAT_VERSION)
-    if version != SPEC_FORMAT_VERSION:
+    if not _is_int(version) or version != SPEC_FORMAT_VERSION:
         raise SpecFormatError(f"unsupported spec version {version!r}")
     family = doc.get("family")
     params = doc.get("params", {}) or {}

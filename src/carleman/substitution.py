@@ -146,6 +146,7 @@ def coeff_level_check(inst: TheoremInstance) -> CheckReport:
             ("A", str(inst.A)),
             ("n_max", str(inst.n_max)),
         ),
+        index_columns=("n",),
     )
 
 
@@ -163,8 +164,8 @@ def coeff_level_certificate(inst: TheoremInstance) -> BoundCertificate:
 
 def final_bound_assembly(
     inst: TheoremInstance,
-    x_samples: list[Fraction] | None = None,
     exact_alpha_cap: int = DEFAULT_EXACT_ALPHA_CAP,
+    x_samples: list[Fraction] | None = None,
 ) -> CheckReport:
     """Reassemble the proof's k-sum at exact p-th-power sample points.
 
@@ -267,6 +268,7 @@ def final_bound_assembly(
             ("x_samples", ",".join(str(x) for x in x_samples)),
         ),
         reason_confirmed=Reason.SYMBOLIC_COMPARISON,
+        index_columns=("n", "k", "x"),
     )
 
 
@@ -290,4 +292,5 @@ def transform_report(spec: SequenceSpec, p: int, n_max: int) -> CheckReport:
         verdict=report.verdict,
         params=params,
         rows=report.rows,
+        index_columns=report.index_columns,
     )

@@ -58,6 +58,8 @@ class TestExitCodes:
             '{"family": "transformed", "params": {"p": 2, "base": ["gevrey"]}}',
             '{"family": "transformed", "params": {"p": 2, '
             '"base": {"family": "constant", "version": 99}}}',
+            '{"version": true, "family": "constant"}',
+            '{"version": 1.0, "family": "constant"}',
         ):
             bad.write_text(doc)
             assert run(["seq-show", "--spec", str(bad)]) == 3
@@ -153,6 +155,16 @@ class TestCsv:
         header = next(line for line in lower if not line.startswith("#"))
         assert header == "n,lower_bound_log,value_log_lo,value_log_hi,ceiling_log,verdict"
 
+    def test_rejection_keeps_its_witness(self, tmp_path):
+        # bang-rejected has the generic rejection layout, not the
+        # extremal-series one, so the error message reaches the CSV
+        paper8 = str(SPECS / "paper8.json")
+        out = tmp_path / "rejected.csv"
+        assert run(["bang", "--spec", paper8, "--format", "csv", "--out", str(out)]) == 2
+        rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert rows[0] == "i0,lo,hi,verdict,note"
+        assert rows[1].startswith("0,,,inconclusive,") and "log-convexity" in rows[1]
+
     def test_single_check_csv_file(self, tmp_path):
         out = tmp_path / "ineq.csv"
         assert run(["ineq62", "--p", "2", "--n-max", "3",
@@ -246,6 +258,31 @@ class TestCommands:
                     "--precision", "30", "--out", str(b)]) == 0
         assert a.read_bytes() != b.read_bytes()
 
+
+    @pytest.mark.parametrize("command", ["seq-show", "seq-check", "seq-transform",
+                                         "bang", "thm61"])
+    def test_failing_spec_keeps_the_subcommand_run(self, tmp_path, command):
+        spec = tmp_path / "il4.json"
+        spec.write_text('{"family": "iterated_log", "params": {"k": 4}}')
+        out = tmp_path / "r"
+        assert run([command, "--spec", str(spec), "--n-max", "2",
+                    "--out", str(out)]) == 2
+        (rejected,) = json.loads(next(out.glob("report-*.json")).read_text())["checks"]
+        assert rejected["name"] == "spec-rejected[iterated_log(k=4)]"
+        assert rejected["verdict"]["outcome"] == "inconclusive"
+        assert rejected["evidence"][0]["note"].startswith("PrecisionExhaustedError: ")
+
+    def test_failing_check_keeps_the_checks_already_run(self, tmp_path):
+        # derivation closure at n = 3 needs M_4, one past the table
+        spec = tmp_path / "t4.json"
+        spec.write_text('{"family": "table", "params": {"log_values": ["0", "1", "4", "9"]}}')
+        out = tmp_path / "r"
+        assert run(["seq-check", "--spec", str(spec), "--n-max", "3",
+                    "--out", str(out)]) == 2
+        checks = json.loads(next(out.glob("report-*.json")).read_text())["checks"]
+        assert [c["name"].split("[")[0] for c in checks] == [
+            "monotone", "log-convex-M", "log-convex-Mprime", "spec-rejected"]
+        assert checks[-1]["evidence"][0]["note"].startswith("IndexRangeError: ")
 
 class TestReportAll:
     def test_small_battery_confirmed_and_deterministic(self, tmp_path):

@@ -12,6 +12,7 @@ from carleman.outcomes import (
     aggregate_rows,
     worst_outcome,
 )
+from carleman.reporting import RunReport, check_to_csv
 
 
 def _row(i, outcome=None):
@@ -61,6 +62,28 @@ class TestAggregation:
         assert worst_outcome([Outcome.CONFIRMED, Outcome.REFUTED]) is Outcome.REFUTED
         assert worst_outcome([Outcome.CONFIRMED, Outcome.INCONCLUSIVE]) is Outcome.INCONCLUSIVE
         assert worst_outcome([Outcome.CONFIRMED]) is Outcome.CONFIRMED
+
+
+class TestDeclaredColumns:
+    def test_columns_name_the_index(self):
+        report = aggregate_rows("t", "c", [_row(0, Outcome.CONFIRMED)], index_columns=("n",))
+        header = [line for line in check_to_csv(report).splitlines()
+                  if not line.startswith("#")][0]
+        assert header == "n,lo,hi,verdict,note"
+
+    def test_index_length_mismatch_raises(self):
+        report = aggregate_rows("t", "c", [_row(0)], index_columns=("k", "n"))
+        with pytest.raises(ValueError, match="declared columns"):
+            check_to_csv(report)
+
+    def test_columns_stay_out_of_the_json_document(self):
+        report = aggregate_rows("t", "c", [_row(0)], index_columns=("n",),
+                                csv_layout=("n", "verdict"))
+        run = RunReport(config={})
+        run.add(report)
+        text = run.to_json()
+        assert "index_columns" not in text and "csv_layout" not in text
+        assert check_to_csv(report).splitlines()[-2:] == ["n,verdict", "0,"]
 
 
 class TestOverlapDiscipline:

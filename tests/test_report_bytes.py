@@ -61,7 +61,7 @@ RUNS = {
         ["bang", "--spec", "transformed_il1.json", "--n-max", "3"],
         2,
         "3f4982435f21094ee3620334260c513e62d945231b1538ca751a900ac514f1fd",
-        "76035769465a553b153a5597d0a8775a498d650aa0ba38dd75e797f18be42d97",
+        "707528b14ac2e1583c4ac48fefb454dd7246e51b2312aa24e56f2fa210960718",
     ),
     "seq-compare": (
         ["seq-compare", "--spec", "gevrey1.json", "--other", "iterated_log1.json"],

@@ -325,8 +325,10 @@ class TestSpecDocuments:
             spec_from_dict({"family": "gevrey", "params": {}})
         with pytest.raises(SpecFormatError):
             spec_from_dict({"family": "unknown", "params": {}})
-        with pytest.raises(SpecFormatError):
-            spec_from_dict({"family": "constant", "params": {}, "version": 99})
+        # the version is a genuine integer: JSON true and 1.0 both equal 1
+        for version in (99, True, 1.0):
+            with pytest.raises(SpecFormatError):
+                spec_from_dict({"family": "constant", "params": {}, "version": version})
         with pytest.raises(SpecFormatError):
             spec_from_dict({"family": "constant", "params": {}, "precision": "80"})
         with pytest.raises(SpecFormatError):
