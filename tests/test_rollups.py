@@ -1,0 +1,129 @@
+"""Failing branches of the outcome roll-ups.
+
+The exact links behind ``ckn-bound``, ``root-series-bound`` and
+``substitution-coefficients`` never fail on correct arithmetic, so these
+tests replace one link at a time with a refuting or inconclusive stand-in
+and check the row outcomes (refuted > inconclusive > confirmed) and the
+notes that name the failing link.
+"""
+
+from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
+
+from carleman import coefficients as co
+from carleman import substitution as su
+from carleman.outcomes import EvidenceRow, Outcome, Reason, aggregate_rows
+from carleman.sequences import SequenceSpec
+
+C, R, I = Outcome.CONFIRMED, Outcome.REFUTED, Outcome.INCONCLUSIVE
+
+
+def _outcomes(report):
+    return {row.outcome for row in report.rows}
+
+
+def _huge_ckn(k, n):
+    """A c(k, n) above 2^n: the Cauchy estimate is refuted."""
+    return Fraction(2**n + 1)
+
+
+class TestCknBound:
+    @pytest.mark.parametrize("lemma, note", [(R, "lemma"), (I, "lemma")])
+    def test_lemma_link_alone(self, monkeypatch, lemma, note):
+        monkeypatch.setattr(co, "leq_with_e_power", lambda *args: lemma)
+        report = co.verify_ckn_bound(2, 3)
+        assert _outcomes(report) == {lemma}
+        assert {row.note for row in report.rows} == {note}
+        assert report.verdict.outcome is lemma
+
+    @pytest.mark.parametrize("lemma", [C, I, R])
+    def test_cauchy_link_refutes_whatever_the_lemma_says(self, monkeypatch, lemma):
+        monkeypatch.setattr(co, "ckn", _huge_ckn)
+        monkeypatch.setattr(co, "leq_with_e_power", lambda *args: lemma)
+        report = co.verify_ckn_bound(2, 3)
+        assert _outcomes(report) == {R}
+        assert {row.note for row in report.rows} == {"cauchy"}
+        assert report.verdict.outcome is R
+        assert report.verdict.evidence == report.rows
+
+    def test_unpatched_rows_carry_no_note(self):
+        report = co.verify_ckn_bound(2, 3)
+        assert _outcomes(report) == {C}
+        assert {row.note for row in report.rows} == {""}
+
+
+class TestRootSeriesBound:
+    @pytest.mark.parametrize("e_link", [I, R])
+    def test_e_link_alone(self, monkeypatch, e_link):
+        monkeypatch.setattr(co, "leq_with_e_power", lambda *args: e_link)
+        report = co.verify_root_series_bounds(2, 1, 3)
+        assert _outcomes(report) == {e_link}
+        assert report.verdict.outcome is e_link
+
+    @pytest.mark.parametrize("e_link", [C, I, R])
+    def test_exact_link_refutes_whatever_the_e_link_says(self, monkeypatch, e_link):
+        # c(k, n) = 0 puts every nonzero |b_n| above c(k, n)/k!
+        monkeypatch.setattr(co, "ckn", lambda k, n: Fraction(0))
+        monkeypatch.setattr(co, "leq_with_e_power", lambda *args: e_link)
+        report = co.verify_root_series_bounds(2, 1, 3)
+        assert _outcomes(report) == {R}
+        assert report.verdict.outcome is R
+
+
+class TestCoefficientLevel:
+    @pytest.fixture
+    def instance(self):
+        return su.TheoremInstance(SequenceSpec(family="gevrey", s=Fraction(1)), 2, Fraction(1), 2)
+
+    @pytest.mark.parametrize("ineq", [I, R])
+    def test_factorial_inequality_link(self, monkeypatch, instance, ineq):
+        monkeypatch.setattr(
+            su, "verify_factorial_inequality", lambda p, n, k: SimpleNamespace(outcome=ineq)
+        )
+        report = su.coeff_level_check(instance)
+        assert _outcomes(report) == {ineq}
+        for row in report.rows:
+            assert dict(row.extra)["link_factorial_ineq"] == ineq.value
+            assert dict(row.extra)["link_stirling"] == "confirmed"
+        assert report.verdict.outcome is ineq
+
+    @pytest.mark.parametrize("ineq", [C, I])
+    def test_assembled_link_refutes(self, monkeypatch, instance, ineq):
+        # a lower side of e far below e puts the safe ceiling under the lhs
+        monkeypatch.setattr(su, "E_LO", Fraction(1, 100))
+        monkeypatch.setattr(
+            su, "verify_factorial_inequality", lambda p, n, k: SimpleNamespace(outcome=ineq)
+        )
+        report = su.coeff_level_check(instance)
+        assert _outcomes(report) == {R}
+        assert report.verdict.outcome is R
+
+
+def _row(i, outcome):
+    return EvidenceRow(index=(i,), quantity="x", lo="0", hi="1", outcome=outcome)
+
+
+class TestAggregateWitnesses:
+    def test_inconclusive_witnesses_are_the_first_eight(self):
+        rows = [_row(i, I) for i in reversed(range(12))] + [_row(12, C)]
+        report = aggregate_rows("t", "c", rows)
+        assert report.verdict.outcome is I
+        assert report.verdict.reason is Reason.PRECISION_EXHAUSTED
+        assert [r.index for r in report.verdict.evidence] == [(i,) for i in range(8)]
+        assert len(report.rows) == 13
+
+    def test_every_refuted_row_is_a_witness(self):
+        rows = [_row(i, R if i % 2 else I) for i in range(20)]
+        report = aggregate_rows("t", "c", rows)
+        assert report.verdict.outcome is R
+        assert report.verdict.reason is Reason.INTERVAL_SEPARATION
+        assert [r.index for r in report.verdict.evidence] == [(i,) for i in range(1, 20, 2)]
+
+    def test_confirmed_takes_the_given_reason_and_no_witness(self):
+        rows = [_row(i, C) for i in range(10)] + [_row(10, None)]
+        report = aggregate_rows("t", "c", rows, reason_confirmed=Reason.SYMBOLIC_COMPARISON)
+        assert report.verdict.outcome is C
+        assert report.verdict.reason is Reason.SYMBOLIC_COMPARISON
+        assert report.verdict.evidence == ()
