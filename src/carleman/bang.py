@@ -40,7 +40,7 @@ from .intervals import (
     working_precision,
 )
 from .outcomes import CheckReport, EvidenceRow, Outcome, aggregate_rows, worst_outcome
-from .sequences import FAMILIES, BoundCertificate, WeightSequence
+from .sequences import FAMILIES, BoundCertificate, WeightSequence, _memoized
 
 #: the documented CSV layout of the three extremal-series checks
 _CSV_LAYOUT = ("n", "lower_bound_log", "value_log_lo", "value_log_hi", "ceiling_log", "verdict")
@@ -98,14 +98,8 @@ class BangSeries:
 
     def two_m(self, k: int) -> LogReal:
         """2 m_k = 2 M'_{k+1}/M'_k, memoized."""
-        with self._lock:
-            hit = self._two_m.get(k)
-        if hit is not None:
-            return hit
-        with working_precision(self.bits):
-            value = self._two * self.ws.ratio_m(k)
-        with self._lock:
-            return self._two_m.setdefault(k, value)
+        return _memoized(self._lock, self._two_m, k, self.bits,
+                         lambda: self._two * self.ws.ratio_m(k))
 
     def term_magnitude(self, k: int) -> LogReal:
         """Coefficient M'_k / (2 m_k)^k of the k-th cosine term."""
@@ -141,52 +135,44 @@ class BangSeries:
         if K < n:
             raise ValueError("truncation must satisfy K >= n")
         self._ensure_confirmed(K + 1)
-        with self._lock:
-            hit = self._heads.get((n, K))
-        if hit is not None:
-            return hit
-        with working_precision(self.bits):
-            head = [self.deriv_term(k, n) for k in range(0, K + 1)]
-            value = sum_values(head, tail_upper=self.tail_bound(n, K))
-        with self._lock:
-            return self._heads.setdefault((n, K), value)
+        return _memoized(self._lock, self._heads, (n, K), self.bits, lambda: sum_values(
+            [self.deriv_term(k, n) for k in range(0, K + 1)], tail_upper=self.tail_bound(n, K)
+        ))
 
-    def F_deriv_at_zero(self, n: int, K: int | None = None) -> SignedEnclosure:
+    def F_deriv_at_zero(self, n: int) -> SignedEnclosure:
         """Signed enclosure of F^(n)(0).
 
         Odd n vanish exactly (odd cosine derivatives at 0).  Even n = 2j
         carry sign (-1)^j and magnitude sum_k M'_k (2 m_k)^(2j-k), the
-        :meth:`head_sum` of K+1 terms plus the certified tail interval.
+        :meth:`head_sum` at the :meth:`default_truncation`.
         """
         if n < 0:
             raise ValueError("n must be >= 0")
         if n % 2 == 1:
             return SignedEnclosure.zero()
-        if K is None:
-            K = self.default_truncation(n)
         sign = 1 if (n // 2) % 2 == 0 else -1
-        return SignedEnclosure(sign, self.head_sum(n, K))
+        return SignedEnclosure(sign, self.head_sum(n, self.default_truncation(n)))
 
-    def f_deriv_at_zero(self, n: int, K: int | None = None) -> SignedEnclosure:
+    def f_deriv_at_zero(self, n: int) -> SignedEnclosure:
         """Signed enclosure of f^(n)(0) for the even factorization
         F(t) = f(t^2): the exact scaling n!/(2n)! of F^(2n)(0)."""
-        base = self.F_deriv_at_zero(2 * n, K)
+        base = self.F_deriv_at_zero(2 * n)
         with working_precision(self.bits):
             return base.scale_fraction(Fraction(factorial(n), factorial(2 * n)))
 
     # -- report builders ---------------------------------------------------------
 
-    def verify_derivative_lower_bounds(self, n_max: int, K: int | None = None) -> CheckReport:
+    def verify_derivative_lower_bounds(self, n_max: int) -> CheckReport:
         """Rows j = 0..n_max: sign of F^(2j)(0) is (-1)^j, magnitude is
         >= M'_{2j} with interval separation, and the factored derivative
         f^(j)(0) is >= j! M'_{2j} / (2j)!."""
         rows = []
         for j in range(0, n_max + 1):
-            F2 = self.F_deriv_at_zero(2 * j, K)
+            F2 = self.F_deriv_at_zero(2 * j)
             sign_ok = F2.sign == (1 if j % 2 == 0 else -1)
             lower = self.ws.log_Mprime(2 * j)
             mag_ok = F2.magnitude.geq(lower)
-            fj = self.f_deriv_at_zero(j, K)
+            fj = self.f_deriv_at_zero(j)
             with working_precision(self.bits):
                 f_lower = lower * LogReal.from_fraction(
                     Fraction(factorial(j), factorial(2 * j))
@@ -254,13 +240,11 @@ class BangSeries:
         )
         return report, certificate
 
-    def sharpness_evidence(self, n_max: int, p: int = 2) -> CheckReport:
+    def sharpness_evidence(self, n_max: int) -> CheckReport:
         """Two-sided sandwich log(|F^(2n)(0)| / M'_{2n}) in [0, (n+2) log 4]
         per n: the factored derivatives realize the index-doubled class up
         to geometric factors.  Evidence only; minimality itself is out of
-        scope.  The construction is specific to squaring, so p must be 2."""
-        if p != 2:
-            raise ValueError("sharpness evidence is defined for the squaring substitution only")
+        scope.  The construction is specific to squaring (p = 2)."""
         rows = []
         one = LogReal.one()
         for n in range(0, n_max + 1):
@@ -283,7 +267,7 @@ class BangSeries:
             f"bang-sharpness[{self.ws.spec.label()}]",
             "0 <= log(|F^(2n)(0)|/M'_{2n}) <= (n+2) log 4 on the tested range",
             rows,
-            params=(("n_max", str(n_max)), ("p", str(p)), ("spec", self.ws.spec.label())),
+            params=(("n_max", str(n_max)), ("p", "2"), ("spec", self.ws.spec.label())),
             index_columns=("n",),
             csv_layout=_CSV_LAYOUT,
         )

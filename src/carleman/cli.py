@@ -210,14 +210,15 @@ def _timed(run: RunReport, producer, *args) -> CheckResult:
     return run.add(report, ms=(time.perf_counter() - t0) * 1000.0)
 
 
-def _reject_spec(run: RunReport, spec: SequenceSpec, exc: CarlemanError, work: str) -> None:
+def _reject_spec(run: RunReport, label: str, exc: CarlemanError, work: str) -> None:
     """Add one inconclusive spec-rejected check for ``work`` that raised
-    ``exc`` on ``spec``; a malformed spec stays a usage error."""
+    ``exc`` on the spec(s) named ``label``; a malformed spec stays a usage
+    error."""
     if isinstance(exc, SpecFormatError):
         raise exc
     run.add(_rejection_report(
         "spec-rejected", f"{work} require every swept value to be computable",
-        work, spec, f"{type(exc).__name__}: {exc}",
+        work, label, f"{type(exc).__name__}: {exc}",
     ))
 
 
@@ -257,7 +258,7 @@ def cmd_seq_show(args) -> RunReport:
     try:
         _timed(run, _seq_show_report, WeightSequence(spec), args.n_max)
     except CarlemanError as exc:
-        _reject_spec(run, spec, exc, "seq-show checks")
+        _reject_spec(run, spec.label(), exc, "seq-show checks")
     return run
 
 
@@ -273,7 +274,7 @@ def cmd_seq_check(args) -> RunReport:
         for name in names:
             _timed(run, _SEQ_CHECKS[name], ws, args.n_max)
     except CarlemanError as exc:
-        _reject_spec(run, spec, exc, "seq-check checks")
+        _reject_spec(run, spec.label(), exc, "seq-check checks")
     return run
 
 
@@ -281,7 +282,10 @@ def cmd_seq_compare(args) -> RunReport:
     specM = _load(args.spec, args.precision)
     specN = _load(args.other, args.precision)
     run = RunReport(config=_config(args))
-    _timed(run, check_inclusion, WeightSequence(specM), WeightSequence(specN), args.n_max)
+    try:
+        _timed(run, check_inclusion, WeightSequence(specM), WeightSequence(specN), args.n_max)
+    except CarlemanError as exc:
+        _reject_spec(run, f"{specM.label()} vs {specN.label()}", exc, "seq-compare checks")
     return run
 
 
@@ -322,7 +326,7 @@ def cmd_seq_transform(args) -> RunReport:
             _timed(run, _transform_values_report, spec, args.p, args.n_max)
         _timed(run, transform_report, spec, args.p, max(8, args.n_max))
     except CarlemanError as exc:
-        _reject_spec(run, spec, exc, "seq-transform checks")
+        _reject_spec(run, spec.label(), exc, "seq-transform checks")
     return run
 
 
@@ -396,9 +400,9 @@ def cmd_ineq62(args) -> RunReport:
 
 
 def _rejection_report(name: str, claim: str, quantity: str,
-                      spec: SequenceSpec, message: str) -> CheckReport:
+                      label: str, message: str) -> CheckReport:
     """One inconclusive check standing in for work that could not run on
-    ``spec``, with the error message as its witness note."""
+    the spec(s) named ``label``, with the error message as its witness note."""
     row = EvidenceRow(
         index=(0,),
         quantity=quantity,
@@ -408,10 +412,10 @@ def _rejection_report(name: str, claim: str, quantity: str,
         note=message,
     )
     return CheckReport(
-        name=f"{name}[{spec.label()}]",
+        name=f"{name}[{label}]",
         claim=claim,
         verdict=Verdict(Outcome.INCONCLUSIVE, Reason.PRECISION_EXHAUSTED, (row,)),
-        params=(("spec", spec.label()),),
+        params=(("spec", label),),
         rows=(row,),
     )
 
@@ -426,7 +430,7 @@ def _run_bang(run: RunReport, ws: WeightSequence, deriv_n_max: int, n_max: int,
     except TailUncertifiedError as exc:
         run.add(_rejection_report(
             "bang-rejected", "extremal series requires all-index log-convexity of M'",
-            "construction", ws.spec, str(exc),
+            "construction", ws.spec.label(), str(exc),
         ))
         return None
     _timed(run, series.verify_derivative_lower_bounds, deriv_n_max)
@@ -456,7 +460,7 @@ def cmd_bang(args) -> RunReport:
         if series is not None and args.plot_data:
             _write_plot_data(series, args.plot_data, args.plot_points, args.plot_k)
     except CarlemanError as exc:
-        _reject_spec(run, spec, exc, "bang checks")
+        _reject_spec(run, spec.label(), exc, "bang checks")
     return run
 
 
@@ -473,7 +477,7 @@ def cmd_thm61(args) -> RunReport:
         asm = TheoremInstance(spec=spec, p=args.p, A=A, n_max=args.assembly_n_max)
         _timed(run, final_bound_assembly, asm, args.exact_alpha_cap)
     except CarlemanError as exc:
-        _reject_spec(run, spec, exc, "thm61 checks")
+        _reject_spec(run, spec.label(), exc, "thm61 checks")
     return run
 
 
@@ -579,7 +583,7 @@ def run_battery(
                 _timed(run, _SEQ_CHECKS["log-convex"], extra_ws, clamp(20))
             _timed(run, _SEQ_CHECKS["quasianalytic"], extra_ws, clamp(50, slack=1))
         except CarlemanError as exc:
-            _reject_spec(run, spec, exc, "criteria sweeps")
+            _reject_spec(run, spec.label(), exc, "criteria sweeps")
     return run
 
 

@@ -56,6 +56,7 @@ from .outcomes import (
     Reason,
     Verdict,
     aggregate_rows,
+    worst_outcome,
 )
 
 #: default cap for the brute-force composition enumeration (count 2^(n-1))
@@ -277,10 +278,8 @@ def verify_ckn_bound(k_max: int, n_max: int) -> CheckReport:
             c = ckn(k, n)
             coeff = Fraction(2**n * kfact, n**k)
             lemma = leq_with_e_power(c, coeff, n)
-            cauchy = (
-                Outcome.CONFIRMED if c <= 2**n else Outcome.REFUTED
-            )
-            outcome = lemma if cauchy is Outcome.CONFIRMED else Outcome.REFUTED
+            cauchy = Outcome.CONFIRMED if c <= 2**n else Outcome.REFUTED
+            outcome = worst_outcome([cauchy, lemma])
             note = "" if outcome is Outcome.CONFIRMED else "cauchy" if cauchy is Outcome.REFUTED else "lemma"
             rows.append(
                 EvidenceRow(
@@ -376,14 +375,8 @@ def verify_root_series_bounds(p: int, k: int, n_max: int) -> CheckReport:
     rows: list[EvidenceRow] = []
     for n in range(1, n_max + 1):
         mag = abs(b[n])
-        exact_ok = mag <= ckn(k, n) / kfact
-        e_out = leq_with_e_power(mag, Fraction(2**n, n**k), n)
-        if exact_ok and e_out is Outcome.CONFIRMED:
-            outcome = Outcome.CONFIRMED
-        elif not exact_ok:
-            outcome = Outcome.REFUTED
-        else:
-            outcome = e_out
+        exact = Outcome.CONFIRMED if mag <= ckn(k, n) / kfact else Outcome.REFUTED
+        outcome = worst_outcome([exact, leq_with_e_power(mag, Fraction(2**n, n**k), n)])
         rows.append(
             EvidenceRow(
                 index=(k, n),

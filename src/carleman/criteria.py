@@ -43,17 +43,17 @@ def _row(index, quantity, value: LogReal, outcome=None, note="", extra=()) -> Ev
     )
 
 
-def check_monotone(ws: WeightSequence, n_max: int, n_min: int = 0) -> CheckReport:
-    """Per-index check of M_n <= M_{n+1} on [n_min, n_max)."""
+def check_monotone(ws: WeightSequence, n_max: int) -> CheckReport:
+    """Per-index check of M_n <= M_{n+1} on [0, n_max)."""
     rows = []
-    for n in range(n_min, n_max):
+    for n in range(0, n_max):
         outcome = ws.log_M(n).leq(ws.log_M(n + 1))
         rows.append(_row((n,), "M_n (log)", ws.log_M(n), outcome))
     return aggregate_rows(
         f"monotone[{ws.spec.label()}]",
         "M_n <= M_{n+1} on the tested range",
         rows,
-        params=(("n_max", str(n_max)), ("n_min", str(n_min)), ("spec", ws.spec.label())),
+        params=(("n_max", str(n_max)), ("n_min", "0"), ("spec", ws.spec.label())),
         index_columns=("n",),
     )
 

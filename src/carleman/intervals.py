@@ -84,15 +84,6 @@ def mpf_str(x, digits: int = 24) -> str:
     return mp.nstr(x, digits)
 
 
-def mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of a finite mpf (mpfs are dyadic rationals)."""
-    sign, man, exp, _ = x._mpf_
-    if man == 0 and exp != 0:
-        raise ValueError("mpf is not finite")
-    fr = Fraction(int(man)) * Fraction(2) ** exp
-    return -fr if sign else fr
-
-
 class LogReal:
     """Enclosure of a positive real, as an interval around its natural log.
 
@@ -168,21 +159,6 @@ class LogReal:
         """Linear-domain interval enclosure (outward-rounded exp)."""
         return iv.exp(self.log_iv())
 
-    @property
-    def log_mid(self):
-        return (self.log_lo + self.log_hi) / 2
-
-    @property
-    def radius(self):
-        # round the half-width up so mid +- radius still covers the interval
-        mid = self.log_mid
-        r = iv.mpf(self.log_hi) - iv.mpf(mid)
-        return iv_endpoints(r)[1]
-
-    @property
-    def is_exact(self) -> bool:
-        return self.log_lo == self.log_hi
-
     # -- arithmetic (exact in the log domain up to outward rounding) --------
 
     def __mul__(self, other: "LogReal") -> "LogReal":
@@ -217,21 +193,6 @@ class LogReal:
 
     def geq(self, other: "LogReal") -> Outcome:
         return other.leq(self)
-
-    def encloses(self, other: "LogReal") -> bool:
-        return self.log_lo <= other.log_lo and other.log_hi <= self.log_hi
-
-    def encloses_fraction(self, fr: Fraction) -> bool:
-        """Certified containment of an exact rational value.
-
-        The reference enclosure of log(fr) is computed 64 bits tighter than
-        the active precision, so it is negligibly wide next to this
-        interval; a True answer proves containment (a False answer near an
-        endpoint can be a sub-ulp near-miss, never a false positive).
-        """
-        with working_precision(iv.prec + 64):
-            tight = LogReal.from_fraction(fr)
-        return self.encloses(tight)
 
     def __repr__(self) -> str:
         return f"LogReal(log=[{mpf_str(self.log_lo)}, {mpf_str(self.log_hi)}])"
@@ -274,16 +235,6 @@ class SignedEnclosure:
     def zero(cls) -> "SignedEnclosure":
         return cls(0, None)
 
-    def value_endpoints(self):
-        """Linear-domain (lo, hi) mpf endpoints of the signed value."""
-        if self.sign == 0:
-            z = mp.mpf(0)
-            return z, z
-        lo, hi = iv_endpoints(self.magnitude.value_iv())
-        if self.sign > 0:
-            return lo, hi
-        return -hi, -lo
-
     def scale_fraction(self, f: Fraction) -> "SignedEnclosure":
         """Multiply by an exact rational (sign-aware)."""
         if self.sign == 0 or f == 0:
@@ -308,19 +259,3 @@ class LinearEnclosure:
     def from_iv(cls, x) -> "LinearEnclosure":
         lo, hi = iv_endpoints(x)
         return cls(lo, hi)
-
-    @classmethod
-    def from_signed(cls, se: SignedEnclosure) -> "LinearEnclosure":
-        lo, hi = se.value_endpoints()
-        return cls(lo, hi)
-
-    @property
-    def width(self):
-        r = iv.mpf(self.hi) - iv.mpf(self.lo)
-        return iv_endpoints(r)[1]
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
-    def encloses(self, other: "LinearEnclosure") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi

@@ -129,21 +129,21 @@ def aggregate_rows(
     report is independent of evaluation order.
     """
     rows = sorted(rows, key=lambda r: r.index)
-    outcomes = [r.outcome for r in rows if r.outcome is not None]
-    if any(o is Outcome.REFUTED for o in outcomes):
-        witnesses = tuple(r for r in rows if r.outcome is Outcome.REFUTED)
-        verdict = Verdict(Outcome.REFUTED, Reason.INTERVAL_SEPARATION, witnesses)
-    elif any(o is Outcome.INCONCLUSIVE for o in outcomes):
-        stuck = tuple(r for r in rows if r.outcome is Outcome.INCONCLUSIVE)[:8]
-        verdict = Verdict(Outcome.INCONCLUSIVE, Reason.PRECISION_EXHAUSTED, stuck)
+    outcome = worst_outcome([r.outcome for r in rows])
+    witnesses = tuple(r for r in rows if r.outcome is outcome)
+    if outcome is Outcome.REFUTED:
+        verdict = Verdict(outcome, Reason.INTERVAL_SEPARATION, witnesses)
+    elif outcome is Outcome.INCONCLUSIVE:
+        verdict = Verdict(outcome, Reason.PRECISION_EXHAUSTED, witnesses[:8])
     else:
-        verdict = Verdict(Outcome.CONFIRMED, reason_confirmed)
+        verdict = Verdict(outcome, reason_confirmed)
     return CheckReport(name=name, claim=claim, verdict=verdict, params=params, rows=tuple(rows),
                        index_columns=index_columns, csv_layout=csv_layout)
 
 
 def worst_outcome(outcomes: list[Outcome]) -> Outcome:
-    """Refuted dominates inconclusive dominates confirmed."""
+    """Refuted dominates inconclusive dominates confirmed; None (a row
+    without an outcome) counts as confirmed."""
     if any(o is Outcome.REFUTED for o in outcomes):
         return Outcome.REFUTED
     if any(o is Outcome.INCONCLUSIVE for o in outcomes):

@@ -185,9 +185,16 @@ def _parse_decimal(text: str) -> Fraction:
         raise SpecFormatError(f"not a decimal/rational literal: {text!r}") from exc
 
 
+def _reject_unknown(keys, known, where: str) -> None:
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise SpecFormatError(f"unknown {where} {', '.join(map(repr, unknown))}")
+
+
 def spec_from_dict(doc: dict) -> SequenceSpec:
     if not isinstance(doc, dict):
         raise SpecFormatError("spec document must be a JSON object")
+    _reject_unknown(doc, ("version", "family", "params", "precision"), "spec key")
     version = doc.get("version", SPEC_FORMAT_VERSION)
     if not _is_int(version) or version != SPEC_FORMAT_VERSION:
         raise SpecFormatError(f"unsupported spec version {version!r}")
@@ -195,9 +202,10 @@ def spec_from_dict(doc: dict) -> SequenceSpec:
     params = doc.get("params", {}) or {}
     if not isinstance(params, dict):
         raise SpecFormatError("params must be an object")
+    names = [param.name for param in _family(family).params]
+    _reject_unknown(params, names, f"{family} parameter")
     precision = doc.get("precision", 80)
-    declared = {param.name: params.get(param.name) for param in _family(family).params}
-    return SequenceSpec(family=family, precision=precision, **declared)
+    return SequenceSpec(family=family, precision=precision, **{n: params.get(n) for n in names})
 
 
 def load_spec(path: str | Path) -> SequenceSpec:
@@ -461,46 +469,42 @@ class WeightSequence:
     def log_M(self, n: int) -> LogReal:
         """Enclosure of M_n (log M_0 = 0 exactly, zero radius)."""
         self._check_index(n)
-        with self._lock:
-            hit = self._memo.get(n)
-        if hit is not None:
-            return hit
-        with working_precision(self.bits):
-            value = self._compute_log_M(n)
-        with self._lock:
-            return self._memo.setdefault(n, value)
-
-    def recompute_log_M(self, n: int) -> LogReal:
-        """Memo-bypassing evaluation, for idempotence audits."""
-        self._check_index(n)
-        with working_precision(self.bits):
-            return self._compute_log_M(n)
+        return _memoized(self._lock, self._memo, n, self.bits, lambda: self._compute_log_M(n))
 
     def log_Mprime(self, n: int) -> LogReal:
         """Enclosure of M'_n = n! * M_n, memoized like :meth:`log_M`."""
         self._check_index(n)
-        with self._lock:
-            hit = self._mprime_memo.get(n)
-        if hit is not None:
-            return hit
-        value = self.log_M(n)
-        if n > 1:
-            with working_precision(self.bits):
-                value = LogReal.from_log_iv(log_factorial(n).log_iv() + value.log_iv())
-        with self._lock:
-            return self._mprime_memo.setdefault(n, value)
+
+        def compute() -> LogReal:
+            value = self.log_M(n)
+            if n <= 1:
+                return value
+            return LogReal.from_log_iv(log_factorial(n).log_iv() + value.log_iv())
+
+        return _memoized(self._lock, self._mprime_memo, n, self.bits, compute)
 
     def ratio_m(self, k: int) -> LogReal:
         """Enclosure of the primed ratio m_k = M'_{k+1} / M'_k, memoized."""
-        with self._lock:
-            hit = self._ratio_memo.get(k)
-        if hit is not None:
-            return hit
-        hi, lo = self.log_Mprime(k + 1), self.log_Mprime(k)
-        with working_precision(self.bits):
-            value = hi / lo
-        with self._lock:
-            return self._ratio_memo.setdefault(k, value)
+        return _memoized(
+            self._lock, self._ratio_memo, k, self.bits,
+            lambda: self.log_Mprime(k + 1) / self.log_Mprime(k),
+        )
+
+
+def _memoized(lock, memo: dict, key, bits: int, compute: Callable[[], LogReal]) -> LogReal:
+    """``memo[key]``, filled on a miss by ``compute()`` at ``bits``.
+
+    The value is computed outside ``lock`` and stored with ``setdefault``,
+    so two threads racing on one key both return the first stored object.
+    """
+    with lock:
+        hit = memo.get(key)
+    if hit is not None:
+        return hit
+    with working_precision(bits):
+        value = compute()
+    with lock:
+        return memo.setdefault(key, value)
 
 
 def power_substitute(spec: SequenceSpec, p: int):

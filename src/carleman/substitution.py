@@ -46,7 +46,7 @@ from .coefficients import (
 from .criteria import quasianalyticity_report
 from .errors import SpecFormatError
 from .intervals import LogReal, mpf_str, working_precision
-from .outcomes import CheckReport, EvidenceRow, Outcome, Reason, aggregate_rows
+from .outcomes import CheckReport, EvidenceRow, Outcome, Reason, aggregate_rows, worst_outcome
 from .sequences import (
     BoundCertificate,
     SequenceSpec,
@@ -98,7 +98,7 @@ def coeff_level_check(inst: TheoremInstance) -> CheckReport:
     p, A = inst.p, inst.A
     rows: list[EvidenceRow] = []
     for n in range(1, inst.n_max + 1):
-        stirling_link = factorial(n) <= n**n
+        stirling = Outcome.CONFIRMED if factorial(n) <= n**n else Outcome.REFUTED
         ineq_link = verify_factorial_inequality(p, n, 0).outcome
         mprime_pn = ws.log_Mprime(p * n)
         with working_precision(ws.bits):
@@ -113,15 +113,7 @@ def coeff_level_check(inst: TheoremInstance) -> CheckReport:
                 * mprime_pn
                 / LogReal.from_int(n).pow_int((p - 1) * n)
             )
-        assembled = lhs.leq(rhs_safe)
-        if not stirling_link:
-            outcome = Outcome.REFUTED
-        elif ineq_link is Outcome.CONFIRMED and assembled is Outcome.CONFIRMED:
-            outcome = Outcome.CONFIRMED
-        elif ineq_link is Outcome.REFUTED or assembled is Outcome.REFUTED:
-            outcome = Outcome.REFUTED
-        else:
-            outcome = Outcome.INCONCLUSIVE
+        outcome = worst_outcome([stirling, ineq_link, lhs.leq(rhs_safe)])
         rows.append(
             EvidenceRow(
                 index=(n,),
@@ -131,7 +123,7 @@ def coeff_level_check(inst: TheoremInstance) -> CheckReport:
                 outcome=outcome,
                 extra=(
                     ("ceiling_log", mpf_str(rhs_safe.log_lo)),
-                    ("link_stirling", "confirmed" if stirling_link else "refuted"),
+                    ("link_stirling", stirling.value),
                     ("link_factorial_ineq", ineq_link.value),
                 ),
             )

@@ -8,6 +8,7 @@ import pytest
 from carleman import cli
 from carleman.cli import main, shipped_fixture
 from carleman.outcomes import Outcome
+from conftest import UNKNOWN_KEY_DOCUMENTS
 
 SPECS = Path(__file__).resolve().parents[1] / "src" / "carleman" / "data" / "specs"
 
@@ -60,6 +61,7 @@ class TestExitCodes:
             '"base": {"family": "constant", "version": 99}}}',
             '{"version": true, "family": "constant"}',
             '{"version": 1.0, "family": "constant"}',
+            *(json.dumps(doc) for doc in UNKNOWN_KEY_DOCUMENTS),
         ):
             bad.write_text(doc)
             assert run(["seq-show", "--spec", str(bad)]) == 3

@@ -15,17 +15,16 @@ from mpmath import iv, libmp, mp
 
 from carleman.errors import PrecisionExhaustedError
 from carleman.intervals import (
-    LinearEnclosure,
     LogReal,
     SignedEnclosure,
     bits_for_digits,
     iv_endpoints,
     iv_from_fraction,
-    mpf_to_fraction,
     sum_values,
     working_precision,
 )
 from carleman.outcomes import Outcome
+from conftest import encloses_fraction, mpf_to_fraction, value_endpoints
 
 BITS = bits_for_digits(50)
 
@@ -36,9 +35,7 @@ positive_fractions = st.fractions(
 
 def test_one_is_exact_zero_log():
     one = LogReal.one()
-    assert one.is_exact
     assert one.log_lo == 0 == one.log_hi
-    assert one.radius == 0
 
 
 def test_log_interval_must_be_ordered():
@@ -74,7 +71,7 @@ def test_log_cap_is_exactly_ten_to_the_24(bits):
 def test_from_int_encloses_exact_value():
     with working_precision(BITS):
         x = LogReal.from_int(1_000_003)
-        assert x.encloses_fraction(Fraction(1_000_003))
+        assert encloses_fraction(x, Fraction(1_000_003), BITS)
 
 
 @settings(max_examples=60, deadline=None)
@@ -82,15 +79,15 @@ def test_from_int_encloses_exact_value():
 def test_mul_div_enclose_exact_rationals(a, b):
     with working_precision(BITS):
         xa, xb = LogReal.from_fraction(a), LogReal.from_fraction(b)
-        assert (xa * xb).encloses_fraction(a * b)
-        assert (xa / xb).encloses_fraction(a / b)
+        assert encloses_fraction(xa * xb, a * b, BITS)
+        assert encloses_fraction(xa / xb, a / b, BITS)
 
 
 @settings(max_examples=40, deadline=None)
 @given(a=positive_fractions, k=st.integers(min_value=-6, max_value=9))
 def test_pow_int_encloses_exact_rationals(a, k):
     with working_precision(BITS):
-        assert LogReal.from_fraction(a).pow_int(k).encloses_fraction(a**k)
+        assert encloses_fraction(LogReal.from_fraction(a).pow_int(k), a**k, BITS)
 
 
 @settings(max_examples=40, deadline=None)
@@ -98,7 +95,7 @@ def test_pow_int_encloses_exact_rationals(a, k):
 def test_sum_values_encloses_exact_sum(a, b, c):
     with working_precision(BITS):
         total = sum_values([LogReal.from_fraction(f) for f in (a, b, c)])
-        assert total.encloses_fraction(a + b + c)
+        assert encloses_fraction(total, a + b + c, BITS)
 
 
 def test_sum_values_tail_interval_is_one_sided():
@@ -110,8 +107,8 @@ def test_sum_values_tail_interval_is_one_sided():
             tail_upper=LogReal.from_fraction(Fraction(1, 7)),
         )
         assert padded.log_lo == base.log_lo
-        assert padded.encloses_fraction(Fraction(5))
-        assert padded.encloses_fraction(Fraction(5) + Fraction(1, 7))
+        assert encloses_fraction(padded, Fraction(5), BITS)
+        assert encloses_fraction(padded, Fraction(5) + Fraction(1, 7), BITS)
 
 
 def test_pow_fraction_matches_integer_root():
@@ -119,7 +116,7 @@ def test_pow_fraction_matches_integer_root():
     with working_precision(BITS):
         x = LogReal.from_int(7)
         root = x.pow_fraction(Fraction(1, 2))
-        assert root.pow_int(2).encloses_fraction(Fraction(7))
+        assert encloses_fraction(root.pow_int(2), Fraction(7), BITS)
 
 
 def test_comparison_discipline():
@@ -136,7 +133,7 @@ def test_max_with_running_sup():
     with working_precision(BITS):
         a, b = LogReal.from_int(2), LogReal.from_int(5)
         sup = a.max_with(b)
-        assert sup.encloses_fraction(Fraction(5))
+        assert encloses_fraction(sup, Fraction(5), BITS)
 
 
 def test_precision_changes_do_not_change_cached_values():
@@ -145,8 +142,7 @@ def test_precision_changes_do_not_change_cached_values():
     with working_precision(bits_for_digits(15)):
         y = x.pow_int(1)
     # reusing the endpoints at lower precision must still enclose
-    with working_precision(BITS):
-        assert y.encloses_fraction(Fraction(17))
+    assert encloses_fraction(y, Fraction(17), BITS)
 
 
 class TestSignedEnclosure:
@@ -164,8 +160,8 @@ class TestSignedEnclosure:
         with working_precision(BITS):
             pos = SignedEnclosure(1, LogReal.from_int(2))
             neg = SignedEnclosure(-1, LogReal.from_int(2))
-            plo, phi = pos.value_endpoints()
-            nlo, nhi = neg.value_endpoints()
+            plo, phi = value_endpoints(pos, BITS)
+            nlo, nhi = value_endpoints(neg, BITS)
             assert plo > 0 and nhi < 0
             assert plo == -nhi and phi == -nlo
 
@@ -174,25 +170,8 @@ class TestSignedEnclosure:
             pos = SignedEnclosure(1, LogReal.from_int(3))
             scaled = pos.scale_fraction(Fraction(-1, 2))
             assert scaled.sign == -1
-            assert scaled.magnitude.encloses_fraction(Fraction(3, 2))
+            assert encloses_fraction(scaled.magnitude, Fraction(3, 2), BITS)
             assert pos.scale_fraction(Fraction(0)).sign == 0
-
-
-class TestLinearEnclosure:
-    def test_from_signed_round_trip(self):
-        with working_precision(BITS):
-            se = SignedEnclosure(-1, LogReal.from_int(4))
-            lin = LinearEnclosure.from_signed(se)
-            assert lin.hi < 0
-            assert not lin.contains_zero()
-
-    def test_containment_and_width(self):
-        with working_precision(BITS):
-            wide = LinearEnclosure.from_iv(iv.mpf([-1, 2]))
-            narrow = LinearEnclosure.from_iv(iv.mpf([0, 1]))
-            assert wide.encloses(narrow)
-            assert wide.contains_zero()
-            assert wide.width >= 3
 
 
 def test_iv_from_fraction_outward():

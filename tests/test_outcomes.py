@@ -92,7 +92,7 @@ class TestOverlapDiscipline:
         # demands genuine separation
         with working_precision(bits_for_digits(40)):
             two = LogReal.from_int(2)
-            assert not two.is_exact
+            assert two.log_lo < two.log_hi
             assert two.leq(two) is Outcome.INCONCLUSIVE
 
     def test_exact_equality_confirms(self):

@@ -106,6 +106,13 @@ RUNS = {
         "0b053a445a7174ea0d6349a8b23fcec6a6c9726c3ec18a07050f1f8d778390c1",
         "a33fbb56b199c856819d015d9ab635be21155ddb3f11eb23378bfcd69e921cce",
     ),
+    "seq-compare-rejected": (
+        ["seq-compare", "--spec", "iterated_log4.json", "--other", "iterated_log4.json",
+         "--n-max", "2"],
+        2,
+        "2f19cc5c4f9a5107843495b176e6acaa679debb27513f25e04db62f0039fa3d8",
+        "c5e39878560f2f2c0145f94242f90ca45f9c5973d4b76dbd57d1200282dc2989",
+    ),
     "report-all-rejected": (
         ["report-all", "--n-max", "2", "--precision", "20", "--spec", "iterated_log4.json"],
         2,

@@ -21,6 +21,7 @@ from carleman.sequences import (
     spec_from_dict,
     tower_threshold,
 )
+from conftest import UNKNOWN_KEY_DOCUMENTS, encloses_fraction
 
 
 def encloses_log_fraction(value: LogReal, fr: Fraction, bits: int) -> bool:
@@ -34,40 +35,36 @@ class TestConstant:
     def test_all_values_exactly_one(self, constant_ws):
         for n in (0, 1, 17, 1000):
             v = constant_ws.log_M(n)
-            assert v.is_exact and v.log_lo == 0
+            assert v.log_lo == v.log_hi == 0
 
     def test_mprime_is_factorial(self, constant_ws):
-        with working_precision(constant_ws.bits):
-            for n in range(0, 31):
-                assert constant_ws.log_Mprime(n).encloses_fraction(
-                    Fraction(factorial(n))
-                )
+        for n in range(0, 31):
+            assert encloses_fraction(
+                constant_ws.log_Mprime(n), Fraction(factorial(n)), constant_ws.bits
+            )
 
     def test_ratio_example(self, constant_ws):
         # m_3 = 4!/3! = 4
-        with working_precision(constant_ws.bits):
-            assert constant_ws.ratio_m(3).encloses_fraction(Fraction(4))
+        assert encloses_fraction(constant_ws.ratio_m(3), Fraction(4), constant_ws.bits)
 
 
 class TestGevrey:
     def test_m3_is_six(self, gevrey1_ws):
-        with working_precision(gevrey1_ws.bits):
-            assert gevrey1_ws.log_M(3).encloses_fraction(Fraction(6))
+        assert encloses_fraction(gevrey1_ws.log_M(3), Fraction(6), gevrey1_ws.bits)
 
     def test_exact_cross_route_to_30(self, gevrey1_ws):
-        with working_precision(gevrey1_ws.bits):
-            for n in range(0, 31):
-                assert gevrey1_ws.log_M(n).encloses_fraction(Fraction(factorial(n)))
+        for n in range(0, 31):
+            assert encloses_fraction(
+                gevrey1_ws.log_M(n), Fraction(factorial(n)), gevrey1_ws.bits
+            )
 
     def test_mprime_example(self, gevrey1_ws):
         # M'_4 = 4! * 4! = 576
-        with working_precision(gevrey1_ws.bits):
-            assert gevrey1_ws.log_Mprime(4).encloses_fraction(Fraction(576))
+        assert encloses_fraction(gevrey1_ws.log_Mprime(4), Fraction(576), gevrey1_ws.bits)
 
     def test_ratio_example(self, gevrey1_ws):
         # m_2 = (3! 3!)/(2! 2!) = 9
-        with working_precision(gevrey1_ws.bits):
-            assert gevrey1_ws.ratio_m(2).encloses_fraction(Fraction(9))
+        assert encloses_fraction(gevrey1_ws.ratio_m(2), Fraction(9), gevrey1_ws.bits)
 
     def test_rational_exponent_via_power(self):
         # gevrey(1/2): M_n^2 = n! exactly
@@ -75,14 +72,14 @@ class TestGevrey:
         with working_precision(ws.bits):
             for n in range(0, 31):
                 squared = ws.log_M(n).pow_int(2)
-                assert squared.encloses_fraction(Fraction(factorial(n)))
+                assert encloses_fraction(squared, Fraction(factorial(n)), ws.bits)
 
     def test_gevrey_3_halves(self):
         ws = WeightSequence(SequenceSpec(family="gevrey", s=Fraction(3, 2)))
         with working_precision(ws.bits):
             for n in (2, 7, 19):
-                assert ws.log_M(n).pow_int(2).encloses_fraction(
-                    Fraction(factorial(n)) ** 3
+                assert encloses_fraction(
+                    ws.log_M(n).pow_int(2), Fraction(factorial(n)) ** 3, ws.bits
                 )
 
 
@@ -104,7 +101,7 @@ class TestIteratedLog:
         for k in (1, 2):
             ws = WeightSequence(SequenceSpec(family="iterated_log", k=k))
             v = ws.log_M(0)
-            assert v.is_exact and v.log_lo == 0
+            assert v.log_lo == v.log_hi == 0
 
     def test_k1_closed_form(self):
         # M_n = (log 3)^(-3) (log(3+n))^(3+n): check n = 2 against a
@@ -127,7 +124,7 @@ class TestIteratedLog:
 class TestPaper8:
     def test_normalization_and_growth(self, paper8_ws):
         v0 = paper8_ws.log_M(0)
-        assert v0.is_exact and v0.log_lo == 0
+        assert v0.log_lo == v0.log_hi == 0
         assert paper8_ws.log_M(1).log_lo > 0
 
     def test_m1_closed_form(self, paper8_ws):
@@ -143,7 +140,7 @@ class TestTable:
     def test_values_and_range(self):
         spec = SequenceSpec(family="table", log_values=("0", "0.5", "1.25"))
         ws = WeightSequence(spec)
-        assert ws.log_M(0).is_exact
+        assert ws.log_M(0).log_lo == ws.log_M(0).log_hi
         assert encloses_log_fraction(ws.log_M(1), Fraction(1, 2), ws.bits)
         assert encloses_log_fraction(ws.log_M(2), Fraction(5, 4), ws.bits)
         with pytest.raises(IndexRangeError):
@@ -162,7 +159,7 @@ class TestTable:
     def test_binary_representable_values_are_exact(self):
         spec = SequenceSpec(family="table", log_values=("0", "0.5"))
         ws = WeightSequence(spec)
-        assert ws.log_M(1).is_exact
+        assert ws.log_M(1).log_lo == ws.log_M(1).log_hi
 
     def test_invariants_enforced(self):
         with pytest.raises(SpecFormatError):
@@ -187,7 +184,7 @@ class TestMemoDiscipline:
     def test_refill_reproduces_identical_interval(self, gevrey1_ws):
         for n in (0, 5, 23):
             memoed = gevrey1_ws.log_M(n)
-            fresh = gevrey1_ws.recompute_log_M(n)
+            fresh = WeightSequence(gevrey1_ws.spec).log_M(n)
             assert memoed.log_lo == fresh.log_lo
             assert memoed.log_hi == fresh.log_hi
 
@@ -241,7 +238,7 @@ class TestLogFactorial:
         spec = SequenceSpec(family="constant")
         with working_precision(spec.bits):
             for n in (0, 1, 2, 10, 100):
-                assert log_factorial(n).encloses_fraction(Fraction(factorial(n)))
+                assert encloses_fraction(log_factorial(n), Fraction(factorial(n)), spec.bits)
 
     def test_seam_consistency(self):
         # incremental route just below the switchover, log-gamma just above:
@@ -249,7 +246,9 @@ class TestLogFactorial:
         spec = SequenceSpec(family="constant", precision=30)
         with working_precision(spec.bits):
             for n in (20000, 20001):
-                assert log_factorial(n).encloses_fraction(Fraction(factorial(n)))
+                assert encloses_fraction(
+                    log_factorial(n), Fraction(factorial(n)), spec.bits
+                )
 
     def test_large_index_via_loggamma(self):
         spec = SequenceSpec(family="gevrey", s=Fraction(1))
@@ -268,20 +267,18 @@ class TestPowerSubstitute:
     def test_dilated_values(self, gevrey1_spec):
         tspec, _ = power_substitute(gevrey1_spec, 2)
         ws = WeightSequence(tspec)
-        with working_precision(ws.bits):
-            for n in range(0, 13):
-                assert ws.log_M(n).encloses_fraction(Fraction(factorial(2 * n)))
+        for n in range(0, 13):
+            assert encloses_fraction(ws.log_M(n), Fraction(factorial(2 * n)), ws.bits)
 
     def test_mprime_normalization_examples(self, gevrey1_spec):
         _, mprime = power_substitute(gevrey1_spec, 2)
         spec_bits = gevrey1_spec.bits
         v0 = mprime(0)
-        assert v0.is_exact and v0.log_lo == 0
-        with working_precision(spec_bits):
-            # n = 2: (1/2^2) * (4!)^2 = 144
-            assert mprime(2).encloses_fraction(Fraction(144))
-            # n = 1: 1^0 * (2!)^2 = 4
-            assert mprime(1).encloses_fraction(Fraction(4))
+        assert v0.log_lo == v0.log_hi == 0
+        # n = 2: (1/2^2) * (4!)^2 = 144
+        assert encloses_fraction(mprime(2), Fraction(144), spec_bits)
+        # n = 1: 1^0 * (2!)^2 = 4
+        assert encloses_fraction(mprime(1), Fraction(4), spec_bits)
 
     def test_composition_matches_product_transform(self, gevrey1_spec):
         t2, _ = power_substitute(gevrey1_spec, 2)
@@ -295,10 +292,9 @@ class TestPowerSubstitute:
     def test_transform_of_constant_stays_one(self, constant_spec):
         tspec, mprime = power_substitute(constant_spec, 3)
         ws = WeightSequence(tspec)
-        assert ws.log_M(7).is_exact and ws.log_M(7).log_lo == 0
-        with working_precision(ws.bits):
-            # M'^(p)_n = n^(-(p-1)n) (pn)!: at n = 2, p = 3: 2^(-4) * 720
-            assert mprime(2).encloses_fraction(Fraction(720, 16))
+        assert ws.log_M(7).log_lo == ws.log_M(7).log_hi == 0
+        # M'^(p)_n = n^(-(p-1)n) (pn)!: at n = 2, p = 3: 2^(-4) * 720
+        assert encloses_fraction(mprime(2), Fraction(720, 16), ws.bits)
 
 
 class TestSpecDocuments:
@@ -340,6 +336,10 @@ class TestSpecDocuments:
         for base in (["gevrey"], "constant", None, {"family": "constant", "version": 99}):
             with pytest.raises(SpecFormatError):
                 spec_from_dict({"family": "transformed", "params": {"p": 2, "base": base}})
+        # unknown top-level keys and undeclared params, nested bases included
+        for doc in UNKNOWN_KEY_DOCUMENTS:
+            with pytest.raises(SpecFormatError, match="unknown"):
+                spec_from_dict(doc)
 
     def test_nested_version_defaults_to_one(self, constant_spec):
         spec = spec_from_dict(

@@ -78,7 +78,7 @@ class TestCoefficientLevel:
         inst = TheoremInstance(gevrey1_spec, p=2, A=Fraction(1), n_max=4)
         cert = coeff_level_certificate(inst)
         assert cert.interval_id == "[0,1]"
-        assert cert.C.is_exact and cert.C.log_lo == 0  # C = 1
+        assert cert.C.log_lo == cert.C.log_hi == 0  # C = 1
 
 
 class TestAssembly:
