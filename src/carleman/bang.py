@@ -85,8 +85,8 @@ class BangSeries:
         if k <= self._confirmed_to:
             return
         for n in range(max(1, self._confirmed_to), k + 1):
-            lhs = self.ws.log_Mprime(n).pow_int(2)
             with working_precision(self.bits):
+                lhs = self.ws.log_Mprime(n).pow_int(2)
                 rhs = self.ws.log_Mprime(n - 1) * self.ws.log_Mprime(n + 1)
             if lhs.leq(rhs) is not Outcome.CONFIRMED:
                 raise TailUncertifiedError(

@@ -74,8 +74,8 @@ def check_log_convex(
     rows = []
     for n in range(max(1, n_min), n_max):
         mid, left, right = value(n), value(n - 1), value(n + 1)
-        lhs = mid.pow_int(2)
         with working_precision(ws.bits):
+            lhs = mid.pow_int(2)
             rhs = left * right
         rows.append(
             _row(

@@ -4,6 +4,9 @@ every per-family fact (quasianalyticity, derivation closure, M'
 log-convexity and the Gevrey index, each both present and absent) and every
 check name the package writes.
 
+Each run is also made with mpmath's process-global precision set to 113
+bits (and restored afterwards): no report byte may depend on it.
+
 A change that alters these reports on purpose updates the digests here and
 records the change in CHANGES.md.
 """
@@ -14,6 +17,7 @@ import shutil
 from pathlib import Path
 
 import pytest
+from mpmath import iv, mp
 
 from carleman.cli import main, shipped_fixture
 
@@ -35,20 +39,20 @@ RUNS = {
         ["report-all", "--n-max", "3", "--precision", "20",
          "--spec", "nonconvex_table.json", "--spec", "transformed_il1.json"],
         1,
-        "f2fb8fe40e2cb39abe6b6ec429ba727169c82580ff07bbf27bf5fa10904f0963",
-        "d14a40c889a1cf7d5bacd6849e54fac8340ef6998bb29bd9222eabb6d4726ed5",
+        "43d8623730888c5f0028b5e9b915157efd0bb73ec0a6f15061e45cc8923ce966",
+        "7ebb2acd0b555dbeb5b10684d9a0f2a34d19be6b08ed3f8ce7870b26ead20931",
     ),
     "seq-check-table": (
         ["seq-check", "--spec", "nonconvex_table.json", "--n-max", "3"],
         1,
-        "6e7095928b93891e92c5b217079f596d692e56b0971b8a104f4b5fb9853687ec",
-        "893e5c367d695f2694024c28016aa7dd84b6c64ed7f2834eda068f9f7bf2cf78",
+        "69e1e8d5e3986bf8456e41afa8beeae27b706752b1ad72680f18cd6322c02b57",
+        "18859801e5685b3ee5d05c0d548ac8b330f6c61266ccc9d34be405d641161227",
     ),
     "seq-check-transformed": (
         ["seq-check", "--spec", "transformed_il1.json", "--n-max", "3"],
         0,
-        "f0aa67b2bbb1421676449c9b150af6ddaf582fb5c007710e3bdafe634509f0d1",
-        "023a9ae4da196fc72bd1bca2103aa61a84a0c0819135f90526d938a22e194e83",
+        "b92994f423d0351855786ef93ea3c1b7141329a178dc580acaaeacba39b56690",
+        "fc0bfc2e88be2369d764110bda8af89baf3100b05283582ffa6dcb228fdd5f78",
     ),
     "bang": (
         ["bang", "--spec", "iterated_log1.json", "--deriv-n-max", "2",
@@ -116,8 +120,8 @@ RUNS = {
     "report-all-rejected": (
         ["report-all", "--n-max", "2", "--precision", "20", "--spec", "iterated_log4.json"],
         2,
-        "a1a120354411ed88c7289919b01c99c258d90ffd490a5ba836d914cfef059ab3",
-        "3a9912bc0e7b25aa475bb3b56c34674deb2bec67d181d00812a8b40b69d0cf67",
+        "a24b60bbbd39f882b89808fe79ba8416e17d18fabe603b31bb5dd411817caefd",
+        "d75f4361f4f0a98df2d273f764bda4b79d50bf9212fc5372e93a916f9cd8b5f1",
     ),
 }
 
@@ -141,13 +145,27 @@ def _tree_digest(root: Path) -> str:
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_report_bytes_are_pinned(name, tmp_path, monkeypatch):
+#: the global precision of a run: untouched, or 113 bits
+AMBIENT_BITS = (None, 113)
+
+
+@pytest.mark.parametrize("name, ambient_bits", [
+    pytest.param(name, bits, id=name if bits is None else f"{name}@{bits}bits")
+    for bits in AMBIENT_BITS
+    for name in sorted(RUNS)
+])
+def test_report_bytes_are_pinned(name, ambient_bits, tmp_path, monkeypatch):
     argv, exit_code, json_digest, csv_digest = RUNS[name]
     monkeypatch.chdir(tmp_path)
     _spec_files(tmp_path)
-    assert main(argv + ["--out", "json"]) == exit_code
-    assert main(argv + ["--format", "csv", "--out", "csv"]) == exit_code
+    saved = iv.prec, mp.prec
+    if ambient_bits is not None:
+        iv.prec = mp.prec = ambient_bits
+    try:
+        assert main(argv + ["--out", "json"]) == exit_code
+        assert main(argv + ["--format", "csv", "--out", "csv"]) == exit_code
+    finally:
+        iv.prec, mp.prec = saved
     (document,) = Path("json").glob("report-*.json")
     assert hashlib.sha256(document.read_bytes()).hexdigest() == json_digest
     assert _tree_digest(Path("csv")) == csv_digest
