@@ -27,6 +27,7 @@ from math import factorial
 
 from mpmath import iv
 
+from .criteria import convexity_sides
 from .errors import TailUncertifiedError
 from .intervals import (
     LinearEnclosure,
@@ -85,9 +86,7 @@ class BangSeries:
         if k <= self._confirmed_to:
             return
         for n in range(max(1, self._confirmed_to), k + 1):
-            with working_precision(self.bits):
-                lhs = self.ws.log_Mprime(n).pow_int(2)
-                rhs = self.ws.log_Mprime(n - 1) * self.ws.log_Mprime(n + 1)
+            lhs, rhs = convexity_sides(self.ws.log_Mprime, n, self.bits)
             if lhs.leq(rhs) is not Outcome.CONFIRMED:
                 raise TailUncertifiedError(
                     f"log-convexity of M' not confirmed at index {n} "

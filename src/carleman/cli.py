@@ -222,31 +222,36 @@ def _reject_spec(run: RunReport, label: str, exc: CarlemanError, work: str) -> N
     ))
 
 
-def _seq_show_report(ws: WeightSequence, n_max: int) -> CheckReport:
+def _spec_checks(args, label: str, checks) -> RunReport:
+    """The run of ``checks(run)`` for this command; an error on the spec(s)
+    named ``label`` becomes one spec-rejected check after those already run."""
+    run = RunReport(config=_config(args))
+    try:
+        checks(run)
+    except CarlemanError as exc:
+        _reject_spec(run, label, exc, f"{args.command} checks")
+    return run
+
+
+def _value_table(name: str, claim: str, params, quantity: str, n_max: int,
+                 log_M, columns) -> CheckReport:
+    """Rows n = 0..n_max of ``log_M(n)``, each with the enclosure of every
+    (column, value) pair as <column>_lo and <column>_hi: a tabulation that
+    tests no claim."""
     rows = []
     for n in range(0, n_max + 1):
-        m = ws.log_M(n)
-        mp_ = ws.log_Mprime(n)
-        ratio = ws.ratio_m(n)
-        rows.append(
-            EvidenceRow(
-                index=(n,),
-                quantity="M_n (log)",
-                lo=mpf_str(m.log_lo),
-                hi=mpf_str(m.log_hi),
-                extra=(
-                    ("mprime_lo", mpf_str(mp_.log_lo)),
-                    ("mprime_hi", mpf_str(mp_.log_hi)),
-                    ("ratio_lo", mpf_str(ratio.log_lo)),
-                    ("ratio_hi", mpf_str(ratio.log_hi)),
-                ),
-            )
-        )
+        m = log_M(n)
+        extra = []
+        for column, value in columns:
+            v = value(n)
+            extra += [(f"{column}_lo", mpf_str(v.log_lo)), (f"{column}_hi", mpf_str(v.log_hi))]
+        rows.append(EvidenceRow(index=(n,), quantity=quantity, lo=mpf_str(m.log_lo),
+                                hi=mpf_str(m.log_hi), extra=tuple(extra)))
     return CheckReport(
-        name=f"seq-show[{ws.spec.label()}]",
-        claim="log-space values of M_n, M'_n and m_n",
+        name=name,
+        claim=claim,
         verdict=Verdict(Outcome.CONFIRMED, Reason.SYMBOLIC_COMPARISON),
-        params=(("n_max", str(n_max)), ("spec", ws.spec.label())),
+        params=params,
         rows=tuple(rows),
         index_columns=("n",),
     )
@@ -254,12 +259,15 @@ def _seq_show_report(ws: WeightSequence, n_max: int) -> CheckReport:
 
 def cmd_seq_show(args) -> RunReport:
     spec = _load(args.spec, args.precision)
-    run = RunReport(config=_config(args))
-    try:
-        _timed(run, _seq_show_report, WeightSequence(spec), args.n_max)
-    except CarlemanError as exc:
-        _reject_spec(run, spec.label(), exc, "seq-show checks")
-    return run
+    label = spec.label()
+
+    def checks(run):
+        ws = WeightSequence(spec)
+        _timed(run, _value_table, f"seq-show[{label}]", "log-space values of M_n, M'_n and m_n",
+               (("n_max", str(args.n_max)), ("spec", label)), "M_n (log)", args.n_max,
+               ws.log_M, (("mprime", ws.log_Mprime), ("ratio", ws.ratio_m)))
+
+    return _spec_checks(args, label, checks)
 
 
 def cmd_seq_check(args) -> RunReport:
@@ -268,66 +276,36 @@ def cmd_seq_check(args) -> RunReport:
     for name in names:
         if name not in _SEQ_CHECKS:
             raise UsageError(f"unknown check {name!r}; available: {', '.join(_SEQ_CHECKS)}")
-    run = RunReport(config=_config(args))
-    ws = WeightSequence(spec)
-    try:
+
+    def checks(run):
+        ws = WeightSequence(spec)
         for name in names:
             _timed(run, _SEQ_CHECKS[name], ws, args.n_max)
-    except CarlemanError as exc:
-        _reject_spec(run, spec.label(), exc, "seq-check checks")
-    return run
+
+    return _spec_checks(args, spec.label(), checks)
 
 
 def cmd_seq_compare(args) -> RunReport:
     specM = _load(args.spec, args.precision)
     specN = _load(args.other, args.precision)
-    run = RunReport(config=_config(args))
-    try:
-        _timed(run, check_inclusion, WeightSequence(specM), WeightSequence(specN), args.n_max)
-    except CarlemanError as exc:
-        _reject_spec(run, f"{specM.label()} vs {specN.label()}", exc, "seq-compare checks")
-    return run
-
-
-def _transform_values_report(spec: SequenceSpec, p: int, n_max: int) -> CheckReport:
-    tspec, log_mprime_sub = power_substitute(spec, p)
-    ws = WeightSequence(tspec)
-    rows = []
-    for n in range(0, n_max + 1):
-        m = ws.log_M(n)
-        mp_sub = log_mprime_sub(n)
-        rows.append(
-            EvidenceRow(
-                index=(n,),
-                quantity="M_(pn) (log)",
-                lo=mpf_str(m.log_lo),
-                hi=mpf_str(m.log_hi),
-                extra=(
-                    ("mprime_sub_lo", mpf_str(mp_sub.log_lo)),
-                    ("mprime_sub_hi", mpf_str(mp_sub.log_hi)),
-                ),
-            )
-        )
-    return CheckReport(
-        name=f"transform-values[{spec.label()}, p={p}]",
-        claim="log-space values of the dilated sequence and its primed normalization",
-        verdict=Verdict(Outcome.CONFIRMED, Reason.SYMBOLIC_COMPARISON),
-        params=(("p", str(p)), ("n_max", str(n_max)), ("spec", spec.label())),
-        rows=tuple(rows),
-        index_columns=("n",),
-    )
+    return _spec_checks(args, f"{specM.label()} vs {specN.label()}", lambda run: _timed(
+        run, check_inclusion, WeightSequence(specM), WeightSequence(specN), args.n_max))
 
 
 def cmd_seq_transform(args) -> RunReport:
     spec = _load(args.spec, args.precision)
-    run = RunReport(config=_config(args))
-    try:
-        if args.p >= 2:
-            _timed(run, _transform_values_report, spec, args.p, args.n_max)
-        _timed(run, transform_report, spec, args.p, max(8, args.n_max))
-    except CarlemanError as exc:
-        _reject_spec(run, spec.label(), exc, "seq-transform checks")
-    return run
+    label, p = spec.label(), args.p
+
+    def checks(run):
+        if p >= 2:
+            ws = WeightSequence(power_substitute(spec, p))
+            _timed(run, _value_table, f"transform-values[{label}, p={p}]",
+                   "log-space values of the dilated sequence and its primed normalization",
+                   (("p", str(p)), ("n_max", str(args.n_max)), ("spec", label)),
+                   "M_(pn) (log)", args.n_max, ws.log_M, (("mprime_sub", ws.log_Mprime_sub),))
+        _timed(run, transform_report, spec, p, max(8, args.n_max))
+
+    return _spec_checks(args, label, checks)
 
 
 def _ckn_equivalence_report(k_max: int, n_max: int) -> CheckReport:
@@ -453,15 +431,14 @@ def _write_plot_data(series: BangSeries, path: str, points: int, K: int) -> None
 
 def cmd_bang(args) -> RunReport:
     spec = _load(args.spec, args.precision)
-    run = RunReport(config=_config(args))
-    try:
+
+    def checks(run):
         series = _run_bang(run, WeightSequence(spec), args.deriv_n_max, args.n_max,
                            args.sharpness_n_max)
         if series is not None and args.plot_data:
             _write_plot_data(series, args.plot_data, args.plot_points, args.plot_k)
-    except CarlemanError as exc:
-        _reject_spec(run, spec.label(), exc, "bang checks")
-    return run
+
+    return _spec_checks(args, spec.label(), checks)
 
 
 def cmd_thm61(args) -> RunReport:
@@ -469,16 +446,15 @@ def cmd_thm61(args) -> RunReport:
     A = _parse_fraction(args.A)
     if A <= 0:
         raise UsageError("--A must be positive")
-    run = RunReport(config=_config(args))
-    try:
+
+    def checks(run):
         inst = TheoremInstance(spec=spec, p=args.p, A=A, n_max=args.n_max)
         result = _timed(run, coeff_level_check, inst)
         result.certificate = coeff_level_certificate(inst).as_dict()
         asm = TheoremInstance(spec=spec, p=args.p, A=A, n_max=args.assembly_n_max)
         _timed(run, final_bound_assembly, asm, args.exact_alpha_cap)
-    except CarlemanError as exc:
-        _reject_spec(run, spec.label(), exc, "thm61 checks")
-    return run
+
+    return _spec_checks(args, spec.label(), checks)
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +521,8 @@ def run_battery(
     # inclusion in the dilated class, plus the strict non-inclusion witness
     for spec in built_ins:
         for p in (2, 3):
-            tspec = SequenceSpec(family="transformed", base=spec, p=p,
-                                 precision=spec.precision)
-            _timed(run, check_inclusion, ws[spec.label()], WeightSequence(tspec), d(40))
+            dilated = WeightSequence(power_substitute(spec, p))
+            _timed(run, check_inclusion, ws[spec.label()], dilated, d(40))
     _timed(run, check_inclusion, ws[gevrey1.label()], ws[constant.label()], d(40))
 
     # extremal series

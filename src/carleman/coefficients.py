@@ -65,10 +65,11 @@ ENUMERATION_CAP = 18
 _RENDER_BITS = 192
 
 
-def _e_enclosure(terms: int = 45) -> tuple[Fraction, Fraction]:
-    # partial sum of sum 1/j! plus the geometric tail bound
+def _e_enclosure() -> tuple[Fraction, Fraction]:
+    # partial sum of sum 1/j! for j <= N = 45 plus the geometric tail bound
     #   sum_{j>N} 1/j! <= (1/(N+1)!) * (N+2)/(N+1),
     # since consecutive term ratios are <= 1/(N+2).
+    terms = 45
     lo = sum(Fraction(1, factorial(j)) for j in range(terms + 1))
     tail = Fraction(terms + 2, factorial(terms + 1) * (terms + 1))
     return lo, lo + tail
@@ -464,7 +465,8 @@ def verify_diagonal_derivative(p: int, k: int, n: int, x: Fraction) -> Verdict:
     if value > diagonal_derivative_bound_coeff(p, k, n, x, E_UP):
         witness = dataclasses.replace(row, outcome=Outcome.REFUTED)
         return Verdict(Outcome.REFUTED, Reason.INTERVAL_SEPARATION, (witness,))
-    return Verdict(Outcome.INCONCLUSIVE, Reason.PRECISION_EXHAUSTED, (row,))
+    undecided = dataclasses.replace(row, outcome=Outcome.INCONCLUSIVE)
+    return Verdict(Outcome.INCONCLUSIVE, Reason.PRECISION_EXHAUSTED, (undecided,))
 
 
 # ---------------------------------------------------------------------------

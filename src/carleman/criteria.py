@@ -14,7 +14,6 @@ Two kinds of evidence feed every verdict here:
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 from mpmath import iv
@@ -58,6 +57,13 @@ def check_monotone(ws: WeightSequence, n_max: int) -> CheckReport:
     )
 
 
+def convexity_sides(value, n: int, bits: int) -> tuple[LogReal, LogReal]:
+    """X_n^2 and X_(n-1) X_(n+1) for X_j = ``value(j)``, at ``bits``."""
+    mid, left, right = value(n), value(n - 1), value(n + 1)
+    with working_precision(bits):
+        return mid.pow_int(2), left * right
+
+
 def check_log_convex(
     ws: WeightSequence, variant: str, n_max: int, n_min: int = 1
 ) -> CheckReport:
@@ -73,10 +79,7 @@ def check_log_convex(
     value = ws.log_M if variant == "M" else ws.log_Mprime
     rows = []
     for n in range(max(1, n_min), n_max):
-        mid, left, right = value(n), value(n - 1), value(n + 1)
-        with working_precision(ws.bits):
-            lhs = mid.pow_int(2)
-            rhs = left * right
+        lhs, rhs = convexity_sides(value, n, ws.bits)
         rows.append(
             _row(
                 (n,),
@@ -118,11 +121,9 @@ def quasianalyticity_rule(spec: SequenceSpec) -> tuple[str, str] | None:
     return None if rule is None else rule(base, p)
 
 
-def carleman_partial_sums(
-    ws: WeightSequence, n_max: int
-) -> tuple[list[LogReal], Verdict]:
+def _quasianalyticity(ws: WeightSequence, n_max: int) -> tuple[list[LogReal], str, Verdict]:
     """Partial sums S_N = sum_{n=1..N} M_n / ((n+1) M_{n+1}) for N <= n_max,
-    with the family's symbolic quasianalyticity verdict.
+    and the claim and verdict of the family's symbolic quasianalyticity rule.
 
     The summation starts at n = 1; the constant n = 0 term does not affect
     the criterion.  Without a symbolic rule the verdict is inconclusive and
@@ -142,39 +143,37 @@ def carleman_partial_sums(
             acc = acc + iv.exp(log_term)
             sums.append(LogReal.from_value_iv(acc))
     rule = quasianalyticity_rule(ws.spec)
-    trend = [
-        _row((n,), "partial sum S_n (log)", sums[n - 1])
+    if rule is None:
+        claim = "quasianalyticity undecided (no symbolic rule for this family)"
+        note = "no symbolic rule; empirical trend only"
+        outcome, reason = Outcome.INCONCLUSIVE, Reason.DEPTH_EXHAUSTED
+    else:
+        claim = f"sum M_n/((n+1) M_(n+1)) is {rule[0]}"
+        note = f"{rule[0]}: {rule[1]}"
+        outcome, reason = Outcome.CONFIRMED, Reason.SYMBOLIC_COMPARISON
+    trend = tuple(
+        _row((n,), "partial sum S_n (log)", sums[n - 1], note=note)
         for n in sorted({1, n_max // 4, n_max // 2, n_max} - {0})
-    ]
-    if rule is not None:
-        claim, note = rule
-        evidence = tuple(
-            dataclasses.replace(r, note=f"{claim}: {note}") for r in trend
-        )
-        return sums, Verdict(Outcome.CONFIRMED, Reason.SYMBOLIC_COMPARISON, evidence)
-    evidence = tuple(
-        dataclasses.replace(r, note="no symbolic rule; empirical trend only")
-        for r in trend
     )
-    return sums, Verdict(Outcome.INCONCLUSIVE, Reason.DEPTH_EXHAUSTED, evidence)
+    return sums, claim, Verdict(outcome, reason, trend)
+
+
+def carleman_partial_sums(ws: WeightSequence, n_max: int) -> tuple[list[LogReal], Verdict]:
+    """The partial sums S_1..S_(n_max) and the verdict of
+    :func:`quasianalyticity_report`."""
+    sums, _, verdict = _quasianalyticity(ws, n_max)
+    return sums, verdict
 
 
 def quasianalyticity_report(ws: WeightSequence, n_max: int) -> CheckReport:
-    """CheckReport wrapper around :func:`carleman_partial_sums`."""
-    sums, verdict = carleman_partial_sums(ws, n_max)
-    rule = quasianalyticity_rule(ws.spec)
-    claim = (
-        f"sum M_n/((n+1) M_(n+1)) is {rule[0]}"
-        if rule is not None
-        else "quasianalyticity undecided (no symbolic rule for this family)"
-    )
-    rows = tuple(verdict.evidence)
+    """Symbolic quasianalyticity verdict with the partial-sum trend rows."""
+    _, claim, verdict = _quasianalyticity(ws, n_max)
     return CheckReport(
         name=f"quasianalytic[{ws.spec.label()}]",
         claim=claim,
         verdict=verdict,
         params=(("n_max", str(n_max)), ("spec", ws.spec.label())),
-        rows=rows,
+        rows=verdict.evidence,
         index_columns=("n",),
     )
 

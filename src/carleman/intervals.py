@@ -79,9 +79,9 @@ def iv_from_fraction(fr: Fraction):
     return num / iv.mpf(fr.denominator)
 
 
-def mpf_str(x, digits: int = 24) -> str:
-    """Deterministic decimal rendering of an mpf endpoint."""
-    return mp.nstr(x, digits)
+def mpf_str(x) -> str:
+    """Deterministic decimal rendering of an mpf endpoint (24 digits)."""
+    return mp.nstr(x, 24)
 
 
 class LogReal:

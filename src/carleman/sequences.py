@@ -28,7 +28,6 @@ from .intervals import (
     LogReal,
     bits_for_digits,
     iv_endpoints,
-    iv_from_fraction,
     working_precision,
 )
 
@@ -199,7 +198,7 @@ def spec_from_dict(doc: dict) -> SequenceSpec:
     if not _is_int(version) or version != SPEC_FORMAT_VERSION:
         raise SpecFormatError(f"unsupported spec version {version!r}")
     family = doc.get("family")
-    params = doc.get("params", {}) or {}
+    params = doc.get("params", {})
     if not isinstance(params, dict):
         raise SpecFormatError("params must be an object")
     names = [param.name for param in _family(family).params]
@@ -344,9 +343,7 @@ FAMILIES: dict[str, Family] = {
     # M_n = (n!)^s for a positive rational s
     "gevrey": Family(
         params=(Param("s", _parse_s, str),),
-        log_M=lambda ws, n: LogReal.from_log_iv(
-            log_factorial(n).log_iv() * iv_from_fraction(ws.spec.s)
-        ),
+        log_M=lambda ws, n: log_factorial(n).pow_fraction(ws.spec.s),
         label=lambda spec: f"gevrey(s={spec.s})",
         # terms 1/(n+1)^(1+s) for p = 1; a dilation only shrinks them
         # (extra factor ((pn)!/(pn+p)!)^s <= (pn+1)^(-ps))
@@ -436,25 +433,24 @@ class WeightSequence:
     interval.  Fills are idempotent and safe under concurrent readers.
     """
 
-    def __init__(self, spec: SequenceSpec, max_index: int = DEFAULT_MAX_INDEX):
+    def __init__(self, spec: SequenceSpec):
         self.spec = spec
-        self.max_index = max_index
         self.bits = spec.bits
         self._memo: dict[int, LogReal] = {}
         self._mprime_memo: dict[int, LogReal] = {}
         self._ratio_memo: dict[int, LogReal] = {}
         self._lock = threading.RLock()
-        #: largest index the family defines (None: every index up to max_index)
+        #: largest index the family defines (None: every index up to DEFAULT_MAX_INDEX)
         self.last_index: int | None = FAMILIES[spec.family].last_index(spec)
-        self._base = None if spec.base is None else WeightSequence(spec.base, max_index)
+        self._base = None if spec.base is None else WeightSequence(spec.base)
 
     # -- plumbing ------------------------------------------------------------
 
     def _check_index(self, n: int) -> None:
         if not isinstance(n, int) or n < 0:
             raise IndexRangeError(f"index must be a nonnegative integer, got {n!r}")
-        if n > self.max_index:
-            raise IndexRangeError(f"index {n} beyond configured maximum {self.max_index}")
+        if n > DEFAULT_MAX_INDEX:
+            raise IndexRangeError(f"index {n} beyond the maximum {DEFAULT_MAX_INDEX}")
         if self.last_index is not None and n > self.last_index:
             raise IndexRangeError(f"{self.spec.label()} has no value at index {n}")
 
@@ -477,9 +473,7 @@ class WeightSequence:
 
         def compute() -> LogReal:
             value = self.log_M(n)
-            if n <= 1:
-                return value
-            return LogReal.from_log_iv(log_factorial(n).log_iv() + value.log_iv())
+            return value if n <= 1 else log_factorial(n) * value
 
         return _memoized(self._lock, self._mprime_memo, n, self.bits, compute)
 
@@ -489,6 +483,16 @@ class WeightSequence:
             self._lock, self._ratio_memo, k, self.bits,
             lambda: self.log_Mprime(k + 1) / self.log_Mprime(k),
         )
+
+    def log_Mprime_sub(self, n: int) -> LogReal:
+        """Enclosure of n^(-(p-1) n) M'_(pn) for a dilation M_(pn) of a base
+        M: the envelope of the power-substitution bound, from the base's M'
+        (value 1 at n = 0, by the 0^0 = 1 convention)."""
+        if n == 0:
+            return LogReal.one()
+        value = self._base.log_Mprime(self.spec.p * n)
+        with working_precision(self.bits):
+            return value / LogReal.from_int(n).pow_int((self.spec.p - 1) * n)
 
 
 def _memoized(lock, memo: dict, key, bits: int, compute: Callable[[], LogReal]) -> LogReal:
@@ -507,32 +511,14 @@ def _memoized(lock, memo: dict, key, bits: int, compute: Callable[[], LogReal]) 
         return memo.setdefault(key, value)
 
 
-def power_substitute(spec: SequenceSpec, p: int):
-    """Index dilation of a sequence: returns the spec of the sequence
-    n -> M_{p n} together with the primed-normalization evaluator
-    n -> n^(-(p-1) n) * M'_{p n}  (value 1 at n = 0, by the 0^0 = 1
-    convention, consistent with M_0 = 1).
+def power_substitute(spec: SequenceSpec, p: int) -> SequenceSpec:
+    """Index dilation of a sequence: the spec of n -> M_{p n}, at the
+    precision of ``spec``.  Its :meth:`WeightSequence.log_Mprime_sub` is the
+    primed normalization n -> n^(-(p-1) n) * M'_{p n}.
     """
     if not isinstance(p, int) or p < 2:
         raise ValueError("p must be an integer >= 2")
-    tspec = SequenceSpec(family="transformed", base=spec, p=p, precision=spec.precision)
-    base_ws = WeightSequence(spec)
-
-    def log_mprime_sub(n: int) -> LogReal:
-        if not isinstance(n, int) or n < 0:
-            raise IndexRangeError(f"index must be a nonnegative integer, got {n!r}")
-        if n == 0:
-            return LogReal.one()
-        base_m = base_ws.log_M(p * n)
-        with working_precision(base_ws.bits):
-            log_iv = (
-                log_factorial(p * n).log_iv()
-                + base_m.log_iv()
-                - iv.log(iv.mpf(n)) * ((p - 1) * n)
-            )
-            return LogReal.from_log_iv(log_iv)
-
-    return tspec, log_mprime_sub
+    return SequenceSpec(family="transformed", base=spec, p=p, precision=spec.precision)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ M'^(p)_n = n^(-(p-1)n) M'_{pn}.  Two complementary checks live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 
@@ -52,6 +52,7 @@ from .sequences import (
     SequenceSpec,
     WeightSequence,
     log_factorial,
+    power_substitute,
 )
 
 #: largest n for which the exact diagonal derivatives back the assembly
@@ -269,20 +270,10 @@ def transform_report(spec: SequenceSpec, p: int, n_max: int) -> CheckReport:
     (p = 1 degenerates to the base sequence)."""
     if not isinstance(p, int) or p < 1:
         raise SpecFormatError("p must be an integer >= 1")
-    if p == 1:
-        target = spec
-    else:
-        target = SequenceSpec(
-            family="transformed", base=spec, p=p, precision=spec.precision
-        )
-    ws = WeightSequence(target)
-    report = quasianalyticity_report(ws, n_max)
-    params = report.params + (("transform_p", str(p)),)
-    return CheckReport(
+    target = spec if p == 1 else power_substitute(spec, p)
+    report = quasianalyticity_report(WeightSequence(target), n_max)
+    return replace(
+        report,
         name=f"transform-quasianalytic[{spec.label()}, p={p}]",
-        claim=report.claim,
-        verdict=report.verdict,
-        params=params,
-        rows=report.rows,
-        index_columns=report.index_columns,
+        params=report.params + (("transform_p", str(p)),),
     )

@@ -54,6 +54,12 @@ UNKNOWN_KEY_DOCUMENTS = (
      "params": {"p": 2, "base": {"family": "gevrey", "params": {"s": "1", "sigma": 3}}}},
 )
 
+#: falsy ``params`` values that are not an object: each is malformed, never
+#: "no parameters"
+FALSY_PARAMS_DOCUMENTS = tuple(
+    {"family": "constant", "params": value} for value in (False, 0, "", [], None)
+)
+
 
 @pytest.fixture(scope="session")
 def constant_spec():

@@ -41,7 +41,7 @@ class TestConstruction:
             BangSeries(WeightSequence(spec))
 
     def test_rejects_dilation(self, gevrey1_spec):
-        tspec, _ = power_substitute(gevrey1_spec, 2)
+        tspec = power_substitute(gevrey1_spec, 2)
         with pytest.raises(TailUncertifiedError):
             BangSeries(WeightSequence(tspec))
 

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, deterministic documents, file formats."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from carleman import cli
 from carleman.cli import main, shipped_fixture
 from carleman.outcomes import Outcome
-from conftest import UNKNOWN_KEY_DOCUMENTS
+from carleman.sequences import WeightSequence
+from conftest import FALSY_PARAMS_DOCUMENTS, UNKNOWN_KEY_DOCUMENTS
 
 SPECS = Path(__file__).resolve().parents[1] / "src" / "carleman" / "data" / "specs"
 
@@ -61,7 +63,7 @@ class TestExitCodes:
             '"base": {"family": "constant", "version": 99}}}',
             '{"version": true, "family": "constant"}',
             '{"version": 1.0, "family": "constant"}',
-            *(json.dumps(doc) for doc in UNKNOWN_KEY_DOCUMENTS),
+            *(json.dumps(doc) for doc in UNKNOWN_KEY_DOCUMENTS + FALSY_PARAMS_DOCUMENTS),
         ):
             bad.write_text(doc)
             assert run(["seq-show", "--spec", str(bad)]) == 3
@@ -203,6 +205,22 @@ class TestCommands:
         names = [c["name"] for c in doc["checks"]]
         assert any(n.startswith("transform-values") for n in names)
         assert any(n.startswith("transform-quasianalytic") for n in names)
+
+    def test_seq_transform_values_share_one_dilated_sequence(self, tmp_path, monkeypatch):
+        # transform-values reads M_(pn) and the envelope's M'_(pn) from one
+        # dilated sequence, so each of the 301 base values it needs is
+        # computed once there; transform-quasianalytic builds its own
+        calls = Counter()
+        compute = WeightSequence._compute_log_M
+
+        def counted(ws, n):
+            calls[ws.spec.label()] += 1
+            return compute(ws, n)
+
+        monkeypatch.setattr(WeightSequence, "_compute_log_M", counted)
+        assert run(["seq-transform", "--spec", str(SPECS / "iterated_log2.json"), "--p", "3",
+                    "--n-max", "300", "--out", str(tmp_path / "t.json")]) == 0
+        assert calls["iterated_log(k=2)"] <= 601
 
     def test_alpha(self, tmp_path):
         assert run(["alpha", "--p", "2", "--k-max", "2", "--n-max", "8",

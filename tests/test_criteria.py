@@ -129,12 +129,12 @@ class TestCarleman:
     def test_transform_rules(self):
         il1 = SequenceSpec(family="iterated_log", k=1)
         il2 = SequenceSpec(family="iterated_log", k=2)
-        t_il1, _ = power_substitute(il1, 2)
+        t_il1 = power_substitute(il1, 2)
         assert quasianalyticity_rule(t_il1)[0] == "convergent"
         for p in (2, 3):
-            t_il2, _ = power_substitute(il2, p)
+            t_il2 = power_substitute(il2, p)
             assert quasianalyticity_rule(t_il2)[0] == "divergent"
-        t8, _ = power_substitute(SequenceSpec(family="paper8"), 5)
+        t8 = power_substitute(SequenceSpec(family="paper8"), 5)
         assert quasianalyticity_rule(t8)[0] == "divergent"
 
     def test_table_has_no_rule(self):
@@ -195,7 +195,7 @@ class TestInclusion:
     def test_dilation_rule(self, gevrey1_ws, paper8_ws):
         for ws in (gevrey1_ws, paper8_ws):
             for p in (2, 3):
-                tspec, _ = power_substitute(ws.spec, p)
+                tspec = power_substitute(ws.spec, p)
                 report = check_inclusion(ws, WeightSequence(tspec), 30)
                 assert report.verdict.outcome is Outcome.CONFIRMED, report.claim
                 assert "dilation" in report.claim
@@ -204,8 +204,8 @@ class TestInclusion:
                 assert sup_hi <= 1e-18
 
     def test_nested_dilation_rule(self, gevrey1_ws):
-        t2, _ = power_substitute(gevrey1_ws.spec, 2)
-        t6, _ = power_substitute(t2, 3)
+        t2 = power_substitute(gevrey1_ws.spec, 2)
+        t6 = power_substitute(t2, 3)
         report = check_inclusion(WeightSequence(t2), WeightSequence(t6), 12)
         assert report.verdict.outcome is Outcome.CONFIRMED
 

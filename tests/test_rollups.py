@@ -1,10 +1,10 @@
 """Failing branches of the outcome roll-ups.
 
-The exact links behind ``ckn-bound``, ``root-series-bound`` and
-``substitution-coefficients`` never fail on correct arithmetic, so these
-tests replace one link at a time with a refuting or inconclusive stand-in
-and check the row outcomes (refuted > inconclusive > confirmed) and the
-notes that name the failing link.
+The exact links behind ``ckn-bound``, ``root-series-bound``,
+``diag-derivative`` and ``substitution-coefficients`` never fail on correct
+arithmetic, so these tests replace one link at a time with a refuting or
+inconclusive stand-in and check the row outcomes (refuted > inconclusive >
+confirmed) and the notes that name the failing link.
 """
 
 from fractions import Fraction
@@ -14,6 +14,7 @@ import pytest
 
 from carleman import coefficients as co
 from carleman import substitution as su
+from carleman.cli import _diag_derivative_report
 from carleman.outcomes import EvidenceRow, Outcome, Reason, aggregate_rows
 from carleman.sequences import SequenceSpec
 
@@ -70,6 +71,27 @@ class TestRootSeriesBound:
         report = co.verify_root_series_bounds(2, 1, 3)
         assert _outcomes(report) == {R}
         assert report.verdict.outcome is R
+
+
+class TestDiagonalDerivative:
+    def test_a_row_between_the_e_sides_is_inconclusive(self, monkeypatch):
+        # at one (p, k, n, x) the E_LO side of the bound falls below the
+        # value and the E_UP side above it: that row, and the check, are
+        # undecided
+        target = (2, 1, 2, Fraction(1))
+        bound = co.diagonal_derivative_bound_coeff
+
+        def straddle(p, k, n, x, e_side):
+            if (p, k, n, x) != target:
+                return bound(p, k, n, x, e_side)
+            value = abs(co.diagonal_derivative(p, k, n, x))
+            return value * e_side * 2 / (co.E_LO + co.E_UP)
+
+        monkeypatch.setattr(co, "diagonal_derivative_bound_coeff", straddle)
+        report = _diag_derivative_report(2, 2, 3)
+        assert report.verdict.outcome is I
+        assert [row.index for row in report.verdict.evidence] == [(2, 1, 2, "1")]
+        assert _outcomes(report) == {None, I}
 
 
 class TestCoefficientLevel:

@@ -12,6 +12,7 @@ from mpmath import iv
 from carleman.errors import IndexRangeError, PrecisionExhaustedError, SpecFormatError
 from carleman.intervals import LogReal, iv_endpoints, iv_from_fraction, working_precision
 from carleman.sequences import (
+    DEFAULT_MAX_INDEX,
     SequenceSpec,
     WeightSequence,
     dump_spec,
@@ -21,7 +22,7 @@ from carleman.sequences import (
     spec_from_dict,
     tower_threshold,
 )
-from conftest import UNKNOWN_KEY_DOCUMENTS, encloses_fraction
+from conftest import FALSY_PARAMS_DOCUMENTS, UNKNOWN_KEY_DOCUMENTS, encloses_fraction
 
 
 def encloses_log_fraction(value: LogReal, fr: Fraction, bits: int) -> bool:
@@ -225,10 +226,10 @@ class TestMemoDiscipline:
 
 class TestIndexRange:
     def test_max_index_enforced(self, gevrey1_spec):
-        ws = WeightSequence(gevrey1_spec, max_index=100)
-        ws.log_M(100)
+        ws = WeightSequence(gevrey1_spec)
+        ws.log_M(DEFAULT_MAX_INDEX)
         with pytest.raises(IndexRangeError):
-            ws.log_M(101)
+            ws.log_M(DEFAULT_MAX_INDEX + 1)
         with pytest.raises(IndexRangeError):
             ws.log_M(-1)
 
@@ -265,13 +266,13 @@ class TestPowerSubstitute:
             power_substitute(gevrey1_spec, 1)
 
     def test_dilated_values(self, gevrey1_spec):
-        tspec, _ = power_substitute(gevrey1_spec, 2)
+        tspec = power_substitute(gevrey1_spec, 2)
         ws = WeightSequence(tspec)
         for n in range(0, 13):
             assert encloses_fraction(ws.log_M(n), Fraction(factorial(2 * n)), ws.bits)
 
     def test_mprime_normalization_examples(self, gevrey1_spec):
-        _, mprime = power_substitute(gevrey1_spec, 2)
+        mprime = WeightSequence(power_substitute(gevrey1_spec, 2)).log_Mprime_sub
         spec_bits = gevrey1_spec.bits
         v0 = mprime(0)
         assert v0.log_lo == v0.log_hi == 0
@@ -281,17 +282,17 @@ class TestPowerSubstitute:
         assert encloses_fraction(mprime(1), Fraction(4), spec_bits)
 
     def test_composition_matches_product_transform(self, gevrey1_spec):
-        t2, _ = power_substitute(gevrey1_spec, 2)
-        t2_then_3, _ = power_substitute(t2, 3)
-        t6, _ = power_substitute(gevrey1_spec, 6)
+        t2 = power_substitute(gevrey1_spec, 2)
+        t2_then_3 = power_substitute(t2, 3)
+        t6 = power_substitute(gevrey1_spec, 6)
         a, b = WeightSequence(t2_then_3), WeightSequence(t6)
         for n in range(0, 9):
             va, vb = a.log_M(n), b.log_M(n)
             assert va.log_lo == vb.log_lo and va.log_hi == vb.log_hi
 
     def test_transform_of_constant_stays_one(self, constant_spec):
-        tspec, mprime = power_substitute(constant_spec, 3)
-        ws = WeightSequence(tspec)
+        ws = WeightSequence(power_substitute(constant_spec, 3))
+        mprime = ws.log_Mprime_sub
         assert ws.log_M(7).log_lo == ws.log_M(7).log_hi == 0
         # M'^(p)_n = n^(-(p-1)n) (pn)!: at n = 2, p = 3: 2^(-4) * 720
         assert encloses_fraction(mprime(2), Fraction(720, 16), ws.bits)
@@ -303,7 +304,7 @@ class TestSpecDocuments:
         assert spec_from_dict(doc) == paper8_spec
 
     def test_round_trip_transformed(self, gevrey1_spec):
-        tspec, _ = power_substitute(gevrey1_spec, 2)
+        tspec = power_substitute(gevrey1_spec, 2)
         doc = json.loads(dump_spec(tspec))
         assert spec_from_dict(doc) == tspec
 
@@ -340,6 +341,9 @@ class TestSpecDocuments:
         for doc in UNKNOWN_KEY_DOCUMENTS:
             with pytest.raises(SpecFormatError, match="unknown"):
                 spec_from_dict(doc)
+        for doc in FALSY_PARAMS_DOCUMENTS:
+            with pytest.raises(SpecFormatError, match="params must be an object"):
+                spec_from_dict(doc)
 
     def test_nested_version_defaults_to_one(self, constant_spec):
         spec = spec_from_dict(
@@ -372,5 +376,5 @@ class TestSpecDocuments:
 
     def test_labels(self, gevrey1_spec, constant_spec):
         assert gevrey1_spec.label() == "gevrey(s=1)"
-        tspec, _ = power_substitute(constant_spec, 2)
+        tspec = power_substitute(constant_spec, 2)
         assert tspec.label() == "transformed(constant, p=2)"
