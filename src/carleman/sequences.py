@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -114,7 +114,7 @@ class SequenceSpec:
 
     ``precision`` is the working precision in significant decimal digits;
     together with the family parameters it fixes every emitted enclosure
-    bit-for-bit.  The parameters a family declares in :data:`FAMILIES` are
+    bit-for-bit.  A nested ``base`` takes the outer spec's precision.  The parameters a family declares in :data:`FAMILIES` are
     parsed and validated on construction.
     """
 
@@ -136,6 +136,9 @@ class SequenceSpec:
                 raise SpecFormatError(f"{self.family} takes no parameter {field.name}")
         for param in entry.params:
             object.__setattr__(self, param.name, param.parse(getattr(self, param.name)))
+        if self.base is not None and self.base.precision != self.precision:
+            # a dilation chain computes at one precision: the outermost spec's
+            object.__setattr__(self, "base", replace(self.base, precision=self.precision))
 
     @property
     def bits(self) -> int:

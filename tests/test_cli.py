@@ -278,6 +278,15 @@ class TestCommands:
                     "--precision", "30", "--out", str(b)]) == 0
         assert a.read_bytes() != b.read_bytes()
 
+    def test_precision_override_reaches_a_nested_base(self, tmp_path):
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps({
+            "family": "transformed", "precision": 80,
+            "params": {"p": 2, "base": {"family": "gevrey", "params": {"s": "1"}}},
+        }))
+        ws = WeightSequence(cli._load(str(spec), 20))
+        assert ws._base.bits == ws.bits == 96
+        assert ws.spec.base.precision == 20
 
     @pytest.mark.parametrize("command", ["seq-show", "seq-check", "seq-transform",
                                          "bang", "thm61"])
