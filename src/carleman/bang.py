@@ -25,20 +25,15 @@ import threading
 from fractions import Fraction
 from math import factorial
 
-from mpmath import iv
-
 from .criteria import convexity_sides
 from .errors import TailUncertifiedError
 from .intervals import (
     LinearEnclosure,
     LogReal,
     SignedEnclosure,
-    iv_endpoints,
-    iv_from_endpoints,
-    iv_from_fraction,
+    cosine_sum,
     mpf_str,
     sum_values,
-    working_precision,
 )
 from .outcomes import CheckReport, EvidenceRow, Outcome, aggregate_rows, worst_outcome
 from .sequences import FAMILIES, BoundCertificate, WeightSequence, _memoized
@@ -75,8 +70,7 @@ class BangSeries:
         self._lock = threading.RLock()
         self._two_m: dict[int, LogReal] = {}
         self._heads: dict[tuple[int, int], LogReal] = {}
-        with working_precision(self.bits):
-            self._two = LogReal.from_int(2)
+        self._two = LogReal.from_int(2, self.bits)
         self._ensure_confirmed(max(confirm_to, 2))
 
     # -- certification ---------------------------------------------------------
@@ -86,7 +80,7 @@ class BangSeries:
         if k <= self._confirmed_to:
             return
         for n in range(max(1, self._confirmed_to), k + 1):
-            lhs, rhs = convexity_sides(self.ws.log_Mprime, n, self.bits)
+            lhs, rhs = convexity_sides(self.ws.log_Mprime, n)
             if lhs.leq(rhs) is not Outcome.CONFIRMED:
                 raise TailUncertifiedError(
                     f"log-convexity of M' not confirmed at index {n} "
@@ -103,14 +97,12 @@ class BangSeries:
     def term_magnitude(self, k: int) -> LogReal:
         """Coefficient M'_k / (2 m_k)^k of the k-th cosine term."""
         self._ensure_confirmed(k + 1)
-        with working_precision(self.bits):
-            return self.ws.log_Mprime(k) / self.two_m(k).pow_int(k)
+        return self.ws.log_Mprime(k) / self.two_m(k).pow_int(k)
 
     def deriv_term(self, k: int, n: int) -> LogReal:
         """Magnitude M'_k (2 m_k)^(n-k) of the k-th term's n-th derivative."""
         self._ensure_confirmed(k + 1)
-        with working_precision(self.bits):
-            return self.ws.log_Mprime(k) * self.two_m(k).pow_int(n - k)
+        return self.ws.log_Mprime(k) * self.two_m(k).pow_int(n - k)
 
     # -- derivatives at zero -----------------------------------------------------
 
@@ -125,8 +117,7 @@ class BangSeries:
         if K < n:
             raise ValueError("truncation must satisfy K >= n")
         self._ensure_confirmed(K + 1)
-        with working_precision(self.bits):
-            return self.ws.log_Mprime(n) * self._two.pow_int(n - K)
+        return self.ws.log_Mprime(n) * self._two.pow_int(n - K)
 
     def head_sum(self, n: int, K: int) -> LogReal:
         """Enclosure of sum_k M'_k (2 m_k)^(n-k): the K+1 term head plus the
@@ -156,8 +147,7 @@ class BangSeries:
         """Signed enclosure of f^(n)(0) for the even factorization
         F(t) = f(t^2): the exact scaling n!/(2n)! of F^(2n)(0)."""
         base = self.F_deriv_at_zero(2 * n)
-        with working_precision(self.bits):
-            return base.scale_fraction(Fraction(factorial(n), factorial(2 * n)))
+        return base.scale_fraction(Fraction(factorial(n), factorial(2 * n)))
 
     # -- report builders ---------------------------------------------------------
 
@@ -172,10 +162,9 @@ class BangSeries:
             lower = self.ws.log_Mprime(2 * j)
             mag_ok = F2.magnitude.geq(lower)
             fj = self.f_deriv_at_zero(j)
-            with working_precision(self.bits):
-                f_lower = lower * LogReal.from_fraction(
-                    Fraction(factorial(j), factorial(2 * j))
-                )
+            f_lower = lower * LogReal.from_fraction(
+                Fraction(factorial(j), factorial(2 * j)), self.bits
+            )
             f_ok = fj.magnitude.geq(f_lower)
             outcome = worst_outcome([mag_ok, f_ok]) if sign_ok else Outcome.REFUTED
             rows.append(
@@ -214,8 +203,7 @@ class BangSeries:
         rows = []
         for n in range(1, n_max + 1):
             total = self.head_sum(n, self.default_truncation(n))
-            with working_precision(self.bits):
-                ceiling = self._two.pow_int(n + 1) * self.ws.log_Mprime(n)
+            ceiling = self._two.pow_int(n + 1) * self.ws.log_Mprime(n)
             rows.append(
                 EvidenceRow(
                     index=(n,),
@@ -245,12 +233,11 @@ class BangSeries:
         to geometric factors.  Evidence only; minimality itself is out of
         scope.  The construction is specific to squaring (p = 2)."""
         rows = []
-        one = LogReal.one()
+        one = LogReal.one(self.bits)
         for n in range(0, n_max + 1):
             F2 = self.F_deriv_at_zero(2 * n)
-            with working_precision(self.bits):
-                ratio = F2.magnitude / self.ws.log_Mprime(2 * n)
-                ceiling = LogReal.from_int(4).pow_int(n + 2)
+            ratio = F2.magnitude / self.ws.log_Mprime(2 * n)
+            ceiling = LogReal.from_int(4, self.bits).pow_int(n + 2)
             outcome = worst_outcome([one.leq(ratio), ratio.leq(ceiling)])
             rows.append(
                 EvidenceRow(
@@ -283,14 +270,5 @@ class BangSeries:
         if abs(xi) > 1:
             raise ValueError("xi must lie in [-1, 1]")
         self._ensure_confirmed(K + 1)
-        with working_precision(self.bits):
-            acc = iv.mpf(0)
-            xi_iv = iv_from_fraction(xi)
-            for k in range(0, K + 1):
-                coeff = self.term_magnitude(k).value_iv()
-                angle = 2 * self.ws.ratio_m(k).value_iv() * xi_iv
-                acc = acc + coeff * iv.cos(angle)
-            tail = self._two.pow_int(-K).value_iv()
-            _, tail_hi = iv_endpoints(tail)
-            acc = acc + iv_from_endpoints(-tail_hi, tail_hi)
-            return LinearEnclosure.from_iv(acc)
+        terms = [(self.term_magnitude(k), self.ws.ratio_m(k)) for k in range(0, K + 1)]
+        return cosine_sum(terms, xi, self._two.pow_int(-K))

@@ -53,7 +53,7 @@ from .outcomes import (
     aggregate_rows,
 )
 from .reporting import CheckResult, RunReport, check_to_csv, write_once, write_report
-from .sequences import SequenceSpec, WeightSequence, load_spec, power_substitute
+from .sequences import SequenceSpec, WeightSequence, load_spec
 from .substitution import (
     TheoremInstance,
     coeff_level_certificate,
@@ -280,7 +280,10 @@ def cmd_seq_check(args) -> RunReport:
     def checks(run):
         ws = WeightSequence(spec)
         for name in names:
-            _timed(run, _SEQ_CHECKS[name], ws, args.n_max)
+            try:
+                _timed(run, _SEQ_CHECKS[name], ws, args.n_max)
+            except CarlemanError as exc:
+                _reject_spec(run, spec.label(), exc, f"{name} sweeps")
 
     return _spec_checks(args, spec.label(), checks)
 
@@ -297,13 +300,15 @@ def cmd_seq_transform(args) -> RunReport:
     label, p = spec.label(), args.p
 
     def checks(run):
+        ws = WeightSequence(spec)
         if p >= 2:
-            ws = WeightSequence(power_substitute(spec, p))
+            dilated = ws.dilation(p)
             _timed(run, _value_table, f"transform-values[{label}, p={p}]",
                    "log-space values of the dilated sequence and its primed normalization",
                    (("p", str(p)), ("n_max", str(args.n_max)), ("spec", label)),
-                   "M_(pn) (log)", args.n_max, ws.log_M, (("mprime_sub", ws.log_Mprime_sub),))
-        _timed(run, transform_report, spec, p, max(8, args.n_max))
+                   "M_(pn) (log)", args.n_max, dilated.log_M,
+                   (("mprime_sub", dilated.log_Mprime_sub),))
+        _timed(run, transform_report, ws, p, max(8, args.n_max))
 
     return _spec_checks(args, label, checks)
 
@@ -513,16 +518,16 @@ def run_battery(
     _timed(run, quasianalyticity_report, ws[constant.label()], d(400))
     _timed(run, quasianalyticity_report, ws[gevrey1.label()], d(2000))
     _timed(run, quasianalyticity_report, ws[paper8.label()], d(300))
-    _timed(run, transform_report, il1, 2, d(300))
-    _timed(run, transform_report, il2, 2, d(300))
-    _timed(run, transform_report, il2, 3, d(300))
-    _timed(run, transform_report, paper8, 3, d(200))
+    _timed(run, transform_report, ws[il1.label()], 2, d(300))
+    _timed(run, transform_report, ws[il2.label()], 2, d(300))
+    _timed(run, transform_report, ws[il2.label()], 3, d(300))
+    _timed(run, transform_report, ws[paper8.label()], 3, d(200))
 
     # inclusion in the dilated class, plus the strict non-inclusion witness
     for spec in built_ins:
+        base = ws[spec.label()]
         for p in (2, 3):
-            dilated = WeightSequence(power_substitute(spec, p))
-            _timed(run, check_inclusion, ws[spec.label()], dilated, d(40))
+            _timed(run, check_inclusion, base, base.dilation(p), d(40))
     _timed(run, check_inclusion, ws[gevrey1.label()], ws[constant.label()], d(40))
 
     # extremal series

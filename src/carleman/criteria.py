@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from mpmath import iv
-
-from .intervals import LogReal, mpf_str, working_precision
+from .intervals import LogReal, mpf_str, partial_sums
 from .outcomes import (
     CheckReport,
     EvidenceRow,
@@ -57,11 +55,9 @@ def check_monotone(ws: WeightSequence, n_max: int) -> CheckReport:
     )
 
 
-def convexity_sides(value, n: int, bits: int) -> tuple[LogReal, LogReal]:
-    """X_n^2 and X_(n-1) X_(n+1) for X_j = ``value(j)``, at ``bits``."""
-    mid, left, right = value(n), value(n - 1), value(n + 1)
-    with working_precision(bits):
-        return mid.pow_int(2), left * right
+def convexity_sides(value, n: int) -> tuple[LogReal, LogReal]:
+    """X_n^2 and X_(n-1) X_(n+1) for X_j = ``value(j)``."""
+    return value(n).pow_int(2), value(n - 1) * value(n + 1)
 
 
 def check_log_convex(
@@ -79,7 +75,7 @@ def check_log_convex(
     value = ws.log_M if variant == "M" else ws.log_Mprime
     rows = []
     for n in range(max(1, n_min), n_max):
-        lhs, rhs = convexity_sides(value, n, ws.bits)
+        lhs, rhs = convexity_sides(value, n)
         rows.append(
             _row(
                 (n,),
@@ -131,17 +127,10 @@ def _quasianalyticity(ws: WeightSequence, n_max: int) -> tuple[list[LogReal], st
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    sums: list[LogReal] = []
-    with working_precision(ws.bits):
-        acc = iv.mpf(0)
-        for n in range(1, n_max + 1):
-            log_term = (
-                ws.log_M(n).log_iv()
-                - iv.log(iv.mpf(n + 1))
-                - ws.log_M(n + 1).log_iv()
-            )
-            acc = acc + iv.exp(log_term)
-            sums.append(LogReal.from_value_iv(acc))
+    sums = list(partial_sums(
+        ws.log_M(n) / LogReal.from_int(n + 1, ws.bits) / ws.log_M(n + 1)
+        for n in range(1, n_max + 1)
+    ))
     rule = quasianalyticity_rule(ws.spec)
     if rule is None:
         claim = "quasianalyticity undecided (no symbolic rule for this family)"
@@ -202,7 +191,7 @@ def check_derivation_closed(ws: WeightSequence, n_max: int) -> CheckReport:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rows = _running_sup_rows(
-        lambda n: ws.log_M(n + 1) / ws.log_M(n), n_max, ws.bits, "(M_(n+1)/M_n)^(1/n) (log)"
+        lambda n: ws.log_M(n + 1) / ws.log_M(n), n_max, "(M_(n+1)/M_n)^(1/n) (log)"
     )
     rule = derivation_closed_rule(ws.spec)
     if rule is not None:
@@ -254,10 +243,7 @@ def check_inclusion(wsM: WeightSequence, wsN: WeightSequence, n_max: int) -> Che
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rows = _running_sup_rows(
-        lambda n: wsM.log_M(n) / wsN.log_M(n),
-        n_max,
-        max(wsM.bits, wsN.bits),
-        "(M_n/N_n)^(1/n) (log)",
+        lambda n: wsM.log_M(n) / wsN.log_M(n), n_max, "(M_n/N_n)^(1/n) (log)"
     )
     specM, specN = wsM.spec, wsN.spec
     baseM, pM = specM.base_chain()
@@ -312,15 +298,14 @@ def check_inclusion(wsM: WeightSequence, wsN: WeightSequence, n_max: int) -> Che
     )
 
 
-def _running_sup_rows(ratio, n_max: int, bits: int, quantity: str) -> list[EvidenceRow]:
+def _running_sup_rows(ratio, n_max: int, quantity: str) -> list[EvidenceRow]:
     """Rows n = 1..n_max of the enclosure of ratio(n)^(1/n), each carrying
     the running sup of those roots."""
     rows = []
     running: LogReal | None = None
     for n in range(1, n_max + 1):
-        with working_precision(bits):
-            root = ratio(n).pow_fraction(Fraction(1, n))
-            running = root if running is None else running.max_with(root)
+        root = ratio(n).pow_fraction(Fraction(1, n))
+        running = root if running is None else running.max_with(root)
         rows.append(
             _row(
                 (n,),

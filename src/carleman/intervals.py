@@ -3,23 +3,41 @@
 Weight-sequence magnitudes overflow any fixed-width float long before the
 index ranges of interest, so every inexact quantity in this package is a
 :class:`LogReal`: an interval ``[exp(lo), exp(hi)]`` whose endpoints are
-arbitrary-precision floats of the *logarithm*.  All arithmetic goes through
-mpmath's interval context (``mpmath.iv``), which rounds outward, so results
-are genuine enclosures: the true value always lies inside.
+arbitrary-precision floats of the *logarithm*, together with the binary
+precision it was computed at.  Every operation rounds outward at the larger
+precision of its operands, on raw endpoint tuples through mpmath's
+``libmpi``, so results are genuine enclosures (the true value always lies
+inside) and never depend on mpmath's process-global precision.
 
 Multiplication, division, and powers are exact linear operations on the log
-interval; sums of values re-enter the linear domain through ``iv.exp`` /
-``iv.log`` round trips, which widen by outward rounding only.
+interval; sums of values re-enter the linear domain through exp / log round
+trips, which widen by outward rounding only.
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import iv, libmp, mp
+from mpmath.libmp import (
+    from_int,
+    fzero,
+    mpf_exp,
+    mpf_neg,
+    mpi_add,
+    mpi_cos,
+    mpi_div,
+    mpi_exp,
+    mpi_log,
+    mpi_mul,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
+)
 
 from .errors import PrecisionExhaustedError
 from .outcomes import Outcome
@@ -42,13 +60,17 @@ def bits_for_digits(digits: int) -> int:
     return int(digits * _BITS_PER_DIGIT) + _GUARD_BITS
 
 
+#: the precision of a spec that does not set one
+DEFAULT_BITS = bits_for_digits(DEFAULT_DIGITS)
+
+
 @contextmanager
 def working_precision(bits: int):
     """Run a block at a fixed binary precision for both mpmath contexts.
 
-    mpmath precision is global state; this guard makes every public
-    operation a pure function of (inputs, precision) and keeps concurrent
-    callers consistent.
+    mpmath precision is global state; this guard runs code written against
+    ``mpmath.iv`` at a chosen precision and keeps concurrent callers
+    consistent.  :class:`LogReal` arithmetic never needs it.
     """
     with _prec_lock:
         old_iv, old_mp = iv.prec, mp.prec
@@ -61,22 +83,16 @@ def working_precision(bits: int):
             mp.prec = old_mp
 
 
-def iv_endpoints(x):
-    """Raw mpf endpoints of an ``iv.mpf``."""
-    lo_raw, hi_raw = x._mpi_
-    return mp.make_mpf(lo_raw), mp.make_mpf(hi_raw)
+def _int_mpi(n: int, bits: int):
+    """Outward-rounded endpoints of an integer at ``bits``."""
+    return from_int(n, bits, round_floor), from_int(n, bits, round_ceiling)
 
 
-def iv_from_endpoints(lo, hi):
-    return iv.mpf([lo, hi])
-
-
-def iv_from_fraction(fr: Fraction):
-    """Outward-rounded interval for an exact rational."""
-    num = iv.mpf(fr.numerator)
-    if fr.denominator == 1:
-        return num
-    return num / iv.mpf(fr.denominator)
+def _fraction_mpi(fr: Fraction, bits: int):
+    """Outward-rounded endpoints of an exact rational at ``bits``: numerator
+    and denominator are each rounded outward, then divided."""
+    num = _int_mpi(fr.numerator, bits)
+    return num if fr.denominator == 1 else mpi_div(num, _int_mpi(fr.denominator, bits), bits)
 
 
 def mpf_str(x) -> str:
@@ -87,14 +103,15 @@ def mpf_str(x) -> str:
 class LogReal:
     """Enclosure of a positive real, as an interval around its natural log.
 
-    The represented set is ``[exp(log_lo), exp(log_hi)]``.  Construction and
-    arithmetic guarantee the interval is well ordered and finite; violations
-    raise :class:`PrecisionExhaustedError` rather than wrapping silently.
+    The represented set is ``[exp(log_lo), exp(log_hi)]``, computed at
+    ``bits`` of binary precision.  Construction and arithmetic guarantee the
+    interval is well ordered and finite; violations raise
+    :class:`PrecisionExhaustedError` rather than wrapping silently.
     """
 
-    __slots__ = ("log_lo", "log_hi")
+    __slots__ = ("log_lo", "log_hi", "bits")
 
-    def __init__(self, log_lo, log_hi):
+    def __init__(self, log_lo, log_hi, bits: int):
         if not (log_lo <= log_hi):
             raise PrecisionExhaustedError(
                 f"invalid log interval [{log_lo}, {log_hi}]"
@@ -105,81 +122,62 @@ class LogReal:
             )
         self.log_lo = log_lo
         self.log_hi = log_hi
+        self.bits = bits
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def one(cls) -> "LogReal":
+    def from_mpi(cls, log_mpi, bits: int) -> "LogReal":
+        """From raw ``libmp`` endpoints ``(lo, hi)`` of the log, made at ``bits``."""
+        lo, hi = log_mpi
+        return cls(mp.make_mpf(lo), mp.make_mpf(hi), bits)
+
+    @classmethod
+    def one(cls, bits: int = DEFAULT_BITS) -> "LogReal":
         """The exact value 1 (log interval [0, 0], zero radius)."""
-        z = mp.mpf(0)
-        return cls(z, z)
+        return cls.from_mpi((fzero, fzero), bits)
 
     @classmethod
-    def from_log_iv(cls, x) -> "LogReal":
-        lo, hi = iv_endpoints(x)
-        return cls(lo, hi)
+    def from_int(cls, n: int, bits: int) -> "LogReal":
+        return cls.from_fraction(Fraction(n), bits)
 
     @classmethod
-    def from_int(cls, n: int) -> "LogReal":
-        if n < 1:
-            raise ValueError("LogReal represents positive reals only")
-        if n == 1:
-            return cls.one()
-        return cls.from_log_iv(iv.log(iv.mpf(n)))
-
-    @classmethod
-    def from_fraction(cls, fr: Fraction) -> "LogReal":
+    def from_fraction(cls, fr: Fraction, bits: int) -> "LogReal":
         if fr <= 0:
             raise ValueError("LogReal represents positive reals only")
-        if fr == 1:
-            return cls.one()
-        return cls.from_log_iv(iv.log(iv_from_fraction(fr)))
+        return cls.from_mpi(mpi_log(_fraction_mpi(fr, bits), bits), bits)
 
     @classmethod
-    def from_log_fraction(cls, fr: Fraction) -> "LogReal":
+    def from_log_fraction(cls, fr: Fraction, bits: int) -> "LogReal":
         """Value exp(fr) for an exact rational log value."""
-        if fr == 0:
-            return cls.one()
-        lo, hi = iv_endpoints(iv_from_fraction(fr))
-        return cls(lo, hi)
+        return cls.from_mpi(_fraction_mpi(fr, bits), bits)
 
-    @classmethod
-    def from_value_iv(cls, x) -> "LogReal":
-        lo, _ = iv_endpoints(x)
-        if lo <= 0:
-            raise ValueError("cannot take log of an interval touching zero")
-        return cls.from_log_iv(iv.log(x))
-
-    # -- views -------------------------------------------------------------
-
-    def log_iv(self):
-        return iv_from_endpoints(self.log_lo, self.log_hi)
-
-    def value_iv(self):
-        """Linear-domain interval enclosure (outward-rounded exp)."""
-        return iv.exp(self.log_iv())
+    def _mpi(self):
+        """The raw ``libmp`` endpoints ``(lo, hi)`` of the log."""
+        return self.log_lo._mpf_, self.log_hi._mpf_
 
     # -- arithmetic (exact in the log domain up to outward rounding) --------
+    # each result is rounded at the larger precision of its operands
 
     def __mul__(self, other: "LogReal") -> "LogReal":
-        return LogReal.from_log_iv(self.log_iv() + other.log_iv())
+        bits = max(self.bits, other.bits)
+        return LogReal.from_mpi(mpi_add(self._mpi(), other._mpi(), bits), bits)
 
     def __truediv__(self, other: "LogReal") -> "LogReal":
-        return LogReal.from_log_iv(self.log_iv() - other.log_iv())
+        bits = max(self.bits, other.bits)
+        return LogReal.from_mpi(mpi_sub(self._mpi(), other._mpi(), bits), bits)
 
     def pow_int(self, k: int) -> "LogReal":
-        if k == 0:
-            return LogReal.one()
-        return LogReal.from_log_iv(self.log_iv() * k)
+        return self.pow_fraction(Fraction(k))
 
     def pow_fraction(self, f: Fraction) -> "LogReal":
-        if f == 0:
-            return LogReal.one()
-        return LogReal.from_log_iv(self.log_iv() * iv_from_fraction(f))
+        factor = _fraction_mpi(f, self.bits)
+        return LogReal.from_mpi(mpi_mul(self._mpi(), factor, self.bits), self.bits)
 
     def max_with(self, other: "LogReal") -> "LogReal":
         """Enclosure of max(x, y): used for running suprema."""
-        return LogReal(max(self.log_lo, other.log_lo), max(self.log_hi, other.log_hi))
+        return LogReal(max(self.log_lo, other.log_lo), max(self.log_hi, other.log_hi),
+                       max(self.bits, other.bits))
 
     # -- comparisons (the confirmation discipline) ---------------------------
 
@@ -195,23 +193,51 @@ class LogReal:
         return other.leq(self)
 
     def __repr__(self) -> str:
-        return f"LogReal(log=[{mpf_str(self.log_lo)}, {mpf_str(self.log_hi)}])"
+        return f"LogReal(log=[{mpf_str(self.log_lo)}, {mpf_str(self.log_hi)}], bits={self.bits})"
 
 
-def sum_values(terms, tail_upper: "LogReal | None" = None) -> LogReal:
+def sum_values(terms: Sequence[LogReal], tail_upper: LogReal | None = None) -> LogReal:
     """Enclosure of a finite sum of positive values, plus an optional
-    certified tail interval ``[0, tail_upper]``.
+    certified tail interval ``[0, tail_upper]``, at the largest precision of
+    its operands.
 
     Accumulates in the linear domain; the result is exact up to outward
     rounding of the exp/log round trips.
     """
-    acc = iv.mpf(0)
+    bits = max(t.bits for t in (*terms, tail_upper) if t is not None)
+    acc = (fzero, fzero)
     for t in terms:
-        acc += t.value_iv()
+        acc = mpi_add(acc, mpi_exp(t._mpi(), bits), bits)
     if tail_upper is not None:
-        _, tail_hi = iv_endpoints(tail_upper.value_iv())
-        acc += iv_from_endpoints(mp.mpf(0), tail_hi)
-    return LogReal.from_value_iv(acc)
+        acc = mpi_add(acc, (fzero, mpf_exp(tail_upper.log_hi._mpf_, bits, round_ceiling)), bits)
+    return LogReal.from_mpi(mpi_log(acc, bits), bits)
+
+
+def partial_sums(terms: Iterable[LogReal]) -> Iterator[LogReal]:
+    """Enclosures of the running sums of positive values, one per term,
+    each at the largest precision of the terms so far: :func:`sum_values`
+    of every prefix, accumulated once."""
+    acc, bits = (fzero, fzero), 1
+    for t in terms:
+        bits = max(bits, t.bits)
+        acc = mpi_add(acc, mpi_exp(t._mpi(), bits), bits)
+        yield LogReal.from_mpi(mpi_log(acc, bits), bits)
+
+
+def cosine_sum(terms: Sequence[tuple[LogReal, LogReal]], xi: Fraction,
+               tail_upper: LogReal) -> "LinearEnclosure":
+    """Enclosure of sum c cos(2 m xi) over the pairs (c, m) of ``terms``, for
+    an exact rational xi, plus a certified tail interval ``[-tail_upper,
+    tail_upper]``, at the largest precision of its operands."""
+    bits = max(tail_upper.bits, *(x.bits for pair in terms for x in pair))
+    two, xi_mpi = _int_mpi(2, bits), _fraction_mpi(xi, bits)
+    acc = (fzero, fzero)
+    for c, m in terms:
+        angle = mpi_mul(mpi_mul(two, mpi_exp(m._mpi(), bits), bits), xi_mpi, bits)
+        acc = mpi_add(acc, mpi_mul(mpi_exp(c._mpi(), bits), mpi_cos(angle, bits), bits), bits)
+    tail_hi = mpf_exp(tail_upper.log_hi._mpf_, bits, round_ceiling)
+    lo, hi = mpi_add(acc, (mpf_neg(tail_hi), tail_hi), bits)
+    return LinearEnclosure(mp.make_mpf(lo), mp.make_mpf(hi))
 
 
 @dataclass(frozen=True)
@@ -240,7 +266,9 @@ class SignedEnclosure:
         if self.sign == 0 or f == 0:
             return SignedEnclosure.zero()
         sign = self.sign if f > 0 else -self.sign
-        return SignedEnclosure(sign, self.magnitude * LogReal.from_fraction(abs(f)))
+        return SignedEnclosure(
+            sign, self.magnitude * LogReal.from_fraction(abs(f), self.magnitude.bits)
+        )
 
 
 @dataclass(frozen=True)
@@ -254,8 +282,3 @@ class LinearEnclosure:
     def __post_init__(self) -> None:
         if not (self.lo <= self.hi):
             raise PrecisionExhaustedError(f"invalid interval [{self.lo}, {self.hi}]")
-
-    @classmethod
-    def from_iv(cls, x) -> "LinearEnclosure":
-        lo, hi = iv_endpoints(x)
-        return cls(lo, hi)

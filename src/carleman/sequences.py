@@ -21,15 +21,11 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
-from mpmath import iv, mp
+from mpmath import iv
+from mpmath.libmp import fone, from_int, mpi_exp, mpi_loggamma, round_floor, to_int
 
 from .errors import IndexRangeError, PrecisionExhaustedError, SpecFormatError
-from .intervals import (
-    LogReal,
-    bits_for_digits,
-    iv_endpoints,
-    working_precision,
-)
+from .intervals import LogReal, bits_for_digits, working_precision
 
 DEFAULT_MAX_INDEX = 10**6
 
@@ -41,38 +37,33 @@ SPEC_FORMAT_VERSION = 1
 _LOGFACT_INCREMENTAL_MAX = 20000
 
 _logfact_lock = threading.RLock()
-_logfact_cache: dict[int, list[tuple[object, object]]] = {}
+_logfact_cache: dict[int, list[LogReal]] = {}
 
 
-def log_factorial(n: int) -> LogReal:
-    """Enclosure of log(n!) at the active working precision.
+def log_factorial(n: int, bits: int) -> LogReal:
+    """Enclosure of log(n!) at ``bits``.
 
-    Small n accumulate exact per-integer logs (one outward-rounded iv.log
-    per step); large n go through the interval log-gamma.
+    Small n accumulate exact per-integer logs (one outward-rounded log per
+    step, cached per precision); large n go through the interval log-gamma.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > _LOGFACT_INCREMENTAL_MAX:
-        return LogReal.from_log_iv(iv.loggamma(iv.mpf(n + 1)))
-    bits = iv.prec
+        return LogReal.from_mpi(mpi_loggamma((from_int(n + 1),) * 2, bits), bits)
     with _logfact_lock:
-        cache = _logfact_cache.setdefault(bits, [(mp.mpf(0), mp.mpf(0))])
+        cache = _logfact_cache.setdefault(bits, [LogReal.one(bits)])
         while len(cache) <= n:
-            m = len(cache)
-            prev_lo, prev_hi = cache[-1]
-            step = iv.mpf([prev_lo, prev_hi]) + iv.log(iv.mpf(m))
-            cache.append(iv_endpoints(step))
-        lo, hi = cache[n]
-    return LogReal(lo, hi)
+            cache.append(cache[-1] * LogReal.from_int(len(cache), bits))
+        return cache[n]
 
 
 _tower_lock = threading.RLock()
 _tower_cache: dict[tuple[int, int], int] = {}
 
 
-def tower_threshold(k: int) -> int:
+def tower_threshold(k: int, bits: int) -> int:
     """Smallest integer strictly greater than the k-fold tower e^^k,
-    recovered from a certified enclosure at the active precision.
+    recovered from a certified enclosure at ``bits``.
 
     Raises :class:`PrecisionExhaustedError` when the enclosure straddles an
     integer boundary (for k >= 4 the tower has millions of digits and no
@@ -80,18 +71,18 @@ def tower_threshold(k: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    key = (iv.prec, k)
+    key = (bits, k)
     with _tower_lock:
         cached = _tower_cache.get(key)
         if cached is not None:
             return cached
-        t = iv.exp(iv.mpf(1))
+        t = mpi_exp((fone, fone), bits)
         for _ in range(k - 1):
-            t = iv.exp(t)
-        lo, hi = iv_endpoints(t)
+            t = mpi_exp(t, bits)
+        lo, hi = t
         try:
-            floor_lo = int(mp.floor(lo))
-            floor_hi = int(mp.floor(hi))
+            floor_lo = to_int(lo, round_floor)
+            floor_hi = to_int(hi, round_floor)
         except (OverflowError, ValueError) as exc:
             raise PrecisionExhaustedError(f"tower e^^{k} exceeds the exponent range") from exc
         if floor_lo != floor_hi:
@@ -305,12 +296,16 @@ def _parse_base(base) -> SequenceSpec:
     raise SpecFormatError("transformed requires a base spec object")
 
 
-def _shifted_log_M(start: int, k: int, n: int) -> LogReal:
-    """log of L(start)^(-start) * L(start + n)^(start + n), L the k-fold log."""
+def _shifted_log_M(start: int, k: int, n: int, bits: int) -> LogReal:
+    """log of L(start)^(-start) * L(start + n)^(start + n), L the k-fold log.
+
+    Written against ``mpmath.iv``: it runs at ``bits`` because
+    :func:`_memoized` sets mpmath's precision to the sequence's ``bits``.
+    """
     head, norm = iv.mpf(start + n), iv.mpf(start)
     for _ in range(k):
         head, norm = iv.log(head), iv.log(norm)
-    return LogReal.from_log_iv(iv.log(head) * (start + n) - iv.log(norm) * start)
+    return LogReal.from_mpi((iv.log(head) * (start + n) - iv.log(norm) * start)._mpi_, bits)
 
 
 def _dilated_last_index(spec: SequenceSpec) -> int | None:
@@ -336,7 +331,7 @@ FAMILIES: dict[str, Family] = {
     # M_n = 1
     "constant": Family(
         params=(),
-        log_M=lambda ws, n: LogReal.one(),
+        log_M=lambda ws, n: LogReal.one(ws.bits),
         # terms are exactly 1/(n+1) for every p: the harmonic series
         quasianalytic=lambda base, p: ("divergent", "harmonic comparison: terms equal 1/(n+1)"),
         derivation_closed=lambda base: "ratio is identically 1",
@@ -346,7 +341,7 @@ FAMILIES: dict[str, Family] = {
     # M_n = (n!)^s for a positive rational s
     "gevrey": Family(
         params=(Param("s", _parse_s, str),),
-        log_M=lambda ws, n: log_factorial(n).pow_fraction(ws.spec.s),
+        log_M=lambda ws, n: log_factorial(n, ws.bits).pow_fraction(ws.spec.s),
         label=lambda spec: f"gevrey(s={spec.s})",
         # terms 1/(n+1)^(1+s) for p = 1; a dilation only shrinks them
         # (extra factor ((pn)!/(pn+p)!)^s <= (pn+1)^(-ps))
@@ -365,7 +360,9 @@ FAMILIES: dict[str, Family] = {
     # n_k = tower_threshold(k) the smallest integer above e^^k
     "iterated_log": Family(
         params=(Param("k", _parse_integer(1, "iterated_log requires an integer k >= 1")),),
-        log_M=lambda ws, n: _shifted_log_M(tower_threshold(ws.spec.k), ws.spec.k, n),
+        log_M=lambda ws, n: _shifted_log_M(
+            tower_threshold(ws.spec.k, ws.bits), ws.spec.k, n, ws.bits
+        ),
         label=lambda spec: f"iterated_log(k={spec.k})",
         quasianalytic=_iterated_log_quasianalytic,
         derivation_closed=lambda base: (
@@ -392,7 +389,7 @@ FAMILIES: dict[str, Family] = {
     # measured, never assumed, and it has no M' fact
     "paper8": Family(
         params=(),
-        log_M=lambda ws, n: _shifted_log_M(3, 2, n),
+        log_M=lambda ws, n: _shifted_log_M(3, 2, n, ws.bits),
         # double-log base: same regime as iterated_log(k=2) for every p
         quasianalytic=lambda base, p: (
             "divergent", f"condensation: terms ~ 1/(n (log log n)^{max(p, 1)}) diverge"
@@ -405,7 +402,9 @@ FAMILIES: dict[str, Family] = {
     # WeightSequence.log_M first asks for it
     "table": Family(
         params=(Param("log_values", _parse_log_values, list),),
-        log_M=lambda ws, n: LogReal.from_log_fraction(_parse_decimal(ws.spec.log_values[n])),
+        log_M=lambda ws, n: LogReal.from_log_fraction(
+            _parse_decimal(ws.spec.log_values[n]), ws.bits
+        ),
         label=lambda spec: f"table(len={len(spec.log_values)})",
         last_index=lambda spec: len(spec.log_values) - 1,
     ),
@@ -460,7 +459,7 @@ class WeightSequence:
     def _compute_log_M(self, n: int) -> LogReal:
         # precondition: working precision is active and the index is valid
         if n == 0:
-            return LogReal.one()
+            return LogReal.one(self.bits)
         return FAMILIES[self.spec.family].log_M(self, n)
 
     # -- public surface --------------------------------------------------------
@@ -476,7 +475,7 @@ class WeightSequence:
 
         def compute() -> LogReal:
             value = self.log_M(n)
-            return value if n <= 1 else log_factorial(n) * value
+            return value if n <= 1 else log_factorial(n, self.bits) * value
 
         return _memoized(self._lock, self._mprime_memo, n, self.bits, compute)
 
@@ -492,14 +491,22 @@ class WeightSequence:
         M: the envelope of the power-substitution bound, from the base's M'
         (value 1 at n = 0, by the 0^0 = 1 convention)."""
         if n == 0:
-            return LogReal.one()
+            return LogReal.one(self.bits)
         value = self._base.log_Mprime(self.spec.p * n)
-        with working_precision(self.bits):
-            return value / LogReal.from_int(n).pow_int((self.spec.p - 1) * n)
+        return value / LogReal.from_int(n, self.bits).pow_int((self.spec.p - 1) * n)
+
+    def dilation(self, p: int) -> "WeightSequence":
+        """The index dilation n -> M_(pn) of this sequence, which reads its
+        values from this sequence's memo."""
+        dilated = WeightSequence(power_substitute(self.spec, p))
+        dilated._base = self
+        return dilated
 
 
 def _memoized(lock, memo: dict, key, bits: int, compute: Callable[[], LogReal]) -> LogReal:
-    """``memo[key]``, filled on a miss by ``compute()`` at ``bits``.
+    """``memo[key]``, filled on a miss by ``compute()`` with mpmath's
+    precision set to ``bits``: the family ``log_M`` bodies written against
+    ``mpmath.iv`` run at it.
 
     The value is computed outside ``lock`` and stored with ``setdefault``,
     so two threads racing on one key both return the first stored object.

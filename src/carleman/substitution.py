@@ -45,14 +45,13 @@ from .coefficients import (
 )
 from .criteria import quasianalyticity_report
 from .errors import SpecFormatError
-from .intervals import LogReal, mpf_str, working_precision
+from .intervals import LogReal, mpf_str
 from .outcomes import CheckReport, EvidenceRow, Outcome, Reason, aggregate_rows, worst_outcome
 from .sequences import (
     BoundCertificate,
     SequenceSpec,
     WeightSequence,
     log_factorial,
-    power_substitute,
 )
 
 #: largest n for which the exact diagonal derivatives back the assembly
@@ -102,18 +101,17 @@ def coeff_level_check(inst: TheoremInstance) -> CheckReport:
         stirling = Outcome.CONFIRMED if factorial(n) <= n**n else Outcome.REFUTED
         ineq_link = verify_factorial_inequality(p, n, 0).outcome
         mprime_pn = ws.log_Mprime(p * n)
-        with working_precision(ws.bits):
-            lhs = (
-                LogReal.from_int(factorial(n))
-                * LogReal.from_fraction(A).pow_int(p * n)
-                * mprime_pn
-                / log_factorial(p * n)
-            )
-            rhs_safe = (
-                LogReal.from_fraction(E_LO * A).pow_int(p * n)
-                * mprime_pn
-                / LogReal.from_int(n).pow_int((p - 1) * n)
-            )
+        lhs = (
+            LogReal.from_int(factorial(n), ws.bits)
+            * LogReal.from_fraction(A, ws.bits).pow_int(p * n)
+            * mprime_pn
+            / log_factorial(p * n, ws.bits)
+        )
+        rhs_safe = (
+            LogReal.from_fraction(E_LO * A, ws.bits).pow_int(p * n)
+            * mprime_pn
+            / LogReal.from_int(n, ws.bits).pow_int((p - 1) * n)
+        )
         outcome = worst_outcome([stirling, ineq_link, lhs.leq(rhs_safe)])
         rows.append(
             EvidenceRow(
@@ -145,14 +143,12 @@ def coeff_level_check(inst: TheoremInstance) -> CheckReport:
 
 def coeff_level_certificate(inst: TheoremInstance) -> BoundCertificate:
     """C = 1 and R = (e A)^p, the per-index radius of the confirmed bound."""
-    ws = WeightSequence(inst.spec)
-    with working_precision(ws.bits):
-        return BoundCertificate(
-            C=LogReal.one(),
-            R=LogReal.from_fraction(E_UP * inst.A).pow_int(inst.p),
-            interval_id=inst.interval_id,
-            seq=inst.spec,
-        )
+    return BoundCertificate(
+        C=LogReal.one(inst.spec.bits),
+        R=LogReal.from_fraction(E_UP * inst.A, inst.spec.bits).pow_int(inst.p),
+        interval_id=inst.interval_id,
+        seq=inst.spec,
+    )
 
 
 def final_bound_assembly(
@@ -265,15 +261,14 @@ def final_bound_assembly(
     )
 
 
-def transform_report(spec: SequenceSpec, p: int, n_max: int) -> CheckReport:
-    """Quasianalyticity report for the index-dilated sequence M_{p n}
-    (p = 1 degenerates to the base sequence)."""
+def transform_report(ws: WeightSequence, p: int, n_max: int) -> CheckReport:
+    """Quasianalyticity report for the index dilation M_{p n} of ``ws``, read
+    from its memo (p = 1 degenerates to the base sequence)."""
     if not isinstance(p, int) or p < 1:
         raise SpecFormatError("p must be an integer >= 1")
-    target = spec if p == 1 else power_substitute(spec, p)
-    report = quasianalyticity_report(WeightSequence(target), n_max)
+    report = quasianalyticity_report(ws if p == 1 else ws.dilation(p), n_max)
     return replace(
         report,
-        name=f"transform-quasianalytic[{spec.label()}, p={p}]",
+        name=f"transform-quasianalytic[{ws.spec.label()}, p={p}]",
         params=report.params + (("transform_p", str(p)),),
     )

@@ -1,13 +1,21 @@
-"""Shared fixtures, and the exact-value oracles the tests compare
-enclosures against.  Each oracle that rounds takes its precision as an
-argument instead of reading mpmath's process-global precision."""
+"""Shared fixtures, the exact-value oracles the tests compare enclosures
+against, and the reference interval route.  Each oracle that rounds takes
+its precision as an argument instead of reading mpmath's process-global
+precision.
+
+The reference route is how the package computed before its values carried
+their precision: every operation went through ``mpmath.iv`` inside a
+``working_precision`` block.  It stays here as the independent twin of the
+``libmpi`` primitives in :mod:`carleman.intervals`; each ``ref_*`` function
+takes the precision as an argument and returns an ``iv.mpf``.
+"""
 
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from mpmath import iv, mp
 
-from carleman.intervals import LogReal, SignedEnclosure, iv_endpoints, working_precision
+from carleman.intervals import LogReal, SignedEnclosure, working_precision
 from carleman.sequences import SequenceSpec, WeightSequence
 
 
@@ -19,8 +27,7 @@ def encloses_fraction(value: LogReal, fr: Fraction, bits: int) -> bool:
     proves containment (a False answer near an endpoint can be a sub-ulp
     near-miss, never a false positive).
     """
-    with working_precision(bits + 64):
-        tight = LogReal.from_fraction(fr)
+    tight = LogReal.from_fraction(fr, bits + 64)
     return value.log_lo <= tight.log_lo and tight.log_hi <= value.log_hi
 
 
@@ -29,8 +36,114 @@ def value_endpoints(se: SignedEnclosure, bits: int):
     if se.sign == 0:
         return mp.mpf(0), mp.mpf(0)
     with working_precision(bits):
-        lo, hi = iv_endpoints(se.magnitude.value_iv())
+        lo, hi = iv_endpoints(iv.exp(log_iv(se.magnitude)))
         return (lo, hi) if se.sign > 0 else (-hi, -lo)
+
+
+def iv_endpoints(x):
+    """Raw mpf endpoints of an ``iv.mpf``."""
+    lo, hi = x._mpi_
+    return mp.make_mpf(lo), mp.make_mpf(hi)
+
+
+def log_iv(x: LogReal):
+    """The log interval of ``x`` as an ``iv.mpf`` (endpoints kept exactly)."""
+    return iv.mpf([x.log_lo, x.log_hi])
+
+
+def same_endpoints(x: LogReal, ref) -> bool:
+    """True when ``x`` has exactly the endpoints of the ``iv.mpf`` ``ref``."""
+    return (x.log_lo._mpf_, x.log_hi._mpf_) == ref._mpi_
+
+
+def iv_from_fraction(fr: Fraction):
+    """Outward-rounded interval for an exact rational, at the active precision."""
+    num = iv.mpf(fr.numerator)
+    return num if fr.denominator == 1 else num / iv.mpf(fr.denominator)
+
+
+def ref_from_fraction(fr: Fraction, bits: int):
+    """log fr; log 1 is the exact zero."""
+    with working_precision(bits):
+        return iv.mpf(0) if fr == 1 else iv.log(iv_from_fraction(fr))
+
+
+def ref_from_log_fraction(fr: Fraction, bits: int):
+    with working_precision(bits):
+        return iv_from_fraction(fr)
+
+
+def ref_mul(a: LogReal, b: LogReal, bits: int):
+    with working_precision(bits):
+        return log_iv(a) + log_iv(b)
+
+
+def ref_div(a: LogReal, b: LogReal, bits: int):
+    with working_precision(bits):
+        return log_iv(a) - log_iv(b)
+
+
+def ref_pow(a: LogReal, f: Fraction, bits: int):
+    """``pow_int`` for an integer ``f``, ``pow_fraction`` otherwise."""
+    with working_precision(bits):
+        if f == 0:
+            return iv.mpf(0)
+        if f.denominator == 1:
+            return log_iv(a) * int(f)
+        return log_iv(a) * iv_from_fraction(f)
+
+
+def ref_sum_values(terms, tail_upper: LogReal, bits: int):
+    """Log interval of the sum of the values of ``terms`` plus [0, tail_upper]."""
+    with working_precision(bits):
+        acc = iv.mpf(0)
+        for t in terms:
+            acc += iv.exp(log_iv(t))
+        _, tail_hi = iv_endpoints(iv.exp(log_iv(tail_upper)))
+        return iv.log(acc + iv.mpf([mp.mpf(0), tail_hi]))
+
+
+def ref_partial_sums(terms, bits: int) -> list:
+    """Log intervals of the running sums of the values of ``terms``."""
+    with working_precision(bits):
+        acc, sums = iv.mpf(0), []
+        for t in terms:
+            acc += iv.exp(log_iv(t))
+            sums.append(iv.log(acc))
+        return sums
+
+
+def ref_log_factorial(n: int, bits: int):
+    """Per-integer log accumulation up to the seam, log-gamma above it."""
+    with working_precision(bits):
+        if n > 20000:
+            return iv.loggamma(iv.mpf(n + 1))
+        acc = iv.mpf(0)
+        for m in range(1, n + 1):
+            acc = acc + iv.log(iv.mpf(m))
+        return acc
+
+
+def ref_tower_threshold(k: int, bits: int) -> int:
+    """Smallest integer above e^^k, or None when the enclosure straddles one."""
+    with working_precision(bits):
+        t = iv.exp(iv.mpf(1))
+        for _ in range(k - 1):
+            t = iv.exp(t)
+        lo, hi = iv_endpoints(t)
+        floor_lo, floor_hi = int(mp.floor(lo)), int(mp.floor(hi))
+    return floor_lo + 1 if floor_lo == floor_hi else None
+
+
+def ref_cosine_sum(terms, xi: Fraction, tail_upper: LogReal, bits: int):
+    """Value-domain interval of sum c cos(2 m xi) + [-tail_upper, tail_upper]."""
+    with working_precision(bits):
+        acc = iv.mpf(0)
+        xi_iv = iv_from_fraction(xi)
+        for c, m in terms:
+            acc = acc + iv.exp(log_iv(c)) * iv.cos(2 * iv.exp(log_iv(m)) * xi_iv)
+        _, tail_hi = iv_endpoints(iv.exp(log_iv(tail_upper)))
+        return acc + iv.mpf([-tail_hi, tail_hi])
 
 
 def mpf_to_fraction(x) -> Fraction:

@@ -14,7 +14,6 @@ import pytest
 
 from carleman.bang import BangSeries
 from carleman.errors import TailUncertifiedError
-from carleman.intervals import working_precision
 from carleman.outcomes import Outcome
 from carleman.sequences import SequenceSpec, WeightSequence, power_substitute
 from conftest import encloses_fraction, mpf_to_fraction, value_endpoints
@@ -94,12 +93,11 @@ class TestDerivativesAtZero:
         )
         tail = Fraction(2) ** (-K)
         mag = bang_constant.F_deriv_at_zero(0).magnitude
-        with working_precision(bang_constant.bits):
-            assert mag.log_lo >= 0  # F(0) > 1: the k = 0 term alone is 1
-            head_enc = LogReal.from_fraction(head)
-            upper_enc = LogReal.from_fraction(head + tail)
-            assert head_enc.log_lo <= mag.log_hi
-            assert mag.log_lo <= upper_enc.log_hi
+        assert mag.log_lo >= 0  # F(0) > 1: the k = 0 term alone is 1
+        head_enc = LogReal.from_fraction(head, bang_constant.bits)
+        upper_enc = LogReal.from_fraction(head + tail, bang_constant.bits)
+        assert head_enc.log_lo <= mag.log_hi
+        assert mag.log_lo <= upper_enc.log_hi
 
     def test_lower_bound_with_separation(self, bang_constant, bang_gevrey):
         for series in (bang_constant, bang_gevrey):
@@ -113,8 +111,7 @@ class TestDerivativesAtZero:
             F2 = bang_gevrey.F_deriv_at_zero(2 * j)
             fj = bang_gevrey.f_deriv_at_zero(j)
             scale = Fraction(factorial(j), factorial(2 * j))
-            with working_precision(bang_gevrey.bits):
-                rescaled = F2.scale_fraction(scale)
+            rescaled = F2.scale_fraction(scale)
             assert fj.sign == rescaled.sign
             assert fj.magnitude.log_lo == rescaled.magnitude.log_lo
             assert fj.magnitude.log_hi == rescaled.magnitude.log_hi
@@ -167,13 +164,14 @@ class TestMembership:
 
     def test_single_term_below_ceiling(self, bang_constant):
         # the k = n term alone respects the ceiling trivially
-        n = 5
-        with working_precision(bang_constant.bits):
-            from carleman.intervals import LogReal
+        from carleman.intervals import LogReal
 
-            term = bang_constant.deriv_term(n, n)
-            ceiling = LogReal.from_int(2).pow_int(n + 1) * bang_constant.ws.log_Mprime(n)
-            assert term.leq(ceiling) is Outcome.CONFIRMED
+        n = 5
+        term = bang_constant.deriv_term(n, n)
+        ceiling = LogReal.from_int(2, bang_constant.bits).pow_int(n + 1) * (
+            bang_constant.ws.log_Mprime(n)
+        )
+        assert term.leq(ceiling) is Outcome.CONFIRMED
 
 
 class TestSharpness:

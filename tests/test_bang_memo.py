@@ -19,6 +19,7 @@ from carleman.bang import BangSeries
 from carleman.intervals import LogReal, mpf_str, sum_values, working_precision
 from carleman.reporting import check_to_csv
 from carleman.sequences import SequenceSpec, WeightSequence, log_factorial
+from conftest import log_iv
 
 N_MAX = 24
 
@@ -38,7 +39,7 @@ def _old_mprime(ws: WeightSequence, n: int) -> LogReal:
     if n <= 1:
         return m
     with working_precision(ws.bits):
-        return LogReal.from_log_iv(log_factorial(n).log_iv() + m.log_iv())
+        return LogReal.from_mpi((log_iv(log_factorial(n, ws.bits)) + log_iv(m))._mpi_, ws.bits)
 
 
 def _old_head(ws: WeightSequence, n: int, K: int) -> LogReal:
@@ -47,9 +48,9 @@ def _old_head(ws: WeightSequence, n: int, K: int) -> LogReal:
         head = []
         for k in range(0, K + 1):
             ratio = _old_mprime(ws, k + 1) / _old_mprime(ws, k)
-            two_mk = LogReal.from_int(2) * ratio
+            two_mk = LogReal.from_int(2, ws.bits) * ratio
             head.append(_old_mprime(ws, k) * two_mk.pow_int(n - k))
-        tail = _old_mprime(ws, n) * LogReal.from_int(2).pow_int(n - K)
+        tail = _old_mprime(ws, n) * LogReal.from_int(2, ws.bits).pow_int(n - K)
         return sum_values(head, tail_upper=tail)
 
 
@@ -92,7 +93,7 @@ def test_memoized_factors_equal_fresh_ones(spec):
         assert _bits(series.ws.log_Mprime(k)) == _bits(_old_mprime(ws, k))
         with working_precision(ws.bits):
             ratio = _old_mprime(ws, k + 1) / _old_mprime(ws, k)
-            two_mk = LogReal.from_int(2) * ratio
+            two_mk = LogReal.from_int(2, ws.bits) * ratio
         assert _bits(series.ws.ratio_m(k)) == _bits(ratio)
         assert _bits(series.two_m(k)) == _bits(two_mk)
 

@@ -207,9 +207,9 @@ class TestCommands:
         assert any(n.startswith("transform-quasianalytic") for n in names)
 
     def test_seq_transform_values_share_one_dilated_sequence(self, tmp_path, monkeypatch):
-        # transform-values reads M_(pn) and the envelope's M'_(pn) from one
-        # dilated sequence, so each of the 301 base values it needs is
-        # computed once there; transform-quasianalytic builds its own
+        # transform-values and transform-quasianalytic read their dilations
+        # from the one base sequence, so each of the 302 base values they
+        # need (M_(3n) for n <= 301) is computed once
         calls = Counter()
         compute = WeightSequence._compute_log_M
 
@@ -220,7 +220,7 @@ class TestCommands:
         monkeypatch.setattr(WeightSequence, "_compute_log_M", counted)
         assert run(["seq-transform", "--spec", str(SPECS / "iterated_log2.json"), "--p", "3",
                     "--n-max", "300", "--out", str(tmp_path / "t.json")]) == 0
-        assert calls["iterated_log(k=2)"] <= 601
+        assert calls["iterated_log(k=2)"] <= 302
 
     def test_alpha(self, tmp_path):
         assert run(["alpha", "--p", "2", "--k-max", "2", "--n-max", "8",
@@ -296,10 +296,13 @@ class TestCommands:
         out = tmp_path / "r"
         assert run([command, "--spec", str(spec), "--n-max", "2",
                     "--out", str(out)]) == 2
-        (rejected,) = json.loads(next(out.glob("report-*.json")).read_text())["checks"]
-        assert rejected["name"] == "spec-rejected[iterated_log(k=4)]"
-        assert rejected["verdict"]["outcome"] == "inconclusive"
-        assert rejected["evidence"][0]["note"].startswith("PrecisionExhaustedError: ")
+        checks = json.loads(next(out.glob("report-*.json")).read_text())["checks"]
+        # seq-check guards each of its five checks on its own
+        assert len(checks) == (len(cli._SEQ_CHECKS) if command == "seq-check" else 1)
+        for rejected in checks:
+            assert rejected["name"] == "spec-rejected[iterated_log(k=4)]"
+            assert rejected["verdict"]["outcome"] == "inconclusive"
+            assert rejected["evidence"][0]["note"].startswith("PrecisionExhaustedError: ")
 
     def test_failing_check_keeps_the_checks_already_run(self, tmp_path):
         # derivation closure at n = 3 needs M_4, one past the table
@@ -310,8 +313,26 @@ class TestCommands:
                     "--out", str(out)]) == 2
         checks = json.loads(next(out.glob("report-*.json")).read_text())["checks"]
         assert [c["name"].split("[")[0] for c in checks] == [
-            "monotone", "log-convex-M", "log-convex-Mprime", "spec-rejected"]
-        assert checks[-1]["evidence"][0]["note"].startswith("IndexRangeError: ")
+            "monotone", "log-convex-M", "log-convex-Mprime", "spec-rejected", "spec-rejected"]
+        for rejected, name in zip(checks[-2:], ("derivation-closed", "quasianalytic")):
+            assert rejected["evidence"][0]["note"].startswith("IndexRangeError: ")
+            assert rejected["evidence"][0]["quantity"] == f"{name} sweeps"
+
+    def test_failing_check_does_not_drop_the_later_checks(self, tmp_path):
+        # the quasianalyticity sums at n = 2 need M_3, one past the table;
+        # monotonicity on [0, 2) still runs, and passes
+        spec = tmp_path / "t3.json"
+        spec.write_text('{"family": "table", "params": {"log_values": ["0", "1", "4"]}}')
+        out = tmp_path / "r"
+        assert run(["seq-check", "--spec", str(spec), "--checks", "quasianalytic,monotone",
+                    "--n-max", "2", "--out", str(out)]) == 2
+        rejected, monotone = json.loads(next(out.glob("report-*.json")).read_text())["checks"]
+        assert rejected["name"] == "spec-rejected[table(len=3)]"
+        assert rejected["verdict"]["outcome"] == "inconclusive"
+        assert rejected["evidence"][0]["quantity"] == "quasianalytic sweeps"
+        assert rejected["evidence"][0]["note"].startswith("IndexRangeError: ")
+        assert monotone["name"] == "monotone[table(len=3)]"
+        assert monotone["verdict"]["outcome"] == "confirmed"
 
 class TestReportAll:
     def test_small_battery_confirmed_and_deterministic(self, tmp_path):

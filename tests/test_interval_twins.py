@@ -1,0 +1,183 @@
+"""The explicit-precision interval primitives against the reference route.
+
+Each primitive of :mod:`carleman.intervals` (and the two sequence helpers
+that round) must give exactly the endpoints of the ``mpmath.iv`` route the
+package used before values carried their precision, kept in
+``tests/conftest.py`` as ``ref_*``.  Two more properties follow from
+values carrying their precision: the ambient mpmath precision changes no
+result, and concurrent callers at different precisions agree with a
+serial run.
+"""
+
+import sys
+import threading
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import iv, mp
+
+from carleman.bang import BangSeries
+from carleman.criteria import check_log_convex
+from carleman.errors import PrecisionExhaustedError
+from carleman.intervals import LogReal, bits_for_digits, partial_sums, sum_values
+from carleman.sequences import SequenceSpec, WeightSequence, log_factorial, tower_threshold
+from conftest import (
+    ref_cosine_sum,
+    ref_div,
+    ref_from_fraction,
+    ref_from_log_fraction,
+    ref_log_factorial,
+    ref_mul,
+    ref_partial_sums,
+    ref_pow,
+    ref_sum_values,
+    ref_tower_threshold,
+    same_endpoints,
+)
+
+precisions = st.sampled_from([33, 53, 96, 113, 295, 400])
+positive_fractions = st.fractions(
+    min_value=Fraction(1, 10**6), max_value=Fraction(10**6)
+).filter(lambda f: f > 0)
+log_fractions = st.fractions(min_value=-(10**4), max_value=10**4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fr=positive_fractions, n=st.integers(min_value=1, max_value=10**30), bits=precisions)
+def test_constructors_match_the_reference(fr, n, bits):
+    for value, ref in (
+        (LogReal.from_fraction(fr, bits), ref_from_fraction(fr, bits)),
+        (LogReal.from_int(n, bits), ref_from_fraction(Fraction(n), bits)),
+        (LogReal.from_log_fraction(fr - 1, bits), ref_from_log_fraction(fr - 1, bits)),
+        (LogReal.one(bits), iv.mpf(0)),
+    ):
+        assert same_endpoints(value, ref)
+        assert value.bits == bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=log_fractions, b=log_fractions, bits_a=precisions, bits_b=precisions)
+def test_mul_div_round_at_the_larger_precision(a, b, bits_a, bits_b):
+    x, y = LogReal.from_log_fraction(a, bits_a), LogReal.from_log_fraction(b, bits_b)
+    bits = max(bits_a, bits_b)
+    assert same_endpoints(x * y, ref_mul(x, y, bits)) and (x * y).bits == bits
+    assert same_endpoints(x / y, ref_div(x, y, bits)) and (x / y).bits == bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=positive_fractions, k=st.integers(min_value=-40, max_value=40),
+       f=st.fractions(min_value=-8, max_value=8, max_denominator=50), bits=precisions)
+def test_powers_match_the_reference(a, k, f, bits):
+    x = LogReal.from_fraction(a, bits)
+    assert same_endpoints(x.pow_int(k), ref_pow(x, Fraction(k), bits))
+    assert same_endpoints(x.pow_fraction(f), ref_pow(x, f, bits))
+
+
+@settings(max_examples=40, deadline=None)
+@given(terms=st.lists(positive_fractions, min_size=1, max_size=12),
+       tail=positive_fractions, bits=precisions)
+def test_sums_match_the_reference(terms, tail, bits):
+    values = [LogReal.from_fraction(t, bits) for t in terms]
+    tail_upper = LogReal.from_fraction(tail, bits)
+    assert same_endpoints(
+        sum_values(values, tail_upper=tail_upper), ref_sum_values(values, tail_upper, bits)
+    )
+    running = list(partial_sums(iter(values)))
+    assert len(running) == len(values)
+    assert all(map(same_endpoints, running, ref_partial_sums(values, bits)))
+
+
+@pytest.mark.parametrize("n", [20000, 20001])
+def test_log_factorial_matches_the_reference_on_both_sides_of_the_seam(n):
+    bits = bits_for_digits(30)
+    value = log_factorial(n, bits)
+    assert same_endpoints(value, ref_log_factorial(n, bits))
+    assert value.bits == bits
+
+
+@pytest.mark.parametrize("bits", [53, bits_for_digits(20), bits_for_digits(80)])
+def test_tower_threshold_matches_the_reference(bits):
+    for k in (1, 2, 3, 4):
+        expected = ref_tower_threshold(k, bits)
+        if expected is None:
+            with pytest.raises(PrecisionExhaustedError):
+                tower_threshold(k, bits)
+        else:
+            assert tower_threshold(k, bits) == expected
+
+
+@pytest.fixture(scope="module")
+def gevrey_series():
+    spec = SequenceSpec(family="gevrey", s=Fraction(1), precision=20)
+    return BangSeries(WeightSequence(spec), confirm_to=16)
+
+
+@settings(max_examples=20, deadline=None)
+@given(xi=st.fractions(min_value=-1, max_value=1, max_denominator=1000),
+       K=st.integers(min_value=1, max_value=12))
+def test_eval_F_cosine_sum_matches_the_reference(gevrey_series, xi, K):
+    series = gevrey_series
+    terms = [(series.term_magnitude(k), series.ws.ratio_m(k)) for k in range(K + 1)]
+    tail = LogReal.from_int(2, series.bits).pow_int(-K)
+    enc = series.eval_F(xi, K)
+    assert (enc.lo._mpf_, enc.hi._mpf_) == ref_cosine_sum(terms, xi, tail, series.bits)._mpi_
+
+
+def _arithmetic(bits: int) -> tuple:
+    """Endpoints of a mix of every LogReal operation at ``bits``."""
+    x, y = LogReal.from_fraction(Fraction(22, 7), bits), LogReal.from_int(10**40 + 1, bits)
+    values = [
+        x * y, x / y, x.pow_int(-13), y.pow_fraction(Fraction(5, 3)), x.max_with(y),
+        LogReal.from_log_fraction(Fraction(-1, 3), bits),
+        sum_values([x, y, x.pow_int(3)], tail_upper=x),
+        *partial_sums([x, y]),
+    ]
+    return tuple((v.log_lo._mpf_, v.log_hi._mpf_, v.bits) for v in values)
+
+
+@pytest.mark.parametrize("bits", [bits_for_digits(20), bits_for_digits(80)])
+def test_ambient_precision_changes_no_endpoint(bits):
+    saved = iv.prec, mp.prec
+    results = []
+    try:
+        for ambient in (53, 113, 400):
+            iv.prec = mp.prec = ambient
+            results.append(_arithmetic(bits))
+    finally:
+        iv.prec, mp.prec = saved
+    assert results[0] == results[1] == results[2]
+
+
+def _log_convex_rows(digits: int) -> list:
+    spec = SequenceSpec(family="gevrey", s=Fraction(3, 2), precision=digits)
+    report = check_log_convex(WeightSequence(spec), "Mprime", 60)
+    return [(row.lo, row.hi, row.extra, row.outcome) for row in report.rows]
+
+
+def test_threads_at_two_precisions_match_a_serial_run():
+    # two workers per precision, more than the cores, switching as often as
+    # the interpreter allows: an operation that read the global precision
+    # would round at the other workers' setting
+    digits = (20, 80, 20, 80)
+    serial = {d: _log_convex_rows(d) for d in set(digits)}
+    start = threading.Barrier(len(digits), timeout=60)
+    results: list = [None] * len(digits)
+
+    def worker(i: int) -> None:
+        start.wait()
+        results[i] = _log_convex_rows(digits[i])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(digits))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert results == [serial[d] for d in digits]

@@ -11,15 +11,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import iv, libmp, mp
+from mpmath import libmp, mp
 
 from carleman.errors import PrecisionExhaustedError
 from carleman.intervals import (
     LogReal,
     SignedEnclosure,
     bits_for_digits,
-    iv_endpoints,
-    iv_from_fraction,
     sum_values,
     working_precision,
 )
@@ -39,10 +37,9 @@ def test_one_is_exact_zero_log():
 
 
 def test_log_interval_must_be_ordered():
-    with working_precision(BITS):
-        lo, hi = iv_endpoints(iv.log(iv.mpf(3)))
+    x = LogReal.from_int(3, BITS)
     with pytest.raises(PrecisionExhaustedError):
-        LogReal(hi + 1, lo)
+        LogReal(x.log_hi + 1, x.log_lo, BITS)
 
 
 @pytest.mark.parametrize("bits", [33, 53, BITS])
@@ -58,90 +55,81 @@ def test_log_cap_is_exactly_ten_to_the_24(bits):
         mp.make_mpf(libmp.from_int(10**24 + 1)),
     )
     below = tuple(mp.make_mpf(libmp.mpf_neg(x._mpf_)) for x in above)
-    with working_precision(bits):
-        x = LogReal(neg_cap, cap)
-        assert (x.log_lo, x.log_hi) == (-(10**24), 10**24)
-        for hi, lo in zip(above, below):
-            with pytest.raises(PrecisionExhaustedError):
-                LogReal(cap, hi)
-            with pytest.raises(PrecisionExhaustedError):
-                LogReal(lo, neg_cap)
+    x = LogReal(neg_cap, cap, bits)
+    assert (x.log_lo, x.log_hi) == (-(10**24), 10**24)
+    for hi, lo in zip(above, below):
+        with pytest.raises(PrecisionExhaustedError):
+            LogReal(cap, hi, bits)
+        with pytest.raises(PrecisionExhaustedError):
+            LogReal(lo, neg_cap, bits)
 
 
 def test_from_int_encloses_exact_value():
-    with working_precision(BITS):
-        x = LogReal.from_int(1_000_003)
-        assert encloses_fraction(x, Fraction(1_000_003), BITS)
+    x = LogReal.from_int(1_000_003, BITS)
+    assert encloses_fraction(x, Fraction(1_000_003), BITS)
 
 
 @settings(max_examples=60, deadline=None)
 @given(a=positive_fractions, b=positive_fractions)
 def test_mul_div_enclose_exact_rationals(a, b):
-    with working_precision(BITS):
-        xa, xb = LogReal.from_fraction(a), LogReal.from_fraction(b)
-        assert encloses_fraction(xa * xb, a * b, BITS)
-        assert encloses_fraction(xa / xb, a / b, BITS)
+    xa, xb = LogReal.from_fraction(a, BITS), LogReal.from_fraction(b, BITS)
+    assert encloses_fraction(xa * xb, a * b, BITS)
+    assert encloses_fraction(xa / xb, a / b, BITS)
 
 
 @settings(max_examples=40, deadline=None)
 @given(a=positive_fractions, k=st.integers(min_value=-6, max_value=9))
 def test_pow_int_encloses_exact_rationals(a, k):
-    with working_precision(BITS):
-        assert encloses_fraction(LogReal.from_fraction(a).pow_int(k), a**k, BITS)
+    assert encloses_fraction(LogReal.from_fraction(a, BITS).pow_int(k), a**k, BITS)
 
 
 @settings(max_examples=40, deadline=None)
 @given(a=positive_fractions, b=positive_fractions, c=positive_fractions)
 def test_sum_values_encloses_exact_sum(a, b, c):
-    with working_precision(BITS):
-        total = sum_values([LogReal.from_fraction(f) for f in (a, b, c)])
-        assert encloses_fraction(total, a + b + c, BITS)
+    total = sum_values([LogReal.from_fraction(f, BITS) for f in (a, b, c)])
+    assert encloses_fraction(total, a + b + c, BITS)
 
 
 def test_sum_values_tail_interval_is_one_sided():
     # the tail only ever extends the upper endpoint
-    with working_precision(BITS):
-        base = sum_values([LogReal.from_int(2), LogReal.from_int(3)])
-        padded = sum_values(
-            [LogReal.from_int(2), LogReal.from_int(3)],
-            tail_upper=LogReal.from_fraction(Fraction(1, 7)),
-        )
-        assert padded.log_lo == base.log_lo
-        assert encloses_fraction(padded, Fraction(5), BITS)
-        assert encloses_fraction(padded, Fraction(5) + Fraction(1, 7), BITS)
+    base = sum_values([LogReal.from_int(2, BITS), LogReal.from_int(3, BITS)])
+    padded = sum_values(
+        [LogReal.from_int(2, BITS), LogReal.from_int(3, BITS)],
+        tail_upper=LogReal.from_fraction(Fraction(1, 7), BITS),
+    )
+    assert padded.log_lo == base.log_lo
+    assert encloses_fraction(padded, Fraction(5), BITS)
+    assert encloses_fraction(padded, Fraction(5) + Fraction(1, 7), BITS)
 
 
 def test_pow_fraction_matches_integer_root():
     # (x^(1/2))^2 must still enclose x
-    with working_precision(BITS):
-        x = LogReal.from_int(7)
-        root = x.pow_fraction(Fraction(1, 2))
-        assert encloses_fraction(root.pow_int(2), Fraction(7), BITS)
+    x = LogReal.from_int(7, BITS)
+    root = x.pow_fraction(Fraction(1, 2))
+    assert encloses_fraction(root.pow_int(2), Fraction(7), BITS)
 
 
 def test_comparison_discipline():
-    with working_precision(BITS):
-        two, three = LogReal.from_int(2), LogReal.from_int(3)
-        assert two.leq(three) is Outcome.CONFIRMED
-        assert three.leq(two) is Outcome.REFUTED
-        assert two.leq(two) in (Outcome.CONFIRMED, Outcome.INCONCLUSIVE)
-        # equal exact values confirm: 1 <= 1 via zero-radius logs
-        assert LogReal.one().leq(LogReal.one()) is Outcome.CONFIRMED
+    two, three = LogReal.from_int(2, BITS), LogReal.from_int(3, BITS)
+    assert two.leq(three) is Outcome.CONFIRMED
+    assert three.leq(two) is Outcome.REFUTED
+    assert two.leq(two) in (Outcome.CONFIRMED, Outcome.INCONCLUSIVE)
+    # equal exact values confirm: 1 <= 1 via zero-radius logs
+    assert LogReal.one(BITS).leq(LogReal.one(BITS)) is Outcome.CONFIRMED
 
 
 def test_max_with_running_sup():
-    with working_precision(BITS):
-        a, b = LogReal.from_int(2), LogReal.from_int(5)
-        sup = a.max_with(b)
-        assert encloses_fraction(sup, Fraction(5), BITS)
+    a, b = LogReal.from_int(2, BITS), LogReal.from_int(5, BITS)
+    sup = a.max_with(b)
+    assert encloses_fraction(sup, Fraction(5), BITS)
 
 
 def test_precision_changes_do_not_change_cached_values():
-    with working_precision(BITS):
-        x = LogReal.from_int(17)
+    x = LogReal.from_int(17, BITS)
     with working_precision(bits_for_digits(15)):
         y = x.pow_int(1)
-    # reusing the endpoints at lower precision must still enclose
+    # the ambient precision is never read: the endpoints stay those of x
+    assert (y.log_lo, y.log_hi, y.bits) == (x.log_lo, x.log_hi, BITS)
     assert encloses_fraction(y, Fraction(17), BITS)
 
 
@@ -157,27 +145,26 @@ class TestSignedEnclosure:
             SignedEnclosure(2, LogReal.one())
 
     def test_value_endpoints_sign(self):
-        with working_precision(BITS):
-            pos = SignedEnclosure(1, LogReal.from_int(2))
-            neg = SignedEnclosure(-1, LogReal.from_int(2))
-            plo, phi = value_endpoints(pos, BITS)
-            nlo, nhi = value_endpoints(neg, BITS)
-            assert plo > 0 and nhi < 0
-            assert plo == -nhi and phi == -nlo
+        pos = SignedEnclosure(1, LogReal.from_int(2, BITS))
+        neg = SignedEnclosure(-1, LogReal.from_int(2, BITS))
+        plo, phi = value_endpoints(pos, BITS)
+        nlo, nhi = value_endpoints(neg, BITS)
+        assert plo > 0 and nhi < 0
+        # compared as exact rationals: negating an mpf rounds at the ambient precision
+        assert mpf_to_fraction(plo) == -mpf_to_fraction(nhi)
+        assert mpf_to_fraction(phi) == -mpf_to_fraction(nlo)
 
     def test_scale_fraction_flips_sign(self):
-        with working_precision(BITS):
-            pos = SignedEnclosure(1, LogReal.from_int(3))
-            scaled = pos.scale_fraction(Fraction(-1, 2))
-            assert scaled.sign == -1
-            assert encloses_fraction(scaled.magnitude, Fraction(3, 2), BITS)
-            assert pos.scale_fraction(Fraction(0)).sign == 0
+        pos = SignedEnclosure(1, LogReal.from_int(3, BITS))
+        scaled = pos.scale_fraction(Fraction(-1, 2))
+        assert scaled.sign == -1
+        assert encloses_fraction(scaled.magnitude, Fraction(3, 2), BITS)
+        assert pos.scale_fraction(Fraction(0)).sign == 0
 
 
-def test_iv_from_fraction_outward():
-    with working_precision(BITS):
-        x = iv_from_fraction(Fraction(1, 3))
-        lo, hi = iv_endpoints(x)
+def test_from_log_fraction_outward():
+    x = LogReal.from_log_fraction(Fraction(1, 3), BITS)
+    lo, hi = x.log_lo, x.log_hi
     assert lo < hi  # 1/3 is not binary-representable: genuine interval
     # exact dyadic comparison against the true value
     assert mpf_to_fraction(lo) < Fraction(1, 3) < mpf_to_fraction(hi)

@@ -3,7 +3,7 @@ confirmation discipline on overlapping enclosures."""
 
 import pytest
 
-from carleman.intervals import LogReal, bits_for_digits, working_precision
+from carleman.intervals import LogReal, bits_for_digits
 from carleman.outcomes import (
     EvidenceRow,
     Outcome,
@@ -90,10 +90,9 @@ class TestOverlapDiscipline:
     def test_identical_inexact_enclosures_are_inconclusive(self):
         # equal but nonzero-width intervals cannot confirm <=: the discipline
         # demands genuine separation
-        with working_precision(bits_for_digits(40)):
-            two = LogReal.from_int(2)
-            assert two.log_lo < two.log_hi
-            assert two.leq(two) is Outcome.INCONCLUSIVE
+        two = LogReal.from_int(2, bits_for_digits(40))
+        assert two.log_lo < two.log_hi
+        assert two.leq(two) is Outcome.INCONCLUSIVE
 
     def test_exact_equality_confirms(self):
         one = LogReal.one()

@@ -1,9 +1,11 @@
-"""Which package functions read mpmath's process-global precision.
+"""Which package functions read or set mpmath's process-global precision.
 
 A result must not depend on process-global mpmath state, so no new code may
-read ``iv.prec`` or ``mp.prec`` (or their ``dps`` views).  The three
-functions below still do; each is removed from :data:`READERS` when it takes
-its precision as an argument instead, so the set only shrinks.
+read ``iv.prec`` or ``mp.prec`` (or their ``dps`` views), and no new code
+may enter ``working_precision``, which sets them.  Interval values carry
+their own precision; the one function that still needs the global setting
+is the memo fill, which runs the family ``log_M`` bodies written against
+``mpmath.iv``.  Both sets below only shrink.
 """
 
 import ast
@@ -12,19 +14,19 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "carleman"
 
 #: module.qualname of every function that still reads the global precision
-READERS = {
-    "intervals.working_precision",
-    "sequences.log_factorial",
-    "sequences.tower_threshold",
-}
+READERS = {"intervals.working_precision"}
+
+#: module.qualname of every function that still calls ``working_precision``
+CALLERS = {"sequences._memoized"}
 
 
-class _Readers(ast.NodeVisitor):
-    """Collect the enclosing scope of every load of ``iv``/``mp`` ``.prec``
-    or ``.dps``; a read at module level is reported as the module itself."""
+class _Scopes(ast.NodeVisitor):
+    """Collect the enclosing scope (module.qualname) of every node that
+    ``wanted`` accepts; a node at module level is reported as the module."""
 
-    def __init__(self, module: str):
+    def __init__(self, module: str, wanted):
         self.scope = [module]
+        self.wanted = wanted
         self.found: set[str] = set()
 
     def _enter(self, node):
@@ -34,22 +36,42 @@ class _Readers(ast.NodeVisitor):
 
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _enter
 
-    def visit_Attribute(self, node):
-        if (
-            isinstance(node.ctx, ast.Load)
-            and node.attr in ("prec", "dps")
-            and isinstance(node.value, ast.Name)
-            and node.value.id in ("iv", "mp")
-        ):
+    def generic_visit(self, node):
+        if self.wanted(node):
             self.found.add(".".join(self.scope))
-        self.generic_visit(node)
+        super().generic_visit(node)
+
+
+def _reads_global_precision(node) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and node.attr in ("prec", "dps")
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("iv", "mp")
+    )
+
+
+def _calls_working_precision(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name == "working_precision"
+
+
+def _scopes(wanted) -> set[str]:
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        visitor = _Scopes(path.stem, wanted)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found |= visitor.found
+    return found
 
 
 def test_only_the_listed_functions_read_global_precision():
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        visitor = _Readers(path.stem)
-        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
-        found |= visitor.found
-    assert found == READERS
+    assert _scopes(_reads_global_precision) == READERS
 
+
+def test_only_the_listed_functions_call_working_precision():
+    assert _scopes(_calls_working_precision) == CALLERS

@@ -10,7 +10,7 @@ import pytest
 from mpmath import iv
 
 from carleman.errors import IndexRangeError, PrecisionExhaustedError, SpecFormatError
-from carleman.intervals import LogReal, iv_endpoints, iv_from_fraction, working_precision
+from carleman.intervals import LogReal, working_precision
 from carleman.sequences import (
     DEFAULT_MAX_INDEX,
     SequenceSpec,
@@ -22,7 +22,13 @@ from carleman.sequences import (
     spec_from_dict,
     tower_threshold,
 )
-from conftest import FALSY_PARAMS_DOCUMENTS, UNKNOWN_KEY_DOCUMENTS, encloses_fraction
+from conftest import (
+    FALSY_PARAMS_DOCUMENTS,
+    UNKNOWN_KEY_DOCUMENTS,
+    encloses_fraction,
+    iv_endpoints,
+    iv_from_fraction,
+)
 
 
 def encloses_log_fraction(value: LogReal, fr: Fraction, bits: int) -> bool:
@@ -70,33 +76,29 @@ class TestGevrey:
     def test_rational_exponent_via_power(self):
         # gevrey(1/2): M_n^2 = n! exactly
         ws = WeightSequence(SequenceSpec(family="gevrey", s=Fraction(1, 2)))
-        with working_precision(ws.bits):
-            for n in range(0, 31):
-                squared = ws.log_M(n).pow_int(2)
-                assert encloses_fraction(squared, Fraction(factorial(n)), ws.bits)
+        for n in range(0, 31):
+            squared = ws.log_M(n).pow_int(2)
+            assert encloses_fraction(squared, Fraction(factorial(n)), ws.bits)
 
     def test_gevrey_3_halves(self):
         ws = WeightSequence(SequenceSpec(family="gevrey", s=Fraction(3, 2)))
-        with working_precision(ws.bits):
-            for n in (2, 7, 19):
-                assert encloses_fraction(
-                    ws.log_M(n).pow_int(2), Fraction(factorial(n)) ** 3, ws.bits
-                )
+        for n in (2, 7, 19):
+            assert encloses_fraction(
+                ws.log_M(n).pow_int(2), Fraction(factorial(n)) ** 3, ws.bits
+            )
 
 
 class TestIteratedLog:
     def test_thresholds(self):
         spec = SequenceSpec(family="iterated_log", k=1)
-        with working_precision(spec.bits):
-            assert tower_threshold(1) == 3
-            assert tower_threshold(2) == 16
-            assert tower_threshold(3) == 3814280
+        assert tower_threshold(1, spec.bits) == 3
+        assert tower_threshold(2, spec.bits) == 16
+        assert tower_threshold(3, spec.bits) == 3814280
 
     def test_threshold_isolation_failure(self):
         spec = SequenceSpec(family="iterated_log", k=1)
-        with working_precision(spec.bits):
-            with pytest.raises(PrecisionExhaustedError):
-                tower_threshold(4)
+        with pytest.raises(PrecisionExhaustedError):
+            tower_threshold(4, spec.bits)
 
     def test_normalization(self):
         for k in (1, 2):
@@ -237,19 +239,19 @@ class TestIndexRange:
 class TestLogFactorial:
     def test_small_values_exact_route(self):
         spec = SequenceSpec(family="constant")
-        with working_precision(spec.bits):
-            for n in (0, 1, 2, 10, 100):
-                assert encloses_fraction(log_factorial(n), Fraction(factorial(n)), spec.bits)
+        for n in (0, 1, 2, 10, 100):
+            assert encloses_fraction(
+                log_factorial(n, spec.bits), Fraction(factorial(n)), spec.bits
+            )
 
     def test_seam_consistency(self):
         # incremental route just below the switchover, log-gamma just above:
         # both must enclose the exact factorial
         spec = SequenceSpec(family="constant", precision=30)
-        with working_precision(spec.bits):
-            for n in (20000, 20001):
-                assert encloses_fraction(
-                    log_factorial(n), Fraction(factorial(n)), spec.bits
-                )
+        for n in (20000, 20001):
+            assert encloses_fraction(
+                log_factorial(n, spec.bits), Fraction(factorial(n)), spec.bits
+            )
 
     def test_large_index_via_loggamma(self):
         spec = SequenceSpec(family="gevrey", s=Fraction(1))

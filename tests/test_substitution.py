@@ -9,7 +9,7 @@ import pytest
 
 from carleman.coefficients import E_LO, diagonal_derivative_bound_coeff
 from carleman.outcomes import Outcome, Reason
-from carleman.sequences import SequenceSpec
+from carleman.sequences import SequenceSpec, WeightSequence
 from carleman.substitution import (
     TheoremInstance,
     coeff_level_certificate,
@@ -146,12 +146,12 @@ class TestTransformReport:
             (p8, 2, "divergent"),
         ]
         for spec, p, word in cases:
-            report = transform_report(spec, p, 80)
+            report = transform_report(WeightSequence(spec), p, 80)
             assert report.verdict.outcome is Outcome.CONFIRMED
             assert word in report.claim
 
     def test_identity_transform_matches_base(self, constant_spec):
-        base = transform_report(constant_spec, 1, 40)
+        base = transform_report(WeightSequence(constant_spec), 1, 40)
         assert "divergent" in base.claim
         assert base.verdict.outcome is Outcome.CONFIRMED
 
@@ -159,11 +159,11 @@ class TestTransformReport:
         spec = SequenceSpec(
             family="table", log_values=tuple(str(i) for i in range(30))
         )
-        report = transform_report(spec, 2, 10)
+        report = transform_report(WeightSequence(spec), 2, 10)
         assert report.verdict.outcome is Outcome.INCONCLUSIVE
 
     def test_p_validation(self, constant_spec):
         from carleman.errors import SpecFormatError
 
         with pytest.raises(SpecFormatError):
-            transform_report(constant_spec, 0, 10)
+            transform_report(WeightSequence(constant_spec), 0, 10)
