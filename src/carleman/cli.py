@@ -53,7 +53,13 @@ from .outcomes import (
     aggregate_rows,
 )
 from .reporting import CheckResult, RunReport, check_to_csv, write_once, write_report
-from .sequences import SequenceSpec, WeightSequence, load_spec
+from .sequences import (
+    DEFAULT_MAX_INDEX,
+    MAX_PRECISION,
+    SequenceSpec,
+    WeightSequence,
+    load_spec,
+)
 from .substitution import (
     TheoremInstance,
     coeff_level_certificate,
@@ -100,20 +106,25 @@ _SEQ_CHECKS = {
 }
 
 
-def _int_at_least(minimum: int):
-    """argparse type: an integer >= ``minimum``; anything else is a usage
-    error (exit 3)."""
+#: the largest value of a count flag other than --n-max and --precision
+MAX_DEPTH = 1000
+
+
+def _int_in(minimum: int, maximum: int = MAX_DEPTH):
+    """argparse type: an integer from ``minimum`` to ``maximum``; anything
+    else is a usage error (exit 3)."""
 
     def integer(text: str) -> int:
         value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}")
+        if not minimum <= value <= maximum:
+            raise argparse.ArgumentTypeError(f"must be from {minimum} to {maximum}")
         return value
 
     return integer
 
 
-_COUNT = _int_at_least(1)
+_COUNT = _int_in(1)
+_N_MAX = _int_in(1, DEFAULT_MAX_INDEX)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,10 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, n_max_default: int | None = None) -> None:
         p.add_argument("--out", default=None, help="output file or directory")
         p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--precision", type=_COUNT, default=None,
-                       help="override working precision (decimal digits)")
+        p.add_argument("--precision", type=_int_in(1, MAX_PRECISION), default=None,
+                       help=f"override working precision (decimal digits, at most {MAX_PRECISION})")
         if n_max_default is not None:
-            p.add_argument("--n-max", type=_COUNT, default=n_max_default)
+            p.add_argument("--n-max", type=_N_MAX, default=n_max_default)
 
     p = sub.add_parser("seq-show", help="tabulate M_n, M'_n and the primed ratios")
     p.add_argument("--spec", required=True)
@@ -159,12 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, n_max_default=30)
 
     p = sub.add_parser("alpha", help="root-substitution series bounds")
-    p.add_argument("--p", type=_int_at_least(2), default=2)
+    p.add_argument("--p", type=_int_in(2), default=2)
     p.add_argument("--k-max", type=_COUNT, default=5)
     common(p, n_max_default=40)
 
     p = sub.add_parser("ineq62", help="elementary factorial inequality sweep")
-    p.add_argument("--p", type=_int_at_least(2), default=2)
+    p.add_argument("--p", type=_int_in(2), default=2)
     common(p, n_max_default=20)
 
     p = sub.add_parser("bang", help="extremal cosine series: derivative bounds at 0")
@@ -182,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("thm61", help="power-substitution bound: coefficient level "
                                      "and assembled final bound")
     p.add_argument("--spec", required=True)
-    p.add_argument("--p", type=_int_at_least(2), default=2)
+    p.add_argument("--p", type=_int_in(2), default=2)
     p.add_argument("--A", default="1", help="class radius of the hypothesis bound")
     p.add_argument("--assembly-n-max", type=_COUNT, default=10)
     p.add_argument("--exact-alpha-cap", type=_COUNT, default=10)
@@ -192,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", action="append", default=[],
                    help="additional sequence spec documents to check (repeatable)")
     common(p, n_max_default=None)
-    p.add_argument("--n-max", type=_COUNT, default=None,
+    p.add_argument("--n-max", type=_N_MAX, default=None,
                    help="scale every battery sweep down to at most this depth")
 
     return parser
@@ -454,7 +465,7 @@ def cmd_thm61(args) -> RunReport:
 
     def checks(run):
         inst = TheoremInstance(spec=spec, p=args.p, A=A, n_max=args.n_max)
-        result = _timed(run, coeff_level_check, inst)
+        result = _timed(run, coeff_level_check, inst, WeightSequence(spec))
         result.certificate = coeff_level_certificate(inst).as_dict()
         asm = TheoremInstance(spec=spec, p=args.p, A=A, n_max=args.assembly_n_max)
         _timed(run, final_bound_assembly, asm, args.exact_alpha_cap)
@@ -539,7 +550,7 @@ def run_battery(
         for p in (2, 3, 5):
             for A in (Fraction(1), Fraction(3)):
                 inst = TheoremInstance(spec=spec, p=p, A=A, n_max=d(12))
-                _timed(run, coeff_level_check, inst)
+                _timed(run, coeff_level_check, inst, ws[spec.label()])
     asm = TheoremInstance(spec=gevrey1, p=2, A=Fraction(1), n_max=d(8))
     _timed(run, final_bound_assembly, asm, 8)
 

@@ -25,7 +25,7 @@ from .outcomes import (
     Verdict,
     aggregate_rows,
 )
-from .sequences import FAMILIES, SequenceSpec, WeightSequence
+from .sequences import FAMILIES, SequenceSpec, WeightSequence, log_int
 
 
 def _row(index, quantity, value: LogReal, outcome=None, note="", extra=()) -> EvidenceRow:
@@ -128,7 +128,7 @@ def _quasianalyticity(ws: WeightSequence, n_max: int) -> tuple[list[LogReal], st
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     sums = list(partial_sums(
-        ws.log_M(n) / LogReal.from_int(n + 1, ws.bits) / ws.log_M(n + 1)
+        ws.log_M(n) / log_int(n + 1, ws.bits) / ws.log_M(n + 1)
         for n in range(1, n_max + 1)
     ))
     rule = quasianalyticity_rule(ws.spec)

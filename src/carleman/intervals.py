@@ -3,11 +3,12 @@
 Weight-sequence magnitudes overflow any fixed-width float long before the
 index ranges of interest, so every inexact quantity in this package is a
 :class:`LogReal`: an interval ``[exp(lo), exp(hi)]`` whose endpoints are
-arbitrary-precision floats of the *logarithm*, together with the binary
-precision it was computed at.  Every operation rounds outward at the larger
-precision of its operands, on raw endpoint tuples through mpmath's
-``libmpi``, so results are genuine enclosures (the true value always lies
-inside) and never depend on mpmath's process-global precision.
+arbitrary-precision floats of the *logarithm*, held as raw ``libmp`` tuples,
+together with the binary precision it was computed at.  Every operation
+rounds outward at the larger precision of its operands through mpmath's
+``libmpi``, and every endpoint comparison goes through ``libmp``, so results
+are genuine enclosures (the true value always lies inside) and never depend
+on mpmath's process-global precision.
 
 Multiplication, division, and powers are exact linear operations on the log
 interval; sums of values re-enter the linear domain through exp / log round
@@ -22,11 +23,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import iv, libmp, mp
+from mpmath import iv, mp
 from mpmath.libmp import (
     from_int,
     fzero,
     mpf_exp,
+    mpf_gt,
+    mpf_le,
+    mpf_lt,
     mpf_neg,
     mpi_add,
     mpi_cos,
@@ -37,6 +41,7 @@ from mpmath.libmp import (
     mpi_sub,
     round_ceiling,
     round_floor,
+    to_str,
 )
 
 from .errors import PrecisionExhaustedError
@@ -46,10 +51,12 @@ DEFAULT_DIGITS = 80
 _GUARD_BITS = 30
 _BITS_PER_DIGIT = 3.3219280948873626
 #: log values outside [-cap, cap] are treated as exponent-range overflow.
-#: Both bounds are exact mpfs (10^24 needs 56 bits), compared without abs()
-#: or negation, which would round at the active precision.
-_LOG_CAP = mp.make_mpf(libmp.from_int(10**24))
-_NEG_LOG_CAP = mp.make_mpf(libmp.from_int(-(10**24)))
+#: Both bounds are exact raw mpfs (10^24 needs 56 bits).
+_LOG_CAP = from_int(10**24)
+_NEG_LOG_CAP = from_int(-(10**24))
+#: a nonzero finite raw mpf (sign, man, exp, bc) with exp + bc <= this has
+#: |x| < 2^79 < 10^24, so it is inside the cap without a comparison
+_CAP_FREE_TOP_BIT = 79
 
 _prec_lock = threading.RLock()
 
@@ -96,27 +103,42 @@ def _fraction_mpi(fr: Fraction, bits: int):
 
 
 def mpf_str(x) -> str:
-    """Deterministic decimal rendering of an mpf endpoint (24 digits)."""
-    return mp.nstr(x, 24)
+    """Deterministic decimal rendering of a raw mpf endpoint (24 digits),
+    the digits ``mp.nstr`` gives for the same value."""
+    return to_str(x, 24)
+
+
+def _inside_cap(x) -> bool:
+    """True when the raw mpf ``x`` is 0 or finite with |x| < 2^79, read off
+    its exponent; False says nothing (infinities and nan have mantissa 0)."""
+    return x[2] + x[3] <= _CAP_FREE_TOP_BIT if x[1] else x == fzero
+
+
+def _beyond_cap(log_lo, log_hi) -> bool:
+    """``log_lo < -10^24 or log_hi > 10^24``, exactly, for raw mpfs."""
+    return (not _inside_cap(log_lo) and mpf_lt(log_lo, _NEG_LOG_CAP)) or (
+        not _inside_cap(log_hi) and mpf_gt(log_hi, _LOG_CAP)
+    )
 
 
 class LogReal:
     """Enclosure of a positive real, as an interval around its natural log.
 
-    The represented set is ``[exp(log_lo), exp(log_hi)]``, computed at
-    ``bits`` of binary precision.  Construction and arithmetic guarantee the
-    interval is well ordered and finite; violations raise
-    :class:`PrecisionExhaustedError` rather than wrapping silently.
+    The represented set is ``[exp(log_lo), exp(log_hi)]``, with the log
+    endpoints as raw ``libmp`` tuples computed at ``bits`` of binary
+    precision.  Construction and arithmetic guarantee the interval is well
+    ordered and finite; violations raise :class:`PrecisionExhaustedError`
+    rather than wrapping silently.
     """
 
     __slots__ = ("log_lo", "log_hi", "bits")
 
     def __init__(self, log_lo, log_hi, bits: int):
-        if not (log_lo <= log_hi):
+        if not mpf_le(log_lo, log_hi):
             raise PrecisionExhaustedError(
-                f"invalid log interval [{log_lo}, {log_hi}]"
+                f"invalid log interval [{mpf_str(log_lo)}, {mpf_str(log_hi)}]"
             )
-        if log_lo < _NEG_LOG_CAP or log_hi > _LOG_CAP:
+        if _beyond_cap(log_lo, log_hi):
             raise PrecisionExhaustedError(
                 "log magnitude exceeds the supported exponent range"
             )
@@ -130,7 +152,7 @@ class LogReal:
     def from_mpi(cls, log_mpi, bits: int) -> "LogReal":
         """From raw ``libmp`` endpoints ``(lo, hi)`` of the log, made at ``bits``."""
         lo, hi = log_mpi
-        return cls(mp.make_mpf(lo), mp.make_mpf(hi), bits)
+        return cls(lo, hi, bits)
 
     @classmethod
     def one(cls, bits: int = DEFAULT_BITS) -> "LogReal":
@@ -154,7 +176,7 @@ class LogReal:
 
     def _mpi(self):
         """The raw ``libmp`` endpoints ``(lo, hi)`` of the log."""
-        return self.log_lo._mpf_, self.log_hi._mpf_
+        return self.log_lo, self.log_hi
 
     # -- arithmetic (exact in the log domain up to outward rounding) --------
     # each result is rounded at the larger precision of its operands
@@ -176,16 +198,17 @@ class LogReal:
 
     def max_with(self, other: "LogReal") -> "LogReal":
         """Enclosure of max(x, y): used for running suprema."""
-        return LogReal(max(self.log_lo, other.log_lo), max(self.log_hi, other.log_hi),
-                       max(self.bits, other.bits))
+        lo = other.log_lo if mpf_lt(self.log_lo, other.log_lo) else self.log_lo
+        hi = other.log_hi if mpf_lt(self.log_hi, other.log_hi) else self.log_hi
+        return LogReal(lo, hi, max(self.bits, other.bits))
 
     # -- comparisons (the confirmation discipline) ---------------------------
 
     def leq(self, other: "LogReal") -> Outcome:
         """Three-valued ``self <= other``."""
-        if self.log_hi <= other.log_lo:
+        if mpf_le(self.log_hi, other.log_lo):
             return Outcome.CONFIRMED
-        if self.log_lo > other.log_hi:
+        if mpf_gt(self.log_lo, other.log_hi):
             return Outcome.REFUTED
         return Outcome.INCONCLUSIVE
 
@@ -209,7 +232,7 @@ def sum_values(terms: Sequence[LogReal], tail_upper: LogReal | None = None) -> L
     for t in terms:
         acc = mpi_add(acc, mpi_exp(t._mpi(), bits), bits)
     if tail_upper is not None:
-        acc = mpi_add(acc, (fzero, mpf_exp(tail_upper.log_hi._mpf_, bits, round_ceiling)), bits)
+        acc = mpi_add(acc, (fzero, mpf_exp(tail_upper.log_hi, bits, round_ceiling)), bits)
     return LogReal.from_mpi(mpi_log(acc, bits), bits)
 
 
@@ -235,9 +258,8 @@ def cosine_sum(terms: Sequence[tuple[LogReal, LogReal]], xi: Fraction,
     for c, m in terms:
         angle = mpi_mul(mpi_mul(two, mpi_exp(m._mpi(), bits), bits), xi_mpi, bits)
         acc = mpi_add(acc, mpi_mul(mpi_exp(c._mpi(), bits), mpi_cos(angle, bits), bits), bits)
-    tail_hi = mpf_exp(tail_upper.log_hi._mpf_, bits, round_ceiling)
-    lo, hi = mpi_add(acc, (mpf_neg(tail_hi), tail_hi), bits)
-    return LinearEnclosure(mp.make_mpf(lo), mp.make_mpf(hi))
+    tail_hi = mpf_exp(tail_upper.log_hi, bits, round_ceiling)
+    return LinearEnclosure(*mpi_add(acc, (mpf_neg(tail_hi), tail_hi), bits))
 
 
 @dataclass(frozen=True)
@@ -273,12 +295,15 @@ class SignedEnclosure:
 
 @dataclass(frozen=True)
 class LinearEnclosure:
-    """Plain linear-domain interval, for quantities that may cross zero
-    (partial sums of a cosine series, plot samples)."""
+    """Plain linear-domain interval with raw ``libmp`` endpoints, for
+    quantities that may cross zero (partial sums of a cosine series, plot
+    samples)."""
 
-    lo: object
-    hi: object
+    lo: tuple
+    hi: tuple
 
     def __post_init__(self) -> None:
-        if not (self.lo <= self.hi):
-            raise PrecisionExhaustedError(f"invalid interval [{self.lo}, {self.hi}]")
+        if not mpf_le(self.lo, self.hi):
+            raise PrecisionExhaustedError(
+                f"invalid interval [{mpf_str(self.lo)}, {mpf_str(self.hi)}]"
+            )

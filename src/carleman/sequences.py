@@ -29,6 +29,10 @@ from .intervals import LogReal, bits_for_digits, working_precision
 
 DEFAULT_MAX_INDEX = 10**6
 
+#: the largest working precision a spec or ``--precision`` may ask for, in
+#: significant decimal digits
+MAX_PRECISION = 1000
+
 SPEC_FORMAT_VERSION = 1
 
 #: boundary between the incremental exact-accumulation path for log n! and
@@ -37,24 +41,48 @@ SPEC_FORMAT_VERSION = 1
 _LOGFACT_INCREMENTAL_MAX = 20000
 
 _logfact_lock = threading.RLock()
-_logfact_cache: dict[int, list[LogReal]] = {}
+#: bits -> (log k! for k = 0, 1, ..., log k for the same k, None at k = 0)
+_logfact_cache: dict[int, tuple[list[LogReal], list[LogReal | None]]] = {}
+
+
+def _logfact_table(n: int, bits: int) -> tuple[list[LogReal], list[LogReal | None]]:
+    """The cached log k! and log k at ``bits``, filled up to k = n; call it
+    under ``_logfact_lock``."""
+    table = _logfact_cache.get(bits)
+    if table is None:
+        table = _logfact_cache[bits] = ([LogReal.one(bits)], [None])
+    facts, logs = table
+    while len(facts) <= n:
+        logs.append(LogReal.from_int(len(facts), bits))
+        facts.append(facts[-1] * logs[-1])
+    return table
 
 
 def log_factorial(n: int, bits: int) -> LogReal:
     """Enclosure of log(n!) at ``bits``.
 
     Small n accumulate exact per-integer logs (one outward-rounded log per
-    step, cached per precision); large n go through the interval log-gamma.
+    step, cached per precision together with the step's log k, which
+    :func:`log_int` shares); large n go through the interval log-gamma.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > _LOGFACT_INCREMENTAL_MAX:
         return LogReal.from_mpi(mpi_loggamma((from_int(n + 1),) * 2, bits), bits)
     with _logfact_lock:
-        cache = _logfact_cache.setdefault(bits, [LogReal.one(bits)])
-        while len(cache) <= n:
-            cache.append(cache[-1] * LogReal.from_int(len(cache), bits))
-        return cache[n]
+        return _logfact_table(n, bits)[0][n]
+
+
+def log_int(n: int, bits: int) -> LogReal:
+    """Enclosure of log n at ``bits``, bit for bit ``LogReal.from_int(n,
+    bits)``: the step :func:`log_factorial` multiplies by, read from its
+    cache up to the seam and computed directly above it."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > _LOGFACT_INCREMENTAL_MAX:
+        return LogReal.from_int(n, bits)
+    with _logfact_lock:
+        return _logfact_table(n, bits)[1][n]
 
 
 _tower_lock = threading.RLock()
@@ -119,8 +147,8 @@ class SequenceSpec:
 
     def __post_init__(self) -> None:
         entry = _family(self.family)
-        if not _is_int(self.precision) or self.precision < 1:
-            raise SpecFormatError("precision must be a positive integer")
+        if not _is_int(self.precision) or not 1 <= self.precision <= MAX_PRECISION:
+            raise SpecFormatError(f"precision must be an integer from 1 to {MAX_PRECISION}")
         declared = {param.name for param in entry.params} | {"family", "precision"}
         for field in fields(self):
             if field.name not in declared and getattr(self, field.name) is not None:
@@ -300,7 +328,7 @@ def _shifted_log_M(start: int, k: int, n: int, bits: int) -> LogReal:
     """log of L(start)^(-start) * L(start + n)^(start + n), L the k-fold log.
 
     Written against ``mpmath.iv``: it runs at ``bits`` because
-    :func:`_memoized` sets mpmath's precision to the sequence's ``bits``.
+    :func:`_fill` sets mpmath's precision to the sequence's ``bits``.
     """
     head, norm = iv.mpf(start + n), iv.mpf(start)
     for _ in range(k):
@@ -467,21 +495,33 @@ class WeightSequence:
     def log_M(self, n: int) -> LogReal:
         """Enclosure of M_n (log M_0 = 0 exactly, zero radius)."""
         self._check_index(n)
-        return _memoized(self._lock, self._memo, n, self.bits, lambda: self._compute_log_M(n))
+        with self._lock:
+            hit = self._memo.get(n)
+        if hit is not None:
+            return hit
+        return _fill(self._lock, self._memo, n, self.bits, lambda: self._compute_log_M(n))
 
     def log_Mprime(self, n: int) -> LogReal:
         """Enclosure of M'_n = n! * M_n, memoized like :meth:`log_M`."""
         self._check_index(n)
+        with self._lock:
+            hit = self._mprime_memo.get(n)
+        if hit is not None:
+            return hit
 
         def compute() -> LogReal:
             value = self.log_M(n)
             return value if n <= 1 else log_factorial(n, self.bits) * value
 
-        return _memoized(self._lock, self._mprime_memo, n, self.bits, compute)
+        return _fill(self._lock, self._mprime_memo, n, self.bits, compute)
 
     def ratio_m(self, k: int) -> LogReal:
         """Enclosure of the primed ratio m_k = M'_{k+1} / M'_k, memoized."""
-        return _memoized(
+        with self._lock:
+            hit = self._ratio_memo.get(k)
+        if hit is not None:
+            return hit
+        return _fill(
             self._lock, self._ratio_memo, k, self.bits,
             lambda: self.log_Mprime(k + 1) / self.log_Mprime(k),
         )
@@ -504,17 +544,21 @@ class WeightSequence:
 
 
 def _memoized(lock, memo: dict, key, bits: int, compute: Callable[[], LogReal]) -> LogReal:
-    """``memo[key]``, filled on a miss by ``compute()`` with mpmath's
-    precision set to ``bits``: the family ``log_M`` bodies written against
-    ``mpmath.iv`` run at it.
+    """``memo[key]``, filled by :func:`_fill` on a miss."""
+    with lock:
+        hit = memo.get(key)
+    return hit if hit is not None else _fill(lock, memo, key, bits, compute)
+
+
+def _fill(lock, memo: dict, key, bits: int, compute: Callable[[], LogReal]) -> LogReal:
+    """Store ``compute()`` as ``memo[key]`` unless a value is there, and
+    return the stored value.  ``compute()`` runs with mpmath's precision set
+    to ``bits``: the family ``log_M`` bodies written against ``mpmath.iv``
+    run at it.
 
     The value is computed outside ``lock`` and stored with ``setdefault``,
     so two threads racing on one key both return the first stored object.
     """
-    with lock:
-        hit = memo.get(key)
-    if hit is not None:
-        return hit
     with working_precision(bits):
         value = compute()
     with lock:

@@ -8,15 +8,43 @@ their precision: every operation went through ``mpmath.iv`` inside a
 ``working_precision`` block.  It stays here as the independent twin of the
 ``libmpi`` primitives in :mod:`carleman.intervals`; each ``ref_*`` function
 takes the precision as an argument and returns an ``iv.mpf``.
+
+The package holds every endpoint as a raw ``libmp`` tuple; :func:`as_mpf`,
+:func:`log_lo` and :func:`log_hi` are the ``mpf`` views the tests compare
+and convert.
 """
 
 from fractions import Fraction
 
 import pytest
-from mpmath import iv, mp
+from mpmath import iv, libmp, mp
 
 from carleman.intervals import LogReal, SignedEnclosure, working_precision
-from carleman.sequences import SequenceSpec, WeightSequence
+from carleman.sequences import MAX_PRECISION, SequenceSpec, WeightSequence
+
+
+def as_mpf(raw):
+    """The ``mpf`` with the raw ``libmp`` endpoint ``raw``."""
+    return mp.make_mpf(raw)
+
+
+def log_lo(x: LogReal):
+    """Lower log endpoint of ``x`` as an ``mpf``."""
+    return mp.make_mpf(x.log_lo)
+
+
+def log_hi(x: LogReal):
+    """Upper log endpoint of ``x`` as an ``mpf``."""
+    return mp.make_mpf(x.log_hi)
+
+
+def ref_rejects(lo, hi) -> bool:
+    """Whether the ``LogReal`` constructor that compared ``mpf`` objects
+    rejected the raw log endpoints ``lo``, ``hi``: disordered or NaN, or
+    outside [-10^24, 10^24] (both caps exact, never negated)."""
+    lo, hi = mp.make_mpf(lo), mp.make_mpf(hi)
+    cap, neg_cap = mp.make_mpf(libmp.from_int(10**24)), mp.make_mpf(libmp.from_int(-(10**24)))
+    return not (lo <= hi) or lo < neg_cap or hi > cap
 
 
 def encloses_fraction(value: LogReal, fr: Fraction, bits: int) -> bool:
@@ -28,7 +56,7 @@ def encloses_fraction(value: LogReal, fr: Fraction, bits: int) -> bool:
     near-miss, never a false positive).
     """
     tight = LogReal.from_fraction(fr, bits + 64)
-    return value.log_lo <= tight.log_lo and tight.log_hi <= value.log_hi
+    return log_lo(value) <= log_lo(tight) and log_hi(tight) <= log_hi(value)
 
 
 def value_endpoints(se: SignedEnclosure, bits: int):
@@ -48,12 +76,12 @@ def iv_endpoints(x):
 
 def log_iv(x: LogReal):
     """The log interval of ``x`` as an ``iv.mpf`` (endpoints kept exactly)."""
-    return iv.mpf([x.log_lo, x.log_hi])
+    return iv.make_mpf((x.log_lo, x.log_hi))
 
 
 def same_endpoints(x: LogReal, ref) -> bool:
     """True when ``x`` has exactly the endpoints of the ``iv.mpf`` ``ref``."""
-    return (x.log_lo._mpf_, x.log_hi._mpf_) == ref._mpi_
+    return (x.log_lo, x.log_hi) == ref._mpi_
 
 
 def iv_from_fraction(fr: Fraction):
@@ -171,6 +199,14 @@ UNKNOWN_KEY_DOCUMENTS = (
 #: "no parameters"
 FALSY_PARAMS_DOCUMENTS = tuple(
     {"family": "constant", "params": value} for value in (False, 0, "", [], None)
+)
+
+#: spec documents asking for more than the largest precision, at the top
+#: level and inside a nested base
+OVER_CAP_DOCUMENTS = (
+    {"family": "constant", "precision": MAX_PRECISION + 1},
+    {"family": "transformed",
+     "params": {"p": 2, "base": {"family": "constant", "precision": MAX_PRECISION + 1}}},
 )
 
 

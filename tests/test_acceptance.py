@@ -127,7 +127,7 @@ def test_criterion_6_substitution_coefficient_level():
             for p in (2, 3, 5):
                 for A in (Fraction(1), Fraction(3)):
                     inst = TheoremInstance(spec=spec, p=p, A=A, n_max=40)
-                    report = coeff_level_check(inst)
+                    report = coeff_level_check(inst, WeightSequence(spec))
                     assert report.verdict.outcome is Outcome.CONFIRMED, (
                         spec.family, p, A,
                     )

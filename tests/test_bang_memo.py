@@ -31,7 +31,7 @@ SPECS = {
 
 
 def _bits(x: LogReal) -> tuple:
-    return x.log_lo._mpf_, x.log_hi._mpf_
+    return x.log_lo, x.log_hi
 
 
 def _old_mprime(ws: WeightSequence, n: int) -> LogReal:

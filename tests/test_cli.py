@@ -9,8 +9,8 @@ import pytest
 from carleman import cli
 from carleman.cli import main, shipped_fixture
 from carleman.outcomes import Outcome
-from carleman.sequences import WeightSequence
-from conftest import FALSY_PARAMS_DOCUMENTS, UNKNOWN_KEY_DOCUMENTS
+from carleman.sequences import DEFAULT_MAX_INDEX, MAX_PRECISION, WeightSequence
+from conftest import FALSY_PARAMS_DOCUMENTS, OVER_CAP_DOCUMENTS, UNKNOWN_KEY_DOCUMENTS
 
 SPECS = Path(__file__).resolve().parents[1] / "src" / "carleman" / "data" / "specs"
 
@@ -63,7 +63,8 @@ class TestExitCodes:
             '"base": {"family": "constant", "version": 99}}}',
             '{"version": true, "family": "constant"}',
             '{"version": 1.0, "family": "constant"}',
-            *(json.dumps(doc) for doc in UNKNOWN_KEY_DOCUMENTS + FALSY_PARAMS_DOCUMENTS),
+            *(json.dumps(doc) for doc in
+              UNKNOWN_KEY_DOCUMENTS + FALSY_PARAMS_DOCUMENTS + OVER_CAP_DOCUMENTS),
         ):
             bad.write_text(doc)
             assert run(["seq-show", "--spec", str(bad)]) == 3
@@ -80,6 +81,29 @@ class TestExitCodes:
         assert run(["ineq62", "--p", "2", "--n-max", "0"]) == 3
         assert run(["seq-show", "--spec", gevrey_path, "--precision", "-3"]) == 3
         assert run(["ckn", "--k-max", "0"]) == 3
+
+    @pytest.mark.parametrize("flag,cap,argv", [
+        ("--n-max", DEFAULT_MAX_INDEX, ["seq-check", "--spec", str(SPECS / "gevrey1.json")]),
+        ("--n-max", DEFAULT_MAX_INDEX, ["report-all"]),
+        ("--precision", MAX_PRECISION, ["seq-show", "--spec", str(SPECS / "gevrey1.json")]),
+        ("--k-max", cli.MAX_DEPTH, ["ckn"]),
+        ("--k-max", cli.MAX_DEPTH, ["alpha"]),
+        ("--p", cli.MAX_DEPTH, ["ineq62"]),
+        ("--p", cli.MAX_DEPTH, ["seq-transform", "--spec", str(SPECS / "gevrey1.json")]),
+        ("--deriv-n-max", cli.MAX_DEPTH, ["bang", "--spec", str(SPECS / "gevrey1.json")]),
+        ("--sharpness-n-max", cli.MAX_DEPTH, ["bang", "--spec", str(SPECS / "gevrey1.json")]),
+        ("--plot-points", cli.MAX_DEPTH, ["bang", "--spec", str(SPECS / "gevrey1.json")]),
+        ("--plot-k", cli.MAX_DEPTH, ["bang", "--spec", str(SPECS / "gevrey1.json")]),
+        ("--assembly-n-max", cli.MAX_DEPTH, ["thm61", "--spec", str(SPECS / "gevrey1.json")]),
+        ("--exact-alpha-cap", cli.MAX_DEPTH, ["thm61", "--spec", str(SPECS / "gevrey1.json")]),
+    ])
+    def test_counts_above_their_cap_are_three(self, capsys, flag, cap, argv):
+        # the cap itself parses; one more is a usage error, before any work
+        assert getattr(cli.build_parser().parse_args(argv + [flag, str(cap)]),
+                       flag[2:].replace("-", "_")) == cap
+        for value in (cap + 1, 100_000_000):
+            assert run(argv + [flag, str(value)]) == 3
+            assert f"to {cap}" in capsys.readouterr().err
 
     def test_help_is_zero(self, capsys):
         assert run(["--help"]) == 0
@@ -390,6 +414,24 @@ class TestReportAll:
 
     def test_n_max_one_still_confirms(self, tmp_path):
         assert run(["report-all", "--n-max", "1", "--out", str(tmp_path / "n1")]) == 0
+
+    def test_battery_computes_each_base_value_once(self, monkeypatch):
+        # the substitution checks read M' from the battery's sequences, so
+        # every value of a shipped sequence is computed once; the only
+        # repeats are the dilated-level fills of the transform and inclusion
+        # checks, which build their own dilations of one base sequence
+        calls = Counter()
+        compute = WeightSequence._compute_log_M
+
+        def counted(ws, n):
+            calls[ws.spec.label(), n] += 1
+            return compute(ws, n)
+
+        monkeypatch.setattr(WeightSequence, "_compute_log_M", counted)
+        cli.run_battery()
+        assert sum(calls.values()) == 5216
+        assert {key: count for key, count in calls.items()
+                if count > 1 and not key[0].startswith("transformed")} == {}
 
 
 class TestCknOracleEquivalence:

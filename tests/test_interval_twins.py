@@ -18,11 +18,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv, mp
 
+from carleman import sequences
 from carleman.bang import BangSeries
 from carleman.criteria import check_log_convex
 from carleman.errors import PrecisionExhaustedError
 from carleman.intervals import LogReal, bits_for_digits, partial_sums, sum_values
-from carleman.sequences import SequenceSpec, WeightSequence, log_factorial, tower_threshold
+from carleman.sequences import (
+    SequenceSpec,
+    WeightSequence,
+    log_factorial,
+    log_int,
+    tower_threshold,
+)
 from conftest import (
     ref_cosine_sum,
     ref_div,
@@ -97,6 +104,52 @@ def test_log_factorial_matches_the_reference_on_both_sides_of_the_seam(n):
     assert value.bits == bits
 
 
+@pytest.mark.parametrize("bits", [bits_for_digits(20), bits_for_digits(80)])
+@pytest.mark.parametrize("n", [1, 20000, 20001, 20101])
+def test_log_int_is_from_int_bit_for_bit(n, bits):
+    # up to the seam log_int reads the step log_factorial multiplied by;
+    # above it, it computes the log itself
+    value, direct = log_int(n, bits), LogReal.from_int(n, bits)
+    assert (value.log_lo, value.log_hi, value.bits) == (direct.log_lo, direct.log_hi, bits)
+
+
+def test_cold_log_caches_filled_by_two_threads_match_a_serial_fill(monkeypatch):
+    # each worker alternates log k! at one precision with log k at the
+    # other, so both workers fill both precisions' tables at once
+    low, high = bits_for_digits(20), bits_for_digits(80)
+    work = [
+        [(f, k, bits) for k in range(1, 1501) for f, bits in pairs]
+        for pairs in (((log_factorial, low), (log_int, high)),
+                      ((log_int, low), (log_factorial, high)))
+    ]
+
+    def endpoints(calls) -> list:
+        return [(v.log_lo, v.log_hi, v.bits) for v in (f(k, bits) for f, k, bits in calls)]
+
+    monkeypatch.setattr(sequences, "_logfact_cache", {})
+    serial = [endpoints(calls) for calls in work]
+    monkeypatch.setattr(sequences, "_logfact_cache", {})
+    start = threading.Barrier(len(work), timeout=60)
+    results: list = [None] * len(work)
+
+    def worker(i: int) -> None:
+        start.wait()
+        results[i] = endpoints(work[i])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(work))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert results == serial
+
+
 @pytest.mark.parametrize("bits", [53, bits_for_digits(20), bits_for_digits(80)])
 def test_tower_threshold_matches_the_reference(bits):
     for k in (1, 2, 3, 4):
@@ -122,7 +175,7 @@ def test_eval_F_cosine_sum_matches_the_reference(gevrey_series, xi, K):
     terms = [(series.term_magnitude(k), series.ws.ratio_m(k)) for k in range(K + 1)]
     tail = LogReal.from_int(2, series.bits).pow_int(-K)
     enc = series.eval_F(xi, K)
-    assert (enc.lo._mpf_, enc.hi._mpf_) == ref_cosine_sum(terms, xi, tail, series.bits)._mpi_
+    assert (enc.lo, enc.hi) == ref_cosine_sum(terms, xi, tail, series.bits)._mpi_
 
 
 def _arithmetic(bits: int) -> tuple:
@@ -134,7 +187,7 @@ def _arithmetic(bits: int) -> tuple:
         sum_values([x, y, x.pow_int(3)], tail_upper=x),
         *partial_sums([x, y]),
     ]
-    return tuple((v.log_lo._mpf_, v.log_hi._mpf_, v.bits) for v in values)
+    return tuple((v.log_lo, v.log_hi, v.bits) for v in values)
 
 
 @pytest.mark.parametrize("bits", [bits_for_digits(20), bits_for_digits(80)])

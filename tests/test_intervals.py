@@ -12,17 +12,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import libmp, mp
+from mpmath.libmp import fnan, finf, fninf, fzero, mpf_cmp, mpf_neg
 
 from carleman.errors import PrecisionExhaustedError
+from carleman import intervals
 from carleman.intervals import (
     LogReal,
     SignedEnclosure,
     bits_for_digits,
+    mpf_str,
     sum_values,
     working_precision,
 )
 from carleman.outcomes import Outcome
-from conftest import encloses_fraction, mpf_to_fraction, value_endpoints
+from conftest import (
+    encloses_fraction,
+    log_hi,
+    log_lo,
+    mpf_to_fraction,
+    ref_rejects,
+    value_endpoints,
+)
 
 BITS = bits_for_digits(50)
 
@@ -33,13 +43,13 @@ positive_fractions = st.fractions(
 
 def test_one_is_exact_zero_log():
     one = LogReal.one()
-    assert one.log_lo == 0 == one.log_hi
+    assert log_lo(one) == 0 == log_hi(one)
 
 
 def test_log_interval_must_be_ordered():
     x = LogReal.from_int(3, BITS)
     with pytest.raises(PrecisionExhaustedError):
-        LogReal(x.log_hi + 1, x.log_lo, BITS)
+        LogReal((log_hi(x) + 1)._mpf_, x.log_lo, BITS)
 
 
 @pytest.mark.parametrize("bits", [33, 53, BITS])
@@ -47,21 +57,62 @@ def test_log_cap_is_exactly_ten_to_the_24(bits):
     # 10^24 = 5^24 * 2^24 needs a 56-bit mantissa: a 53-bit conversion
     # would move the cap below 10^24 and reject the boundary itself; the
     # check must not depend on the active precision either
-    cap = mp.make_mpf(libmp.from_int(10**24))
-    neg_cap = mp.make_mpf(libmp.from_int(-(10**24)))
+    cap = libmp.from_int(10**24)
+    neg_cap = libmp.from_int(-(10**24))
     # the next mpf above 10^24 at 56 bits, and the next integer above it
-    above = (
-        mp.make_mpf(libmp.from_man_exp(5**24 + 1, 24)),
-        mp.make_mpf(libmp.from_int(10**24 + 1)),
-    )
-    below = tuple(mp.make_mpf(libmp.mpf_neg(x._mpf_)) for x in above)
+    above = (libmp.from_man_exp(5**24 + 1, 24), libmp.from_int(10**24 + 1))
+    below = tuple(libmp.mpf_neg(x) for x in above)
     x = LogReal(neg_cap, cap, bits)
-    assert (x.log_lo, x.log_hi) == (-(10**24), 10**24)
+    assert (log_lo(x), log_hi(x)) == (-(10**24), 10**24)
     for hi, lo in zip(above, below):
         with pytest.raises(PrecisionExhaustedError):
             LogReal(cap, hi, bits)
         with pytest.raises(PrecisionExhaustedError):
             LogReal(lo, neg_cap, bits)
+
+
+CAP, NEG_CAP = libmp.from_int(10**24), libmp.from_int(-(10**24))
+#: the next mpf above 10^24 at 56 bits, and its negation
+ABOVE_CAP = libmp.from_man_exp(5**24 + 1, 24)
+BELOW_NEG_CAP = mpf_neg(ABOVE_CAP)
+#: finite raw mpfs of every magnitude up to 2^280, the caps and their neighbours
+finite_raw = st.one_of(
+    st.builds(
+        lambda negative, man, exp: libmp.from_man_exp(-man if negative else man, exp),
+        st.booleans(), st.integers(min_value=0, max_value=2**200),
+        st.integers(min_value=-120, max_value=80),
+    ),
+    st.sampled_from([CAP, NEG_CAP, ABOVE_CAP, BELOW_NEG_CAP, libmp.from_int(2**79),
+                     libmp.from_int(-(2**79)), libmp.from_int(2**79 - 1)]),
+)
+
+
+@pytest.mark.parametrize("bits", [33, 53, BITS])
+def test_raw_constructor_rejects_what_the_mpf_route_rejected(bits):
+    values = (fzero, libmp.from_int(3), libmp.from_int(-3), CAP, NEG_CAP, ABOVE_CAP,
+              BELOW_NEG_CAP, fnan, finf, fninf)
+    for lo in values:
+        for hi in values:
+            try:
+                LogReal(lo, hi, bits)
+                rejected = False
+            except PrecisionExhaustedError:
+                rejected = True
+            assert rejected == ref_rejects(lo, hi), (lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=finite_raw | st.sampled_from([finf, fninf]),
+       hi=finite_raw | st.sampled_from([finf, fninf]))
+def test_fast_cap_decision_equals_the_full_comparison(lo, hi):
+    # NaN never reaches the cap decision: the order check rejects it first
+    assert intervals._beyond_cap(lo, hi) == (mpf_cmp(lo, NEG_CAP) < 0 or mpf_cmp(hi, CAP) > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=finite_raw | st.sampled_from([fzero, fnan, finf, fninf]))
+def test_mpf_str_renders_raw_endpoints_as_nstr(x):
+    assert mpf_str(x) == mp.nstr(mp.make_mpf(x), 24)
 
 
 def test_from_int_encloses_exact_value():
@@ -164,7 +215,7 @@ class TestSignedEnclosure:
 
 def test_from_log_fraction_outward():
     x = LogReal.from_log_fraction(Fraction(1, 3), BITS)
-    lo, hi = x.log_lo, x.log_hi
+    lo, hi = log_lo(x), log_hi(x)
     assert lo < hi  # 1/3 is not binary-representable: genuine interval
     # exact dyadic comparison against the true value
     assert mpf_to_fraction(lo) < Fraction(1, 3) < mpf_to_fraction(hi)

@@ -13,6 +13,7 @@ from carleman.outcomes import (
     worst_outcome,
 )
 from carleman.reporting import RunReport, check_to_csv
+from conftest import log_hi, log_lo
 
 
 def _row(i, outcome=None):
@@ -91,7 +92,7 @@ class TestOverlapDiscipline:
         # equal but nonzero-width intervals cannot confirm <=: the discipline
         # demands genuine separation
         two = LogReal.from_int(2, bits_for_digits(40))
-        assert two.log_lo < two.log_hi
+        assert log_lo(two) < log_hi(two)
         assert two.leq(two) is Outcome.INCONCLUSIVE
 
     def test_exact_equality_confirms(self):

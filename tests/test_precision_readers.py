@@ -6,6 +6,9 @@ may enter ``working_precision``, which sets them.  Interval values carry
 their own precision; the one function that still needs the global setting
 is the memo fill, which runs the family ``log_M`` bodies written against
 ``mpmath.iv``.  Both sets below only shrink.
+
+The interval arithmetic itself builds and compares no ``mpf`` or ``iv``
+object at all: it works on raw ``libmp`` tuples.
 """
 
 import ast
@@ -17,7 +20,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "carleman"
 READERS = {"intervals.working_precision"}
 
 #: module.qualname of every function that still calls ``working_precision``
-CALLERS = {"sequences._memoized"}
+CALLERS = {"sequences._fill"}
+
+#: the arithmetic path: every ``LogReal`` method, ``sum_values`` and ``partial_sums``
+ARITHMETIC = ("intervals.LogReal.", "intervals.sum_values", "intervals.partial_sums")
 
 
 class _Scopes(ast.NodeVisitor):
@@ -75,3 +81,18 @@ def test_only_the_listed_functions_read_global_precision():
 
 def test_only_the_listed_functions_call_working_precision():
     assert _scopes(_calls_working_precision) == CALLERS
+
+
+def _uses_mpmath_context(node) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("iv", "mp")
+    )
+
+
+def test_the_arithmetic_path_uses_no_mpmath_context():
+    defined = _scopes(lambda node: isinstance(node, ast.arguments))
+    assert all(any(scope.startswith(prefix) for scope in defined) for prefix in ARITHMETIC)
+    assert {scope for scope in _scopes(_uses_mpmath_context)
+            if scope.startswith(ARITHMETIC)} == set()

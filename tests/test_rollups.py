@@ -16,7 +16,7 @@ from carleman import coefficients as co
 from carleman import substitution as su
 from carleman.cli import _diag_derivative_report
 from carleman.outcomes import EvidenceRow, Outcome, Reason, aggregate_rows
-from carleman.sequences import SequenceSpec
+from carleman.sequences import SequenceSpec, WeightSequence
 
 C, R, I = Outcome.CONFIRMED, Outcome.REFUTED, Outcome.INCONCLUSIVE
 
@@ -104,7 +104,7 @@ class TestCoefficientLevel:
         monkeypatch.setattr(
             su, "verify_factorial_inequality", lambda p, n, k: SimpleNamespace(outcome=ineq)
         )
-        report = su.coeff_level_check(instance)
+        report = su.coeff_level_check(instance, WeightSequence(instance.spec))
         assert _outcomes(report) == {ineq}
         for row in report.rows:
             assert dict(row.extra)["link_factorial_ineq"] == ineq.value
@@ -118,7 +118,7 @@ class TestCoefficientLevel:
         monkeypatch.setattr(
             su, "verify_factorial_inequality", lambda p, n, k: SimpleNamespace(outcome=ineq)
         )
-        report = su.coeff_level_check(instance)
+        report = su.coeff_level_check(instance, WeightSequence(instance.spec))
         assert _outcomes(report) == {R}
         assert report.verdict.outcome is R
 

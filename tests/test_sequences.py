@@ -13,6 +13,7 @@ from carleman.errors import IndexRangeError, PrecisionExhaustedError, SpecFormat
 from carleman.intervals import LogReal, working_precision
 from carleman.sequences import (
     DEFAULT_MAX_INDEX,
+    MAX_PRECISION,
     SequenceSpec,
     WeightSequence,
     dump_spec,
@@ -24,10 +25,13 @@ from carleman.sequences import (
 )
 from conftest import (
     FALSY_PARAMS_DOCUMENTS,
+    OVER_CAP_DOCUMENTS,
     UNKNOWN_KEY_DOCUMENTS,
     encloses_fraction,
     iv_endpoints,
     iv_from_fraction,
+    log_hi,
+    log_lo,
 )
 
 
@@ -35,14 +39,14 @@ def encloses_log_fraction(value: LogReal, fr: Fraction, bits: int) -> bool:
     """True when the exact rational log value fr lies inside the interval."""
     with working_precision(bits + 64):
         lo, hi = iv_endpoints(iv_from_fraction(fr))
-    return value.log_lo <= lo and hi <= value.log_hi
+    return log_lo(value) <= lo and hi <= log_hi(value)
 
 
 class TestConstant:
     def test_all_values_exactly_one(self, constant_ws):
         for n in (0, 1, 17, 1000):
             v = constant_ws.log_M(n)
-            assert v.log_lo == v.log_hi == 0
+            assert log_lo(v) == log_hi(v) == 0
 
     def test_mprime_is_factorial(self, constant_ws):
         for n in range(0, 31):
@@ -104,7 +108,7 @@ class TestIteratedLog:
         for k in (1, 2):
             ws = WeightSequence(SequenceSpec(family="iterated_log", k=k))
             v = ws.log_M(0)
-            assert v.log_lo == v.log_hi == 0
+            assert log_lo(v) == log_hi(v) == 0
 
     def test_k1_closed_form(self):
         # M_n = (log 3)^(-3) (log(3+n))^(3+n): check n = 2 against a
@@ -114,21 +118,21 @@ class TestIteratedLog:
         with working_precision(ws.bits + 64):
             ref = iv.log(iv.log(5)) * 5 - iv.log(iv.log(3)) * 3
             lo, hi = iv_endpoints(ref)
-        assert v.log_lo <= lo and hi <= v.log_hi
+        assert log_lo(v) <= lo and hi <= log_hi(v)
 
     def test_increasing(self):
         for k in (1, 2):
             ws = WeightSequence(SequenceSpec(family="iterated_log", k=k))
             values = [ws.log_M(n) for n in range(0, 60)]
             for a, b in zip(values, values[1:]):
-                assert a.log_hi <= b.log_lo
+                assert log_hi(a) <= log_lo(b)
 
 
 class TestPaper8:
     def test_normalization_and_growth(self, paper8_ws):
         v0 = paper8_ws.log_M(0)
-        assert v0.log_lo == v0.log_hi == 0
-        assert paper8_ws.log_M(1).log_lo > 0
+        assert log_lo(v0) == log_hi(v0) == 0
+        assert log_lo(paper8_ws.log_M(1)) > 0
 
     def test_m1_closed_form(self, paper8_ws):
         # M_1 = (log log 4)^4 / (log log 3)^3
@@ -136,7 +140,7 @@ class TestPaper8:
         with working_precision(paper8_ws.bits + 64):
             ref = iv.log(iv.log(iv.log(4))) * 4 - iv.log(iv.log(iv.log(3))) * 3
             lo, hi = iv_endpoints(ref)
-        assert v.log_lo <= lo and hi <= v.log_hi
+        assert log_lo(v) <= lo and hi <= log_hi(v)
 
 
 class TestTable:
@@ -258,8 +262,8 @@ class TestLogFactorial:
         ws = WeightSequence(spec)
         v = ws.log_M(10**6)
         # Stirling sanity: log(10^6!) ~ 1.28e7, enclosure must be tight
-        assert 1.28e7 < float(v.log_lo) < 1.29e7
-        assert float(v.log_hi) - float(v.log_lo) < 1e-60
+        assert 1.28e7 < float(log_lo(v)) < 1.29e7
+        assert float(log_hi(v)) - float(log_lo(v)) < 1e-60
 
 
 class TestPowerSubstitute:
@@ -277,7 +281,7 @@ class TestPowerSubstitute:
         mprime = WeightSequence(power_substitute(gevrey1_spec, 2)).log_Mprime_sub
         spec_bits = gevrey1_spec.bits
         v0 = mprime(0)
-        assert v0.log_lo == v0.log_hi == 0
+        assert log_lo(v0) == log_hi(v0) == 0
         # n = 2: (1/2^2) * (4!)^2 = 144
         assert encloses_fraction(mprime(2), Fraction(144), spec_bits)
         # n = 1: 1^0 * (2!)^2 = 4
@@ -295,7 +299,7 @@ class TestPowerSubstitute:
     def test_transform_of_constant_stays_one(self, constant_spec):
         ws = WeightSequence(power_substitute(constant_spec, 3))
         mprime = ws.log_Mprime_sub
-        assert ws.log_M(7).log_lo == ws.log_M(7).log_hi == 0
+        assert log_lo(ws.log_M(7)) == log_hi(ws.log_M(7)) == 0
         # M'^(p)_n = n^(-(p-1)n) (pn)!: at n = 2, p = 3: 2^(-4) * 720
         assert encloses_fraction(mprime(2), Fraction(720, 16), ws.bits)
 
@@ -330,6 +334,13 @@ class TestSpecDocuments:
                 spec_from_dict({"family": "constant", "params": {}, "version": version})
         with pytest.raises(SpecFormatError):
             spec_from_dict({"family": "constant", "params": {}, "precision": "80"})
+        # the precision cap: the largest precision loads, one digit more does not
+        assert spec_from_dict({"family": "constant", "precision": MAX_PRECISION}).precision == (
+            MAX_PRECISION
+        )
+        for doc in OVER_CAP_DOCUMENTS:
+            with pytest.raises(SpecFormatError):
+                spec_from_dict(doc)
         with pytest.raises(SpecFormatError):
             spec_from_dict([])
         # an unhashable family must not reach the table lookup as a TypeError

@@ -18,6 +18,7 @@ from carleman.substitution import (
     final_bound_assembly,
     transform_report,
 )
+from conftest import log_hi, log_lo
 
 
 class TestInstanceValidation:
@@ -44,10 +45,11 @@ class TestCoefficientLevel:
 
     def test_families_and_radii(self, gevrey1_spec, paper8_spec):
         for spec in (gevrey1_spec, paper8_spec):
+            ws = WeightSequence(spec)
             for p in (2, 3, 5):
                 for A in (Fraction(1), Fraction(3)):
                     inst = TheoremInstance(spec, p=p, A=A, n_max=8)
-                    report = coeff_level_check(inst)
+                    report = coeff_level_check(inst, ws)
                     assert report.verdict.outcome is Outcome.CONFIRMED, (
                         spec.family,
                         p,
@@ -55,9 +57,14 @@ class TestCoefficientLevel:
                         report.verdict,
                     )
 
+    def test_sequence_of_another_spec_is_refused(self, gevrey1_spec, paper8_spec):
+        inst = TheoremInstance(gevrey1_spec, p=2, A=Fraction(1), n_max=4)
+        with pytest.raises(ValueError):
+            coeff_level_check(inst, WeightSequence(paper8_spec))
+
     def test_link_columns_present(self, gevrey1_spec):
         inst = TheoremInstance(gevrey1_spec, p=2, A=Fraction(1), n_max=4)
-        report = coeff_level_check(inst)
+        report = coeff_level_check(inst, WeightSequence(gevrey1_spec))
         for row in report.rows:
             extras = dict(row.extra)
             assert extras["link_stirling"] == "confirmed"
@@ -65,9 +72,10 @@ class TestCoefficientLevel:
 
     def test_monotone_consistency(self, gevrey1_spec):
         # raising A or the depth never flips confirmed rows
-        shallow = coeff_level_check(TheoremInstance(gevrey1_spec, 2, Fraction(1), 6))
-        deep = coeff_level_check(TheoremInstance(gevrey1_spec, 2, Fraction(1), 12))
-        big_A = coeff_level_check(TheoremInstance(gevrey1_spec, 2, Fraction(7), 6))
+        ws = WeightSequence(gevrey1_spec)
+        shallow = coeff_level_check(TheoremInstance(gevrey1_spec, 2, Fraction(1), 6), ws)
+        deep = coeff_level_check(TheoremInstance(gevrey1_spec, 2, Fraction(1), 12), ws)
+        big_A = coeff_level_check(TheoremInstance(gevrey1_spec, 2, Fraction(7), 6), ws)
         outcomes = {r.index: r.outcome for r in deep.rows}
         for row in shallow.rows:
             assert outcomes[row.index] is row.outcome is Outcome.CONFIRMED
@@ -78,7 +86,7 @@ class TestCoefficientLevel:
         inst = TheoremInstance(gevrey1_spec, p=2, A=Fraction(1), n_max=4)
         cert = coeff_level_certificate(inst)
         assert cert.interval_id == "[0,1]"
-        assert cert.C.log_lo == cert.C.log_hi == 0  # C = 1
+        assert log_lo(cert.C) == log_hi(cert.C) == 0  # C = 1
 
 
 class TestAssembly:
