@@ -99,11 +99,14 @@ class TestExitCodes:
     ])
     def test_counts_above_their_cap_are_three(self, capsys, flag, cap, argv):
         # the cap itself parses; one more is a usage error, before any work
-        assert getattr(cli.build_parser().parse_args(argv + [flag, str(cap)]),
+        parser = cli.build_parser()
+        assert getattr(parser.parse_args(argv + [flag, str(cap)]),
                        flag[2:].replace("-", "_")) == cap
         for value in (cap + 1, 100_000_000):
-            assert run(argv + [flag, str(value)]) == 3
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv + [flag, str(value)])
             assert f"to {cap}" in capsys.readouterr().err
+            assert run(argv + [flag, str(value)]) == 3
 
     def test_help_is_zero(self, capsys):
         assert run(["--help"]) == 0
