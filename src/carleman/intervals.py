@@ -110,7 +110,8 @@ def mpf_str(x) -> str:
 
 def _inside_cap(x) -> bool:
     """True when the raw mpf ``x`` is 0 or finite with |x| < 2^79, read off
-    its exponent; False says nothing (infinities and nan have mantissa 0)."""
+    its exponent; False leaves the decision to a full comparison (larger
+    values, and the infinities and NaN, whose mantissa is 0)."""
     return x[2] + x[3] <= _CAP_FREE_TOP_BIT if x[1] else x == fzero
 
 
