@@ -91,8 +91,10 @@ class BangSeries:
 
     def two_m(self, k: int) -> LogReal:
         """2 m_k = 2 M'_{k+1}/M'_k, memoized."""
-        return _memoized(self._lock, self._two_m, k, self.bits,
-                         lambda: self._two * self.ws.ratio_m(k))
+        return _memoized(self._lock, self._two_m, k, self.bits, self._compute_two_m, k)
+
+    def _compute_two_m(self, k: int) -> LogReal:
+        return self._two * self.ws.ratio_m(k)
 
     def term_magnitude(self, k: int) -> LogReal:
         """Coefficient M'_k / (2 m_k)^k of the k-th cosine term."""
@@ -125,9 +127,12 @@ class BangSeries:
         if K < n:
             raise ValueError("truncation must satisfy K >= n")
         self._ensure_confirmed(K + 1)
-        return _memoized(self._lock, self._heads, (n, K), self.bits, lambda: sum_values(
+        return _memoized(self._lock, self._heads, (n, K), self.bits, self._compute_head_sum, n, K)
+
+    def _compute_head_sum(self, n: int, K: int) -> LogReal:
+        return sum_values(
             [self.deriv_term(k, n) for k in range(0, K + 1)], tail_upper=self.tail_bound(n, K)
-        ))
+        )
 
     def F_deriv_at_zero(self, n: int) -> SignedEnclosure:
         """Signed enclosure of F^(n)(0).

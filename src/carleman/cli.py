@@ -106,7 +106,8 @@ _SEQ_CHECKS = {
 }
 
 
-#: the largest value of a count flag other than --n-max and --precision
+#: the largest value of a count flag other than --n-max and --precision: a
+#: range for the flag's value, not a bound on the work a command does
 MAX_DEPTH = 1000
 
 

@@ -54,9 +54,6 @@ _BITS_PER_DIGIT = 3.3219280948873626
 #: Both bounds are exact raw mpfs (10^24 needs 56 bits).
 _LOG_CAP = from_int(10**24)
 _NEG_LOG_CAP = from_int(-(10**24))
-#: a nonzero finite raw mpf (sign, man, exp, bc) with exp + bc <= this has
-#: |x| < 2^79 < 10^24, so it is inside the cap without a comparison
-_CAP_FREE_TOP_BIT = 79
 
 _prec_lock = threading.RLock()
 
@@ -108,20 +105,6 @@ def mpf_str(x) -> str:
     return to_str(x, 24)
 
 
-def _inside_cap(x) -> bool:
-    """True when the raw mpf ``x`` is 0 or finite with |x| < 2^79, read off
-    its exponent; False leaves the decision to a full comparison (larger
-    values, and the infinities and NaN, whose mantissa is 0)."""
-    return x[2] + x[3] <= _CAP_FREE_TOP_BIT if x[1] else x == fzero
-
-
-def _beyond_cap(log_lo, log_hi) -> bool:
-    """``log_lo < -10^24 or log_hi > 10^24``, exactly, for raw mpfs."""
-    return (not _inside_cap(log_lo) and mpf_lt(log_lo, _NEG_LOG_CAP)) or (
-        not _inside_cap(log_hi) and mpf_gt(log_hi, _LOG_CAP)
-    )
-
-
 class LogReal:
     """Enclosure of a positive real, as an interval around its natural log.
 
@@ -139,7 +122,7 @@ class LogReal:
             raise PrecisionExhaustedError(
                 f"invalid log interval [{mpf_str(log_lo)}, {mpf_str(log_hi)}]"
             )
-        if _beyond_cap(log_lo, log_hi):
+        if mpf_lt(log_lo, _NEG_LOG_CAP) or mpf_gt(log_hi, _LOG_CAP):
             raise PrecisionExhaustedError(
                 "log magnitude exceeds the supported exponent range"
             )

@@ -328,7 +328,7 @@ def _shifted_log_M(start: int, k: int, n: int, bits: int) -> LogReal:
     """log of L(start)^(-start) * L(start + n)^(start + n), L the k-fold log.
 
     Written against ``mpmath.iv``: it runs at ``bits`` because
-    :func:`_fill` sets mpmath's precision to the sequence's ``bits``.
+    :func:`_memoized` sets mpmath's precision to the sequence's ``bits``.
     """
     head, norm = iv.mpf(start + n), iv.mpf(start)
     for _ in range(k):
@@ -495,36 +495,23 @@ class WeightSequence:
     def log_M(self, n: int) -> LogReal:
         """Enclosure of M_n (log M_0 = 0 exactly, zero radius)."""
         self._check_index(n)
-        with self._lock:
-            hit = self._memo.get(n)
-        if hit is not None:
-            return hit
-        return _fill(self._lock, self._memo, n, self.bits, lambda: self._compute_log_M(n))
+        return _memoized(self._lock, self._memo, n, self.bits, self._compute_log_M, n)
 
     def log_Mprime(self, n: int) -> LogReal:
         """Enclosure of M'_n = n! * M_n, memoized like :meth:`log_M`."""
         self._check_index(n)
-        with self._lock:
-            hit = self._mprime_memo.get(n)
-        if hit is not None:
-            return hit
+        return _memoized(self._lock, self._mprime_memo, n, self.bits, self._compute_log_Mprime, n)
 
-        def compute() -> LogReal:
-            value = self.log_M(n)
-            return value if n <= 1 else log_factorial(n, self.bits) * value
-
-        return _fill(self._lock, self._mprime_memo, n, self.bits, compute)
+    def _compute_log_Mprime(self, n: int) -> LogReal:
+        value = self.log_M(n)
+        return value if n <= 1 else log_factorial(n, self.bits) * value
 
     def ratio_m(self, k: int) -> LogReal:
         """Enclosure of the primed ratio m_k = M'_{k+1} / M'_k, memoized."""
-        with self._lock:
-            hit = self._ratio_memo.get(k)
-        if hit is not None:
-            return hit
-        return _fill(
-            self._lock, self._ratio_memo, k, self.bits,
-            lambda: self.log_Mprime(k + 1) / self.log_Mprime(k),
-        )
+        return _memoized(self._lock, self._ratio_memo, k, self.bits, self._compute_ratio_m, k)
+
+    def _compute_ratio_m(self, k: int) -> LogReal:
+        return self.log_Mprime(k + 1) / self.log_Mprime(k)
 
     def log_Mprime_sub(self, n: int) -> LogReal:
         """Enclosure of n^(-(p-1) n) M'_(pn) for a dilation M_(pn) of a base
@@ -543,24 +530,21 @@ class WeightSequence:
         return dilated
 
 
-def _memoized(lock, memo: dict, key, bits: int, compute: Callable[[], LogReal]) -> LogReal:
-    """``memo[key]``, filled by :func:`_fill` on a miss."""
-    with lock:
-        hit = memo.get(key)
-    return hit if hit is not None else _fill(lock, memo, key, bits, compute)
-
-
-def _fill(lock, memo: dict, key, bits: int, compute: Callable[[], LogReal]) -> LogReal:
-    """Store ``compute()`` as ``memo[key]`` unless a value is there, and
-    return the stored value.  ``compute()`` runs with mpmath's precision set
-    to ``bits``: the family ``log_M`` bodies written against ``mpmath.iv``
-    run at it.
+def _memoized(lock, memo: dict, key, bits: int, compute: Callable[..., LogReal], *args) -> LogReal:
+    """``memo[key]``, filled on a miss by ``compute(*args)`` with mpmath's
+    precision set to ``bits``: the family ``log_M`` bodies written against
+    ``mpmath.iv`` run at it.  Callers pass a bound method and its
+    arguments, so a hit builds no closure.
 
     The value is computed outside ``lock`` and stored with ``setdefault``,
     so two threads racing on one key both return the first stored object.
     """
+    with lock:
+        hit = memo.get(key)
+    if hit is not None:
+        return hit
     with working_precision(bits):
-        value = compute()
+        value = compute(*args)
     with lock:
         return memo.setdefault(key, value)
 

@@ -93,10 +93,8 @@ def default_x_samples(p: int) -> list[Fraction]:
 def coeff_level_check(inst: TheoremInstance, ws: WeightSequence) -> CheckReport:
     """Confirm |f^(n)(0)| <= (e A)^(pn) M'^(p)_n with constant 1 for the
     extremal coefficient profile, for 1 <= n <= n_max, with each chain link
-    checked exactly.  M' is read from the caller's sequence ``ws`` of
-    ``inst.spec``."""
-    if ws.spec != inst.spec:
-        raise ValueError("ws must be a sequence of the instance's spec")
+    checked exactly.  M' is read from the caller's sequence ``ws``, which
+    must be the sequence of ``inst.spec``."""
     p, A = inst.p, inst.A
     rows: list[EvidenceRow] = []
     for n in range(1, inst.n_max + 1):

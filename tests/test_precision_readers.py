@@ -20,7 +20,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "carleman"
 READERS = {"intervals.working_precision"}
 
 #: module.qualname of every function that still calls ``working_precision``
-CALLERS = {"sequences._fill"}
+CALLERS = {"sequences._memoized"}
 
 #: the arithmetic path: every ``LogReal`` method, ``sum_values`` and ``partial_sums``
 ARITHMETIC = ("intervals.LogReal.", "intervals.sum_values", "intervals.partial_sums")

@@ -57,11 +57,6 @@ class TestCoefficientLevel:
                         report.verdict,
                     )
 
-    def test_sequence_of_another_spec_is_refused(self, gevrey1_spec, paper8_spec):
-        inst = TheoremInstance(gevrey1_spec, p=2, A=Fraction(1), n_max=4)
-        with pytest.raises(ValueError):
-            coeff_level_check(inst, WeightSequence(paper8_spec))
-
     def test_link_columns_present(self, gevrey1_spec):
         inst = TheoremInstance(gevrey1_spec, p=2, A=Fraction(1), n_max=4)
         report = coeff_level_check(inst, WeightSequence(gevrey1_spec))
