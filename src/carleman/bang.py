@@ -25,7 +25,7 @@ import threading
 from fractions import Fraction
 from math import factorial
 
-from .criteria import convexity_sides
+from .criteria import convexity_sides, log_row
 from .errors import TailUncertifiedError
 from .intervals import (
     LinearEnclosure,
@@ -35,7 +35,7 @@ from .intervals import (
     mpf_str,
     sum_values,
 )
-from .outcomes import CheckReport, EvidenceRow, Outcome, aggregate_rows, worst_outcome
+from .outcomes import CheckReport, Outcome, aggregate_rows, worst_outcome
 from .sequences import FAMILIES, BoundCertificate, WeightSequence, _memoized
 
 #: the documented CSV layout of the three extremal-series checks
@@ -173,12 +173,11 @@ class BangSeries:
             f_ok = fj.magnitude.geq(f_lower)
             outcome = worst_outcome([mag_ok, f_ok]) if sign_ok else Outcome.REFUTED
             rows.append(
-                EvidenceRow(
-                    index=(j,),
-                    quantity="|F^(2j)(0)| (log)",
-                    lo=mpf_str(F2.magnitude.log_lo),
-                    hi=mpf_str(F2.magnitude.log_hi),
-                    outcome=outcome,
+                log_row(
+                    (j,),
+                    "|F^(2j)(0)| (log)",
+                    F2.magnitude,
+                    outcome,
                     note="" if sign_ok else "sign mismatch",
                     extra=(
                         ("lower_bound_log", mpf_str(lower.log_lo)),
@@ -210,12 +209,11 @@ class BangSeries:
             total = self.head_sum(n, self.default_truncation(n))
             ceiling = self._two.pow_int(n + 1) * self.ws.log_Mprime(n)
             rows.append(
-                EvidenceRow(
-                    index=(n,),
-                    quantity="sum_k M'_k (2 m_k)^(n-k) (log)",
-                    lo=mpf_str(total.log_lo),
-                    hi=mpf_str(total.log_hi),
-                    outcome=total.leq(ceiling),
+                log_row(
+                    (n,),
+                    "sum_k M'_k (2 m_k)^(n-k) (log)",
+                    total,
+                    total.leq(ceiling),
                     extra=(("ceiling_log", mpf_str(ceiling.log_lo)),),
                 )
             )
@@ -245,12 +243,11 @@ class BangSeries:
             ceiling = LogReal.from_int(4, self.bits).pow_int(n + 2)
             outcome = worst_outcome([one.leq(ratio), ratio.leq(ceiling)])
             rows.append(
-                EvidenceRow(
-                    index=(n,),
-                    quantity="log(|F^(2n)(0)|/M'_{2n})",
-                    lo=mpf_str(ratio.log_lo),
-                    hi=mpf_str(ratio.log_hi),
-                    outcome=outcome,
+                log_row(
+                    (n,),
+                    "log(|F^(2n)(0)|/M'_{2n})",
+                    ratio,
+                    outcome,
                     extra=(("ceiling_log", mpf_str(ceiling.log_lo)),),
                 )
             )

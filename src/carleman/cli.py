@@ -8,8 +8,9 @@ document becomes one inconclusive ``spec-rejected`` check, after the
 checks already run, and the report is still written.
 
 Without ``--out`` the report document goes to stdout (JSON, or CSV for a
-single-check command) and the human summary to stderr; with ``--out`` the
-document lands in files named by a content hash of the configuration.
+single-check command) and the human summary to stderr; with ``--out``, and
+for ``report-all`` always, the document lands in files named by a content
+hash of the configuration (under ``reports/`` when ``--out`` is absent).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .criteria import (
     check_inclusion,
     check_log_convex,
     check_monotone,
+    log_row,
     quasianalyticity_report,
 )
 from .errors import CarlemanError, SpecFormatError, TailUncertifiedError
@@ -76,10 +78,6 @@ class UsageError(Exception):
 
 def _shipped_spec(name: str) -> Path:
     return Path(str(resources.files("carleman").joinpath(f"data/specs/{name}.json")))
-
-
-def shipped_fixture(name: str) -> Path:
-    return Path(str(resources.files("carleman").joinpath(f"data/fixtures/{name}.json")))
 
 
 def _load(path: str, precision: int | None) -> SequenceSpec:
@@ -257,8 +255,7 @@ def _value_table(name: str, claim: str, params, quantity: str, n_max: int,
         for column, value in columns:
             v = value(n)
             extra += [(f"{column}_lo", mpf_str(v.log_lo)), (f"{column}_hi", mpf_str(v.log_hi))]
-        rows.append(EvidenceRow(index=(n,), quantity=quantity, lo=mpf_str(m.log_lo),
-                                hi=mpf_str(m.log_hi), extra=tuple(extra)))
+        rows.append(log_row((n,), quantity, m, extra=tuple(extra)))
     return CheckReport(
         name=name,
         claim=claim,
@@ -637,9 +634,7 @@ def main(argv: list[str] | None = None) -> int:
 
     out = args.out
     fmt = args.format
-    if args.command == "report-all" and out is None:
-        out = "reports"
-    if out is None:
+    if out is None and args.command != "report-all":
         if fmt == "json":
             sys.stdout.write(run.to_json())
         else:

@@ -155,30 +155,6 @@ class SeriesPoly:
                     out[i + j] += ci * cj
         return SeriesPoly(tuple(out))
 
-    def pow_convolve(self, k: int) -> "SeriesPoly":
-        """k-th power by iterated convolution (k - 1 products)."""
-        if k < 1:
-            raise ValueError("power must be >= 1")
-        acc = self
-        for _ in range(k - 1):
-            acc = acc.mul(self)
-        return acc
-
-    def pow_squaring(self, k: int) -> "SeriesPoly":
-        """k-th power by binary exponentiation; independent route used to
-        cross-check :meth:`pow_convolve`."""
-        if k < 1:
-            raise ValueError("power must be >= 1")
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result.mul(base)
-            k >>= 1
-            if k:
-                base = base.mul(base)
-        return result
-
 
 def log_series(n_max: int) -> SeriesPoly:
     """Taylor series of -log(1-x) truncated at n_max: coefficient i is 1/i."""
@@ -330,15 +306,6 @@ def root_series_magnitudes(p: int, i_max: int) -> list[Fraction]:
     return mags
 
 
-def root_series_signed(p: int, i_max: int) -> SeriesPoly:
-    """Signed a-series as a truncated polynomial: a_i = (-1)^(i-1) |a_i|."""
-    mags = root_series_magnitudes(p, i_max)
-    signed = [Fraction(0)] * (i_max + 1)
-    for i in range(1, i_max + 1):
-        signed[i] = mags[i] if i % 2 == 1 else -mags[i]
-    return SeriesPoly(tuple(signed))
-
-
 _root_lock = threading.RLock()
 #: (p, k) -> (falling products prod_{i<n} (j - i p) for j = 0..k, b_0..b_(n-1))
 _root_cache: dict[tuple[int, int], tuple[list[int], list[Fraction]]] = {}
@@ -474,10 +441,10 @@ def verify_diagonal_derivative(p: int, k: int, n: int, x: Fraction) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def verify_factorial_inequality(p: int, n: int, k: int) -> Verdict:
-    """Three-valued check of 1/(pn-k)! <= e^(pn) / n^(pn-k) for 0 <= k < pn,
-    i.e. n^(pn-k) <= e^(pn) * (pn-k)! with exact integers and the safe
-    rational side of e."""
+def verify_factorial_inequality(p: int, n: int, k: int) -> EvidenceRow:
+    """The row of the three-valued check of 1/(pn-k)! <= e^(pn) / n^(pn-k)
+    for 0 <= k < pn, i.e. n^(pn-k) <= e^(pn) * (pn-k)! with exact integers
+    and the safe rational side of e."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not (0 <= k < p * n):
@@ -486,28 +453,22 @@ def verify_factorial_inequality(p: int, n: int, k: int) -> Verdict:
     lhs = Fraction(n**m)
     rhs_coeff = Fraction(factorial(m))
     outcome = leq_with_e_power(lhs, rhs_coeff, p * n)
-    row = EvidenceRow(
+    return EvidenceRow(
         index=(p, n, k),
         quantity="n^(pn-k) vs e^(pn) (pn-k)!",
         lo=dec_str(lhs),
         hi=dec_str(rhs_coeff * e_lo_pow(p * n)),
         outcome=outcome,
     )
-    reason = (
-        Reason.INTERVAL_SEPARATION
-        if outcome is not Outcome.INCONCLUSIVE
-        else Reason.PRECISION_EXHAUSTED
-    )
-    return Verdict(outcome, reason, (row,))
 
 
 def verify_factorial_inequality_sweep(p: int, n_max: int) -> CheckReport:
     """All (n, k) with 1 <= n <= n_max, 0 <= k < pn."""
-    rows: list[EvidenceRow] = []
-    for n in range(1, n_max + 1):
-        for k in range(0, p * n):
-            v = verify_factorial_inequality(p, n, k)
-            rows.append(v.evidence[0])
+    rows = [
+        verify_factorial_inequality(p, n, k)
+        for n in range(1, n_max + 1)
+        for k in range(0, p * n)
+    ]
     return aggregate_rows(
         "factorial-inequality",
         "n^(pn-k) <= e^(pn) (pn-k)! for all 0 <= k < pn",

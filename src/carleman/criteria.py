@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .intervals import LogReal, mpf_str, partial_sums
+from .intervals import LogReal, mpf_str, sum_values
 from .outcomes import (
     CheckReport,
     EvidenceRow,
@@ -28,7 +28,8 @@ from .outcomes import (
 from .sequences import FAMILIES, SequenceSpec, WeightSequence, log_int
 
 
-def _row(index, quantity, value: LogReal, outcome=None, note="", extra=()) -> EvidenceRow:
+def log_row(index, quantity, value: LogReal, outcome=None, note="", extra=()) -> EvidenceRow:
+    """An evidence row whose lo and hi are the log endpoints of ``value``."""
     return EvidenceRow(
         index=index,
         quantity=quantity,
@@ -45,7 +46,7 @@ def check_monotone(ws: WeightSequence, n_max: int) -> CheckReport:
     rows = []
     for n in range(0, n_max):
         outcome = ws.log_M(n).leq(ws.log_M(n + 1))
-        rows.append(_row((n,), "M_n (log)", ws.log_M(n), outcome))
+        rows.append(log_row((n,), "M_n (log)", ws.log_M(n), outcome))
     return aggregate_rows(
         f"monotone[{ws.spec.label()}]",
         "M_n <= M_{n+1} on the tested range",
@@ -77,7 +78,7 @@ def check_log_convex(
     for n in range(max(1, n_min), n_max):
         lhs, rhs = convexity_sides(value, n)
         rows.append(
-            _row(
+            log_row(
                 (n,),
                 f"{variant}_n^2 (log) vs {variant}_(n-1)*{variant}_(n+1)",
                 lhs,
@@ -100,7 +101,7 @@ def check_log_convex(
 
 
 # ---------------------------------------------------------------------------
-# quasianalyticity: partial sums + symbolic rule
+# quasianalyticity: symbolic rule + partial-sum trend
 # ---------------------------------------------------------------------------
 
 
@@ -117,20 +118,26 @@ def quasianalyticity_rule(spec: SequenceSpec) -> tuple[str, str] | None:
     return None if rule is None else rule(base, p)
 
 
-def _quasianalyticity(ws: WeightSequence, n_max: int) -> tuple[list[LogReal], str, Verdict]:
-    """Partial sums S_N = sum_{n=1..N} M_n / ((n+1) M_{n+1}) for N <= n_max,
-    and the claim and verdict of the family's symbolic quasianalyticity rule.
+def carleman_terms(ws: WeightSequence, n_max: int) -> list[LogReal]:
+    """The terms M_n / ((n+1) M_{n+1}) for n = 1..n_max.
 
     The summation starts at n = 1; the constant n = 0 term does not affect
-    the criterion.  Without a symbolic rule the verdict is inconclusive and
-    carries the empirical trend.
+    the criterion.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    sums = list(partial_sums(
+    return [
         ws.log_M(n) / log_int(n + 1, ws.bits) / ws.log_M(n + 1)
         for n in range(1, n_max + 1)
-    ))
+    ]
+
+
+def quasianalyticity_report(ws: WeightSequence, n_max: int) -> CheckReport:
+    """The family's symbolic quasianalyticity verdict, with the partial sums
+    S_N of :func:`carleman_terms` at N = 1, n_max/4, n_max/2 and n_max as
+    its trend rows.  Without a symbolic rule the verdict is inconclusive and
+    carries the empirical trend only."""
+    terms = carleman_terms(ws, n_max)
     rule = quasianalyticity_rule(ws.spec)
     if rule is None:
         claim = "quasianalyticity undecided (no symbolic rule for this family)"
@@ -141,28 +148,15 @@ def _quasianalyticity(ws: WeightSequence, n_max: int) -> tuple[list[LogReal], st
         note = f"{rule[0]}: {rule[1]}"
         outcome, reason = Outcome.CONFIRMED, Reason.SYMBOLIC_COMPARISON
     trend = tuple(
-        _row((n,), "partial sum S_n (log)", sums[n - 1], note=note)
+        log_row((n,), "partial sum S_n (log)", sum_values(terms[:n]), note=note)
         for n in sorted({1, n_max // 4, n_max // 2, n_max} - {0})
     )
-    return sums, claim, Verdict(outcome, reason, trend)
-
-
-def carleman_partial_sums(ws: WeightSequence, n_max: int) -> tuple[list[LogReal], Verdict]:
-    """The partial sums S_1..S_(n_max) and the verdict of
-    :func:`quasianalyticity_report`."""
-    sums, _, verdict = _quasianalyticity(ws, n_max)
-    return sums, verdict
-
-
-def quasianalyticity_report(ws: WeightSequence, n_max: int) -> CheckReport:
-    """Symbolic quasianalyticity verdict with the partial-sum trend rows."""
-    _, claim, verdict = _quasianalyticity(ws, n_max)
     return CheckReport(
         name=f"quasianalytic[{ws.spec.label()}]",
         claim=claim,
-        verdict=verdict,
+        verdict=Verdict(outcome, reason, trend),
         params=(("n_max", str(n_max)), ("spec", ws.spec.label())),
-        rows=verdict.evidence,
+        rows=trend,
         index_columns=("n",),
     )
 
@@ -307,7 +301,7 @@ def _running_sup_rows(ratio, n_max: int, quantity: str) -> list[EvidenceRow]:
         root = ratio(n).pow_fraction(Fraction(1, n))
         running = root if running is None else running.max_with(root)
         rows.append(
-            _row(
+            log_row(
                 (n,),
                 quantity,
                 root,

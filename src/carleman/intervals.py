@@ -18,7 +18,7 @@ trips, which widen by outward rounding only.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -218,17 +218,6 @@ def sum_values(terms: Sequence[LogReal], tail_upper: LogReal | None = None) -> L
     if tail_upper is not None:
         acc = mpi_add(acc, (fzero, mpf_exp(tail_upper.log_hi, bits, round_ceiling)), bits)
     return LogReal.from_mpi(mpi_log(acc, bits), bits)
-
-
-def partial_sums(terms: Iterable[LogReal]) -> Iterator[LogReal]:
-    """Enclosures of the running sums of positive values, one per term,
-    each at the largest precision of the terms so far: :func:`sum_values`
-    of every prefix, accumulated once."""
-    acc, bits = (fzero, fzero), 1
-    for t in terms:
-        bits = max(bits, t.bits)
-        acc = mpi_add(acc, mpi_exp(t._mpi(), bits), bits)
-        yield LogReal.from_mpi(mpi_log(acc, bits), bits)
 
 
 def cosine_sum(terms: Sequence[tuple[LogReal, LogReal]], xi: Fraction,

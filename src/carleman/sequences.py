@@ -25,7 +25,7 @@ from mpmath import iv
 from mpmath.libmp import fone, from_int, mpi_exp, mpi_loggamma, round_floor, to_int
 
 from .errors import IndexRangeError, PrecisionExhaustedError, SpecFormatError
-from .intervals import LogReal, bits_for_digits, working_precision
+from .intervals import LogReal, bits_for_digits, mpf_str, working_precision
 
 DEFAULT_MAX_INDEX = 10**6
 
@@ -93,9 +93,11 @@ def tower_threshold(k: int, bits: int) -> int:
     """Smallest integer strictly greater than the k-fold tower e^^k,
     recovered from a certified enclosure at ``bits``.
 
-    Raises :class:`PrecisionExhaustedError` when the enclosure straddles an
-    integer boundary (for k >= 4 the tower has millions of digits and no
-    practical precision can isolate it).
+    Raises :class:`PrecisionExhaustedError` when the enclosure of some
+    level e^^j, j <= k, straddles an integer boundary (for j >= 4 the tower
+    has millions of digits and no practical precision can isolate it).  The
+    check runs at every level, so a k >= 5 fails at level 4 instead of
+    exponentiating e^^4.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -104,19 +106,17 @@ def tower_threshold(k: int, bits: int) -> int:
         cached = _tower_cache.get(key)
         if cached is not None:
             return cached
-        t = mpi_exp((fone, fone), bits)
-        for _ in range(k - 1):
+        t = (fone, fone)
+        for _ in range(k):
             t = mpi_exp(t, bits)
-        lo, hi = t
-        try:
-            floor_lo = to_int(lo, round_floor)
-            floor_hi = to_int(hi, round_floor)
-        except (OverflowError, ValueError) as exc:
-            raise PrecisionExhaustedError(f"tower e^^{k} exceeds the exponent range") from exc
-        if floor_lo != floor_hi:
-            raise PrecisionExhaustedError(
-                f"enclosure of e^^{k} cannot isolate an integer at this precision"
-            )
+            try:
+                floor_lo, floor_hi = (to_int(x, round_floor) for x in t)
+            except (OverflowError, ValueError) as exc:
+                raise PrecisionExhaustedError(f"tower e^^{k} exceeds the exponent range") from exc
+            if floor_lo != floor_hi:
+                raise PrecisionExhaustedError(
+                    f"enclosure of e^^{k} cannot isolate an integer at this precision"
+                )
         result = floor_lo + 1
         _tower_cache[key] = result
         return result
@@ -569,15 +569,7 @@ class BoundCertificate:
     interval_id: str
     seq: SequenceSpec
 
-    def __post_init__(self) -> None:
-        # LogReal values are positive by construction; keep the invariant
-        # explicit anyway.
-        if self.C is None or self.R is None:
-            raise ValueError("certificate constants must be present")
-
     def as_dict(self) -> dict:
-        from .intervals import mpf_str
-
         return {
             "C_log": [mpf_str(self.C.log_lo), mpf_str(self.C.log_hi)],
             "R_log": [mpf_str(self.R.log_lo), mpf_str(self.R.log_hi)],

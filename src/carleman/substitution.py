@@ -43,7 +43,7 @@ from .coefficients import (
     exact_pth_root,
     verify_factorial_inequality,
 )
-from .criteria import quasianalyticity_report
+from .criteria import log_row, quasianalyticity_report
 from .errors import SpecFormatError
 from .intervals import LogReal, mpf_str
 from .outcomes import CheckReport, EvidenceRow, Outcome, Reason, aggregate_rows, worst_outcome
@@ -53,11 +53,6 @@ from .sequences import (
     WeightSequence,
     log_factorial,
 )
-
-#: largest n for which the exact diagonal derivatives back the assembly
-#: (the k-fold convolutions grow quadratically in n per k)
-DEFAULT_EXACT_ALPHA_CAP = 12
-
 
 @dataclass(frozen=True)
 class TheoremInstance:
@@ -114,12 +109,11 @@ def coeff_level_check(inst: TheoremInstance, ws: WeightSequence) -> CheckReport:
         )
         outcome = worst_outcome([stirling, ineq_link, lhs.leq(rhs_safe)])
         rows.append(
-            EvidenceRow(
-                index=(n,),
-                quantity="n! A^(pn) M'_(pn)/(pn)! (log) vs (eA)^(pn) M'_(pn)/n^((p-1)n)",
-                lo=mpf_str(lhs.log_lo),
-                hi=mpf_str(lhs.log_hi),
-                outcome=outcome,
+            log_row(
+                (n,),
+                "n! A^(pn) M'_(pn)/(pn)! (log) vs (eA)^(pn) M'_(pn)/n^((p-1)n)",
+                lhs,
+                outcome,
                 extra=(
                     ("ceiling_log", mpf_str(rhs_safe.log_lo)),
                     ("link_stirling", stirling.value),
@@ -151,28 +145,24 @@ def coeff_level_certificate(inst: TheoremInstance) -> BoundCertificate:
     )
 
 
-def final_bound_assembly(
-    inst: TheoremInstance,
-    exact_alpha_cap: int = DEFAULT_EXACT_ALPHA_CAP,
-    x_samples: list[Fraction] | None = None,
-) -> CheckReport:
-    """Reassemble the proof's k-sum at exact p-th-power sample points.
+def final_bound_assembly(inst: TheoremInstance, exact_alpha_cap: int) -> CheckReport:
+    """Reassemble the proof's k-sum at the exact p-th-power sample points of
+    :func:`default_x_samples`.
 
     Per (x, n, k) the two factors are tracked as monomials
     (rational coefficient) * e^(power) * q^(power), with the q-exponent
     bookkeeping kept explicit so the claimed cancellation is witnessed
     exactly rather than floating-point-cancelled.  Rows marked with the
     exact-alpha columns additionally verify that replacing the bound factor
-    by the true diagonal derivative keeps the sum under the same ceiling.
+    by the true diagonal derivative keeps the sum under the same ceiling;
+    ``exact_alpha_cap`` is the largest n for which they do (the k-fold
+    convolutions grow quadratically in n per k).
     """
-    if x_samples is None:
-        x_samples = default_x_samples(inst.p)
-    p, A = inst.p, inst.A
+    p = inst.p
+    x_samples = default_x_samples(p)
     rows: list[EvidenceRow] = []
     for x in x_samples:
         q = exact_pth_root(x, p)
-        if q is None or not (0 < x <= 1):
-            raise ValueError(f"sample {x} is not an exact p-th power in (0, 1]")
         for n in range(1, inst.n_max + 1):
             # ceiling: n (2e)^n (eA)^(pn) / n^((p-1)n), common factor
             # A^(pn) M'_(pn) divided out of both sides

@@ -12,15 +12,58 @@ takes the precision as an argument and returns an ``iv.mpf``.
 The package holds every endpoint as a raw ``libmp`` tuple; :func:`as_mpf`,
 :func:`log_lo` and :func:`log_hi` are the ``mpf`` views the tests compare
 and convert.
+
+Members that only the tests need live here too: the two power routes over
+:class:`~carleman.coefficients.SeriesPoly`, the signed root series, and the
+path of a shipped fixture.
 """
 
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 
 import pytest
 from mpmath import iv, libmp, mp
 
+from carleman.coefficients import SeriesPoly, root_series_magnitudes
 from carleman.intervals import LogReal, SignedEnclosure, working_precision
 from carleman.sequences import MAX_PRECISION, SequenceSpec, WeightSequence
+
+
+def shipped_fixture(name: str) -> Path:
+    """Path of the spec document ``name`` shipped under ``data/fixtures``."""
+    return Path(str(resources.files("carleman").joinpath(f"data/fixtures/{name}.json")))
+
+
+def pow_convolve(series: SeriesPoly, k: int) -> SeriesPoly:
+    """k-th power of ``series`` by iterated convolution (k - 1 products)."""
+    if k < 1:
+        raise ValueError("power must be >= 1")
+    acc = series
+    for _ in range(k - 1):
+        acc = acc.mul(series)
+    return acc
+
+
+def pow_squaring(series: SeriesPoly, k: int) -> SeriesPoly:
+    """k-th power of ``series`` by binary exponentiation: the independent
+    route that cross-checks :func:`pow_convolve`."""
+    if k < 1:
+        raise ValueError("power must be >= 1")
+    result = None
+    while k:
+        if k & 1:
+            result = series if result is None else result.mul(series)
+        k >>= 1
+        if k:
+            series = series.mul(series)
+    return result
+
+
+def root_series_signed(p: int, i_max: int) -> SeriesPoly:
+    """Signed a-series as a truncated polynomial: a_i = (-1)^(i-1) |a_i|."""
+    mags = root_series_magnitudes(p, i_max)
+    return SeriesPoly(tuple(m if i % 2 == 1 else -m for i, m in enumerate(mags)))
 
 
 def as_mpf(raw):

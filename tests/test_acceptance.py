@@ -10,17 +10,17 @@ from mpmath import iv
 
 from carleman import coefficients as co
 from carleman.bang import BangSeries
-from carleman.cli import main, run_battery, shipped_fixture
+from carleman.cli import main, run_battery
 from carleman.criteria import (
-    carleman_partial_sums,
+    carleman_terms,
     check_inclusion,
     quasianalyticity_report,
 )
-from carleman.intervals import working_precision
+from carleman.intervals import sum_values, working_precision
 from carleman.outcomes import Outcome
 from carleman.sequences import SequenceSpec, WeightSequence
 from carleman.substitution import TheoremInstance, coeff_level_check, transform_report
-from conftest import iv_endpoints, log_iv
+from conftest import iv_endpoints, log_iv, shipped_fixture
 
 CONSTANT = SequenceSpec(family="constant")
 GEVREY1 = SequenceSpec(family="gevrey", s=Fraction(1))
@@ -146,10 +146,9 @@ def test_criterion_7_quasianalyticity_verdicts():
         # analytic tail bracket pi^2/6 - 1 within 1e-6
         ws = WeightSequence(GEVREY1)
         N = 10**4
-        sums, verdict = carleman_partial_sums(ws, N)
-        assert verdict.outcome is Outcome.CONFIRMED
+        assert quasianalyticity_report(ws, N).verdict.outcome is Outcome.CONFIRMED
         with working_precision(ws.bits):
-            s_iv = iv.exp(log_iv(sums[-1]))
+            s_iv = iv.exp(log_iv(sum_values(carleman_terms(ws, N))))
             # sum_{n>N} 1/(n+1)^2 lies in [1/(N+2), 1/(N+1)]
             tail = iv.mpf(1) / iv.mpf([N + 1, N + 2])
             limit_enclosure = s_iv + tail

@@ -1,16 +1,22 @@
 """Command-line contract: exit codes, deterministic documents, file formats."""
 
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from carleman import cli
-from carleman.cli import main, shipped_fixture
+from carleman.cli import main
 from carleman.outcomes import Outcome
 from carleman.sequences import DEFAULT_MAX_INDEX, MAX_PRECISION, WeightSequence
-from conftest import FALSY_PARAMS_DOCUMENTS, OVER_CAP_DOCUMENTS, UNKNOWN_KEY_DOCUMENTS
+from conftest import (
+    FALSY_PARAMS_DOCUMENTS,
+    OVER_CAP_DOCUMENTS,
+    UNKNOWN_KEY_DOCUMENTS,
+    shipped_fixture,
+)
 
 SPECS = Path(__file__).resolve().parents[1] / "src" / "carleman" / "data" / "specs"
 
@@ -414,6 +420,21 @@ class TestReportAll:
         assert rejected["name"] == "spec-rejected[iterated_log(k=4)]"
         assert rejected["verdict"]["outcome"] == "inconclusive"
         assert rejected["evidence"][0]["note"].startswith("PrecisionExhaustedError: ")
+
+    def test_default_outputs_are_named_by_the_config_hash(self, monkeypatch, tmp_path):
+        # without --out every file name carries the hash, so two depths
+        # never collide: JSON at reports/report-<hash>.json, CSV under
+        # reports/report-<hash>/
+        monkeypatch.chdir(tmp_path)
+        assert run(["report-all", "--n-max", "2", "--format", "csv"]) == 0
+        assert run(["report-all", "--n-max", "3", "--format", "csv"]) == 0
+        assert run(["report-all", "--n-max", "2"]) == 0
+        reports = tmp_path / "reports"
+        (json_file,) = reports.glob("*.json")
+        assert re.fullmatch(r"report-[0-9a-f]{12}\.json", json_file.name)
+        dirs = sorted(d.name for d in reports.iterdir() if d.is_dir())
+        assert len(dirs) == 2 and json_file.stem in dirs
+        assert all((reports / d / "00__ckn-bound.csv").is_file() for d in dirs)
 
     def test_n_max_one_still_confirms(self, tmp_path):
         assert run(["report-all", "--n-max", "1", "--out", str(tmp_path / "n1")]) == 0

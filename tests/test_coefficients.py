@@ -18,6 +18,7 @@ from mpmath import mp
 from carleman import coefficients as co
 from carleman.errors import EnumerationCapError
 from carleman.outcomes import Outcome
+from conftest import pow_convolve, pow_squaring, root_series_signed
 
 
 class TestEEnclosure:
@@ -93,7 +94,7 @@ class TestCkn:
     def test_power_routes_agree_at_order_60(self):
         base = co.log_series(60)
         for k in (2, 3, 5, 8):
-            assert base.pow_convolve(k).coeffs == base.pow_squaring(k).coeffs
+            assert pow_convolve(base, k).coeffs == pow_squaring(base, k).coeffs
 
 
 @settings(max_examples=30, deadline=None)
@@ -136,7 +137,7 @@ class TestRootSeries:
                 assert mags[i] * i <= 1
 
     def test_signs_alternate(self):
-        signed = co.root_series_signed(2, 6)
+        signed = root_series_signed(2, 6)
         assert signed[1] > 0 > signed[2]
         assert signed[3] > 0 > signed[4]
 
@@ -152,7 +153,7 @@ class TestRootSeries:
                 assert abs(binom) == mags[i]
 
     def test_b_series_k1_equals_a(self):
-        a = co.root_series_signed(3, 12)
+        a = root_series_signed(3, 12)
         b = co.root_power_series(3, 1, 12)
         assert tuple(b) == a.coeffs
 
@@ -169,7 +170,7 @@ class TestRootSeries:
 
     def test_b_series_squared_consistency(self):
         # (a-series)^2 scaled by 1/2! matches the k = 2 series term-by-term
-        a = co.root_series_signed(2, 20)
+        a = root_series_signed(2, 20)
         direct = a.mul(a)
         b = co.root_power_series(2, 2, 20)
         for j in range(21):

@@ -8,7 +8,7 @@ import pytest
 from mpmath import iv
 
 from carleman.criteria import (
-    carleman_partial_sums,
+    carleman_terms,
     check_derivation_closed,
     check_inclusion,
     check_log_convex,
@@ -16,7 +16,7 @@ from carleman.criteria import (
     quasianalyticity_report,
     quasianalyticity_rule,
 )
-from carleman.intervals import working_precision
+from carleman.intervals import sum_values, working_precision
 from carleman.outcomes import Outcome, Reason
 from carleman.sequences import SequenceSpec, WeightSequence, power_substitute
 from conftest import encloses_fraction, iv_endpoints, log_hi, log_iv, log_lo
@@ -91,26 +91,28 @@ class TestMonotone:
 
 class TestCarleman:
     def test_constant_terms_and_rule(self, constant_ws):
-        sums, verdict = carleman_partial_sums(constant_ws, 50)
+        verdict = quasianalyticity_report(constant_ws, 50).verdict
+        total = sum_values(carleman_terms(constant_ws, 50))
         assert verdict.outcome is Outcome.CONFIRMED
         assert verdict.reason is Reason.SYMBOLIC_COMPARISON
         assert "divergent" in verdict.evidence[0].note
         # S_N = sum_{n=1..N} 1/(n+1) = H_{N+1} - 1
         expected = sum(Fraction(1, n + 1) for n in range(1, 51))
-        assert encloses_fraction(sums[-1], expected, constant_ws.bits)
+        assert encloses_fraction(total, expected, constant_ws.bits)
 
     def test_gevrey_partial_sums_approach_limit(self, gevrey1_ws):
         # terms are exactly 1/(n+1)^2: S_N + tail = pi^2/6 - 1 with
         # tail in [1/(N+2), 1/(N+1)]
         N = 400
-        sums, verdict = carleman_partial_sums(gevrey1_ws, N)
+        verdict = quasianalyticity_report(gevrey1_ws, N).verdict
+        total = sum_values(carleman_terms(gevrey1_ws, N))
         assert verdict.outcome is Outcome.CONFIRMED
         assert "convergent" in verdict.evidence[0].note
         exact = sum(Fraction(1, (n + 1) ** 2) for n in range(1, N + 1))
-        assert encloses_fraction(sums[-1], exact, gevrey1_ws.bits)
+        assert encloses_fraction(total, exact, gevrey1_ws.bits)
         with working_precision(gevrey1_ws.bits):
             limit = iv.pi**2 / 6 - 1
-            s_iv = iv.exp(log_iv(sums[-1]))
+            s_iv = iv.exp(log_iv(total))
             lo, hi = iv_endpoints(s_iv + iv.mpf([0, 1]) / (N + 1))
             llo, lhi = iv_endpoints(limit)
             assert lo <= llo and lhi <= hi
@@ -139,7 +141,7 @@ class TestCarleman:
 
     def test_table_has_no_rule(self):
         spec = SequenceSpec(family="table", log_values=("0", "1", "2", "3", "4", "5"))
-        sums, verdict = carleman_partial_sums(WeightSequence(spec), 4)
+        verdict = quasianalyticity_report(WeightSequence(spec), 4).verdict
         assert verdict.outcome is Outcome.INCONCLUSIVE
         assert verdict.reason is Reason.DEPTH_EXHAUSTED
 
@@ -152,9 +154,9 @@ class TestCarleman:
         # numerical sanity behind the symbolic claim: partial sums of the
         # k = 1 tower family keep growing
         ws = WeightSequence(SequenceSpec(family="iterated_log", k=1))
-        sums, _ = carleman_partial_sums(ws, 300)
+        terms = carleman_terms(ws, 300)
         with working_precision(ws.bits):
-            assert log_lo(sums[299]) > log_hi(sums[150])
+            assert log_lo(sum_values(terms)) > log_hi(sum_values(terms[:151]))
 
 
 class TestDerivationClosed:

@@ -25,6 +25,7 @@ from mpmath import iv, mp
 
 from carleman import coefficients as co
 from carleman.intervals import working_precision
+from conftest import pow_convolve, root_series_signed
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +74,7 @@ class TestStirlingCkn:
 
 
 def _convolution_root_series(p: int, k: int, n_max: int) -> list[Fraction]:
-    powered = co.root_series_signed(p, n_max).pow_convolve(k)
+    powered = pow_convolve(root_series_signed(p, n_max), k)
     return [c / factorial(k) for c in powered.coeffs]
 
 

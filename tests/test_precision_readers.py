@@ -22,8 +22,8 @@ READERS = {"intervals.working_precision"}
 #: module.qualname of every function that still calls ``working_precision``
 CALLERS = {"sequences._memoized"}
 
-#: the arithmetic path: every ``LogReal`` method, ``sum_values`` and ``partial_sums``
-ARITHMETIC = ("intervals.LogReal.", "intervals.sum_values", "intervals.partial_sums")
+#: the arithmetic path: every ``LogReal`` method and ``sum_values``
+ARITHMETIC = ("intervals.LogReal.", "intervals.sum_values")
 
 
 class _Scopes(ast.NodeVisitor):

@@ -19,7 +19,8 @@ from pathlib import Path
 import pytest
 from mpmath import iv, mp
 
-from carleman.cli import main, shipped_fixture
+from carleman.cli import main
+from conftest import shipped_fixture
 
 SPECS = Path(__file__).resolve().parents[1] / "src" / "carleman" / "data" / "specs"
 

@@ -2,13 +2,18 @@
 route, memo discipline, spec document I/O, and the index dilation."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from mpmath import iv
 
+import carleman
 from carleman.errors import IndexRangeError, PrecisionExhaustedError, SpecFormatError
 from carleman.intervals import LogReal, working_precision
 from carleman.sequences import (
@@ -103,6 +108,29 @@ class TestIteratedLog:
         spec = SequenceSpec(family="iterated_log", k=1)
         with pytest.raises(PrecisionExhaustedError):
             tower_threshold(4, spec.bits)
+
+    @pytest.mark.parametrize("k", [5, 10**9])
+    def test_threshold_past_four_fails_fast(self, k):
+        # e^^5 is exp of a number with millions of digits; the isolation
+        # check at level 4 must refuse before that exponential is taken.
+        # A child process keeps a regression from hanging the suite.
+        code = (
+            "from carleman.errors import PrecisionExhaustedError\n"
+            "from carleman.sequences import SequenceSpec, tower_threshold\n"
+            "try:\n"
+            f"    tower_threshold({k}, SequenceSpec(family='constant').bits)\n"
+            "except PrecisionExhaustedError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(carleman.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=30)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == (
+            f"enclosure of e^^{k} cannot isolate an integer at this precision"
+        )
 
     def test_normalization(self):
         for k in (1, 2):

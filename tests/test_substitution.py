@@ -101,20 +101,13 @@ class TestAssembly:
                 assert extras["q_cancel"] == "0"
 
     def test_n1_single_term(self, gevrey1_spec):
-        # n = 1, p = 2, A = 1, x = 1: one k = 1 term; its coefficient must
-        # equal the ceiling divided by n = 1
+        # n = 1, p = 2, A = 1: one k = 1 term per sample x; its coefficient
+        # must equal the ceiling divided by n = 1
         inst = TheoremInstance(gevrey1_spec, p=2, A=Fraction(1), n_max=1)
-        report = final_bound_assembly(inst, x_samples=[Fraction(1)])
+        report = final_bound_assembly(inst, exact_alpha_cap=1)
         k_rows = [r for r in report.rows if r.index[1] == 1]
-        assert len(k_rows) == 1
-        assert k_rows[0].lo == k_rows[0].hi  # product coefficient == ceiling/n
-
-    def test_rejects_non_power_sample(self, gevrey1_spec):
-        inst = TheoremInstance(gevrey1_spec, p=2, A=Fraction(1), n_max=2)
-        with pytest.raises(ValueError):
-            final_bound_assembly(inst, x_samples=[Fraction(1, 3)])
-        with pytest.raises(ValueError):
-            final_bound_assembly(inst, x_samples=[Fraction(4)])
+        assert sorted(r.index[2] for r in k_rows) == sorted(str(x) for x in default_x_samples(2))
+        assert all(r.lo == r.hi for r in k_rows)  # product coefficient == ceiling/n
 
     def test_alpha_factor_agrees_with_oracle_helper(self, gevrey1_spec):
         # the bound coefficient used per (p, k, n, x) must be bit-identical
