@@ -26,12 +26,13 @@ from pathlib import Path
 from ._version import __version__
 from .bang import BangSeries
 from .coefficients import (
+    SAMPLE_ROOTS,
     ckn,
     ckn_bruteforce,
     dec_str,
+    diagonal_derivative_row,
     log_power_table,
     verify_ckn_bound,
-    verify_diagonal_derivative,
     verify_factorial_inequality_sweep,
     verify_root_series_bounds,
     verify_root_series_magnitude_bound,
@@ -60,13 +61,13 @@ from .sequences import (
     MAX_PRECISION,
     SequenceSpec,
     WeightSequence,
+    dump_spec,
     load_spec,
 )
 from .substitution import (
     TheoremInstance,
     coeff_level_certificate,
     coeff_level_check,
-    default_x_samples,
     final_bound_assembly,
     transform_report,
 )
@@ -195,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_int_in(2), default=2)
     p.add_argument("--A", default="1", help="class radius of the hypothesis bound")
     p.add_argument("--assembly-n-max", type=_COUNT, default=10)
-    p.add_argument("--exact-alpha-cap", type=_COUNT, default=10)
     common(p, n_max_default=20)
 
     p = sub.add_parser("report-all", help="full verification battery on the shipped configs")
@@ -232,14 +232,15 @@ def _reject_spec(run: RunReport, label: str, exc: CarlemanError, work: str) -> N
     ))
 
 
-def _spec_checks(args, label: str, checks) -> RunReport:
-    """The run of ``checks(run)`` for this command; an error on the spec(s)
-    named ``label`` becomes one spec-rejected check after those already run."""
-    run = RunReport(config=_config(args))
+def _spec_checks(args, specs: list[SequenceSpec], checks) -> RunReport:
+    """The run of ``checks(run)`` for this command on ``specs``; an error on
+    them becomes one spec-rejected check after those already run."""
+    run = RunReport(config=_config(args), spec_texts=[dump_spec(spec) for spec in specs])
     try:
         checks(run)
     except CarlemanError as exc:
-        _reject_spec(run, label, exc, f"{args.command} checks")
+        _reject_spec(run, " vs ".join(spec.label() for spec in specs), exc,
+                     f"{args.command} checks")
     return run
 
 
@@ -276,7 +277,7 @@ def cmd_seq_show(args) -> RunReport:
                (("n_max", str(args.n_max)), ("spec", label)), "M_n (log)", args.n_max,
                ws.log_M, (("mprime", ws.log_Mprime), ("ratio", ws.ratio_m)))
 
-    return _spec_checks(args, label, checks)
+    return _spec_checks(args, [spec], checks)
 
 
 def cmd_seq_check(args) -> RunReport:
@@ -294,13 +295,13 @@ def cmd_seq_check(args) -> RunReport:
             except CarlemanError as exc:
                 _reject_spec(run, spec.label(), exc, f"{name} sweeps")
 
-    return _spec_checks(args, spec.label(), checks)
+    return _spec_checks(args, [spec], checks)
 
 
 def cmd_seq_compare(args) -> RunReport:
     specM = _load(args.spec, args.precision)
     specN = _load(args.other, args.precision)
-    return _spec_checks(args, f"{specM.label()} vs {specN.label()}", lambda run: _timed(
+    return _spec_checks(args, [specM, specN], lambda run: _timed(
         run, check_inclusion, WeightSequence(specM), WeightSequence(specN), args.n_max))
 
 
@@ -319,7 +320,7 @@ def cmd_seq_transform(args) -> RunReport:
                    (("mprime_sub", dilated.log_Mprime_sub),))
         _timed(run, transform_report, ws, p, max(8, args.n_max))
 
-    return _spec_checks(args, label, checks)
+    return _spec_checks(args, [spec], checks)
 
 
 def _ckn_equivalence_report(k_max: int, n_max: int) -> CheckReport:
@@ -361,12 +362,12 @@ def cmd_ckn(args) -> RunReport:
 
 
 def _diag_derivative_report(p: int, k_max: int, n_max: int) -> CheckReport:
-    rows = []
-    for x in default_x_samples(p):
-        for n in range(1, n_max + 1):
-            for k in range(1, min(k_max, n) + 1):
-                verdict = verify_diagonal_derivative(p, k, n, x)
-                rows.append(verdict.evidence[0])
+    rows = [
+        diagonal_derivative_row(p, k, n, q)
+        for q in SAMPLE_ROOTS
+        for n in range(1, n_max + 1)
+        for k in range(1, min(k_max, n) + 1)
+    ]
     return aggregate_rows(
         "diag-derivative",
         "|diagonal derivative| obeys the (2e)^n n^(n-k) x^(-(pn-k)/p) estimate",
@@ -452,7 +453,7 @@ def cmd_bang(args) -> RunReport:
         if series is not None and args.plot_data:
             _write_plot_data(series, args.plot_data, args.plot_points, args.plot_k)
 
-    return _spec_checks(args, spec.label(), checks)
+    return _spec_checks(args, [spec], checks)
 
 
 def cmd_thm61(args) -> RunReport:
@@ -466,9 +467,9 @@ def cmd_thm61(args) -> RunReport:
         result = _timed(run, coeff_level_check, inst, WeightSequence(spec))
         result.certificate = coeff_level_certificate(inst).as_dict()
         asm = TheoremInstance(spec=spec, p=args.p, A=A, n_max=args.assembly_n_max)
-        _timed(run, final_bound_assembly, asm, args.exact_alpha_cap)
+        _timed(run, final_bound_assembly, asm)
 
-    return _spec_checks(args, spec.label(), checks)
+    return _spec_checks(args, [spec], checks)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +491,6 @@ def run_battery(
 ) -> RunReport:
     """The full verification battery over the shipped family configs, plus
     criteria sweeps for any user-supplied spec documents."""
-    run = RunReport(config=config or {})
     d = lambda default, minimum=1: _depth(default, n_max, minimum)
 
     constant = _load(_shipped_spec("constant"), precision)
@@ -499,6 +499,9 @@ def run_battery(
     il2 = _load(_shipped_spec("iterated_log2"), precision)
     paper8 = _load(_shipped_spec("paper8"), precision)
     built_ins = (constant, gevrey1, il1, il2, paper8)
+    extras = [_load(path, precision) for path in extra_specs or []]
+    run = RunReport(config=config or {},
+                    spec_texts=[dump_spec(spec) for spec in (*built_ins, *extras)])
 
     # exact coefficient oracle
     _timed(run, verify_ckn_bound, d(10), d(30))
@@ -550,13 +553,12 @@ def run_battery(
                 inst = TheoremInstance(spec=spec, p=p, A=A, n_max=d(12))
                 _timed(run, coeff_level_check, inst, ws[spec.label()])
     asm = TheoremInstance(spec=gevrey1, p=2, A=Fraction(1), n_max=d(8))
-    _timed(run, final_bound_assembly, asm, 8)
+    _timed(run, final_bound_assembly, asm)
 
     # user-supplied documents: criteria sweeps (negative fixtures land here),
     # clamped to the indices the family defines; an error inside one
     # document's sweeps becomes one inconclusive check and the run goes on
-    for path in extra_specs or []:
-        spec = _load(path, precision)
+    for spec in extras:
         extra_ws = WeightSequence(spec)
         top = extra_ws.last_index
 

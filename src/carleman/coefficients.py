@@ -38,7 +38,6 @@ compare all three.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import threading
 from dataclasses import dataclass
@@ -54,7 +53,6 @@ from .outcomes import (
     EvidenceRow,
     Outcome,
     Reason,
-    Verdict,
     aggregate_rows,
     worst_outcome,
 )
@@ -363,77 +361,34 @@ def verify_root_series_bounds(p: int, k: int, n_max: int) -> CheckReport:
     )
 
 
-def _int_nth_root(m: int, p: int) -> int:
-    """Floor of the p-th root of a nonnegative integer (exact Newton)."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if m in (0, 1) or p == 1:
-        return m
-    x = 1 << ((m.bit_length() + p - 1) // p + 1)
-    while True:
-        y = ((p - 1) * x + m // x ** (p - 1)) // p
-        if y >= x:
-            return x
-        x = y
+#: the sample points x = q^p in (0, 1] of the diagonal-derivative checks, by
+#: their p-th root q, so every fractional power of x is a rational power of q
+SAMPLE_ROOTS = (Fraction(1), Fraction(1, 2), Fraction(1, 4))
 
 
-def exact_pth_root(x: Fraction, p: int) -> Fraction | None:
-    """The exact rational q > 0 with q^p = x, or None if there is none."""
-    if x <= 0:
-        return None
-    rn = _int_nth_root(x.numerator, p)
-    rd = _int_nth_root(x.denominator, p)
-    if rn**p == x.numerator and rd**p == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def diagonal_derivative(p: int, k: int, n: int, x: Fraction) -> Fraction:
+def diagonal_derivative(p: int, k: int, n: int, q: Fraction) -> Fraction:
     """Signed n-th diagonal derivative of (X^(1/p) - x^(1/p))^k / k! in X at
-    X = x: the exact value n! * b_n * x^(-(p n - k)/p).
-
-    ``x`` must be an exact p-th power of a positive rational so the
-    fractional power is itself rational; anything else is rejected.
-    """
+    X = x = q^p for a rational q > 0: the exact value n! * b_n * q^(-(p n - k))."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    q = exact_pth_root(x, p)
-    if q is None:
-        raise ValueError(f"{x} is not an exact p-th power of a positive rational")
     if n < k:
         return Fraction(0)
     b_n = root_power_series(p, k, n)[n]
     return factorial(n) * b_n * q ** (-(p * n - k))
 
 
-def diagonal_derivative_bound_coeff(p: int, k: int, n: int, x: Fraction, e_side: Fraction) -> Fraction:
-    """The rational part of the diagonal-derivative estimate
-    (2e)^n * n^(n-k) * x^(-(pn-k)/p), with e replaced by the given enclosure
-    side.  Shared by the theorem assembly so the two modules agree
-    bit-for-bit on every (p, k, n, x)."""
-    q = exact_pth_root(x, p)
-    if q is None:
-        raise ValueError(f"{x} is not an exact p-th power of a positive rational")
-    return (2 * e_side) ** n * Fraction(n) ** (n - k) * q ** (-(p * n - k))
-
-
-def verify_diagonal_derivative(p: int, k: int, n: int, x: Fraction) -> Verdict:
-    """Companion check |alpha_k^(n)(x, x)| <= (2e)^n n^(n-k) x^(-(pn-k)/p)."""
-    value = abs(diagonal_derivative(p, k, n, x))
-    safe = diagonal_derivative_bound_coeff(p, k, n, x, E_LO)
-    row = EvidenceRow(
-        index=(p, k, n, str(x)),
+def diagonal_derivative_row(p: int, k: int, n: int, q: Fraction) -> EvidenceRow:
+    """The three-valued check of the estimate
+    |alpha_k^(n)(x, x)| <= (2e)^n n^(n-k) x^(-(pn-k)/p) at x = q^p."""
+    value = abs(diagonal_derivative(p, k, n, q))
+    coeff = 2**n * Fraction(n) ** (n - k) * q ** (-(p * n - k))
+    return EvidenceRow(
+        index=(p, k, n, str(q**p)),
         quantity="|diag derivative| vs (2e)^n n^(n-k) x^(-(pn-k)/p)",
         lo=dec_str(value),
-        hi=dec_str(safe),
+        hi=dec_str(coeff * e_lo_pow(n)),
+        outcome=leq_with_e_power(value, coeff, n),
     )
-    if value <= safe:
-        return Verdict(Outcome.CONFIRMED, Reason.INTERVAL_SEPARATION, (row,))
-    if value > diagonal_derivative_bound_coeff(p, k, n, x, E_UP):
-        witness = dataclasses.replace(row, outcome=Outcome.REFUTED)
-        return Verdict(Outcome.REFUTED, Reason.INTERVAL_SEPARATION, (witness,))
-    undecided = dataclasses.replace(row, outcome=Outcome.INCONCLUSIVE)
-    return Verdict(Outcome.INCONCLUSIVE, Reason.PRECISION_EXHAUSTED, (undecided,))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ and tool version must produce byte-identical documents, so serialization
 sorts every key, orders rows by index, and writes the wall-time field as 0
 (the measured times are kept in memory for the human summary only; a
 genuine timing in the canonical file would defeat reproducibility audits).
-Default file names carry a content hash of the configuration, and existing
-reports are never silently replaced by different bytes.
+Default file names carry a content hash of the configuration and of every
+spec document the run loaded, and existing reports are never silently
+replaced by different bytes.
 """
 
 from __future__ import annotations
@@ -37,11 +38,14 @@ class CheckResult:
 @dataclass
 class RunReport:
     """Aggregate of an invocation: config echo plus every check result, in
-    execution order.  No result is ever dropped from the aggregate."""
+    execution order.  No result is ever dropped from the aggregate.
+    ``spec_texts`` are the loaded spec documents, in canonical form: they key
+    the default file name but are not part of the document."""
 
     config: dict
     checks: list[CheckResult] = field(default_factory=list)
     tool_version: str = __version__
+    spec_texts: list[str] = field(default_factory=list)
 
     def add(self, report: CheckReport, ms: float = 0.0,
             certificate: dict | None = None) -> CheckResult:
@@ -83,7 +87,8 @@ class RunReport:
 
     def config_hash(self) -> str:
         payload = json.dumps(
-            {"config": self.config, "tool_version": self.tool_version},
+            {"config": self.config, "specs": self.spec_texts,
+             "tool_version": self.tool_version},
             sort_keys=True,
             separators=(",", ":"),
         )

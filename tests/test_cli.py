@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, deterministic documents, file formats."""
 
+import argparse
 import json
 import re
 from collections import Counter
@@ -28,6 +29,24 @@ def run(argv):
 @pytest.fixture()
 def gevrey_path():
     return str(SPECS / "gevrey1.json")
+
+
+def _bounded_integer_options():
+    """(flag, documented cap, argv with the required options) for every
+    ``cli._int_in`` option of every subcommand of the parser."""
+    parser = cli.build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub in commands.choices.items():
+        argv = [command]
+        for action in sub._actions:
+            if action.required:
+                argv += [action.option_strings[0], str(SPECS / "gevrey1.json")]
+        for action in sub._actions:
+            if getattr(action.type, "__qualname__", "") == "_int_in.<locals>.integer":
+                flag = action.option_strings[0]
+                cap = {"--n-max": DEFAULT_MAX_INDEX, "--precision": MAX_PRECISION}.get(
+                    flag, cli.MAX_DEPTH)
+                yield flag, cap, argv
 
 
 class TestExitCodes:
@@ -88,20 +107,9 @@ class TestExitCodes:
         assert run(["seq-show", "--spec", gevrey_path, "--precision", "-3"]) == 3
         assert run(["ckn", "--k-max", "0"]) == 3
 
-    @pytest.mark.parametrize("flag,cap,argv", [
-        ("--n-max", DEFAULT_MAX_INDEX, ["seq-check", "--spec", str(SPECS / "gevrey1.json")]),
-        ("--n-max", DEFAULT_MAX_INDEX, ["report-all"]),
-        ("--precision", MAX_PRECISION, ["seq-show", "--spec", str(SPECS / "gevrey1.json")]),
-        ("--k-max", cli.MAX_DEPTH, ["ckn"]),
-        ("--k-max", cli.MAX_DEPTH, ["alpha"]),
-        ("--p", cli.MAX_DEPTH, ["ineq62"]),
-        ("--p", cli.MAX_DEPTH, ["seq-transform", "--spec", str(SPECS / "gevrey1.json")]),
-        ("--deriv-n-max", cli.MAX_DEPTH, ["bang", "--spec", str(SPECS / "gevrey1.json")]),
-        ("--sharpness-n-max", cli.MAX_DEPTH, ["bang", "--spec", str(SPECS / "gevrey1.json")]),
-        ("--plot-points", cli.MAX_DEPTH, ["bang", "--spec", str(SPECS / "gevrey1.json")]),
-        ("--plot-k", cli.MAX_DEPTH, ["bang", "--spec", str(SPECS / "gevrey1.json")]),
-        ("--assembly-n-max", cli.MAX_DEPTH, ["thm61", "--spec", str(SPECS / "gevrey1.json")]),
-        ("--exact-alpha-cap", cli.MAX_DEPTH, ["thm61", "--spec", str(SPECS / "gevrey1.json")]),
+    @pytest.mark.parametrize("flag, cap, argv", [
+        pytest.param(flag, cap, argv, id=f"{argv[0]} {flag}")
+        for flag, cap, argv in _bounded_integer_options()
     ])
     def test_counts_above_their_cap_are_three(self, capsys, flag, cap, argv):
         # the cap itself parses; one more is a usage error, before any work
@@ -113,6 +121,11 @@ class TestExitCodes:
                 parser.parse_args(argv + [flag, str(value)])
             assert f"to {cap}" in capsys.readouterr().err
             assert run(argv + [flag, str(value)]) == 3
+
+    def test_every_subcommand_has_its_bounded_options_checked(self):
+        checked = {(argv[0], flag) for flag, _, argv in _bounded_integer_options()}
+        assert {("alpha", "--p"), ("thm61", "--p"), ("report-all", "--n-max"),
+                ("seq-show", "--precision"), ("bang", "--plot-k")} <= checked
 
     def test_help_is_zero(self, capsys):
         assert run(["--help"]) == 0
@@ -435,6 +448,17 @@ class TestReportAll:
         dirs = sorted(d.name for d in reports.iterdir() if d.is_dir())
         assert len(dirs) == 2 and json_file.stem in dirs
         assert all((reports / d / "00__ckn-bound.csv").is_file() for d in dirs)
+
+    def test_a_spec_edited_in_place_gets_its_own_report(self, tmp_path):
+        # the default name hashes each loaded spec document, not only the
+        # path the config echoes
+        spec, out = tmp_path / "my.json", tmp_path / "out"
+        argv = ["report-all", "--n-max", "2", "--spec", str(spec), "--out", str(out)]
+        spec.write_text('{"family": "gevrey", "params": {"s": 1}}')
+        assert run(argv) == 0
+        spec.write_text('{"family": "gevrey", "params": {"s": 2}}')
+        assert run(argv) == 0
+        assert len(list(out.glob("report-*.json"))) == 2
 
     def test_n_max_one_still_confirms(self, tmp_path):
         assert run(["report-all", "--n-max", "1", "--out", str(tmp_path / "n1")]) == 0

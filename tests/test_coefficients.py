@@ -196,41 +196,20 @@ class TestDiagonalDerivative:
         assert abs(co.diagonal_derivative(2, 1, 2, Fraction(1))) == Fraction(1, 4)
 
     def test_rational_power_scaling(self):
-        # x = (1/2)^2: exact root q = 1/2, so the value scales by
+        # x = (1/2)^2 has root q = 1/2, so the value scales by
         # q^(-(pn-k)) = 2^(pn-k)
         base = co.diagonal_derivative(2, 1, 2, Fraction(1))
-        scaled = co.diagonal_derivative(2, 1, 2, Fraction(1, 4))
+        scaled = co.diagonal_derivative(2, 1, 2, Fraction(1, 2))
         assert scaled == base * 2 ** (2 * 2 - 1)
-
-    def test_rejects_non_power(self):
-        with pytest.raises(ValueError):
-            co.diagonal_derivative(2, 1, 1, Fraction(2))
-        with pytest.raises(ValueError):
-            co.diagonal_derivative(3, 1, 1, Fraction(1, 4))
 
     def test_companion_bound(self):
         for p, k, n in [(2, 1, 1), (2, 1, 2), (2, 2, 3), (3, 2, 5)]:
-            for x in (Fraction(1), Fraction(1, 2**p), Fraction(1, 4**p)):
-                v = co.verify_diagonal_derivative(p, k, n, x)
-                assert v.outcome is Outcome.CONFIRMED
-
-
-class TestIntRoots:
-    def test_exact_roots(self):
-        assert co.exact_pth_root(Fraction(4, 9), 2) == Fraction(2, 3)
-        assert co.exact_pth_root(Fraction(27), 3) == 3
-        assert co.exact_pth_root(Fraction(1), 7) == 1
-
-    def test_non_roots(self):
-        assert co.exact_pth_root(Fraction(2), 2) is None
-        assert co.exact_pth_root(Fraction(8, 9), 3) is None
-        assert co.exact_pth_root(Fraction(-4), 2) is None
-
-    @settings(max_examples=50, deadline=None)
-    @given(m=st.integers(min_value=0, max_value=10**12), p=st.integers(min_value=2, max_value=7))
-    def test_floor_root(self, m, p):
-        r = co._int_nth_root(m, p)
-        assert r**p <= m < (r + 1) ** p
+            for q in co.SAMPLE_ROOTS:
+                row = co.diagonal_derivative_row(p, k, n, q)
+                assert row.outcome is Outcome.CONFIRMED
+                assert row.index == (p, k, n, str(q**p))
+                bound = (2 * co.E_LO) ** n * Fraction(n) ** (n - k) * q ** (-(p * n - k))
+                assert row.hi == co.dec_str(bound)
 
 
 class TestFactorialInequality:

@@ -40,8 +40,8 @@ RUNS = {
         ["report-all", "--n-max", "3", "--precision", "20",
          "--spec", "nonconvex_table.json", "--spec", "transformed_il1.json"],
         1,
-        "43d8623730888c5f0028b5e9b915157efd0bb73ec0a6f15061e45cc8923ce966",
-        "7ebb2acd0b555dbeb5b10684d9a0f2a34d19be6b08ed3f8ce7870b26ead20931",
+        "96d4d43179644b3769c00e73cbcf7c0f6a7fb19449ff4f4868d7b23e8a587969",
+        "54f944fa0ca25ad08a77b7d96703e8f007832f5f17a839752aa14580d5121dce",
     ),
     "seq-check-table": (
         ["seq-check", "--spec", "nonconvex_table.json", "--n-max", "3"],
@@ -95,8 +95,8 @@ RUNS = {
     "alpha": (
         ["alpha", "--p", "2", "--k-max", "2", "--n-max", "4"],
         0,
-        "81138e48ec737408e9fa7e696abf509e541987cfd6408e363d68af6205b6882d",
-        "ffa796c125f5be7aa737ea67ac5acb76299da3da9e1b3e1664cd0f088e10838c",
+        "edd1fb97665ae5d2a76967e9068e9a25a49089963dfb63cda45e5f4fb5a5acef",
+        "07cc7b382a4bf617eb4b2ba407828e5c0bbf808f136e17fe971cfed0ef9fb0a6",
     ),
     "ineq62": (
         ["ineq62", "--n-max", "3"],
@@ -105,11 +105,10 @@ RUNS = {
         "65b7f0b031f2db51f780290f16e501b19957644b8b211401d028c5d1bf905161",
     ),
     "thm61": (
-        ["thm61", "--spec", "gevrey1.json", "--n-max", "3", "--assembly-n-max", "2",
-         "--exact-alpha-cap", "2"],
+        ["thm61", "--spec", "gevrey1.json", "--n-max", "3", "--assembly-n-max", "2"],
         0,
-        "0b053a445a7174ea0d6349a8b23fcec6a6c9726c3ec18a07050f1f8d778390c1",
-        "a33fbb56b199c856819d015d9ab635be21155ddb3f11eb23378bfcd69e921cce",
+        "9bea0cea1ee1f025cc3ea034e54454ede43140f5a7b5911cbec37212f161153d",
+        "3f845dc9310cf13c7fc6343c8a599cf09619b8d7450fd4dc4a89eec36af62d41",
     ),
     "seq-compare-rejected": (
         ["seq-compare", "--spec", "iterated_log4.json", "--other", "iterated_log4.json",
@@ -121,8 +120,8 @@ RUNS = {
     "report-all-rejected": (
         ["report-all", "--n-max", "2", "--precision", "20", "--spec", "iterated_log4.json"],
         2,
-        "a24b60bbbd39f882b89808fe79ba8416e17d18fabe603b31bb5dd411817caefd",
-        "d75f4361f4f0a98df2d273f764bda4b79d50bf9212fc5372e93a916f9cd8b5f1",
+        "7c7340c9772133e0f9ff10e4e64464a1b4da3568807b98eabfa2c75c49c1542d",
+        "c6d9441abbad93adc05a836ec5cff3fc7f35585cab4e54f0d428e191cb815fb7",
     ),
 }
 

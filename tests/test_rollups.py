@@ -1,20 +1,24 @@
 """Failing branches of the outcome roll-ups.
 
 The exact links behind ``ckn-bound``, ``root-series-bound``,
-``diag-derivative`` and ``substitution-coefficients`` never fail on correct
-arithmetic, so these tests replace one link at a time with a refuting or
-inconclusive stand-in and check the row outcomes (refuted > inconclusive >
-confirmed) and the notes that name the failing link.
+``diag-derivative``, ``substitution-coefficients`` and
+``substitution-assembly`` never fail on correct arithmetic, so these tests
+replace one link at a time with a refuting or inconclusive stand-in and
+check the row outcomes (refuted > inconclusive > confirmed) and the notes
+that name the failing link.  A loose lower side of e must leave every check
+that compares with a power of e unrefuted.
 """
 
+import json
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from carleman import coefficients as co
 from carleman import substitution as su
-from carleman.cli import _diag_derivative_report
+from carleman.cli import _diag_derivative_report, main
 from carleman.outcomes import EvidenceRow, Outcome, Reason, aggregate_rows
 from carleman.sequences import SequenceSpec, WeightSequence
 
@@ -75,23 +79,22 @@ class TestRootSeriesBound:
 
 class TestDiagonalDerivative:
     def test_a_row_between_the_e_sides_is_inconclusive(self, monkeypatch):
-        # at one (p, k, n, x) the E_LO side of the bound falls below the
-        # value and the E_UP side above it: that row, and the check, are
-        # undecided
+        # at one (p, k, n, q) the value lies between the E_LO and the E_UP
+        # side of its bound: that row, and the check, are undecided
         target = (2, 1, 2, Fraction(1))
-        bound = co.diagonal_derivative_bound_coeff
+        value = co.diagonal_derivative
 
-        def straddle(p, k, n, x, e_side):
-            if (p, k, n, x) != target:
-                return bound(p, k, n, x, e_side)
-            value = abs(co.diagonal_derivative(p, k, n, x))
-            return value * e_side * 2 / (co.E_LO + co.E_UP)
+        def straddle(p, k, n, q):
+            if (p, k, n, q) != target:
+                return value(p, k, n, q)
+            bound = 2**n * Fraction(n) ** (n - k) * q ** (-(p * n - k))
+            return bound * ((co.E_LO + co.E_UP) / 2) ** n
 
-        monkeypatch.setattr(co, "diagonal_derivative_bound_coeff", straddle)
+        monkeypatch.setattr(co, "diagonal_derivative", straddle)
         report = _diag_derivative_report(2, 2, 3)
         assert report.verdict.outcome is I
         assert [row.index for row in report.verdict.evidence] == [(2, 1, 2, "1")]
-        assert _outcomes(report) == {None, I}
+        assert _outcomes(report) == {C, I}
 
 
 class TestCoefficientLevel:
@@ -112,15 +115,75 @@ class TestCoefficientLevel:
         assert report.verdict.outcome is ineq
 
     @pytest.mark.parametrize("ineq", [C, I])
-    def test_assembled_link_refutes(self, monkeypatch, instance, ineq):
-        # a lower side of e far below e puts the safe ceiling under the lhs
+    def test_lower_side_of_e_alone_is_inconclusive(self, monkeypatch, instance, ineq):
+        # the E_LO ceiling falls under the lhs, the E_UP ceiling stays above it
         monkeypatch.setattr(su, "E_LO", Fraction(1, 100))
+        monkeypatch.setattr(
+            su, "verify_factorial_inequality", lambda p, n, k: SimpleNamespace(outcome=ineq)
+        )
+        report = su.coeff_level_check(instance, WeightSequence(instance.spec))
+        assert _outcomes(report) == {I}
+        assert report.verdict.outcome is I
+
+    @pytest.mark.parametrize("ineq", [C, I])
+    def test_assembled_link_refutes(self, monkeypatch, instance, ineq):
+        # both sides of e far below e put every ceiling under the lhs
+        monkeypatch.setattr(su, "E_LO", Fraction(1, 100))
+        monkeypatch.setattr(su, "E_UP", Fraction(1, 100))
         monkeypatch.setattr(
             su, "verify_factorial_inequality", lambda p, n, k: SimpleNamespace(outcome=ineq)
         )
         report = su.coeff_level_check(instance, WeightSequence(instance.spec))
         assert _outcomes(report) == {R}
         assert report.verdict.outcome is R
+
+
+class TestAssembly:
+    def test_an_inflated_derivative_refutes_its_rows(self, monkeypatch):
+        # one exact diagonal derivative (n + 1) times its E_UP ceiling: its
+        # own row and the k-sum row of its (x, n) are refuted
+        p, k, n, q = 2, 1, 3, Fraction(1, 2)
+        value = co.diagonal_derivative
+
+        def inflated(*args):
+            if args != (p, k, n, q):
+                return value(*args)
+            return (n + 1) * 2**n * Fraction(n) ** (n - k) * q ** (-(p * n - k)) * co.E_UP**n
+
+        monkeypatch.setattr(co, "diagonal_derivative", inflated)
+        monkeypatch.setattr(su, "diagonal_derivative", inflated)
+        inst = su.TheoremInstance(SequenceSpec(family="gevrey", s=Fraction(1)), p, Fraction(1), 4)
+        report = su.final_bound_assembly(inst)
+        assert report.verdict.outcome is R
+        witnesses = [row.index for row in report.verdict.evidence]
+        assert witnesses == [(p, 0, n, "1/4"), (p, k, n, "1/4")]
+
+
+#: the checks that compare with a power of e
+E_POWER_CHECKS = ("ckn-bound", "root-series-bound", "factorial-inequality",
+                  "diag-derivative", "substitution-coefficients", "substitution-assembly")
+
+
+class TestLooseLowerSideOfE:
+    def test_refutes_nothing(self, monkeypatch, capsys):
+        # [1/100, E_UP] still encloses e: no comparison with a power of e
+        # may refute through it
+        low = Fraction(1, 100)
+        for module in (co, su):
+            monkeypatch.setattr(module, "E_LO", low)
+            monkeypatch.setattr(module, "e_lo_pow", lambda m: low**m)
+        gevrey = str(Path(co.__file__).parent / "data" / "specs" / "gevrey1.json")
+        outcomes = {}
+        for argv in (["ckn", "--k-max", "3", "--n-max", "6"],
+                     ["alpha", "--p", "2", "--k-max", "2", "--n-max", "4"],
+                     ["ineq62", "--p", "2", "--n-max", "4"],
+                     ["thm61", "--spec", gevrey, "--n-max", "4", "--assembly-n-max", "4"]):
+            main(argv)
+            for check in json.loads(capsys.readouterr().out)["checks"]:
+                name = check["name"].split("[")[0]
+                outcomes.setdefault(name, set()).add(check["verdict"]["outcome"])
+        assert {name: outcomes[name] for name in E_POWER_CHECKS} == dict.fromkeys(
+            E_POWER_CHECKS, {"inconclusive"})
 
 
 def _row(i, outcome):

@@ -1,5 +1,5 @@
 """Power-substitution verification: the coefficient-level chain, the
-assembled final bound with exact cancellation, and the dilated-class
+assembled final bound at the sample roots, and the dilated-class
 quasianalyticity reports."""
 
 from fractions import Fraction
@@ -7,14 +7,13 @@ from math import factorial
 
 import pytest
 
-from carleman.coefficients import E_LO, diagonal_derivative_bound_coeff
+from carleman.coefficients import E_LO, SAMPLE_ROOTS, dec_str, diagonal_derivative_row
 from carleman.outcomes import Outcome, Reason
 from carleman.sequences import SequenceSpec, WeightSequence
 from carleman.substitution import (
     TheoremInstance,
     coeff_level_certificate,
     coeff_level_check,
-    default_x_samples,
     final_bound_assembly,
     transform_report,
 )
@@ -87,47 +86,56 @@ class TestCoefficientLevel:
 class TestAssembly:
     def test_default_samples_are_exact_powers(self):
         for p in (2, 3, 5):
-            for x in default_x_samples(p):
-                assert 0 < x <= 1
+            for q in SAMPLE_ROOTS:
+                assert 0 < q**p <= 1
 
     def test_confirmed_with_exact_cancellation(self, gevrey1_spec):
         inst = TheoremInstance(gevrey1_spec, p=2, A=Fraction(1), n_max=8)
-        report = final_bound_assembly(inst, exact_alpha_cap=8)
+        report = final_bound_assembly(inst)
         assert report.verdict.outcome is Outcome.CONFIRMED
-        assert report.verdict.reason is Reason.SYMBOLIC_COMPARISON
+        assert report.verdict.reason is Reason.INTERVAL_SEPARATION
+        # every row is a comparison that could fail
+        assert {row.outcome for row in report.rows} == {Outcome.CONFIRMED}
+        assert len(report.rows) == len(SAMPLE_ROOTS) * sum(n + 1 for n in range(1, 9))
+        # the x-powers of the two factors cancel: each k-sum is the same at
+        # every sample x
+        sums = {}
         for row in report.rows:
-            extras = dict(row.extra)
-            if "q_cancel" in extras:
-                assert extras["q_cancel"] == "0"
+            if row.index[1] == 0:
+                sums.setdefault(row.index[2], set()).add(row.lo)
+        assert len(sums) == 8 and all(len(los) == 1 for los in sums.values())
 
     def test_n1_single_term(self, gevrey1_spec):
-        # n = 1, p = 2, A = 1: one k = 1 term per sample x; its coefficient
-        # must equal the ceiling divided by n = 1
+        # n = 1, p = 2: one k = 1 row and one sum row per sample x; the sum
+        # is |alpha_1^(1)| q/1 = (1/2) q^(-1) q = 1/2 against the ceiling 2e
         inst = TheoremInstance(gevrey1_spec, p=2, A=Fraction(1), n_max=1)
-        report = final_bound_assembly(inst, exact_alpha_cap=1)
+        report = final_bound_assembly(inst)
+        xs = sorted(str(q**2) for q in SAMPLE_ROOTS)
         k_rows = [r for r in report.rows if r.index[1] == 1]
-        assert sorted(r.index[2] for r in k_rows) == sorted(str(x) for x in default_x_samples(2))
-        assert all(r.lo == r.hi for r in k_rows)  # product coefficient == ceiling/n
+        sum_rows = [r for r in report.rows if r.index[1] == 0]
+        assert sorted(r.index[3] for r in k_rows) == sorted(r.index[3] for r in sum_rows) == xs
+        assert {r.lo for r in sum_rows} == {dec_str(Fraction(1, 2))}
+        assert {r.hi for r in sum_rows} == {dec_str(2 * E_LO)}
 
     def test_alpha_factor_agrees_with_oracle_helper(self, gevrey1_spec):
-        # the bound coefficient used per (p, k, n, x) must be bit-identical
-        # to the oracle module's companion value
-        p, n, x = 2, 3, Fraction(1, 4)
-        for k in (1, 2, 3):
-            direct = diagonal_derivative_bound_coeff(p, k, n, x, E_LO)
-            rebuilt = (
-                (2 * E_LO) ** n
-                * Fraction(n) ** (n - k)
-                * Fraction(1, 2) ** (-(p * n - k))
-            )
-            assert direct == rebuilt
+        # the per-k rows of the assembly are the diag-derivative rows
+        inst = TheoremInstance(gevrey1_spec, p=3, A=Fraction(1), n_max=4)
+        k_rows = [r for r in final_bound_assembly(inst).rows if r.index[1] > 0]
+        expected = [
+            diagonal_derivative_row(3, k, n, q)
+            for q in SAMPLE_ROOTS for n in range(1, 5) for k in range(1, n + 1)
+        ]
+        assert k_rows == sorted(expected, key=lambda r: r.index)
 
     def test_exact_alpha_sum_below_ceiling_columns(self, paper8_spec):
         inst = TheoremInstance(paper8_spec, p=3, A=Fraction(2), n_max=5)
-        report = final_bound_assembly(inst, exact_alpha_cap=5)
+        report = final_bound_assembly(inst)
         assert report.verdict.outcome is Outcome.CONFIRMED
         sum_rows = [r for r in report.rows if r.index[1] == 0]
-        assert all("exact-alpha" in r.note for r in sum_rows)
+        assert len(sum_rows) == 5 * len(SAMPLE_ROOTS)
+        for row in sum_rows:
+            assert row.outcome is Outcome.CONFIRMED
+            assert Fraction(row.lo) < Fraction(row.hi)
 
 
 class TestTransformReport:
