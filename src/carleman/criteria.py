@@ -10,13 +10,17 @@ Two kinds of evidence feed every verdict here:
   tests.  Only these rules can confirm a divergence/convergence or
   boundedness claim; numerical summation alone never does, because the
   criteria are limit statements.
+
+The quasianalyticity series is streamed: its terms are made one at a time
+and summed in one pass, so the check holds no list that grows with n_max.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 
-from .intervals import LogReal, mpf_str, sum_values
+from .intervals import LogReal, mpf_str, partial_sums
 from .outcomes import (
     CheckReport,
     EvidenceRow,
@@ -25,7 +29,7 @@ from .outcomes import (
     Verdict,
     aggregate_rows,
 )
-from .sequences import FAMILIES, SequenceSpec, WeightSequence, log_int
+from .sequences import FAMILIES, SequenceSpec, WeightSequence
 
 
 def log_row(index, quantity, value: LogReal, outcome=None, note="", extra=()) -> EvidenceRow:
@@ -118,26 +122,28 @@ def quasianalyticity_rule(spec: SequenceSpec) -> tuple[str, str] | None:
     return None if rule is None else rule(base, p)
 
 
-def carleman_terms(ws: WeightSequence, n_max: int) -> list[LogReal]:
-    """The terms M_n / ((n+1) M_{n+1}) for n = 1..n_max.
+def carleman_terms(ws: WeightSequence, n_max: int) -> Iterator[LogReal]:
+    """The terms M_n / ((n+1) M_{n+1}) for n = 1..n_max, one at a time.
 
     The summation starts at n = 1; the constant n = 0 term does not affect
     the criterion.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    return [
-        ws.log_M(n) / log_int(n + 1, ws.bits) / ws.log_M(n + 1)
+    return (
+        ws.log_M(n) / LogReal.from_int(n + 1, ws.bits) / ws.log_M(n + 1)
         for n in range(1, n_max + 1)
-    ]
+    )
 
 
 def quasianalyticity_report(ws: WeightSequence, n_max: int) -> CheckReport:
     """The family's symbolic quasianalyticity verdict, with the partial sums
     S_N of :func:`carleman_terms` at N = 1, n_max/4, n_max/2 and n_max as
-    its trend rows.  Without a symbolic rule the verdict is inconclusive and
-    carries the empirical trend only."""
-    terms = carleman_terms(ws, n_max)
+    its trend rows, taken in one pass over the terms.  Without a symbolic
+    rule the verdict is inconclusive and carries the empirical trend only."""
+    sums = partial_sums(
+        carleman_terms(ws, n_max), {1, n_max // 4, n_max // 2, n_max} - {0}, ws.bits
+    )
     rule = quasianalyticity_rule(ws.spec)
     if rule is None:
         claim = "quasianalyticity undecided (no symbolic rule for this family)"
@@ -148,8 +154,8 @@ def quasianalyticity_report(ws: WeightSequence, n_max: int) -> CheckReport:
         note = f"{rule[0]}: {rule[1]}"
         outcome, reason = Outcome.CONFIRMED, Reason.SYMBOLIC_COMPARISON
     trend = tuple(
-        log_row((n,), "partial sum S_n (log)", sum_values(terms[:n]), note=note)
-        for n in sorted({1, n_max // 4, n_max // 2, n_max} - {0})
+        log_row((n,), "partial sum S_n (log)", total, note=note)
+        for n, total in sums.items()
     )
     return CheckReport(
         name=f"quasianalytic[{ws.spec.label()}]",

@@ -12,13 +12,15 @@ on mpmath's process-global precision.
 
 Multiplication, division, and powers are exact linear operations on the log
 interval; sums of values re-enter the linear domain through exp / log round
-trips, which widen by outward rounding only.
+trips, which widen by outward rounding only.  One accumulation loop serves
+both :func:`sum_values` and :func:`partial_sums`, which streams its terms and
+takes the log only at the requested partial sums.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -145,7 +147,11 @@ class LogReal:
 
     @classmethod
     def from_int(cls, n: int, bits: int) -> "LogReal":
-        return cls.from_fraction(Fraction(n), bits)
+        """log n for a positive integer n, bit for bit
+        ``from_fraction(Fraction(n))`` without building the Fraction."""
+        if n <= 0:
+            raise ValueError("LogReal represents positive reals only")
+        return cls.from_mpi(mpi_log(_int_mpi(n, bits), bits), bits)
 
     @classmethod
     def from_fraction(cls, fr: Fraction, bits: int) -> "LogReal":
@@ -203,21 +209,55 @@ class LogReal:
         return f"LogReal(log=[{mpf_str(self.log_lo)}, {mpf_str(self.log_hi)}], bits={self.bits})"
 
 
-def sum_values(terms: Sequence[LogReal], tail_upper: LogReal | None = None) -> LogReal:
+def _running_sums(terms: Iterable[LogReal], bits: int) -> Iterator[tuple]:
+    """The raw ``libmpi`` running sums of the values of ``terms``, one per
+    term, accumulated at ``bits``; a term made at more bits raises
+    ``ValueError`` rather than being rounded down.  The one summation loop:
+    :func:`sum_values` and :func:`partial_sums` both read it."""
+    acc = (fzero, fzero)
+    for t in terms:
+        if t.bits > bits:
+            raise ValueError(f"a term made at {t.bits} bits cannot be summed at {bits}")
+        acc = mpi_add(acc, mpi_exp(t._mpi(), bits), bits)
+        yield acc
+
+
+def sum_values(terms: Iterable[LogReal], tail_upper: LogReal | None = None) -> LogReal:
     """Enclosure of a finite sum of positive values, plus an optional
     certified tail interval ``[0, tail_upper]``, at the largest precision of
     its operands.
 
     Accumulates in the linear domain; the result is exact up to outward
-    rounding of the exp/log round trips.
+    rounding of the exp/log round trips.  ``terms`` may be any non-empty
+    iterable: with no term the sum has no positive lower bound.
     """
+    terms = list(terms)
+    if not terms:
+        raise ValueError("sum_values needs at least one term")
     bits = max(t.bits for t in (*terms, tail_upper) if t is not None)
-    acc = (fzero, fzero)
-    for t in terms:
-        acc = mpi_add(acc, mpi_exp(t._mpi(), bits), bits)
+    for acc in _running_sums(terms, bits):
+        pass
     if tail_upper is not None:
         acc = mpi_add(acc, (fzero, mpf_exp(tail_upper.log_hi, bits, round_ceiling)), bits)
     return LogReal.from_mpi(mpi_log(acc, bits), bits)
+
+
+def partial_sums(terms: Iterable[LogReal], at: Collection[int], bits: int) -> dict[int, LogReal]:
+    """Enclosures of the partial sums S_N of the values of ``terms`` at each
+    N in ``at``, by increasing N, in one pass at ``bits`` that holds no term.
+
+    Each S_N is bit for bit ``sum_values`` of the first N terms when every
+    term is made at ``bits``: the fold from zero runs in the same order.
+    """
+    wanted = set(at)
+    sums = {
+        n: LogReal.from_mpi(mpi_log(acc, bits), bits)
+        for n, acc in enumerate(_running_sums(terms, bits), 1)
+        if n in wanted
+    }
+    if sums.keys() != wanted:
+        raise ValueError("partial sums asked for at an index without a term")
+    return sums
 
 
 def cosine_sum(terms: Sequence[tuple[LogReal, LogReal]], xi: Fraction,

@@ -9,7 +9,8 @@ range and the per-family facts the criteria rely on.
 All magnitudes are :class:`~carleman.intervals.LogReal` enclosures at the
 spec's working precision (significant decimal digits, default 80).  The same
 spec and precision always reproduce bit-identical values, regardless of
-evaluation order or memo state.
+evaluation order or memo state.  Besides the per-sequence memos, the module
+caches one table of log k! and the tower thresholds, per precision.
 """
 
 from __future__ import annotations
@@ -41,48 +42,28 @@ SPEC_FORMAT_VERSION = 1
 _LOGFACT_INCREMENTAL_MAX = 20000
 
 _logfact_lock = threading.RLock()
-#: bits -> (log k! for k = 0, 1, ..., log k for the same k, None at k = 0)
-_logfact_cache: dict[int, tuple[list[LogReal], list[LogReal | None]]] = {}
-
-
-def _logfact_table(n: int, bits: int) -> tuple[list[LogReal], list[LogReal | None]]:
-    """The cached log k! and log k at ``bits``, filled up to k = n; call it
-    under ``_logfact_lock``."""
-    table = _logfact_cache.get(bits)
-    if table is None:
-        table = _logfact_cache[bits] = ([LogReal.one(bits)], [None])
-    facts, logs = table
-    while len(facts) <= n:
-        logs.append(LogReal.from_int(len(facts), bits))
-        facts.append(facts[-1] * logs[-1])
-    return table
+#: bits -> log k! for k = 0, 1, ...
+_logfact_cache: dict[int, list[LogReal]] = {}
 
 
 def log_factorial(n: int, bits: int) -> LogReal:
     """Enclosure of log(n!) at ``bits``.
 
-    Small n accumulate exact per-integer logs (one outward-rounded log per
-    step, cached per precision together with the step's log k, which
-    :func:`log_int` shares); large n go through the interval log-gamma.
+    Small n accumulate exact per-integer logs (one outward-rounded
+    ``LogReal.from_int(k, bits)`` per step, the sums cached per precision);
+    large n go through the interval log-gamma.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > _LOGFACT_INCREMENTAL_MAX:
         return LogReal.from_mpi(mpi_loggamma((from_int(n + 1),) * 2, bits), bits)
     with _logfact_lock:
-        return _logfact_table(n, bits)[0][n]
-
-
-def log_int(n: int, bits: int) -> LogReal:
-    """Enclosure of log n at ``bits``, bit for bit ``LogReal.from_int(n,
-    bits)``: the step :func:`log_factorial` multiplies by, read from its
-    cache up to the seam and computed directly above it."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > _LOGFACT_INCREMENTAL_MAX:
-        return LogReal.from_int(n, bits)
-    with _logfact_lock:
-        return _logfact_table(n, bits)[1][n]
+        facts = _logfact_cache.get(bits)
+        if facts is None:
+            facts = _logfact_cache[bits] = [LogReal.one(bits)]
+        while len(facts) <= n:
+            facts.append(facts[-1] * LogReal.from_int(len(facts), bits))
+        return facts[n]
 
 
 _tower_lock = threading.RLock()

@@ -14,8 +14,8 @@ The package holds every endpoint as a raw ``libmp`` tuple; :func:`as_mpf`,
 and convert.
 
 Members that only the tests need live here too: the two power routes over
-:class:`~carleman.coefficients.SeriesPoly`, the signed root series, and the
-path of a shipped fixture.
+:class:`~carleman.coefficients.SeriesPoly`, the signed root series, the
+prefix route of the partial sums, and the path of a shipped fixture.
 """
 
 from fractions import Fraction
@@ -26,7 +26,7 @@ import pytest
 from mpmath import iv, libmp, mp
 
 from carleman.coefficients import SeriesPoly, root_series_magnitudes
-from carleman.intervals import LogReal, SignedEnclosure, working_precision
+from carleman.intervals import LogReal, SignedEnclosure, sum_values, working_precision
 from carleman.sequences import MAX_PRECISION, SequenceSpec, WeightSequence
 
 
@@ -182,6 +182,14 @@ def ref_partial_sums(terms, bits: int) -> list:
             acc += iv.exp(log_iv(t))
             sums.append(iv.log(acc))
         return sums
+
+
+def prefix_sums(terms, at) -> dict:
+    """``sum_values`` of each prefix of ``terms`` of a length N in ``at``,
+    by increasing N: the route the quasianalyticity trend took before it
+    streamed its terms, kept as the twin of ``intervals.partial_sums``."""
+    terms = list(terms)
+    return {n: sum_values(terms[:n]) for n in sorted(at)}
 
 
 def ref_log_factorial(n: int, bits: int):

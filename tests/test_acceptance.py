@@ -148,7 +148,7 @@ def test_criterion_7_quasianalyticity_verdicts():
         N = 10**4
         assert quasianalyticity_report(ws, N).verdict.outcome is Outcome.CONFIRMED
         with working_precision(ws.bits):
-            s_iv = iv.exp(log_iv(sum_values(carleman_terms(ws, N))))
+            s_iv = iv.exp(log_iv(sum_values(list(carleman_terms(ws, N)))))
             # sum_{n>N} 1/(n+1)^2 lies in [1/(N+2), 1/(N+1)]
             tail = iv.mpf(1) / iv.mpf([N + 1, N + 2])
             limit_enclosure = s_iv + tail

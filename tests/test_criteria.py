@@ -2,6 +2,8 @@
 quasianalyticity series with its symbolic verdicts, derivation closure, and
 the inclusion criterion."""
 
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,10 +18,20 @@ from carleman.criteria import (
     quasianalyticity_report,
     quasianalyticity_rule,
 )
-from carleman.intervals import sum_values, working_precision
+from carleman.intervals import mpf_str, partial_sums, sum_values, working_precision
 from carleman.outcomes import Outcome, Reason
 from carleman.sequences import SequenceSpec, WeightSequence, power_substitute
-from conftest import encloses_fraction, iv_endpoints, log_hi, log_iv, log_lo
+from conftest import encloses_fraction, iv_endpoints, log_hi, log_iv, log_lo, prefix_sums
+
+#: one spec of each family, the gevrey family at several s
+TREND_SPECS = (
+    SequenceSpec(family="constant"),
+    *(SequenceSpec(family="gevrey", s=s) for s in ("1/2", "1", "3/2", "2")),
+    SequenceSpec(family="iterated_log", k=1),
+    SequenceSpec(family="paper8"),
+    SequenceSpec(family="table", log_values=tuple(str(Fraction(k * k, 7)) for k in range(103))),
+    power_substitute(SequenceSpec(family="gevrey", s="3/2"), 3),
+)
 
 
 class TestLogConvex:
@@ -92,7 +104,7 @@ class TestMonotone:
 class TestCarleman:
     def test_constant_terms_and_rule(self, constant_ws):
         verdict = quasianalyticity_report(constant_ws, 50).verdict
-        total = sum_values(carleman_terms(constant_ws, 50))
+        total = sum_values(list(carleman_terms(constant_ws, 50)))
         assert verdict.outcome is Outcome.CONFIRMED
         assert verdict.reason is Reason.SYMBOLIC_COMPARISON
         assert "divergent" in verdict.evidence[0].note
@@ -105,7 +117,7 @@ class TestCarleman:
         # tail in [1/(N+2), 1/(N+1)]
         N = 400
         verdict = quasianalyticity_report(gevrey1_ws, N).verdict
-        total = sum_values(carleman_terms(gevrey1_ws, N))
+        total = sum_values(list(carleman_terms(gevrey1_ws, N)))
         assert verdict.outcome is Outcome.CONFIRMED
         assert "convergent" in verdict.evidence[0].note
         exact = sum(Fraction(1, (n + 1) ** 2) for n in range(1, N + 1))
@@ -150,11 +162,42 @@ class TestCarleman:
         assert report.verdict.outcome is Outcome.CONFIRMED
         assert "divergent" in report.claim
 
+    @pytest.mark.parametrize("digits", [20, 30, 80])
+    @pytest.mark.parametrize("spec", TREND_SPECS, ids=lambda spec: spec.label())
+    def test_streamed_trend_equals_the_prefix_sums(self, spec, digits):
+        ws, n_max = WeightSequence(replace(spec, precision=digits)), 101
+        at = {1, n_max // 4, n_max // 2, n_max}
+        streamed = partial_sums(carleman_terms(ws, n_max), at, ws.bits)
+        twin = prefix_sums(carleman_terms(ws, n_max), at)
+        assert list(streamed) == list(twin) == sorted(at)
+        assert [(v.log_lo, v.log_hi, v.bits) for v in streamed.values()] == [
+            (v.log_lo, v.log_hi, v.bits) for v in twin.values()
+        ]
+        rows = quasianalyticity_report(ws, n_max).rows
+        assert [(r.index[0], r.lo, r.hi) for r in rows] == [
+            (n, mpf_str(v.log_lo), mpf_str(v.log_hi)) for n, v in twin.items()
+        ]
+
+    def test_the_trend_holds_no_list_of_terms(self):
+        # with the memo and the log-factorial table warm, the check's only
+        # growth is its four rows and one term at a time
+        ws, n_max = WeightSequence(SequenceSpec(family="gevrey", s="3/2", precision=20)), 5000
+        for n in range(n_max + 2):
+            ws.log_M(n)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            quasianalyticity_report(ws, n_max)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 256 * 1024
+
     def test_divergent_trend_matches_rule_for_iterated(self):
         # numerical sanity behind the symbolic claim: partial sums of the
         # k = 1 tower family keep growing
         ws = WeightSequence(SequenceSpec(family="iterated_log", k=1))
-        terms = carleman_terms(ws, 300)
+        terms = list(carleman_terms(ws, 300))
         with working_precision(ws.bits):
             assert log_lo(sum_values(terms)) > log_hi(sum_values(terms[:151]))
 

@@ -22,12 +22,11 @@ from carleman import sequences
 from carleman.bang import BangSeries
 from carleman.criteria import check_log_convex
 from carleman.errors import PrecisionExhaustedError
-from carleman.intervals import LogReal, bits_for_digits, sum_values
+from carleman.intervals import LogReal, bits_for_digits, partial_sums, sum_values
 from carleman.sequences import (
     SequenceSpec,
     WeightSequence,
     log_factorial,
-    log_int,
     tower_threshold,
 )
 from conftest import (
@@ -93,6 +92,8 @@ def test_sums_match_the_reference(terms, tail, bits):
     )
     prefixes = [sum_values(values[:n]) for n in range(1, len(values) + 1)]
     assert all(map(same_endpoints, prefixes, ref_partial_sums(values, bits)))
+    streamed = partial_sums(iter(values), range(1, len(values) + 1), bits)
+    assert all(map(same_endpoints, streamed.values(), ref_partial_sums(values, bits)))
 
 
 @pytest.mark.parametrize("n", [20000, 20001])
@@ -103,23 +104,27 @@ def test_log_factorial_matches_the_reference_on_both_sides_of_the_seam(n):
     assert value.bits == bits
 
 
-@pytest.mark.parametrize("bits", [bits_for_digits(20), bits_for_digits(80)])
-@pytest.mark.parametrize("n", [1, 20000, 20001, 20101])
-def test_log_int_is_from_int_bit_for_bit(n, bits):
-    # up to the seam log_int reads the step log_factorial multiplied by;
-    # above it, it computes the log itself
-    value, direct = log_int(n, bits), LogReal.from_int(n, bits)
-    assert (value.log_lo, value.log_hi, value.bits) == (direct.log_lo, direct.log_hi, bits)
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=-5, max_value=10**30), bits=precisions)
+def test_from_int_is_from_fraction_bit_for_bit(n, bits):
+    # from_int skips the Fraction; it must round exactly as from_fraction does
+    if n <= 0:
+        with pytest.raises(ValueError):
+            LogReal.from_int(n, bits)
+        return
+    value, twin = LogReal.from_int(n, bits), LogReal.from_fraction(Fraction(n), bits)
+    assert (value.log_lo, value.log_hi, value.bits) == (twin.log_lo, twin.log_hi, bits)
 
 
 def test_cold_log_caches_filled_by_two_threads_match_a_serial_fill(monkeypatch):
     # each worker alternates log k! at one precision with log k at the
-    # other, so both workers fill both precisions' tables at once
+    # other, so the two precisions' tables fill at once while each
+    # worker's other calls race them
     low, high = bits_for_digits(20), bits_for_digits(80)
     work = [
         [(f, k, bits) for k in range(1, 1501) for f, bits in pairs]
-        for pairs in (((log_factorial, low), (log_int, high)),
-                      ((log_int, low), (log_factorial, high)))
+        for pairs in (((log_factorial, low), (LogReal.from_int, high)),
+                      ((LogReal.from_int, low), (log_factorial, high)))
     ]
 
     def endpoints(calls) -> list:

@@ -20,6 +20,7 @@ from carleman.intervals import (
     SignedEnclosure,
     bits_for_digits,
     mpf_str,
+    partial_sums,
     sum_values,
     working_precision,
 )
@@ -129,6 +130,33 @@ def test_pow_int_encloses_exact_rationals(a, k):
 def test_sum_values_encloses_exact_sum(a, b, c):
     total = sum_values([LogReal.from_fraction(f, BITS) for f in (a, b, c)])
     assert encloses_fraction(total, a + b + c, BITS)
+
+
+def test_sum_values_of_an_iterator_equals_the_list():
+    # the precision scan must not consume the terms the loop then sums
+    terms = [LogReal.from_int(2, 96), LogReal.from_int(3, 96)]
+    streamed, listed = sum_values(iter(terms)), sum_values(terms)
+    assert (streamed.log_lo, streamed.log_hi, streamed.bits) == (
+        listed.log_lo, listed.log_hi, listed.bits
+    )
+    assert encloses_fraction(streamed, Fraction(5), 96)
+
+
+def test_sum_values_of_nothing():
+    # with no term the sum has no positive lower bound, tail or not
+    for tail_upper in (None, LogReal.from_int(2, BITS)):
+        with pytest.raises(ValueError, match="at least one term"):
+            sum_values([], tail_upper=tail_upper)
+        with pytest.raises(ValueError, match="at least one term"):
+            sum_values(iter(()), tail_upper=tail_upper)
+
+
+def test_partial_sums_refuse_a_finer_term_and_a_missing_index():
+    coarse, fine = LogReal.from_int(2, 96), LogReal.from_int(3, 160)
+    with pytest.raises(ValueError, match="160 bits"):
+        partial_sums([coarse, fine], {2}, 96)
+    with pytest.raises(ValueError, match="without a term"):
+        partial_sums([coarse], {1, 2}, 96)
 
 
 def test_sum_values_tail_interval_is_one_sided():

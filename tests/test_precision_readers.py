@@ -22,8 +22,13 @@ READERS = {"intervals.working_precision"}
 #: module.qualname of every function that still calls ``working_precision``
 CALLERS = {"sequences._memoized"}
 
-#: the arithmetic path: every ``LogReal`` method and ``sum_values``
-ARITHMETIC = ("intervals.LogReal.", "intervals.sum_values")
+#: the arithmetic path: every ``LogReal`` method and the summation functions
+ARITHMETIC = (
+    "intervals.LogReal.",
+    "intervals._running_sums",
+    "intervals.sum_values",
+    "intervals.partial_sums",
+)
 
 
 class _Scopes(ast.NodeVisitor):
