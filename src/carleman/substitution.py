@@ -92,20 +92,18 @@ def coeff_level_check(inst: TheoremInstance, ws: WeightSequence) -> CheckReport:
         LogReal.from_fraction(E_UP * A, ws.bits).log_hi,
         ws.bits,
     )
+    dilated = ws.dilation(p)
     rows: list[EvidenceRow] = []
     for n in range(1, inst.n_max + 1):
         stirling = Outcome.CONFIRMED if factorial(n) <= n**n else Outcome.REFUTED
         ineq_link = verify_factorial_inequality(p, n, 0).outcome
-        mprime_pn = ws.log_Mprime(p * n)
         lhs = (
             LogReal.from_int(factorial(n), ws.bits)
             * LogReal.from_fraction(A, ws.bits).pow_int(p * n)
-            * mprime_pn
+            * ws.log_Mprime(p * n)
             / log_factorial(p * n, ws.bits)
         )
-        ceiling = (
-            eA.pow_int(p * n) * mprime_pn / LogReal.from_int(n, ws.bits).pow_int((p - 1) * n)
-        )
+        ceiling = eA.pow_int(p * n) * dilated.log_Mprime_sub(n)
         outcome = worst_outcome([stirling, ineq_link, lhs.leq(ceiling)])
         rows.append(
             log_row(
