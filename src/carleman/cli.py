@@ -26,7 +26,6 @@ from pathlib import Path
 from ._version import __version__
 from .bang import BangSeries
 from .coefficients import (
-    SAMPLE_ROOTS,
     ckn,
     ckn_bruteforce,
     dec_str,
@@ -281,11 +280,13 @@ def cmd_seq_show(args) -> RunReport:
 
 
 def cmd_seq_check(args) -> RunReport:
-    spec = _load(args.spec, args.precision)
     names = [c.strip() for c in args.checks.split(",") if c.strip()]
+    if not names:
+        raise UsageError(f"--checks names no check; available: {', '.join(_SEQ_CHECKS)}")
     for name in names:
         if name not in _SEQ_CHECKS:
             raise UsageError(f"unknown check {name!r}; available: {', '.join(_SEQ_CHECKS)}")
+    spec = _load(args.spec, args.precision)
 
     def checks(run):
         ws = WeightSequence(spec)
@@ -363,8 +364,7 @@ def cmd_ckn(args) -> RunReport:
 
 def _diag_derivative_report(p: int, k_max: int, n_max: int) -> CheckReport:
     rows = [
-        diagonal_derivative_row(p, k, n, q)
-        for q in SAMPLE_ROOTS
+        diagonal_derivative_row(p, k, n)
         for n in range(1, n_max + 1)
         for k in range(1, min(k_max, n) + 1)
     ]
@@ -373,7 +373,7 @@ def _diag_derivative_report(p: int, k_max: int, n_max: int) -> CheckReport:
         "|diagonal derivative| obeys the (2e)^n n^(n-k) x^(-(pn-k)/p) estimate",
         rows,
         params=(("p", str(p)), ("k_max", str(k_max)), ("n_max", str(n_max))),
-        index_columns=("p", "k", "n", "x"),
+        index_columns=("p", "k", "n"),
     )
 
 

@@ -8,17 +8,18 @@ M'^(p)_n = n^(-(p-1)n) M'_{pn}.  Two complementary checks live here:
   coefficients at the origin for the extremal profile |F^(m)(0)| = A^m M'_m
   that saturates the hypothesis.  The claimed inequality
 
-      n! A^(pn) M'_{pn} / (pn)!  <=  (e A)^(pn) M'_{pn} / n^((p-1)n)
+      n! A^(pn) M'_{pn} / (pn)!  <=  (e A)^(pn) M'^(p)_n
 
-  decomposes into two exact links: n! <= n^n (integers) and
-  n^(pn) <= e^(pn) (pn)!  (the k = 0 case of the elementary factorial
-  inequality).  The constant in front is 1: the chain holds with no slack,
-  so any regression surfaces.
+  rests on two facts: n! <= n^n, which holds for every integer n >= 1 and
+  so gets no column, and n^(pn) <= e^(pn) (pn)!  (the k = 0 case of the
+  elementary factorial inequality), checked on each row.  The constant in
+  front is 1: the chain holds with no slack, so any regression surfaces.
 
-* :func:`final_bound_assembly` rebuilds the proof's k-sum at sample points
-  x = q^p.  Each diagonal derivative is checked against its estimate, and
-  the exact sum of its products with the Taylor-remainder factor against
-  the final displayed ceiling
+* :func:`final_bound_assembly` rebuilds the proof's k-sum at x = 1, which
+  decides every x > 0 (see :func:`.coefficients.diagonal_derivative`).
+  Each diagonal derivative is checked against its estimate, and the exact
+  sum of its products with the Taylor-remainder factor against the final
+  displayed ceiling
 
       n (2e)^n (eA)^(pn) M'_{pn} / n^((p-1)n).
 
@@ -35,7 +36,6 @@ from math import factorial
 from .coefficients import (
     E_LO,
     E_UP,
-    SAMPLE_ROOTS,
     dec_str,
     diagonal_derivative,
     diagonal_derivative_row,
@@ -46,7 +46,7 @@ from .coefficients import (
 from .criteria import log_row, quasianalyticity_report
 from .errors import SpecFormatError
 from .intervals import LogReal, mpf_str
-from .outcomes import CheckReport, EvidenceRow, Outcome, aggregate_rows, worst_outcome
+from .outcomes import CheckReport, EvidenceRow, aggregate_rows, worst_outcome
 from .sequences import (
     BoundCertificate,
     SequenceSpec,
@@ -81,9 +81,9 @@ class TheoremInstance:
 
 def coeff_level_check(inst: TheoremInstance, ws: WeightSequence) -> CheckReport:
     """Confirm |f^(n)(0)| <= (e A)^(pn) M'^(p)_n with constant 1 for the
-    extremal coefficient profile, for 1 <= n <= n_max, with each chain link
-    checked exactly.  M' is read from the caller's sequence ``ws``, which
-    must be the sequence of ``inst.spec``."""
+    extremal coefficient profile, for 1 <= n <= n_max, with the factorial
+    inequality link checked exactly.  M' is read from the caller's sequence
+    ``ws``, which must be the sequence of ``inst.spec``."""
     p, A = inst.p, inst.A
     # e A with the lower side of e below and the upper side above: a row
     # confirms only under the E_LO ceiling and refutes only over the E_UP one
@@ -95,7 +95,6 @@ def coeff_level_check(inst: TheoremInstance, ws: WeightSequence) -> CheckReport:
     dilated = ws.dilation(p)
     rows: list[EvidenceRow] = []
     for n in range(1, inst.n_max + 1):
-        stirling = Outcome.CONFIRMED if factorial(n) <= n**n else Outcome.REFUTED
         ineq_link = verify_factorial_inequality(p, n, 0).outcome
         lhs = (
             LogReal.from_int(factorial(n), ws.bits)
@@ -104,7 +103,7 @@ def coeff_level_check(inst: TheoremInstance, ws: WeightSequence) -> CheckReport:
             / log_factorial(p * n, ws.bits)
         )
         ceiling = eA.pow_int(p * n) * dilated.log_Mprime_sub(n)
-        outcome = worst_outcome([stirling, ineq_link, lhs.leq(ceiling)])
+        outcome = worst_outcome([ineq_link, lhs.leq(ceiling)])
         rows.append(
             log_row(
                 (n,),
@@ -113,7 +112,6 @@ def coeff_level_check(inst: TheoremInstance, ws: WeightSequence) -> CheckReport:
                 outcome,
                 extra=(
                     ("ceiling_log", mpf_str(ceiling.log_lo)),
-                    ("link_stirling", stirling.value),
                     ("link_factorial_ineq", ineq_link.value),
                 ),
             )
@@ -143,34 +141,32 @@ def coeff_level_certificate(inst: TheoremInstance) -> BoundCertificate:
 
 
 def final_bound_assembly(inst: TheoremInstance) -> CheckReport:
-    """Reassemble the proof's k-sum at the sample points x = q^p of
-    :data:`SAMPLE_ROOTS`, with the common factor (eA)^(pn) M'_(pn) divided
-    out of both sides.
+    """Reassemble the proof's k-sum with the common factor
+    (eA)^(pn) M'_(pn) and the power of x divided out of both sides.
 
     Each diagonal derivative alpha_k^(n) is checked against its estimate
-    (2e)^n n^(n-k) q^(-(pn-k)), and for each (x, n) the exact k-sum
-    sum_k |alpha_k^(n)| (q/n)^(pn-k) of its products with the Taylor-remainder
+    (2e)^n n^(n-k), and for each n the exact k-sum
+    sum_k |alpha_k^(n)| n^(k-pn) of its products with the Taylor-remainder
     factor is checked against the displayed ceiling n 2^n n^((1-p)n) e^n.
     """
     p = inst.p
     rows: list[EvidenceRow] = []
-    for q in SAMPLE_ROOTS:
-        for n in range(1, inst.n_max + 1):
-            rows += [diagonal_derivative_row(p, k, n, q) for k in range(1, n + 1)]
-            exact_sum = sum(
-                abs(diagonal_derivative(p, k, n, q)) * (q / n) ** (p * n - k)
-                for k in range(1, n + 1)
+    for n in range(1, inst.n_max + 1):
+        rows += [diagonal_derivative_row(p, k, n) for k in range(1, n + 1)]
+        exact_sum = sum(
+            abs(diagonal_derivative(p, k, n)) * Fraction(n) ** (k - p * n)
+            for k in range(1, n + 1)
+        )
+        ceiling_coeff = n * Fraction(2) ** n * Fraction(n) ** ((1 - p) * n)
+        rows.append(
+            EvidenceRow(
+                index=(p, 0, n),
+                quantity="sum_k |alpha_k^(n)| n^(k-pn) vs n 2^n n^((1-p)n) e^n",
+                lo=dec_str(exact_sum),
+                hi=dec_str(ceiling_coeff * e_lo_pow(n)),
+                outcome=leq_with_e_power(exact_sum, ceiling_coeff, n),
             )
-            ceiling_coeff = n * Fraction(2) ** n * Fraction(n) ** ((1 - p) * n)
-            rows.append(
-                EvidenceRow(
-                    index=(p, 0, n, str(q**p)),
-                    quantity="sum_k |alpha_k^(n)| (q/n)^(pn-k) vs n 2^n n^((1-p)n) e^n",
-                    lo=dec_str(exact_sum),
-                    hi=dec_str(ceiling_coeff * e_lo_pow(n)),
-                    outcome=leq_with_e_power(exact_sum, ceiling_coeff, n),
-                )
-            )
+        )
     return aggregate_rows(
         f"substitution-assembly[{inst.spec.label()}]",
         "each diagonal derivative obeys its estimate and the exact k-sum of "
@@ -181,9 +177,8 @@ def final_bound_assembly(inst: TheoremInstance) -> CheckReport:
             ("p", str(inst.p)),
             ("A", str(inst.A)),
             ("n_max", str(inst.n_max)),
-            ("x_samples", ",".join(str(q**p) for q in SAMPLE_ROOTS)),
         ),
-        index_columns=("p", "k", "n", "x"),
+        index_columns=("p", "k", "n"),
     )
 
 

@@ -95,8 +95,15 @@ class TestExitCodes:
             assert run(["seq-show", "--spec", str(bad)]) == 3
             assert capsys.readouterr().err.startswith("error:")
 
-    def test_unknown_check_is_three(self, gevrey_path):
-        assert run(["seq-check", "--spec", gevrey_path, "--checks", "bogus"]) == 3
+    def test_unknown_check_is_three(self, gevrey_path, tmp_path, capsys):
+        # an unknown name, or a list that names no check, fails before any
+        # work: nothing is written
+        for checks in ("bogus", ",", ""):
+            out = tmp_path / "r.json"
+            assert run(["seq-check", "--spec", gevrey_path, "--checks", checks,
+                        "--out", str(out)]) == 3, checks
+            assert capsys.readouterr().err.startswith("error:")
+            assert not out.exists()
 
     def test_bad_usage_is_three(self):
         assert run(["not-a-command"]) == 3

@@ -185,31 +185,24 @@ class TestRootSeries:
 
 class TestDiagonalDerivative:
     def test_zero_below_k(self):
-        assert co.diagonal_derivative(2, 3, 2, Fraction(1)) == 0
+        assert co.diagonal_derivative(2, 3, 2) == 0
 
     def test_p2_k1_n1_at_one(self):
         # first derivative at the diagonal: a_1 = 1/2
-        assert co.diagonal_derivative(2, 1, 1, Fraction(1)) == Fraction(1, 2)
+        assert co.diagonal_derivative(2, 1, 1) == Fraction(1, 2)
 
     def test_p2_k1_n2_magnitude(self):
         # |2! b_2| = 2 * 1/8 = 1/4 at x = 1
-        assert abs(co.diagonal_derivative(2, 1, 2, Fraction(1))) == Fraction(1, 4)
-
-    def test_rational_power_scaling(self):
-        # x = (1/2)^2 has root q = 1/2, so the value scales by
-        # q^(-(pn-k)) = 2^(pn-k)
-        base = co.diagonal_derivative(2, 1, 2, Fraction(1))
-        scaled = co.diagonal_derivative(2, 1, 2, Fraction(1, 2))
-        assert scaled == base * 2 ** (2 * 2 - 1)
+        assert abs(co.diagonal_derivative(2, 1, 2)) == Fraction(1, 4)
 
     def test_companion_bound(self):
         for p, k, n in [(2, 1, 1), (2, 1, 2), (2, 2, 3), (3, 2, 5)]:
-            for q in co.SAMPLE_ROOTS:
-                row = co.diagonal_derivative_row(p, k, n, q)
-                assert row.outcome is Outcome.CONFIRMED
-                assert row.index == (p, k, n, str(q**p))
-                bound = (2 * co.E_LO) ** n * Fraction(n) ** (n - k) * q ** (-(p * n - k))
-                assert row.hi == co.dec_str(bound)
+            row = co.diagonal_derivative_row(p, k, n)
+            assert row.outcome is Outcome.CONFIRMED
+            assert row.index == (p, k, n)
+            assert row.lo == co.dec_str(abs(co.diagonal_derivative(p, k, n)))
+            bound = (2 * co.E_LO) ** n * Fraction(n) ** (n - k)
+            assert row.hi == co.dec_str(bound)
 
 
 class TestFactorialInequality:

@@ -5,6 +5,8 @@
   one convolution step of its own lower row;
 * the closed-form root series against the convolution power of the
   a-series;
+* the diagonal derivative at x = 1, scaled by x^(-(pn-k)/p), against
+  sympy's symbolic derivative at sample points x = q^p;
 * the integer-sum composition enumeration against a plain Fraction sum;
 * single-rounding ``dec_str`` against the mpmath rendering at 192 bits
   under the global-precision guard;
@@ -106,6 +108,24 @@ class TestClosedFormRootSeries:
         for args in [(2, 0, 5), (1, 2, 5), (2, 2, 0)]:
             with pytest.raises(ValueError):
                 co.root_power_series(*args)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("q", [Fraction(1), Fraction(1, 2), Fraction(3, 4)], ids="q={}".format)
+def test_diagonal_derivative_scales_with_sympy(p, q):
+    # alpha_k^(n)(x, x) = x^(-(pn-k)/p) n! b_n at x = q^p: differentiate
+    # (X^(1/p) - q)^k / k! symbolically n times and evaluate at X = q^p
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("X", positive=True)
+    root = sympy.Rational(q.numerator, q.denominator)
+    for k in range(1, 6):
+        expr = (X ** sympy.Rational(1, p) - root) ** k / sympy.factorial(k)
+        for n in range(k, 6):
+            expr_n = sympy.diff(expr, X, n) if n == k else sympy.diff(expr_n, X)
+            value = expr_n.subs(X, root**p)
+            assert value.is_Rational, (p, q, k, n, value)
+            expected = q ** (-(p * n - k)) * co.diagonal_derivative(p, k, n)
+            assert Fraction(int(value.p), int(value.q)) == expected, (p, q, k, n)
 
 
 def _fraction_sum_enumeration(k: int, n: int) -> Fraction:

@@ -40,8 +40,8 @@ RUNS = {
         ["report-all", "--n-max", "3", "--precision", "20",
          "--spec", "nonconvex_table.json", "--spec", "transformed_il1.json"],
         1,
-        "96d4d43179644b3769c00e73cbcf7c0f6a7fb19449ff4f4868d7b23e8a587969",
-        "54f944fa0ca25ad08a77b7d96703e8f007832f5f17a839752aa14580d5121dce",
+        "51414d644890e173f68a58cf52708a0456febada43372b596b1863e033611a67",
+        "9caa421370090caf409fad2ef559f0c56adabc1bc76fd9cfdde391e149c6a993",
     ),
     "seq-check-table": (
         ["seq-check", "--spec", "nonconvex_table.json", "--n-max", "3"],
@@ -95,8 +95,8 @@ RUNS = {
     "alpha": (
         ["alpha", "--p", "2", "--k-max", "2", "--n-max", "4"],
         0,
-        "edd1fb97665ae5d2a76967e9068e9a25a49089963dfb63cda45e5f4fb5a5acef",
-        "07cc7b382a4bf617eb4b2ba407828e5c0bbf808f136e17fe971cfed0ef9fb0a6",
+        "4f3cee37aba3a8f9ff26eccd72cf83889326af3856134ebbe330078774fce5a3",
+        "eb9f230b2be065e0c339366d70b0a225d0c612a871bc7d11834da34afbf62588",
     ),
     "ineq62": (
         ["ineq62", "--n-max", "3"],
@@ -107,8 +107,8 @@ RUNS = {
     "thm61": (
         ["thm61", "--spec", "gevrey1.json", "--n-max", "3", "--assembly-n-max", "2"],
         0,
-        "9bea0cea1ee1f025cc3ea034e54454ede43140f5a7b5911cbec37212f161153d",
-        "3f845dc9310cf13c7fc6343c8a599cf09619b8d7450fd4dc4a89eec36af62d41",
+        "faae56d2301fd109a6d467370a90a736cb86e8bcb54c718de8ae57727d594d4e",
+        "999316c8ebbfa297c348f4d3889c9a954d5410e0f3f42725328be8b0a865c34f",
     ),
     "seq-compare-rejected": (
         ["seq-compare", "--spec", "iterated_log4.json", "--other", "iterated_log4.json",
@@ -120,8 +120,8 @@ RUNS = {
     "report-all-rejected": (
         ["report-all", "--n-max", "2", "--precision", "20", "--spec", "iterated_log4.json"],
         2,
-        "7c7340c9772133e0f9ff10e4e64464a1b4da3568807b98eabfa2c75c49c1542d",
-        "c6d9441abbad93adc05a836ec5cff3fc7f35585cab4e54f0d428e191cb815fb7",
+        "9d88b545f1e194f0eee6ab5a7e14c311bc7f53b7e90e2d49d8821a1437af5462",
+        "d2b290dcfb0adf889f12c5b056386ed95abc98ac936e475b5ae04d9c414e12fb",
     ),
 }
 

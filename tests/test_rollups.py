@@ -1,8 +1,9 @@
 """Failing branches of the outcome roll-ups.
 
 The exact links behind ``ckn-bound``, ``root-series-bound``,
-``diag-derivative``, ``substitution-coefficients`` and
-``substitution-assembly`` never fail on correct arithmetic, so these tests
+``root-series-magnitude``, ``diag-derivative``,
+``substitution-coefficients`` and ``substitution-assembly`` never fail on
+correct arithmetic, so these tests
 replace one link at a time with a refuting or inconclusive stand-in and
 check the row outcomes (refuted > inconclusive > confirmed) and the notes
 that name the failing link.  A loose lower side of e must leave every check
@@ -77,23 +78,39 @@ class TestRootSeriesBound:
         assert report.verdict.outcome is R
 
 
+class TestRootSeriesMagnitude:
+    def test_an_inflated_magnitude_refutes_its_row(self, monkeypatch):
+        # |a_3| raised to 1/2 > 1/3: that row alone refutes the check
+        magnitudes = co.root_series_magnitudes
+
+        def inflated(p, i_max):
+            mags = magnitudes(p, i_max)
+            mags[3] = Fraction(1, 2)
+            return mags
+
+        monkeypatch.setattr(co, "root_series_magnitudes", inflated)
+        report = co.verify_root_series_magnitude_bound(2, 5)
+        assert report.verdict.outcome is R
+        assert [row.index for row in report.verdict.evidence] == [(2, 3)]
+        assert _outcomes(report) == {C, R}
+
+
 class TestDiagonalDerivative:
     def test_a_row_between_the_e_sides_is_inconclusive(self, monkeypatch):
-        # at one (p, k, n, q) the value lies between the E_LO and the E_UP
+        # at one (p, k, n) the value lies between the E_LO and the E_UP
         # side of its bound: that row, and the check, are undecided
-        target = (2, 1, 2, Fraction(1))
+        target = (2, 1, 2)
         value = co.diagonal_derivative
 
-        def straddle(p, k, n, q):
-            if (p, k, n, q) != target:
-                return value(p, k, n, q)
-            bound = 2**n * Fraction(n) ** (n - k) * q ** (-(p * n - k))
-            return bound * ((co.E_LO + co.E_UP) / 2) ** n
+        def straddle(p, k, n):
+            if (p, k, n) != target:
+                return value(p, k, n)
+            return 2**n * Fraction(n) ** (n - k) * ((co.E_LO + co.E_UP) / 2) ** n
 
         monkeypatch.setattr(co, "diagonal_derivative", straddle)
         report = _diag_derivative_report(2, 2, 3)
         assert report.verdict.outcome is I
-        assert [row.index for row in report.verdict.evidence] == [(2, 1, 2, "1")]
+        assert [row.index for row in report.verdict.evidence] == [target]
         assert _outcomes(report) == {C, I}
 
 
@@ -111,7 +128,6 @@ class TestCoefficientLevel:
         assert _outcomes(report) == {ineq}
         for row in report.rows:
             assert dict(row.extra)["link_factorial_ineq"] == ineq.value
-            assert dict(row.extra)["link_stirling"] == "confirmed"
         assert report.verdict.outcome is ineq
 
     @pytest.mark.parametrize("ineq", [C, I])
@@ -141,14 +157,14 @@ class TestCoefficientLevel:
 class TestAssembly:
     def test_an_inflated_derivative_refutes_its_rows(self, monkeypatch):
         # one exact diagonal derivative (n + 1) times its E_UP ceiling: its
-        # own row and the k-sum row of its (x, n) are refuted
-        p, k, n, q = 2, 1, 3, Fraction(1, 2)
+        # own row and the k-sum row of its n are refuted
+        p, k, n = 2, 1, 3
         value = co.diagonal_derivative
 
         def inflated(*args):
-            if args != (p, k, n, q):
+            if args != (p, k, n):
                 return value(*args)
-            return (n + 1) * 2**n * Fraction(n) ** (n - k) * q ** (-(p * n - k)) * co.E_UP**n
+            return (n + 1) * 2**n * Fraction(n) ** (n - k) * co.E_UP**n
 
         monkeypatch.setattr(co, "diagonal_derivative", inflated)
         monkeypatch.setattr(su, "diagonal_derivative", inflated)
@@ -156,7 +172,7 @@ class TestAssembly:
         report = su.final_bound_assembly(inst)
         assert report.verdict.outcome is R
         witnesses = [row.index for row in report.verdict.evidence]
-        assert witnesses == [(p, 0, n, "1/4"), (p, k, n, "1/4")]
+        assert witnesses == [(p, 0, n), (p, k, n)]
 
 
 #: the checks that compare with a power of e
