@@ -64,7 +64,6 @@ from .sequences import (
     load_spec,
 )
 from .substitution import (
-    TheoremInstance,
     coeff_level_certificate,
     coeff_level_check,
     final_bound_assembly,
@@ -463,11 +462,9 @@ def cmd_thm61(args) -> RunReport:
         raise UsageError("--A must be positive")
 
     def checks(run):
-        inst = TheoremInstance(spec=spec, p=args.p, A=A, n_max=args.n_max)
-        result = _timed(run, coeff_level_check, inst, WeightSequence(spec))
-        result.certificate = coeff_level_certificate(inst).as_dict()
-        asm = TheoremInstance(spec=spec, p=args.p, A=A, n_max=args.assembly_n_max)
-        _timed(run, final_bound_assembly, asm)
+        result = _timed(run, coeff_level_check, WeightSequence(spec), args.p, A, args.n_max)
+        result.certificate = coeff_level_certificate(spec, args.p, A).as_dict()
+        _timed(run, final_bound_assembly, spec, args.p, A, args.assembly_n_max)
 
     return _spec_checks(args, [spec], checks)
 
@@ -550,10 +547,8 @@ def run_battery(
     for spec in (gevrey1, paper8):
         for p in (2, 3, 5):
             for A in (Fraction(1), Fraction(3)):
-                inst = TheoremInstance(spec=spec, p=p, A=A, n_max=d(12))
-                _timed(run, coeff_level_check, inst, ws[spec.label()])
-    asm = TheoremInstance(spec=gevrey1, p=2, A=Fraction(1), n_max=d(8))
-    _timed(run, final_bound_assembly, asm)
+                _timed(run, coeff_level_check, ws[spec.label()], p, A, d(12))
+    _timed(run, final_bound_assembly, gevrey1, 2, Fraction(1), d(8))
 
     # user-supplied documents: criteria sweeps (negative fixtures land here),
     # clamped to the indices the family defines; an error inside one

@@ -29,7 +29,7 @@ e and refutes only against its upper side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -54,37 +54,13 @@ from .sequences import (
     log_factorial,
 )
 
-@dataclass(frozen=True)
-class TheoremInstance:
-    """One verification instance: sequence, dilation exponent, class radius
-    A of the hypothesis bound, and the sweep depth."""
-
-    spec: SequenceSpec
-    p: int
-    A: Fraction
-    n_max: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or self.p < 2:
-            raise ValueError("p must be an integer >= 2")
-        if self.A <= 0:
-            raise ValueError("A must be positive")
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-
-    @property
-    def interval_id(self) -> str:
-        # the substitution t -> t^p is a self-bijection of [0,1] for even p
-        # and of [-1,1] for odd p
-        return "[0,1]" if self.p % 2 == 0 else "[-1,1]"
-
-
-def coeff_level_check(inst: TheoremInstance, ws: WeightSequence) -> CheckReport:
+def coeff_level_check(ws: WeightSequence, p: int, A: Fraction, n_max: int) -> CheckReport:
     """Confirm |f^(n)(0)| <= (e A)^(pn) M'^(p)_n with constant 1 for the
-    extremal coefficient profile, for 1 <= n <= n_max, with the factorial
-    inequality link checked exactly.  M' is read from the caller's sequence
-    ``ws``, which must be the sequence of ``inst.spec``."""
-    p, A = inst.p, inst.A
+    extremal coefficient profile of ``ws``, for 1 <= n <= n_max, with the
+    factorial inequality link checked exactly.  The class radius A must be
+    positive and p an integer >= 2."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     # e A with the lower side of e below and the upper side above: a row
     # confirms only under the E_LO ceiling and refutes only over the E_UP one
     eA = LogReal(
@@ -94,7 +70,7 @@ def coeff_level_check(inst: TheoremInstance, ws: WeightSequence) -> CheckReport:
     )
     dilated = ws.dilation(p)
     rows: list[EvidenceRow] = []
-    for n in range(1, inst.n_max + 1):
+    for n in range(1, n_max + 1):
         ineq_link = verify_factorial_inequality(p, n, 0).outcome
         lhs = (
             LogReal.from_int(factorial(n), ws.bits)
@@ -117,30 +93,32 @@ def coeff_level_check(inst: TheoremInstance, ws: WeightSequence) -> CheckReport:
             )
         )
     return aggregate_rows(
-        f"substitution-coefficients[{inst.spec.label()}]",
+        f"substitution-coefficients[{ws.spec.label()}]",
         "extremal Taylor profile obeys the dilated-class bound with C = 1",
         rows,
         params=(
-            ("spec", inst.spec.label()),
-            ("p", str(inst.p)),
-            ("A", str(inst.A)),
-            ("n_max", str(inst.n_max)),
+            ("spec", ws.spec.label()),
+            ("p", str(p)),
+            ("A", str(A)),
+            ("n_max", str(n_max)),
         ),
         index_columns=("n",),
     )
 
 
-def coeff_level_certificate(inst: TheoremInstance) -> BoundCertificate:
+def coeff_level_certificate(spec: SequenceSpec, p: int, A: Fraction) -> BoundCertificate:
     """C = 1 and R = (e A)^p, the per-index radius of the confirmed bound."""
     return BoundCertificate(
-        C=LogReal.one(inst.spec.bits),
-        R=LogReal.from_fraction(E_UP * inst.A, inst.spec.bits).pow_int(inst.p),
-        interval_id=inst.interval_id,
-        seq=inst.spec,
+        C=LogReal.one(spec.bits),
+        R=LogReal.from_fraction(E_UP * A, spec.bits).pow_int(p),
+        # the substitution t -> t^p is a self-bijection of [0,1] for even p
+        # and of [-1,1] for odd p
+        interval_id="[0,1]" if p % 2 == 0 else "[-1,1]",
+        seq=spec,
     )
 
 
-def final_bound_assembly(inst: TheoremInstance) -> CheckReport:
+def final_bound_assembly(spec: SequenceSpec, p: int, A: Fraction, n_max: int) -> CheckReport:
     """Reassemble the proof's k-sum with the common factor
     (eA)^(pn) M'_(pn) and the power of x divided out of both sides.
 
@@ -149,9 +127,10 @@ def final_bound_assembly(inst: TheoremInstance) -> CheckReport:
     sum_k |alpha_k^(n)| n^(k-pn) of its products with the Taylor-remainder
     factor is checked against the displayed ceiling n 2^n n^((1-p)n) e^n.
     """
-    p = inst.p
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     rows: list[EvidenceRow] = []
-    for n in range(1, inst.n_max + 1):
+    for n in range(1, n_max + 1):
         rows += [diagonal_derivative_row(p, k, n) for k in range(1, n + 1)]
         exact_sum = sum(
             abs(diagonal_derivative(p, k, n)) * Fraction(n) ** (k - p * n)
@@ -168,15 +147,15 @@ def final_bound_assembly(inst: TheoremInstance) -> CheckReport:
             )
         )
     return aggregate_rows(
-        f"substitution-assembly[{inst.spec.label()}]",
+        f"substitution-assembly[{spec.label()}]",
         "each diagonal derivative obeys its estimate and the exact k-sum of "
         "the factor products stays below the displayed final bound",
         rows,
         params=(
-            ("spec", inst.spec.label()),
-            ("p", str(inst.p)),
-            ("A", str(inst.A)),
-            ("n_max", str(inst.n_max)),
+            ("spec", spec.label()),
+            ("p", str(p)),
+            ("A", str(A)),
+            ("n_max", str(n_max)),
         ),
         index_columns=("p", "k", "n"),
     )

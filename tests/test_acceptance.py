@@ -19,7 +19,7 @@ from carleman.criteria import (
 from carleman.intervals import sum_values, working_precision
 from carleman.outcomes import Outcome
 from carleman.sequences import SequenceSpec, WeightSequence
-from carleman.substitution import TheoremInstance, coeff_level_check, transform_report
+from carleman.substitution import coeff_level_check, transform_report
 from conftest import iv_endpoints, log_iv, shipped_fixture
 
 CONSTANT = SequenceSpec(family="constant")
@@ -126,8 +126,7 @@ def test_criterion_6_substitution_coefficient_level():
         for spec in (GEVREY1, PAPER8):
             for p in (2, 3, 5):
                 for A in (Fraction(1), Fraction(3)):
-                    inst = TheoremInstance(spec=spec, p=p, A=A, n_max=40)
-                    report = coeff_level_check(inst, WeightSequence(spec))
+                    report = coeff_level_check(WeightSequence(spec), p, A, 40)
                     assert report.verdict.outcome is Outcome.CONFIRMED, (
                         spec.family, p, A,
                     )

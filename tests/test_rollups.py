@@ -116,40 +116,40 @@ class TestDiagonalDerivative:
 
 class TestCoefficientLevel:
     @pytest.fixture
-    def instance(self):
-        return su.TheoremInstance(SequenceSpec(family="gevrey", s=Fraction(1)), 2, Fraction(1), 2)
+    def ws(self):
+        return WeightSequence(SequenceSpec(family="gevrey", s=Fraction(1)))
 
     @pytest.mark.parametrize("ineq", [I, R])
-    def test_factorial_inequality_link(self, monkeypatch, instance, ineq):
+    def test_factorial_inequality_link(self, monkeypatch, ws, ineq):
         monkeypatch.setattr(
             su, "verify_factorial_inequality", lambda p, n, k: SimpleNamespace(outcome=ineq)
         )
-        report = su.coeff_level_check(instance, WeightSequence(instance.spec))
+        report = su.coeff_level_check(ws, 2, Fraction(1), 2)
         assert _outcomes(report) == {ineq}
         for row in report.rows:
             assert dict(row.extra)["link_factorial_ineq"] == ineq.value
         assert report.verdict.outcome is ineq
 
     @pytest.mark.parametrize("ineq", [C, I])
-    def test_lower_side_of_e_alone_is_inconclusive(self, monkeypatch, instance, ineq):
+    def test_lower_side_of_e_alone_is_inconclusive(self, monkeypatch, ws, ineq):
         # the E_LO ceiling falls under the lhs, the E_UP ceiling stays above it
         monkeypatch.setattr(su, "E_LO", Fraction(1, 100))
         monkeypatch.setattr(
             su, "verify_factorial_inequality", lambda p, n, k: SimpleNamespace(outcome=ineq)
         )
-        report = su.coeff_level_check(instance, WeightSequence(instance.spec))
+        report = su.coeff_level_check(ws, 2, Fraction(1), 2)
         assert _outcomes(report) == {I}
         assert report.verdict.outcome is I
 
     @pytest.mark.parametrize("ineq", [C, I])
-    def test_assembled_link_refutes(self, monkeypatch, instance, ineq):
+    def test_assembled_link_refutes(self, monkeypatch, ws, ineq):
         # both sides of e far below e put every ceiling under the lhs
         monkeypatch.setattr(su, "E_LO", Fraction(1, 100))
         monkeypatch.setattr(su, "E_UP", Fraction(1, 100))
         monkeypatch.setattr(
             su, "verify_factorial_inequality", lambda p, n, k: SimpleNamespace(outcome=ineq)
         )
-        report = su.coeff_level_check(instance, WeightSequence(instance.spec))
+        report = su.coeff_level_check(ws, 2, Fraction(1), 2)
         assert _outcomes(report) == {R}
         assert report.verdict.outcome is R
 
@@ -168,8 +168,8 @@ class TestAssembly:
 
         monkeypatch.setattr(co, "diagonal_derivative", inflated)
         monkeypatch.setattr(su, "diagonal_derivative", inflated)
-        inst = su.TheoremInstance(SequenceSpec(family="gevrey", s=Fraction(1)), p, Fraction(1), 4)
-        report = su.final_bound_assembly(inst)
+        report = su.final_bound_assembly(SequenceSpec(family="gevrey", s=Fraction(1)), p,
+                                         Fraction(1), 4)
         assert report.verdict.outcome is R
         witnesses = [row.index for row in report.verdict.evidence]
         assert witnesses == [(p, 0, n), (p, k, n)]

@@ -10,7 +10,6 @@ from carleman.coefficients import E_LO, dec_str, diagonal_derivative, diagonal_d
 from carleman.outcomes import Outcome, Reason
 from carleman.sequences import SequenceSpec, WeightSequence
 from carleman.substitution import (
-    TheoremInstance,
     coeff_level_certificate,
     coeff_level_check,
     final_bound_assembly,
@@ -21,16 +20,17 @@ from conftest import log_hi, log_lo
 
 class TestInstanceValidation:
     def test_rejects_bad_parameters(self, gevrey1_spec):
+        ws = WeightSequence(gevrey1_spec)
         with pytest.raises(ValueError):
-            TheoremInstance(gevrey1_spec, p=1, A=Fraction(1), n_max=5)
+            coeff_level_check(ws, p=1, A=Fraction(1), n_max=5)
         with pytest.raises(ValueError):
-            TheoremInstance(gevrey1_spec, p=2, A=Fraction(0), n_max=5)
+            coeff_level_check(ws, p=2, A=Fraction(0), n_max=5)
         with pytest.raises(ValueError):
-            TheoremInstance(gevrey1_spec, p=2, A=Fraction(1), n_max=0)
+            coeff_level_check(ws, p=2, A=Fraction(1), n_max=0)
 
     def test_interval_by_parity(self, gevrey1_spec):
-        assert TheoremInstance(gevrey1_spec, 2, Fraction(1), 1).interval_id == "[0,1]"
-        assert TheoremInstance(gevrey1_spec, 3, Fraction(1), 1).interval_id == "[-1,1]"
+        assert coeff_level_certificate(gevrey1_spec, 2, Fraction(1)).interval_id == "[0,1]"
+        assert coeff_level_certificate(gevrey1_spec, 3, Fraction(1)).interval_id == "[-1,1]"
 
 
 class TestCoefficientLevel:
@@ -46,8 +46,7 @@ class TestCoefficientLevel:
             ws = WeightSequence(spec)
             for p in (2, 3, 5):
                 for A in (Fraction(1), Fraction(3)):
-                    inst = TheoremInstance(spec, p=p, A=A, n_max=8)
-                    report = coeff_level_check(inst, ws)
+                    report = coeff_level_check(ws, p=p, A=A, n_max=8)
                     assert report.verdict.outcome is Outcome.CONFIRMED, (
                         spec.family,
                         p,
@@ -56,8 +55,7 @@ class TestCoefficientLevel:
                     )
 
     def test_link_columns_present(self, gevrey1_spec):
-        inst = TheoremInstance(gevrey1_spec, p=2, A=Fraction(1), n_max=4)
-        report = coeff_level_check(inst, WeightSequence(gevrey1_spec))
+        report = coeff_level_check(WeightSequence(gevrey1_spec), p=2, A=Fraction(1), n_max=4)
         for row in report.rows:
             # n! <= n^n holds for every n >= 1 and has no column
             assert [key for key, _ in row.extra] == ["ceiling_log", "link_factorial_ineq"]
@@ -66,9 +64,9 @@ class TestCoefficientLevel:
     def test_monotone_consistency(self, gevrey1_spec):
         # raising A or the depth never flips confirmed rows
         ws = WeightSequence(gevrey1_spec)
-        shallow = coeff_level_check(TheoremInstance(gevrey1_spec, 2, Fraction(1), 6), ws)
-        deep = coeff_level_check(TheoremInstance(gevrey1_spec, 2, Fraction(1), 12), ws)
-        big_A = coeff_level_check(TheoremInstance(gevrey1_spec, 2, Fraction(7), 6), ws)
+        shallow = coeff_level_check(ws, 2, Fraction(1), 6)
+        deep = coeff_level_check(ws, 2, Fraction(1), 12)
+        big_A = coeff_level_check(ws, 2, Fraction(7), 6)
         outcomes = {r.index: r.outcome for r in deep.rows}
         for row in shallow.rows:
             assert outcomes[row.index] is row.outcome is Outcome.CONFIRMED
@@ -76,16 +74,14 @@ class TestCoefficientLevel:
             assert row.outcome is Outcome.CONFIRMED
 
     def test_certificate(self, gevrey1_spec):
-        inst = TheoremInstance(gevrey1_spec, p=2, A=Fraction(1), n_max=4)
-        cert = coeff_level_certificate(inst)
+        cert = coeff_level_certificate(gevrey1_spec, p=2, A=Fraction(1))
         assert cert.interval_id == "[0,1]"
         assert log_lo(cert.C) == log_hi(cert.C) == 0  # C = 1
 
 
 class TestAssembly:
     def test_confirmed_with_exact_cancellation(self, gevrey1_spec):
-        inst = TheoremInstance(gevrey1_spec, p=2, A=Fraction(1), n_max=8)
-        report = final_bound_assembly(inst)
+        report = final_bound_assembly(gevrey1_spec, p=2, A=Fraction(1), n_max=8)
         assert report.verdict.outcome is Outcome.CONFIRMED
         assert report.verdict.reason is Reason.INTERVAL_SEPARATION
         # every row is a comparison that could fail
@@ -107,8 +103,7 @@ class TestAssembly:
     def test_n1_single_term(self, gevrey1_spec):
         # n = 1, p = 2: one k = 1 row and one sum row; the sum is
         # |alpha_1^(1)| / 1 = 1/2 against the ceiling 2e
-        inst = TheoremInstance(gevrey1_spec, p=2, A=Fraction(1), n_max=1)
-        report = final_bound_assembly(inst)
+        report = final_bound_assembly(gevrey1_spec, p=2, A=Fraction(1), n_max=1)
         assert [r.index for r in report.rows] == [(2, 0, 1), (2, 1, 1)]
         (sum_row,) = (r for r in report.rows if r.index[1] == 0)
         assert sum_row.lo == dec_str(Fraction(1, 2))
@@ -116,16 +111,15 @@ class TestAssembly:
 
     def test_alpha_factor_agrees_with_oracle_helper(self, gevrey1_spec):
         # the per-k rows of the assembly are the diag-derivative rows
-        inst = TheoremInstance(gevrey1_spec, p=3, A=Fraction(1), n_max=4)
-        k_rows = [r for r in final_bound_assembly(inst).rows if r.index[1] > 0]
+        report = final_bound_assembly(gevrey1_spec, p=3, A=Fraction(1), n_max=4)
+        k_rows = [r for r in report.rows if r.index[1] > 0]
         expected = [
             diagonal_derivative_row(3, k, n) for n in range(1, 5) for k in range(1, n + 1)
         ]
         assert k_rows == sorted(expected, key=lambda r: r.index)
 
     def test_exact_alpha_sum_below_ceiling_columns(self, paper8_spec):
-        inst = TheoremInstance(paper8_spec, p=3, A=Fraction(2), n_max=5)
-        report = final_bound_assembly(inst)
+        report = final_bound_assembly(paper8_spec, p=3, A=Fraction(2), n_max=5)
         assert report.verdict.outcome is Outcome.CONFIRMED
         sum_rows = [r for r in report.rows if r.index[1] == 0]
         assert len(sum_rows) == 5
