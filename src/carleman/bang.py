@@ -195,14 +195,15 @@ class BangSeries:
             csv_layout=_CSV_LAYOUT,
         )
 
-    def verify_membership(self, n_max: int) -> tuple[CheckReport, BoundCertificate]:
+    def verify_membership(self, n_max: int) -> CheckReport:
         """Certify sup_t |F^(n)(t)| <= 2^(n+1) M'_n for 1 <= n <= n_max.
 
         The summed majorant sum_k M'_k (2 m_k)^(n-k) obeys the ceiling by a
         split argument: for k <= n each term is <= 2^(n-k) M'_n because
         m_k^(n-k) <= m_k ... m_(n-1) = M'_n / M'_k, and for k > n the tail
         halves per step; the two geometric sums total < 2^(n+1).  The rows
-        check the computed enclosure against that derived ceiling.
+        check the computed enclosure against that derived ceiling; a
+        confirmed report carries the certificate C = R = 2 on the real line.
         """
         rows = []
         for n in range(1, n_max + 1):
@@ -217,18 +218,16 @@ class BangSeries:
                     extra=(("ceiling_log", mpf_str(ceiling.log_lo)),),
                 )
             )
-        report = aggregate_rows(
+        return aggregate_rows(
             f"bang-membership[{self.ws.spec.label()}]",
             "sum_k M'_k (2 m_k)^(n-k) <= 2^(n+1) M'_n on the tested range",
             rows,
             params=(("n_max", str(n_max)), ("spec", self.ws.spec.label())),
             index_columns=("n",),
             csv_layout=_CSV_LAYOUT,
+            certificate=BoundCertificate(C=self._two, R=self._two, interval_id="R",
+                                         seq=self.ws.spec),
         )
-        certificate = BoundCertificate(
-            C=self._two, R=self._two, interval_id="R", seq=self.ws.spec
-        )
-        return report, certificate
 
     def sharpness_evidence(self, n_max: int) -> CheckReport:
         """Two-sided sandwich log(|F^(2n)(0)| / M'_{2n}) in [0, (n+2) log 4]

@@ -13,6 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .sequences import BoundCertificate
 
 
 class Outcome(str, Enum):
@@ -102,6 +106,8 @@ class CheckReport:
     ``index``; ``csv_layout`` is the fixed CSV header of a check with a
     documented file format, and None gives index columns, lo/hi, verdict,
     note and the sorted extras.  Neither is part of the JSON document.
+    ``certificate`` is the bound certificate the check publishes, present
+    only on a confirmed verdict.
     """
 
     name: str
@@ -111,6 +117,7 @@ class CheckReport:
     rows: tuple[EvidenceRow, ...] = ()
     index_columns: tuple[str, ...] = ("i0",)
     csv_layout: tuple[str, ...] | None = None
+    certificate: BoundCertificate | None = None
 
 
 def aggregate_rows(
@@ -121,12 +128,15 @@ def aggregate_rows(
     reason_confirmed: Reason = Reason.INTERVAL_SEPARATION,
     index_columns: tuple[str, ...] = ("i0",),
     csv_layout: tuple[str, ...] | None = None,
+    certificate: BoundCertificate | None = None,
 ) -> CheckReport:
     """Roll per-row outcomes up into a check verdict.
 
     All rows confirmed -> confirmed; any refuted -> refuted (witnesses
     attached); otherwise inconclusive.  Rows are sorted by index so the
-    report is independent of evaluation order.
+    report is independent of evaluation order.  ``certificate`` is kept
+    only on a confirmed verdict: a bound the rows do not confirm is not
+    published.
     """
     rows = sorted(rows, key=lambda r: r.index)
     outcome = worst_outcome([r.outcome for r in rows])
@@ -138,7 +148,8 @@ def aggregate_rows(
     else:
         verdict = Verdict(outcome, reason_confirmed)
     return CheckReport(name=name, claim=claim, verdict=verdict, params=params, rows=tuple(rows),
-                       index_columns=index_columns, csv_layout=csv_layout)
+                       index_columns=index_columns, csv_layout=csv_layout,
+                       certificate=certificate if outcome is Outcome.CONFIRMED else None)
 
 
 def worst_outcome(outcomes: list[Outcome]) -> Outcome:

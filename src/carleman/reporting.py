@@ -32,7 +32,6 @@ class CheckResult:
 
     report: CheckReport
     ms: float = 0.0
-    certificate: dict | None = None
 
 
 @dataclass
@@ -47,11 +46,8 @@ class RunReport:
     tool_version: str = __version__
     spec_texts: list[str] = field(default_factory=list)
 
-    def add(self, report: CheckReport, ms: float = 0.0,
-            certificate: dict | None = None) -> CheckResult:
-        result = CheckResult(report=report, ms=ms, certificate=certificate)
-        self.checks.append(result)
-        return result
+    def add(self, report: CheckReport, ms: float = 0.0) -> None:
+        self.checks.append(CheckResult(report=report, ms=ms))
 
     def outcomes(self) -> list[Outcome]:
         return [c.report.verdict.outcome for c in self.checks]
@@ -73,7 +69,8 @@ class RunReport:
                     "params": {k: v for k, v in c.report.params},
                     "verdict": c.report.verdict.as_dict(),
                     "evidence": [r.as_dict() for r in c.report.rows],
-                    "certificate": c.certificate,
+                    "certificate": (c.report.certificate.as_dict()
+                                    if c.report.certificate is not None else None),
                     # measured time lives in the human summary only;
                     # the canonical document must be byte-reproducible
                     "ms": 0,

@@ -58,7 +58,8 @@ def coeff_level_check(ws: WeightSequence, p: int, A: Fraction, n_max: int) -> Ch
     """Confirm |f^(n)(0)| <= (e A)^(pn) M'^(p)_n with constant 1 for the
     extremal coefficient profile of ``ws``, for 1 <= n <= n_max, with the
     factorial inequality link checked exactly.  The class radius A must be
-    positive and p an integer >= 2."""
+    positive and p an integer >= 2.  A confirmed report carries the
+    certificate C = 1, R = (e A)^p."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     # e A with the lower side of e below and the upper side above: a row
@@ -103,18 +104,14 @@ def coeff_level_check(ws: WeightSequence, p: int, A: Fraction, n_max: int) -> Ch
             ("n_max", str(n_max)),
         ),
         index_columns=("n",),
-    )
-
-
-def coeff_level_certificate(spec: SequenceSpec, p: int, A: Fraction) -> BoundCertificate:
-    """C = 1 and R = (e A)^p, the per-index radius of the confirmed bound."""
-    return BoundCertificate(
-        C=LogReal.one(spec.bits),
-        R=LogReal.from_fraction(E_UP * A, spec.bits).pow_int(p),
-        # the substitution t -> t^p is a self-bijection of [0,1] for even p
-        # and of [-1,1] for odd p
-        interval_id="[0,1]" if p % 2 == 0 else "[-1,1]",
-        seq=spec,
+        certificate=BoundCertificate(
+            C=LogReal.one(ws.bits),
+            R=LogReal.from_fraction(E_UP * A, ws.bits).pow_int(p),
+            # the substitution t -> t^p is a self-bijection of [0,1] for
+            # even p and of [-1,1] for odd p
+            interval_id="[0,1]" if p % 2 == 0 else "[-1,1]",
+            seq=ws.spec,
+        ),
     )
 
 

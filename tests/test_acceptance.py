@@ -112,7 +112,7 @@ def test_criterion_5_bang_function():
                     Fraction(factorial(n), factorial(2 * n)), ws.bits
                 )
                 assert fn_.magnitude.geq(f_lower) is Outcome.CONFIRMED, (spec.family, n)
-            membership, _ = series.verify_membership(40)
+            membership = series.verify_membership(40)
             assert membership.verdict.outcome is Outcome.CONFIRMED, spec.family
             assert all(r.outcome is Outcome.CONFIRMED for r in membership.rows)
 

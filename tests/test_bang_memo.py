@@ -100,7 +100,7 @@ def test_memoized_factors_equal_fresh_ones(spec):
 
 def test_membership_total_equals_F_magnitude(spec):
     # separate instances, so equality is of values and not of one memo entry
-    report, _ = BangSeries(WeightSequence(spec)).verify_membership(N_MAX)
+    report = BangSeries(WeightSequence(spec)).verify_membership(N_MAX)
     series = BangSeries(WeightSequence(spec))
     for row in report.rows:
         (n,) = row.index
@@ -118,7 +118,7 @@ def test_evaluation_order_does_not_change_bytes(spec, old_heads):
         assert _bits(up.head_sum(n, up.default_truncation(n))) == old_heads[n], n
     for build in (
         lambda s: s.verify_derivative_lower_bounds(N_MAX // 2),
-        lambda s: s.verify_membership(N_MAX)[0],
+        lambda s: s.verify_membership(N_MAX),
         lambda s: s.sharpness_evidence(N_MAX // 2),
     ):
         assert check_to_csv(build(down)) == check_to_csv(build(up))

@@ -170,6 +170,26 @@ class TestJsonDocument:
         coeff = doc["checks"][0]
         assert coeff["certificate"]["interval_id"] == "[0,1]"
 
+    def test_battery_certificates_match_thm61(self, tmp_path, capsys):
+        # each substitution-coefficients check of report-all carries the
+        # certificate thm61 gives for the same spec, p, A and precision
+        out = tmp_path / "all.json"
+        run(["report-all", "--n-max", "3", "--precision", "20", "--out", str(out)])
+        coeffs = [c for c in json.loads(out.read_text())["checks"]
+                  if c["name"].startswith("substitution-coefficients[")]
+        assert len(coeffs) == 12
+        shipped = {"gevrey(s=1)": "gevrey1", "paper8": "paper8"}
+        capsys.readouterr()
+        for check in coeffs:
+            params = check["params"]
+            assert run(["thm61", "--spec", str(SPECS / f"{shipped[params['spec']]}.json"),
+                        "--p", params["p"], "--A", params["A"], "--precision", "20",
+                        "--n-max", "3", "--assembly-n-max", "1"]) == 0
+            (thm61,) = (c for c in json.loads(capsys.readouterr().out)["checks"]
+                        if c["name"] == check["name"])
+            assert check["certificate"] is not None
+            assert check["certificate"] == thm61["certificate"], params
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path, gevrey_path):

@@ -40,7 +40,7 @@ RUNS = {
         ["report-all", "--n-max", "3", "--precision", "20",
          "--spec", "nonconvex_table.json", "--spec", "transformed_il1.json"],
         1,
-        "51414d644890e173f68a58cf52708a0456febada43372b596b1863e033611a67",
+        "9c51d361c0ab4ef90da28ede35d791c67c06f29d1b770e118ecbc093ec89fd2d",
         "9caa421370090caf409fad2ef559f0c56adabc1bc76fd9cfdde391e149c6a993",
     ),
     "seq-check-table": (
@@ -120,7 +120,7 @@ RUNS = {
     "report-all-rejected": (
         ["report-all", "--n-max", "2", "--precision", "20", "--spec", "iterated_log4.json"],
         2,
-        "9d88b545f1e194f0eee6ab5a7e14c311bc7f53b7e90e2d49d8821a1437af5462",
+        "1394ec9f37ad8422d293f261d8fef0b23842fbd68588614b6995b906150bb729",
         "d2b290dcfb0adf889f12c5b056386ed95abc98ac936e475b5ae04d9c414e12fb",
     ),
 }

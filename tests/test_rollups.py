@@ -6,8 +6,9 @@ The exact links behind ``ckn-bound``, ``root-series-bound``,
 correct arithmetic, so these tests
 replace one link at a time with a refuting or inconclusive stand-in and
 check the row outcomes (refuted > inconclusive > confirmed) and the notes
-that name the failing link.  A loose lower side of e must leave every check
-that compares with a power of e unrefuted.
+that name the failing link.  A refuted check publishes no certificate.  A
+loose lower side of e must leave every check that compares with a power of
+e unrefuted.
 """
 
 import json
@@ -19,7 +20,9 @@ import pytest
 
 from carleman import coefficients as co
 from carleman import substitution as su
+from carleman.bang import BangSeries
 from carleman.cli import _diag_derivative_report, main
+from carleman.intervals import LogReal
 from carleman.outcomes import EvidenceRow, Outcome, Reason, aggregate_rows
 from carleman.sequences import SequenceSpec, WeightSequence
 
@@ -173,6 +176,38 @@ class TestAssembly:
         assert report.verdict.outcome is R
         witnesses = [row.index for row in report.verdict.evidence]
         assert witnesses == [(p, 0, n), (p, k, n)]
+
+
+class TestRefutedCheckPublishesNoCertificate:
+    """A certificate is published only on a confirmed verdict."""
+
+    @staticmethod
+    def _check(capsys, argv, prefix):
+        assert main(argv) == 1
+        (check,) = (c for c in json.loads(capsys.readouterr().out)["checks"]
+                    if c["name"].startswith(prefix))
+        assert check["verdict"]["outcome"] == "refuted"
+        return check
+
+    def test_substitution_coefficients(self, monkeypatch, capsys):
+        # both sides of e far below e: every coefficient row is refuted
+        monkeypatch.setattr(su, "E_LO", Fraction(1, 100))
+        monkeypatch.setattr(su, "E_UP", Fraction(1, 100))
+        gevrey = str(Path(co.__file__).parent / "data" / "specs" / "gevrey1.json")
+        check = self._check(capsys, ["thm61", "--spec", gevrey, "--n-max", "3",
+                                     "--assembly-n-max", "1"], "substitution-coefficients")
+        assert check["certificate"] is None
+
+    def test_bang_membership(self, monkeypatch, capsys):
+        # a head sum 100 times its value overshoots the 2^(n+1) M'_n ceiling
+        head_sum = BangSeries.head_sum
+        monkeypatch.setattr(BangSeries, "head_sum", lambda self, n, K: (
+            head_sum(self, n, K) * LogReal.from_int(100, self.bits)))
+        constant = str(Path(co.__file__).parent / "data" / "specs" / "constant.json")
+        check = self._check(capsys, ["bang", "--spec", constant, "--n-max", "3",
+                                     "--deriv-n-max", "1", "--sharpness-n-max", "1"],
+                            "bang-membership")
+        assert check["certificate"] is None
 
 
 #: the checks that compare with a power of e

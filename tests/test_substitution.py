@@ -9,12 +9,7 @@ import pytest
 from carleman.coefficients import E_LO, dec_str, diagonal_derivative, diagonal_derivative_row
 from carleman.outcomes import Outcome, Reason
 from carleman.sequences import SequenceSpec, WeightSequence
-from carleman.substitution import (
-    coeff_level_certificate,
-    coeff_level_check,
-    final_bound_assembly,
-    transform_report,
-)
+from carleman.substitution import coeff_level_check, final_bound_assembly, transform_report
 from conftest import log_hi, log_lo
 
 
@@ -29,8 +24,9 @@ class TestInstanceValidation:
             coeff_level_check(ws, p=2, A=Fraction(1), n_max=0)
 
     def test_interval_by_parity(self, gevrey1_spec):
-        assert coeff_level_certificate(gevrey1_spec, 2, Fraction(1)).interval_id == "[0,1]"
-        assert coeff_level_certificate(gevrey1_spec, 3, Fraction(1)).interval_id == "[-1,1]"
+        ws = WeightSequence(gevrey1_spec)
+        assert coeff_level_check(ws, 2, Fraction(1), 1).certificate.interval_id == "[0,1]"
+        assert coeff_level_check(ws, 3, Fraction(1), 1).certificate.interval_id == "[-1,1]"
 
 
 class TestCoefficientLevel:
@@ -74,7 +70,8 @@ class TestCoefficientLevel:
             assert row.outcome is Outcome.CONFIRMED
 
     def test_certificate(self, gevrey1_spec):
-        cert = coeff_level_certificate(gevrey1_spec, p=2, A=Fraction(1))
+        report = coeff_level_check(WeightSequence(gevrey1_spec), p=2, A=Fraction(1), n_max=4)
+        cert = report.certificate
         assert cert.interval_id == "[0,1]"
         assert log_lo(cert.C) == log_hi(cert.C) == 0  # C = 1
 
