@@ -455,7 +455,7 @@ def cmd_thm61(args) -> RunReport:
 
     def checks(run):
         _timed(run, coeff_level_check, WeightSequence(spec), args.p, A, args.n_max)
-        _timed(run, final_bound_assembly, spec, args.p, A, args.assembly_n_max)
+        _timed(run, final_bound_assembly, spec, args.p, args.assembly_n_max)
 
     return _spec_checks(args, [spec], checks)
 
@@ -539,7 +539,7 @@ def run_battery(
         for p in (2, 3, 5):
             for A in (Fraction(1), Fraction(3)):
                 _timed(run, coeff_level_check, ws[spec.label()], p, A, d(12))
-    _timed(run, final_bound_assembly, gevrey1, 2, Fraction(1), d(8))
+    _timed(run, final_bound_assembly, gevrey1, 2, d(8))
 
     # user-supplied documents: criteria sweeps (negative fixtures land here),
     # clamped to the indices the family defines; an error inside one

@@ -115,9 +115,10 @@ def coeff_level_check(ws: WeightSequence, p: int, A: Fraction, n_max: int) -> Ch
     )
 
 
-def final_bound_assembly(spec: SequenceSpec, p: int, A: Fraction, n_max: int) -> CheckReport:
+def final_bound_assembly(spec: SequenceSpec, p: int, n_max: int) -> CheckReport:
     """Reassemble the proof's k-sum with the common factor
-    (eA)^(pn) M'_(pn) and the power of x divided out of both sides.
+    (eA)^(pn) M'_(pn) and the power of x divided out of both sides, so no
+    row depends on the sequence or on A; ``spec`` only names the check.
 
     Each diagonal derivative alpha_k^(n) is checked against its estimate
     (2e)^n n^(n-k), and for each n the exact k-sum
@@ -148,12 +149,7 @@ def final_bound_assembly(spec: SequenceSpec, p: int, A: Fraction, n_max: int) ->
         "each diagonal derivative obeys its estimate and the exact k-sum of "
         "the factor products stays below the displayed final bound",
         rows,
-        params=(
-            ("spec", spec.label()),
-            ("p", str(p)),
-            ("A", str(A)),
-            ("n_max", str(n_max)),
-        ),
+        params=(("p", str(p)), ("n_max", str(n_max))),
         index_columns=("p", "k", "n"),
     )
 

@@ -40,8 +40,8 @@ RUNS = {
         ["report-all", "--n-max", "3", "--precision", "20",
          "--spec", "nonconvex_table.json", "--spec", "transformed_il1.json"],
         1,
-        "9c51d361c0ab4ef90da28ede35d791c67c06f29d1b770e118ecbc093ec89fd2d",
-        "9caa421370090caf409fad2ef559f0c56adabc1bc76fd9cfdde391e149c6a993",
+        "f7451df683d171120fd7646cd1a4a9ff2f3461b8cb8bf326b2983e08f5afca16",
+        "a2138046ca650bc7815dcb763d724fe3709dd3b9bcbb3d83fd69d06cceee71bf",
     ),
     "seq-check-table": (
         ["seq-check", "--spec", "nonconvex_table.json", "--n-max", "3"],
@@ -107,8 +107,8 @@ RUNS = {
     "thm61": (
         ["thm61", "--spec", "gevrey1.json", "--n-max", "3", "--assembly-n-max", "2"],
         0,
-        "faae56d2301fd109a6d467370a90a736cb86e8bcb54c718de8ae57727d594d4e",
-        "999316c8ebbfa297c348f4d3889c9a954d5410e0f3f42725328be8b0a865c34f",
+        "f9165f61827cc4e3773e9c0ad9e3c5b216c527d495e6bd127cba482f3bc47f1f",
+        "0e73385cf627cdb533aafe96dacd0eeb04ebf596a573516bbb64d828e676717e",
     ),
     "seq-compare-rejected": (
         ["seq-compare", "--spec", "iterated_log4.json", "--other", "iterated_log4.json",
@@ -120,8 +120,8 @@ RUNS = {
     "report-all-rejected": (
         ["report-all", "--n-max", "2", "--precision", "20", "--spec", "iterated_log4.json"],
         2,
-        "1394ec9f37ad8422d293f261d8fef0b23842fbd68588614b6995b906150bb729",
-        "d2b290dcfb0adf889f12c5b056386ed95abc98ac936e475b5ae04d9c414e12fb",
+        "9470fccc7a2666363f7103dadf7ac88e7aa3be1c2e241ef53301d39d93d9e576",
+        "67fcac67b2b32d7fb7132708f4f9253db354051b9e0cce2dbcdfa1486bbcc88f",
     ),
 }
 

@@ -171,8 +171,7 @@ class TestAssembly:
 
         monkeypatch.setattr(co, "diagonal_derivative", inflated)
         monkeypatch.setattr(su, "diagonal_derivative", inflated)
-        report = su.final_bound_assembly(SequenceSpec(family="gevrey", s=Fraction(1)), p,
-                                         Fraction(1), 4)
+        report = su.final_bound_assembly(SequenceSpec(family="gevrey", s=Fraction(1)), p, 4)
         assert report.verdict.outcome is R
         witnesses = [row.index for row in report.verdict.evidence]
         assert witnesses == [(p, 0, n), (p, k, n)]

@@ -78,7 +78,7 @@ class TestCoefficientLevel:
 
 class TestAssembly:
     def test_confirmed_with_exact_cancellation(self, gevrey1_spec):
-        report = final_bound_assembly(gevrey1_spec, p=2, A=Fraction(1), n_max=8)
+        report = final_bound_assembly(gevrey1_spec, p=2, n_max=8)
         assert report.verdict.outcome is Outcome.CONFIRMED
         assert report.verdict.reason is Reason.INTERVAL_SEPARATION
         # every row is a comparison that could fail
@@ -100,7 +100,7 @@ class TestAssembly:
     def test_n1_single_term(self, gevrey1_spec):
         # n = 1, p = 2: one k = 1 row and one sum row; the sum is
         # |alpha_1^(1)| / 1 = 1/2 against the ceiling 2e
-        report = final_bound_assembly(gevrey1_spec, p=2, A=Fraction(1), n_max=1)
+        report = final_bound_assembly(gevrey1_spec, p=2, n_max=1)
         assert [r.index for r in report.rows] == [(2, 0, 1), (2, 1, 1)]
         (sum_row,) = (r for r in report.rows if r.index[1] == 0)
         assert sum_row.lo == dec_str(Fraction(1, 2))
@@ -108,7 +108,7 @@ class TestAssembly:
 
     def test_alpha_factor_agrees_with_oracle_helper(self, gevrey1_spec):
         # the per-k rows of the assembly are the diag-derivative rows
-        report = final_bound_assembly(gevrey1_spec, p=3, A=Fraction(1), n_max=4)
+        report = final_bound_assembly(gevrey1_spec, p=3, n_max=4)
         k_rows = [r for r in report.rows if r.index[1] > 0]
         expected = [
             diagonal_derivative_row(3, k, n) for n in range(1, 5) for k in range(1, n + 1)
@@ -116,7 +116,7 @@ class TestAssembly:
         assert k_rows == sorted(expected, key=lambda r: r.index)
 
     def test_exact_alpha_sum_below_ceiling_columns(self, paper8_spec):
-        report = final_bound_assembly(paper8_spec, p=3, A=Fraction(2), n_max=5)
+        report = final_bound_assembly(paper8_spec, p=3, n_max=5)
         assert report.verdict.outcome is Outcome.CONFIRMED
         sum_rows = [r for r in report.rows if r.index[1] == 0]
         assert len(sum_rows) == 5
