@@ -21,22 +21,18 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv, mp
+from sympy.functions.combinatorial.numbers import stirling
 
 from carleman import coefficients as co
 from carleman.intervals import working_precision
 from conftest import pow_convolve, root_series_signed
 
 
-@pytest.fixture(scope="module")
-def sympy_stirling():
-    sympy = pytest.importorskip("sympy")
-    return sympy.functions.combinatorial.numbers.stirling
-
-
-def _sympy_ckn(stirling, k: int, n: int) -> Fraction:
+def _sympy_ckn(k: int, n: int) -> Fraction:
     return Fraction(factorial(k) * int(stirling(n, k, kind=1)), factorial(n))
 
 
@@ -47,21 +43,21 @@ class TestStirlingCkn:
             for n in range(0, 61):
                 assert co.ckn(k, n) == table[k][n], (k, n)
 
-    def test_equals_sympy_on_full_grid(self, sympy_stirling):
+    def test_equals_sympy_on_full_grid(self):
         for k in range(1, 31):
             for n in range(k, 61):
-                assert co.ckn(k, n) == _sympy_ckn(sympy_stirling, k, n), (k, n)
+                assert co.ckn(k, n) == _sympy_ckn(k, n), (k, n)
 
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(min_value=1, max_value=40), n=st.integers(min_value=0, max_value=120))
-    def test_random_point_matches_sympy_and_one_convolution_step(self, sympy_stirling, k, n):
+    def test_random_point_matches_sympy_and_one_convolution_step(self, k, n):
         # c(k, .) = c(1, .) * c(k-1, .): with c(1, i) = 1/i this single
         # step, at every (k, n), is the whole convolution route by induction
         value = co.ckn(k, n)
         if n < k:
             assert value == 0
             return
-        assert value == _sympy_ckn(sympy_stirling, k, n)
+        assert value == _sympy_ckn(k, n)
         if k == 1:
             assert value == Fraction(1, n)
         else:
@@ -115,7 +111,6 @@ class TestClosedFormRootSeries:
 def test_diagonal_derivative_scales_with_sympy(p, q):
     # alpha_k^(n)(x, x) = x^(-(pn-k)/p) n! b_n at x = q^p: differentiate
     # (X^(1/p) - q)^k / k! symbolically n times and evaluate at X = q^p
-    sympy = pytest.importorskip("sympy")
     X = sympy.Symbol("X", positive=True)
     root = sympy.Rational(q.numerator, q.denominator)
     for k in range(1, 6):
