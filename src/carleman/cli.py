@@ -81,13 +81,6 @@ def _load(path: str, precision: int | None) -> SequenceSpec:
     return spec
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not a rational number: {text!r}") from exc
-
-
 #: the seq-check checks in their default order: name -> runner(ws, n_max)
 _SEQ_CHECKS = {
     "monotone": check_monotone,
@@ -449,7 +442,10 @@ def cmd_bang(args) -> RunReport:
 
 def cmd_thm61(args) -> RunReport:
     spec = _load(args.spec, args.precision)
-    A = _parse_fraction(args.A)
+    try:
+        A = Fraction(args.A)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"not a rational number: {args.A!r}") from exc
     if A <= 0:
         raise UsageError("--A must be positive")
 

@@ -105,14 +105,18 @@ class TestExitCodes:
             assert capsys.readouterr().err.startswith("error:")
             assert not out.exists()
 
-    def test_bad_usage_is_three(self):
+    def test_bad_usage_is_three(self, gevrey_path):
         assert run(["not-a-command"]) == 3
         assert run(["ineq62", "--p", "1"]) == 3
+        for A in ("x", "1/0"):
+            assert run(["thm61", "--spec", gevrey_path, "--A", A]) == 3
 
     def test_nonpositive_overrides_are_three(self, gevrey_path):
         assert run(["ineq62", "--p", "2", "--n-max", "0"]) == 3
         assert run(["seq-show", "--spec", gevrey_path, "--precision", "-3"]) == 3
         assert run(["ckn", "--k-max", "0"]) == 3
+        for A in ("0", "-1/2"):
+            assert run(["thm61", "--spec", gevrey_path, "--A", A]) == 3
 
     @pytest.mark.parametrize("flag, cap, argv", [
         pytest.param(flag, cap, argv, id=f"{argv[0]} {flag}")
