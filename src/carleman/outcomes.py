@@ -106,8 +106,7 @@ class CheckReport:
     ``index``; ``csv_layout`` is the fixed CSV header of a check with a
     documented file format, and None gives index columns, lo/hi, verdict,
     note and the sorted extras.  Neither is part of the JSON document.
-    ``certificate`` is the bound certificate the check publishes, present
-    only on a confirmed verdict.
+    ``certificate`` is the (C, R) bound a confirmed check publishes.
     """
 
     name: str
@@ -135,8 +134,7 @@ def aggregate_rows(
     All rows confirmed -> confirmed; any refuted -> refuted (witnesses
     attached); otherwise inconclusive.  Rows are sorted by index so the
     report is independent of evaluation order.  ``certificate`` is kept
-    only on a confirmed verdict: a bound the rows do not confirm is not
-    published.
+    only on a confirmed verdict.
     """
     rows = sorted(rows, key=lambda r: r.index)
     outcome = worst_outcome([r.outcome for r in rows])

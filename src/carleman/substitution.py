@@ -14,6 +14,8 @@ M'^(p)_n = n^(-(p-1)n) M'_{pn}.  Two complementary checks live here:
   so gets no column, and n^(pn) <= e^(pn) (pn)!  (the k = 0 case of the
   elementary factorial inequality), checked on each row.  The constant in
   front is 1: the chain holds with no slack, so any regression surfaces.
+  A confirmed report carries the certificate C = 1, R = (e A)^p on [0,1]
+  for even p and on [-1,1] for odd p.
 
 * :func:`final_bound_assembly` rebuilds the proof's k-sum at x = 1, which
   decides every x > 0 (see :func:`.coefficients.diagonal_derivative`).
@@ -56,10 +58,9 @@ from .sequences import (
 
 def coeff_level_check(ws: WeightSequence, p: int, A: Fraction, n_max: int) -> CheckReport:
     """Confirm |f^(n)(0)| <= (e A)^(pn) M'^(p)_n with constant 1 for the
-    extremal coefficient profile of ``ws``, for 1 <= n <= n_max, with the
-    factorial inequality link checked exactly.  The class radius A must be
-    positive and p an integer >= 2.  A confirmed report carries the
-    certificate C = 1, R = (e A)^p."""
+    extremal coefficient profile of ``ws``, for 1 <= n <= n_max, A > 0 and
+    an integer p >= 2, with the factorial inequality link checked exactly.
+    A confirmed report carries the certificate C = 1, R = (e A)^p."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     # e A with the lower side of e below and the upper side above: a row
@@ -97,18 +98,13 @@ def coeff_level_check(ws: WeightSequence, p: int, A: Fraction, n_max: int) -> Ch
         f"substitution-coefficients[{ws.spec.label()}]",
         "extremal Taylor profile obeys the dilated-class bound with C = 1",
         rows,
-        params=(
-            ("spec", ws.spec.label()),
-            ("p", str(p)),
-            ("A", str(A)),
-            ("n_max", str(n_max)),
-        ),
+        params=(("spec", ws.spec.label()), ("p", str(p)), ("A", str(A)),
+                ("n_max", str(n_max))),
         index_columns=("n",),
         certificate=BoundCertificate(
             C=LogReal.one(ws.bits),
             R=LogReal.from_fraction(E_UP * A, ws.bits).pow_int(p),
-            # the substitution t -> t^p is a self-bijection of [0,1] for
-            # even p and of [-1,1] for odd p
+            # t -> t^p maps [0,1] onto itself for even p, [-1,1] for odd p
             interval_id="[0,1]" if p % 2 == 0 else "[-1,1]",
             seq=ws.spec,
         ),
