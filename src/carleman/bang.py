@@ -15,8 +15,8 @@ plus a certified tail interval; the tail bound
 follows from the monotone ratios (m_j non-decreasing), which is exactly
 log-convexity of M'.  A finite numeric check cannot certify the infinite
 tail, so construction requires a family for which ratio monotonicity holds
-at every index by an encoded closed-form argument, and additionally
-confirms it numerically over the working range.
+at every index by an encoded closed-form argument, and every evaluator
+additionally confirms it numerically over the indices it touches.
 """
 
 from __future__ import annotations
@@ -46,17 +46,18 @@ class BangSeries:
     """Term cache and certified evaluators for the extremal series of one
     weight sequence.
 
-    Construction rejects sequences whose family has no ``mprime_logconvex``
-    fact (table, dilated, and the measured-only double-log family), and
-    re-confirms log-convexity of M' numerically over every range it
-    actually touches.
+    Construction only rejects sequences whose family has no
+    ``mprime_logconvex`` fact (table, dilated, and the measured-only
+    double-log family); it computes no value.  Every certified evaluator
+    re-confirms log-convexity of M' numerically over the range it touches,
+    so a value no precision can compute fails there, not at construction.
 
     Each certified head sum is computed once per (n, K) and each 2 m_k once
     per k; refilling either memo reproduces the identical interval, so the
     memos change no result.
     """
 
-    def __init__(self, ws: WeightSequence, confirm_to: int = 64):
+    def __init__(self, ws: WeightSequence):
         self.ws = ws
         self.bits = ws.bits
         rule = FAMILIES[ws.spec.family].mprime_logconvex
@@ -71,7 +72,6 @@ class BangSeries:
         self._two_m: dict[int, LogReal] = {}
         self._heads: dict[tuple[int, int], LogReal] = {}
         self._two = LogReal.from_int(2, self.bits)
-        self._ensure_confirmed(max(confirm_to, 2))
 
     # -- certification ---------------------------------------------------------
 

@@ -3,9 +3,10 @@
 Exit code contract: 0 when every executed check is confirmed, 1 when any
 check is refuted, 2 when any check is inconclusive and none is refuted,
 3 for configuration/usage errors (unreadable or malformed spec documents,
-bad flag combinations).  An error while running the checks on one spec
-document becomes one inconclusive ``spec-rejected`` check, after the
-checks already run, and the report is still written.
+bad flag combinations).  Every check that reads a spec document is
+guarded on its own: an error inside it becomes one inconclusive
+``spec-rejected`` check whose quantity names that check, the later checks
+still run, and the report is still written.
 
 Without ``--out`` the report document goes to stdout (JSON, or CSV for a
 single-check command) and the human summary to stderr; with ``--out``, and
@@ -199,35 +200,27 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _timed(run: RunReport, producer, *args) -> None:
-    """Add ``producer(*args)`` to ``run`` with its wall time."""
+def _timed(run: RunReport, producer, *args,
+           guard: tuple[str, str] | None = None) -> bool:
+    """Add ``producer(*args)`` to ``run`` with its wall time and return
+    True.  With ``guard=(label, name)`` an error inside the producer adds
+    one inconclusive spec-rejected check for the sweeps of check ``name`` on
+    the spec(s) named ``label`` instead, and returns False; a malformed
+    spec stays a usage error, and without a guard the error propagates."""
     t0 = time.perf_counter()
-    report = producer(*args)
-    run.add(report, ms=(time.perf_counter() - t0) * 1000.0)
-
-
-def _reject_spec(run: RunReport, label: str, exc: CarlemanError, work: str) -> None:
-    """Add one inconclusive spec-rejected check for ``work`` that raised
-    ``exc`` on the spec(s) named ``label``; a malformed spec stays a usage
-    error."""
-    if isinstance(exc, SpecFormatError):
-        raise exc
-    run.add(_rejection_report(
-        "spec-rejected", f"{work} require every swept value to be computable",
-        work, label, f"{type(exc).__name__}: {exc}",
-    ))
-
-
-def _spec_checks(args, specs: list[SequenceSpec], checks) -> RunReport:
-    """The run of ``checks(run)`` for this command on ``specs``; an error on
-    them becomes one spec-rejected check after those already run."""
-    run = RunReport(config=_config(args), spec_texts=[dump_spec(spec) for spec in specs])
     try:
-        checks(run)
+        report, ran = producer(*args), True
     except CarlemanError as exc:
-        _reject_spec(run, " vs ".join(spec.label() for spec in specs), exc,
-                     f"{args.command} checks")
-    return run
+        if guard is None or isinstance(exc, SpecFormatError):
+            raise
+        label, name = guard
+        work = f"{name} sweeps"
+        report, ran = _rejection_report(
+            "spec-rejected", f"{work} require every swept value to be computable",
+            work, label, f"{type(exc).__name__}: {exc}",
+        ), False
+    run.add(report, ms=(time.perf_counter() - t0) * 1000.0)
+    return ran
 
 
 def _value_table(name: str, claim: str, params, quantity: str, n_max: int,
@@ -256,14 +249,13 @@ def _value_table(name: str, claim: str, params, quantity: str, n_max: int,
 def cmd_seq_show(args) -> RunReport:
     spec = _load(args.spec, args.precision)
     label = spec.label()
-
-    def checks(run):
-        ws = WeightSequence(spec)
-        _timed(run, _value_table, f"seq-show[{label}]", "log-space values of M_n, M'_n and m_n",
-               (("n_max", str(args.n_max)), ("spec", label)), "M_n (log)", args.n_max,
-               ws.log_M, (("mprime", ws.log_Mprime), ("ratio", ws.ratio_m)))
-
-    return _spec_checks(args, [spec], checks)
+    run = RunReport(config=_config(args), spec_texts=[dump_spec(spec)])
+    ws = WeightSequence(spec)
+    _timed(run, _value_table, f"seq-show[{label}]", "log-space values of M_n, M'_n and m_n",
+           (("n_max", str(args.n_max)), ("spec", label)), "M_n (log)", args.n_max,
+           ws.log_M, (("mprime", ws.log_Mprime), ("ratio", ws.ratio_m)),
+           guard=(label, "seq-show"))
+    return run
 
 
 def cmd_seq_check(args) -> RunReport:
@@ -273,42 +265,41 @@ def cmd_seq_check(args) -> RunReport:
     for name in names:
         if name not in _SEQ_CHECKS:
             raise UsageError(f"unknown check {name!r}; available: {', '.join(_SEQ_CHECKS)}")
+    if len(set(names)) != len(names):
+        raise UsageError(f"--checks names a check more than once: {args.checks!r}")
     spec = _load(args.spec, args.precision)
-
-    def checks(run):
-        ws = WeightSequence(spec)
-        for name in names:
-            try:
-                _timed(run, _SEQ_CHECKS[name], ws, args.n_max)
-            except CarlemanError as exc:
-                _reject_spec(run, spec.label(), exc, f"{name} sweeps")
-
-    return _spec_checks(args, [spec], checks)
+    run = RunReport(config=_config(args), spec_texts=[dump_spec(spec)])
+    ws = WeightSequence(spec)
+    for name in names:
+        _timed(run, _SEQ_CHECKS[name], ws, args.n_max, guard=(spec.label(), name))
+    return run
 
 
 def cmd_seq_compare(args) -> RunReport:
     specM = _load(args.spec, args.precision)
     specN = _load(args.other, args.precision)
-    return _spec_checks(args, [specM, specN], lambda run: _timed(
-        run, check_inclusion, WeightSequence(specM), WeightSequence(specN), args.n_max))
+    run = RunReport(config=_config(args), spec_texts=[dump_spec(specM), dump_spec(specN)])
+    _timed(run, check_inclusion, WeightSequence(specM), WeightSequence(specN), args.n_max,
+           guard=(f"{specM.label()} vs {specN.label()}", "inclusion"))
+    return run
 
 
 def cmd_seq_transform(args) -> RunReport:
     spec = _load(args.spec, args.precision)
     label, p = spec.label(), args.p
-
-    def checks(run):
-        ws = WeightSequence(spec)
-        if p >= 2:
-            dilated = ws.dilation(p)
-            _timed(run, _value_table, f"transform-values[{label}, p={p}]",
-                   "log-space values of the dilated sequence and its primed normalization",
-                   (("p", str(p)), ("n_max", str(args.n_max)), ("spec", label)),
-                   "M_(pn) (log)", args.n_max, dilated.log_M,
-                   (("mprime_sub", dilated.log_Mprime_sub),))
-        _timed(run, transform_report, ws, p, max(8, args.n_max))
-
-    return _spec_checks(args, [spec], checks)
+    run = RunReport(config=_config(args), spec_texts=[dump_spec(spec)])
+    ws = WeightSequence(spec)
+    if p >= 2:
+        dilated = ws.dilation(p)
+        _timed(run, _value_table, f"transform-values[{label}, p={p}]",
+               "log-space values of the dilated sequence and its primed normalization",
+               (("p", str(p)), ("n_max", str(args.n_max)), ("spec", label)),
+               "M_(pn) (log)", args.n_max, dilated.log_M,
+               (("mprime_sub", dilated.log_Mprime_sub),),
+               guard=(label, "transform-values"))
+    _timed(run, transform_report, ws, p, max(8, args.n_max),
+           guard=(label, "transform-quasianalytic"))
+    return run
 
 
 def _ckn_equivalence_report(k_max: int, n_max: int) -> CheckReport:
@@ -401,22 +392,29 @@ def _rejection_report(name: str, claim: str, quantity: str,
 
 
 def _run_bang(run: RunReport, ws: WeightSequence, deriv_n_max: int, n_max: int,
-              sharpness_n_max: int) -> BangSeries | None:
-    """Add the three extremal-series checks to ``run`` and return the series,
-    or add one bang-rejected check and return None when the family has no
-    all-index log-convexity rule for M'."""
+              sharpness_n_max: int, guarded: bool = False) -> BangSeries | None:
+    """Add the three extremal-series checks to ``run`` and return the series.
+    With ``guarded`` each check is guarded on its own, and a rejected one
+    makes the result None.  A family with no all-index log-convexity rule
+    for M' gets one bang-rejected check instead, and None."""
+    label = ws.spec.label()
     try:
         series = BangSeries(ws)
     except TailUncertifiedError as exc:
         run.add(_rejection_report(
             "bang-rejected", "extremal series requires all-index log-convexity of M'",
-            "construction", ws.spec.label(), str(exc),
+            "construction", label, str(exc),
         ))
         return None
-    _timed(run, series.verify_derivative_lower_bounds, deriv_n_max)
-    _timed(run, series.verify_membership, n_max)
-    _timed(run, series.sharpness_evidence, sharpness_n_max)
-    return series
+    ran = [
+        _timed(run, producer, depth, guard=(label, name) if guarded else None)
+        for name, producer, depth in (
+            ("bang-lower-bounds", series.verify_derivative_lower_bounds, deriv_n_max),
+            ("bang-membership", series.verify_membership, n_max),
+            ("bang-sharpness", series.sharpness_evidence, sharpness_n_max),
+        )
+    ]
+    return series if all(ran) else None
 
 
 def _write_plot_data(series: BangSeries, path: str, points: int, K: int) -> None:
@@ -430,14 +428,13 @@ def _write_plot_data(series: BangSeries, path: str, points: int, K: int) -> None
 
 def cmd_bang(args) -> RunReport:
     spec = _load(args.spec, args.precision)
-
-    def checks(run):
-        series = _run_bang(run, WeightSequence(spec), args.deriv_n_max, args.n_max,
-                           args.sharpness_n_max)
-        if series is not None and args.plot_data:
-            _write_plot_data(series, args.plot_data, args.plot_points, args.plot_k)
-
-    return _spec_checks(args, [spec], checks)
+    run = RunReport(config=_config(args), spec_texts=[dump_spec(spec)])
+    series = _run_bang(run, WeightSequence(spec), args.deriv_n_max, args.n_max,
+                       args.sharpness_n_max, guarded=True)
+    # a spec one of the checks could not compute has no samples to plot
+    if series is not None and args.plot_data:
+        _write_plot_data(series, args.plot_data, args.plot_points, args.plot_k)
+    return run
 
 
 def cmd_thm61(args) -> RunReport:
@@ -448,12 +445,13 @@ def cmd_thm61(args) -> RunReport:
         raise UsageError(f"not a rational number: {args.A!r}") from exc
     if A <= 0:
         raise UsageError("--A must be positive")
-
-    def checks(run):
-        _timed(run, coeff_level_check, WeightSequence(spec), args.p, A, args.n_max)
-        _timed(run, final_bound_assembly, spec, args.p, args.assembly_n_max)
-
-    return _spec_checks(args, [spec], checks)
+    label = spec.label()
+    run = RunReport(config=_config(args), spec_texts=[dump_spec(spec)])
+    _timed(run, coeff_level_check, WeightSequence(spec), args.p, A, args.n_max,
+           guard=(label, "substitution-coefficients"))
+    _timed(run, final_bound_assembly, spec, args.p, args.assembly_n_max,
+           guard=(label, "substitution-assembly"))
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +535,9 @@ def run_battery(
                 _timed(run, coeff_level_check, ws[spec.label()], p, A, d(12))
     _timed(run, final_bound_assembly, gevrey1, 2, d(8))
 
-    # user-supplied documents: criteria sweeps (negative fixtures land here),
-    # clamped to the indices the family defines; an error inside one
-    # document's sweeps becomes one inconclusive check and the run goes on
+    # user-supplied documents: seq-check's criteria sweeps (negative
+    # fixtures land here), clamped to the indices the family defines and
+    # guarded each on its own, as in seq-check
     for spec in extras:
         extra_ws = WeightSequence(spec)
         top = extra_ws.last_index
@@ -550,13 +548,12 @@ def run_battery(
                 depth = max(1, min(depth, top - slack))
             return depth
 
-        try:
-            _timed(run, _SEQ_CHECKS["monotone"], extra_ws, clamp(20))
-            if top is None or top >= 2:
-                _timed(run, _SEQ_CHECKS["log-convex"], extra_ws, clamp(20))
-            _timed(run, _SEQ_CHECKS["quasianalytic"], extra_ws, clamp(50, slack=1))
-        except CarlemanError as exc:
-            _reject_spec(run, spec.label(), exc, "criteria sweeps")
+        depths = {"monotone": clamp(20), "log-convex": clamp(20),
+                  "quasianalytic": clamp(50, slack=1)}
+        if top is not None and top < 2:
+            del depths["log-convex"]
+        for name, depth in depths.items():
+            _timed(run, _SEQ_CHECKS[name], extra_ws, depth, guard=(spec.label(), name))
     return run
 
 
@@ -585,15 +582,7 @@ _HANDLERS = {
 
 
 def _config(args) -> dict:
-    skip = {"out", "format"}
-    return {
-        "command": args.command,
-        **{
-            k.replace("_", "-"): v
-            for k, v in sorted(vars(args).items())
-            if k != "command" and k not in skip and not k.startswith("_")
-        },
-    }
+    return {k.replace("_", "-"): v for k, v in vars(args).items() if k not in ("out", "format")}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -52,7 +52,9 @@ class TestConstruction:
             BangSeries(WeightSequence(tspec))
 
     def test_accepts_iterated_log(self):
-        BangSeries(WeightSequence(SequenceSpec(family="iterated_log", k=1)), confirm_to=8)
+        series = BangSeries(WeightSequence(SequenceSpec(family="iterated_log", k=1)))
+        # the tail bound past K = 7 confirms log-convexity of M' up to index 8
+        series.tail_bound(0, 7)
 
 
 class TestDerivTerm:

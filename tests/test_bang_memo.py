@@ -63,7 +63,7 @@ def spec(request):
 def old_heads(spec):
     """The per-call route at the default truncation, n = 0..N_MAX."""
     ws = WeightSequence(spec)
-    probe = BangSeries(WeightSequence(spec), confirm_to=2)
+    probe = BangSeries(WeightSequence(spec))
     return {
         n: _bits(_old_head(ws, n, probe.default_truncation(n)))
         for n in range(N_MAX + 1)
@@ -87,7 +87,7 @@ def test_explicit_truncation_equals_per_call_route(spec):
 
 
 def test_memoized_factors_equal_fresh_ones(spec):
-    series = BangSeries(WeightSequence(spec), confirm_to=2)
+    series = BangSeries(WeightSequence(spec))
     ws = WeightSequence(spec)
     for k in range(0, 40):
         assert _bits(series.ws.log_Mprime(k)) == _bits(_old_mprime(ws, k))
@@ -110,8 +110,8 @@ def test_membership_total_equals_F_magnitude(spec):
 
 
 def test_evaluation_order_does_not_change_bytes(spec, old_heads):
-    down = BangSeries(WeightSequence(spec), confirm_to=2)
-    up = BangSeries(WeightSequence(spec), confirm_to=2)
+    down = BangSeries(WeightSequence(spec))
+    up = BangSeries(WeightSequence(spec))
     for n in range(N_MAX, -1, -1):
         assert _bits(down.head_sum(n, down.default_truncation(n))) == old_heads[n], n
     for n in range(0, N_MAX + 1):
@@ -125,7 +125,7 @@ def test_evaluation_order_does_not_change_bytes(spec, old_heads):
 
 
 def test_memo_hit_is_the_same_object():
-    series = BangSeries(WeightSequence(SPECS["constant"]), confirm_to=2)
+    series = BangSeries(WeightSequence(SPECS["constant"]))
     K = series.default_truncation(6)
     first = series.head_sum(6, K)
     assert series.head_sum(6, K) is first
@@ -154,7 +154,7 @@ def fast_switching():
 def _cold_pair(spec):
     """A fresh series and a fresh sequence, with the tower cache emptied
     after the series is built so the sequence fill finds it cold."""
-    series = BangSeries(WeightSequence(spec), confirm_to=2)
+    series = BangSeries(WeightSequence(spec))
     with seq._tower_lock:
         seq._tower_cache.clear()
     return WeightSequence(spec), series

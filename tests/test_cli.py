@@ -96,9 +96,9 @@ class TestExitCodes:
             assert capsys.readouterr().err.startswith("error:")
 
     def test_unknown_check_is_three(self, gevrey_path, tmp_path, capsys):
-        # an unknown name, or a list that names no check, fails before any
-        # work: nothing is written
-        for checks in ("bogus", ",", ""):
+        # an unknown name, a name given twice, or a list that names no
+        # check, fails before any work: nothing is written
+        for checks in ("bogus", ",", "", "monotone,monotone", "monotone, quasianalytic,monotone"):
             out = tmp_path / "r.json"
             assert run(["seq-check", "--spec", gevrey_path, "--checks", checks,
                         "--out", str(out)]) == 3, checks
@@ -365,21 +365,54 @@ class TestCommands:
         assert ws._base.bits == ws.bits == 96
         assert ws.spec.base.precision == 20
 
-    @pytest.mark.parametrize("command", ["seq-show", "seq-check", "seq-transform",
-                                         "bang", "thm61"])
-    def test_failing_spec_keeps_the_subcommand_run(self, tmp_path, command):
+    @pytest.mark.parametrize("command, failing", [
+        pytest.param(command, failing, id=command) for command, failing in (
+            ("seq-show", ["seq-show"]),
+            ("seq-check", list(cli._SEQ_CHECKS)),
+            ("seq-transform", ["transform-values", "transform-quasianalytic"]),
+            ("bang", ["bang-lower-bounds", "bang-membership", "bang-sharpness"]),
+            ("thm61", ["substitution-coefficients"]),
+        )
+    ])
+    def test_failing_spec_keeps_the_subcommand_run(self, tmp_path, command, failing):
+        # one rejection per check that reads the spec, each naming its check
         spec = tmp_path / "il4.json"
         spec.write_text('{"family": "iterated_log", "params": {"k": 4}}')
         out = tmp_path / "r"
         assert run([command, "--spec", str(spec), "--n-max", "2",
                     "--out", str(out)]) == 2
         checks = json.loads(next(out.glob("report-*.json")).read_text())["checks"]
-        # seq-check guards each of its five checks on its own
-        assert len(checks) == (len(cli._SEQ_CHECKS) if command == "seq-check" else 1)
-        for rejected in checks:
-            assert rejected["name"] == "spec-rejected[iterated_log(k=4)]"
-            assert rejected["verdict"]["outcome"] == "inconclusive"
-            assert rejected["evidence"][0]["note"].startswith("PrecisionExhaustedError: ")
+        rejected = [c for c in checks if c["name"].startswith("spec-rejected[")]
+        quantities = [c["evidence"][0]["quantity"] for c in rejected]
+        assert quantities == [f"{name} sweeps" for name in failing]
+        assert len(set(quantities)) == len(quantities)
+        for check in rejected:
+            assert check["name"] == "spec-rejected[iterated_log(k=4)]"
+            assert check["verdict"]["outcome"] == "inconclusive"
+            assert check["evidence"][0]["note"].startswith("PrecisionExhaustedError: ")
+
+    def test_failing_spec_keeps_the_checks_that_do_not_read_it(self, tmp_path):
+        # the assembly rows read neither the spec's values nor A
+        spec = tmp_path / "il4.json"
+        spec.write_text('{"family": "iterated_log", "params": {"k": 4}}')
+        out = tmp_path / "r"
+        assert run(["thm61", "--spec", str(spec), "--n-max", "2",
+                    "--out", str(out)]) == 2
+        rejected, assembly = json.loads(next(out.glob("report-*.json")).read_text())["checks"]
+        assert rejected["name"] == "spec-rejected[iterated_log(k=4)]"
+        assert rejected["verdict"]["outcome"] == "inconclusive"
+        assert assembly["name"] == "substitution-assembly[iterated_log(k=4)]"
+        assert assembly["verdict"]["outcome"] == "confirmed"
+
+    def test_failing_spec_writes_the_report_and_no_plot(self, tmp_path):
+        spec = tmp_path / "il4.json"
+        spec.write_text('{"family": "iterated_log", "params": {"k": 4}}')
+        out, plot = tmp_path / "b.json", tmp_path / "p.csv"
+        assert run(["bang", "--spec", str(spec), "--n-max", "2", "--plot-data", str(plot),
+                    "--out", str(out)]) == 2
+        checks = json.loads(out.read_text())["checks"]
+        assert [c["name"] for c in checks] == ["spec-rejected[iterated_log(k=4)]"] * 3
+        assert not plot.exists()
 
     def test_failing_check_keeps_the_checks_already_run(self, tmp_path):
         # derivation closure at n = 3 needs M_4, one past the table
@@ -459,11 +492,15 @@ class TestReportAll:
         built_in = json.loads(next(plain.glob("report-*.json")).read_text())["checks"]
         checks = json.loads(next(out.glob("report-*.json")).read_text())["checks"]
         assert len(built_in) == 57
-        assert checks[:-1] == built_in
-        rejected = checks[-1]
-        assert rejected["name"] == "spec-rejected[iterated_log(k=4)]"
-        assert rejected["verdict"]["outcome"] == "inconclusive"
-        assert rejected["evidence"][0]["note"].startswith("PrecisionExhaustedError: ")
+        assert checks[:57] == built_in
+        # each of seq-check's sweeps on the extra spec is guarded on its own
+        rejected = checks[57:]
+        assert [c["evidence"][0]["quantity"] for c in rejected] == [
+            "monotone sweeps", "log-convex sweeps", "quasianalytic sweeps"]
+        for check in rejected:
+            assert check["name"] == "spec-rejected[iterated_log(k=4)]"
+            assert check["verdict"]["outcome"] == "inconclusive"
+            assert check["evidence"][0]["note"].startswith("PrecisionExhaustedError: ")
 
     def test_default_outputs_are_named_by_the_config_hash(self, monkeypatch, tmp_path):
         # without --out every file name carries the hash, so two depths

@@ -168,7 +168,7 @@ def test_tower_threshold_matches_the_reference(bits):
 @pytest.fixture(scope="module")
 def gevrey_series():
     spec = SequenceSpec(family="gevrey", s=Fraction(1), precision=20)
-    return BangSeries(WeightSequence(spec), confirm_to=16)
+    return BangSeries(WeightSequence(spec))
 
 
 @settings(max_examples=20, deadline=None)

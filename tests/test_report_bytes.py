@@ -114,14 +114,14 @@ RUNS = {
         ["seq-compare", "--spec", "iterated_log4.json", "--other", "iterated_log4.json",
          "--n-max", "2"],
         2,
-        "2f19cc5c4f9a5107843495b176e6acaa679debb27513f25e04db62f0039fa3d8",
-        "c5e39878560f2f2c0145f94242f90ca45f9c5973d4b76dbd57d1200282dc2989",
+        "a9b0253cec5392fb4da181a28fb1de3f51ef7e77f5d4a004e58d280f196d35af",
+        "507750defa455846f4ef97ce277e5cb245306eec46bb4ebdc8b0dda561f67deb",
     ),
     "report-all-rejected": (
         ["report-all", "--n-max", "2", "--precision", "20", "--spec", "iterated_log4.json"],
         2,
-        "9470fccc7a2666363f7103dadf7ac88e7aa3be1c2e241ef53301d39d93d9e576",
-        "67fcac67b2b32d7fb7132708f4f9253db354051b9e0cce2dbcdfa1486bbcc88f",
+        "acf0ec7fd25a84053eb9cd29896c3dd9f01504c85ebafd76085d4f432df167f0",
+        "276b1556222693231eaa350896116d22803093e0b27c8e9bb605aba41ab6ea1f",
     ),
 }
 
