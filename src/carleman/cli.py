@@ -536,8 +536,8 @@ def run_battery(
     _timed(run, final_bound_assembly, gevrey1, 2, d(8))
 
     # user-supplied documents: seq-check's criteria sweeps (negative
-    # fixtures land here), clamped to the indices the family defines and
-    # guarded each on its own, as in seq-check
+    # fixtures land here), clamped to the indices the family defines, each
+    # guarded on its own
     for spec in extras:
         extra_ws = WeightSequence(spec)
         top = extra_ws.last_index
