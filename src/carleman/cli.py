@@ -431,9 +431,13 @@ def cmd_bang(args) -> RunReport:
     run = RunReport(config=_config(args), spec_texts=[dump_spec(spec)])
     series = _run_bang(run, WeightSequence(spec), args.deriv_n_max, args.n_max,
                        args.sharpness_n_max, guarded=True)
-    # a spec one of the checks could not compute has no samples to plot
-    if series is not None and args.plot_data:
-        _write_plot_data(series, args.plot_data, args.plot_points, args.plot_k)
+    if args.plot_data:
+        if series is None:
+            # a spec one of the checks could not compute has no samples to plot
+            print(f"skipped {args.plot_data}: no certified series for {spec.label()}",
+                  file=sys.stderr)
+        else:
+            _write_plot_data(series, args.plot_data, args.plot_points, args.plot_k)
     return run
 
 

@@ -130,10 +130,15 @@ def carleman_terms(ws: WeightSequence, n_max: int) -> Iterator[LogReal]:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    return (
-        ws.log_M(n) / LogReal.from_int(n + 1, ws.bits) / ws.log_M(n + 1)
-        for n in range(1, n_max + 1)
-    )
+    return _carleman_terms(ws, n_max)
+
+
+def _carleman_terms(ws: WeightSequence, n_max: int) -> Iterator[LogReal]:
+    # each M_(n+1) is carried into the next term, so it is looked up once
+    upper = ws.log_M(1)
+    for n in range(1, n_max + 1):
+        lower, upper = upper, ws.log_M(n + 1)
+        yield lower / LogReal.from_int(n + 1, ws.bits) / upper
 
 
 def quasianalyticity_report(ws: WeightSequence, n_max: int) -> CheckReport:

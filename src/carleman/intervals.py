@@ -15,6 +15,13 @@ interval; sums of values re-enter the linear domain through exp / log round
 trips, which widen by outward rounding only.  One accumulation loop serves
 both :func:`sum_values` and :func:`partial_sums`, which streams its terms and
 takes the log only at the requested partial sums.
+
+The cold memo fill builds one value per index, so each piece of interval
+arithmetic on that path is done once: the log of an integer is evaluated
+once for both roundings and cached per ``(n, bits)``, a rational exponent is
+rounded once per precision, and the constructor decides order and the
+exponent-range cap from signs, top bits and aligned mantissas, leaving only
+zeros, infinities, NaN and values near the cap to the ``libmp`` comparisons.
 """
 
 from __future__ import annotations
@@ -24,10 +31,12 @@ from collections.abc import Collection, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import iv, mp
 from mpmath.libmp import (
     from_int,
+    from_man_exp,
     fzero,
     mpf_exp,
     mpf_gt,
@@ -45,6 +54,7 @@ from mpmath.libmp import (
     round_floor,
     to_str,
 )
+from mpmath.libmp.libelefun import LOG_TAYLOR_PREC, ln2_fixed, log_taylor_cached
 
 from .errors import PrecisionExhaustedError
 from .outcomes import Outcome
@@ -56,6 +66,9 @@ _BITS_PER_DIGIT = 3.3219280948873626
 #: Both bounds are exact raw mpfs (10^24 needs 56 bits).
 _LOG_CAP = from_int(10**24)
 _NEG_LOG_CAP = from_int(-(10**24))
+#: a nonzero finite mpf whose top bit ``exp + bc`` is at most this is below
+#: 2^79 < 10^24 in magnitude, so inside the cap without a comparison
+_CAP_FREE_TOP_BIT = 79
 
 _prec_lock = threading.RLock()
 
@@ -74,9 +87,11 @@ DEFAULT_BITS = bits_for_digits(DEFAULT_DIGITS)
 def working_precision(bits: int):
     """Run a block at a fixed binary precision for both mpmath contexts.
 
-    mpmath precision is global state; this guard runs code written against
-    ``mpmath.iv`` at a chosen precision and keeps concurrent callers
-    consistent.  :class:`LogReal` arithmetic never needs it.
+    mpmath precision is global state; this guard sets it for a block and
+    keeps concurrent callers consistent.  No computation of the package
+    reads it: :class:`LogReal` arithmetic and every family ``log_M`` body
+    round at their own precision.  Its one caller is the memo fill
+    (``sequences._memoized``).
     """
     with _prec_lock:
         old_iv, old_mp = iv.prec, mp.prec
@@ -94,9 +109,11 @@ def _int_mpi(n: int, bits: int):
     return from_int(n, bits, round_floor), from_int(n, bits, round_ceiling)
 
 
+@lru_cache(maxsize=256)
 def _fraction_mpi(fr: Fraction, bits: int):
     """Outward-rounded endpoints of an exact rational at ``bits``: numerator
-    and denominator are each rounded outward, then divided."""
+    and denominator are each rounded outward, then divided.  Cached, so a
+    power such as gevrey's exponent is rounded once, not once per term."""
     num = _int_mpi(fr.numerator, bits)
     return num if fr.denominator == 1 else mpi_div(num, _int_mpi(fr.denominator, bits), bits)
 
@@ -120,11 +137,35 @@ class LogReal:
     __slots__ = ("log_lo", "log_hi", "bits")
 
     def __init__(self, log_lo, log_hi, bits: int):
-        if not mpf_le(log_lo, log_hi):
+        lo_sign, lo_man, lo_exp, lo_bc = log_lo
+        hi_sign, hi_man, hi_exp, hi_bc = log_hi
+        if lo_man and hi_man:
+            # both endpoints nonzero and finite: the signs, the top bits
+            # exp + bc and, on a tie, the mantissas aligned to one exponent
+            # decide the order exactly, with no mpf subtraction
+            lo_top, hi_top = lo_exp + lo_bc, hi_exp + hi_bc
+            if lo_sign != hi_sign:
+                ordered = lo_sign
+            elif lo_top != hi_top:
+                ordered = (lo_top < hi_top) != lo_sign
+            else:
+                shift = lo_exp - hi_exp
+                if shift >= 0:
+                    lo_man <<= shift
+                else:
+                    hi_man <<= -shift
+                ordered = lo_man == hi_man or (lo_man < hi_man) != lo_sign
+            # only a negative lo or a positive hi can pass a cap
+            near_cap = ((lo_sign and lo_top > _CAP_FREE_TOP_BIT)
+                        or (not hi_sign and hi_top > _CAP_FREE_TOP_BIT))
+        else:
+            # zero, an infinity or NaN: the libmp comparisons decide
+            ordered, near_cap = mpf_le(log_lo, log_hi), True
+        if not ordered:
             raise PrecisionExhaustedError(
                 f"invalid log interval [{mpf_str(log_lo)}, {mpf_str(log_hi)}]"
             )
-        if mpf_lt(log_lo, _NEG_LOG_CAP) or mpf_gt(log_hi, _LOG_CAP):
+        if near_cap and (mpf_lt(log_lo, _NEG_LOG_CAP) or mpf_gt(log_hi, _LOG_CAP)):
             raise PrecisionExhaustedError(
                 "log magnitude exceeds the supported exponent range"
             )
@@ -148,10 +189,12 @@ class LogReal:
     @classmethod
     def from_int(cls, n: int, bits: int) -> "LogReal":
         """log n for a positive integer n, bit for bit
-        ``from_fraction(Fraction(n))`` without building the Fraction."""
+        ``from_fraction(Fraction(n))`` without building the Fraction.  The
+        last 256 ``(n, bits)`` are cached, so the log-factorial fill and the
+        quasianalyticity term share log(n + 1)."""
         if n <= 0:
             raise ValueError("LogReal represents positive reals only")
-        return cls.from_mpi(mpi_log(_int_mpi(n, bits), bits), bits)
+        return _log_int(n, bits)
 
     @classmethod
     def from_fraction(cls, fr: Fraction, bits: int) -> "LogReal":
@@ -207,6 +250,29 @@ class LogReal:
 
     def __repr__(self) -> str:
         return f"LogReal(log=[{mpf_str(self.log_lo)}, {mpf_str(self.log_hi)}], bits={self.bits})"
+
+
+@lru_cache(maxsize=256)
+def _log_int(n: int, bits: int) -> LogReal:
+    """log n for an integer n >= 1, bit for bit ``mpi_log`` of its
+    outward-rounded endpoints at ``bits``.
+
+    For an n exact at ``bits`` both endpoints are one mpf, and ``mpi_log``
+    evaluates mpmath's fixed-point log of it twice, once per rounding.  Here
+    the general branch of ``mpf_log`` (Taylor series with cached argument
+    reduction, plus mag * log 2) runs once, and its fixed-point value is
+    rounded down and up: the two roundings ``mpi_log`` makes.  An n that is
+    not exact at ``bits``, a power of two, a huge magnitude and a precision
+    past the Taylor range take other branches of ``mpf_log``, so they go
+    through ``mpi_log`` itself.
+    """
+    _, man, exp, bc = from_int(n)
+    wp, mag = bits + 20, exp + bc
+    if bc > bits or man == 1 or wp > LOG_TAYLOR_PREC or mag > 10000:
+        return LogReal.from_mpi(mpi_log(_int_mpi(n, bits), bits), bits)
+    log_n = log_taylor_cached(man << (wp - bc), wp) + mag * ln2_fixed(wp)
+    return LogReal(from_man_exp(log_n, -wp, bits, round_floor),
+                   from_man_exp(log_n, -wp, bits, round_ceiling), bits)
 
 
 def _running_sums(terms: Iterable[LogReal], bits: int) -> Iterator[tuple]:

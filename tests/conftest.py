@@ -203,6 +203,17 @@ def ref_log_factorial(n: int, bits: int):
         return acc
 
 
+def ref_shifted_log_M(start: int, k: int, n: int, bits: int):
+    """log of L(start)^(-start) L(start + n)^(start + n), L the k-fold log:
+    the ``iterated_log`` and ``paper8`` body as it was written against
+    ``mpmath.iv``."""
+    with working_precision(bits):
+        head, norm = iv.mpf(start + n), iv.mpf(start)
+        for _ in range(k):
+            head, norm = iv.log(head), iv.log(norm)
+        return iv.log(head) * (start + n) - iv.log(norm) * start
+
+
 def ref_tower_threshold(k: int, bits: int) -> int:
     """Smallest integer above e^^k, or None when the enclosure straddles one."""
     with working_precision(bits):

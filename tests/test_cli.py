@@ -414,6 +414,15 @@ class TestCommands:
         assert [c["name"] for c in checks] == ["spec-rejected[iterated_log(k=4)]"] * 3
         assert not plot.exists()
 
+    def test_plot_data_says_when_it_writes_nothing(self, tmp_path, capsys):
+        # paper8 has no all-index log-convexity rule for M', so no series
+        plot = tmp_path / "p.csv"
+        assert run(["bang", "--spec", str(SPECS / "paper8.json"), "--n-max", "2",
+                    "--plot-data", str(plot), "--out", str(tmp_path / "b.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"skipped {plot}: no certified series for paper8\n" in err
+        assert not plot.exists()
+
     def test_failing_check_keeps_the_checks_already_run(self, tmp_path):
         # derivation closure at n = 3 needs M_4, one past the table
         spec = tmp_path / "t4.json"

@@ -1,6 +1,6 @@
 """The explicit-precision interval primitives against the reference route.
 
-Each primitive of :mod:`carleman.intervals` (and the two sequence helpers
+Each primitive of :mod:`carleman.intervals` (and the three sequence helpers
 that round) must give exactly the endpoints of the ``mpmath.iv`` route the
 package used before values carried their precision, kept in
 ``tests/conftest.py`` as ``ref_*``.  Two more properties follow from
@@ -14,7 +14,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import iv, mp
 
@@ -38,6 +38,7 @@ from conftest import (
     ref_mul,
     ref_partial_sums,
     ref_pow,
+    ref_shifted_log_M,
     ref_sum_values,
     ref_tower_threshold,
     same_endpoints,
@@ -104,8 +105,37 @@ def test_log_factorial_matches_the_reference_on_both_sides_of_the_seam(n):
     assert value.bits == bits
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(min_value=-5, max_value=10**30), bits=precisions)
+@pytest.mark.parametrize("digits", [20, 30, 80])
+@pytest.mark.parametrize("k, paper8", [(1, False), (2, False), (2, True)],
+                         ids=["iterated_log1", "iterated_log2", "paper8"])
+def test_shifted_log_M_matches_the_reference(k, paper8, digits):
+    bits = bits_for_digits(digits)
+    start = 3 if paper8 else tower_threshold(k, bits)
+    for n in (*range(401), *range(20000, 20101)):
+        value = sequences._shifted_log_M(start, k, n, bits)
+        assert same_endpoints(value, ref_shifted_log_M(start, k, n, bits)), n
+        assert value.bits == bits
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(min_value=-5, max_value=10**30)
+       | st.builds(lambda m, j: m << j, st.integers(min_value=1, max_value=2**40),
+                   st.integers(min_value=0, max_value=12000)),
+       bits=precisions | st.sampled_from([2480, 2481, 2600]))
+# the single-log route: the smallest integer it takes, the top of mpmath's
+# Taylor range (bits + 20 = 2500), a magnitude of exactly 10000 bits
+@example(n=3, bits=33)
+@example(n=10**30 + 1, bits=2480)
+@example(n=3 << 9998, bits=53)
+# mpi_log itself: log 1 and the powers of two, n inexact at bits, a
+# precision past the Taylor range, a magnitude past 10000 bits
+@example(n=1, bits=53)
+@example(n=2, bits=53)
+@example(n=2**4000, bits=96)
+@example(n=3**200, bits=33)
+@example(n=10**30 + 1, bits=2481)
+@example(n=10**30 + 1, bits=2600)
+@example(n=3 << 9999, bits=53)
 def test_from_int_is_from_fraction_bit_for_bit(n, bits):
     # from_int skips the Fraction; it must round exactly as from_fraction does
     if n <= 0:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import libmp, mp
-from mpmath.libmp import fnan, finf, fninf, fzero, mpf_neg
+from mpmath.libmp import fnan, finf, fninf, fzero, mpf_gt, mpf_le, mpf_lt, mpf_neg
 
 from carleman.errors import PrecisionExhaustedError
 from carleman.intervals import (
@@ -98,6 +98,47 @@ def test_raw_constructor_rejects_what_the_mpf_route_rejected(bits):
             except PrecisionExhaustedError:
                 rejected = True
             assert rejected == ref_rejects(lo, hi), (lo, hi)
+
+
+#: raw mpfs on both sides of the cap's top bit 80 (2^79 < 10^24 < 2^80), and
+#: the zero and the specials, which the fast decisions leave to libmp
+near_cap = st.sampled_from([
+    libmp.from_int(sign * m) for sign in (1, -1)
+    for m in (2**79 - 1, 2**79, 10**24 - 1, 10**24, 10**24 + 1, 2**80 - 1, 2**80, 2**81)
+])
+specials = st.sampled_from([fzero, finf, fninf, fnan])
+
+
+@st.composite
+def equal_top_bits(draw):
+    """Two raw mpfs of one sign whose mantissas only compare once aligned:
+    the second is the first with its mantissa shifted up and nudged."""
+    sign, man, exp, _ = draw(finite_raw.filter(lambda x: x[1] != 0))
+    shift = draw(st.integers(min_value=0, max_value=8))
+    nudged = (man << shift) + draw(st.integers(min_value=-3, max_value=3))
+    twin = libmp.from_man_exp(-nudged if sign else nudged, exp - shift)
+    return (twin, libmp.from_man_exp(-man if sign else man, exp))[::draw(st.sampled_from([1, -1]))]
+
+
+@settings(max_examples=500, deadline=None)
+@given(pair=st.tuples(finite_raw | near_cap | specials, finite_raw | near_cap | specials)
+       | equal_top_bits())
+def test_order_and_cap_decisions_equal_the_libmp_comparisons(pair):
+    # the constructor decides most endpoints from signs, top bits and aligned
+    # mantissas; its verdict and its reason must be those of the comparisons
+    lo, hi = pair
+    if not mpf_le(lo, hi):
+        expected = "invalid log interval"
+    elif mpf_lt(lo, NEG_CAP) or mpf_gt(hi, CAP):
+        expected = "exceeds the supported exponent range"
+    else:
+        expected = None
+    try:
+        LogReal(lo, hi, 53)
+    except PrecisionExhaustedError as exc:
+        assert expected is not None and expected in str(exc)
+    else:
+        assert expected is None
 
 
 @settings(max_examples=300, deadline=None)

