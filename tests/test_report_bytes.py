@@ -43,6 +43,14 @@ RUNS = {
         "f7451df683d171120fd7646cd1a4a9ff2f3461b8cb8bf326b2983e08f5afca16",
         "a2138046ca650bc7815dcb763d724fe3709dd3b9bcbb3d83fd69d06cceee71bf",
     ),
+    # every battery sweep at its default depth: the bytes a refactor of the
+    # command line must keep
+    "report-all-default": (
+        ["report-all"],
+        0,
+        "8b1f54d9a8be684d222458a6c1c17c841073ed1d7f810eec9605c5b5182f0b0f",
+        "317ad93240e4df8f2ed34558bb76b3e124117d41d79d945550668f1ff1c28dba",
+    ),
     "seq-check-table": (
         ["seq-check", "--spec", "nonconvex_table.json", "--n-max", "3"],
         1,
