@@ -1,5 +1,9 @@
 """Batch command line with machine-readable reports and exit codes.
 
+Wiring only: this module parses arguments, adds the checks that the modules
+owning their math build to a ``RunReport`` (or the rejection standing in for
+one that cannot run), and writes the report.
+
 Exit code contract: 0 when every executed check is confirmed, 1 when any
 check is refuted, 2 when any check is inconclusive and none is refuted,
 3 for configuration/usage errors (unreadable or malformed spec documents,
@@ -27,12 +31,9 @@ from pathlib import Path
 from ._version import __version__
 from .bang import BangSeries
 from .coefficients import (
-    ckn,
-    ckn_bruteforce,
-    dec_str,
-    diagonal_derivative_row,
-    log_power_table,
     verify_ckn_bound,
+    verify_ckn_oracle_equivalence,
+    verify_diagonal_derivatives,
     verify_factorial_inequality_sweep,
     verify_root_series_bounds,
     verify_root_series_magnitude_bound,
@@ -42,19 +43,12 @@ from .criteria import (
     check_inclusion,
     check_log_convex,
     check_monotone,
-    log_row,
     quasianalyticity_report,
+    value_table,
 )
 from .errors import CarlemanError, SpecFormatError, TailUncertifiedError
 from .intervals import mpf_str
-from .outcomes import (
-    CheckReport,
-    EvidenceRow,
-    Outcome,
-    Reason,
-    Verdict,
-    aggregate_rows,
-)
+from .outcomes import rejection_report
 from .reporting import RunReport, check_to_csv, write_once, write_report
 from .sequences import (
     DEFAULT_MAX_INDEX,
@@ -200,6 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
+def _start(args, *specs: SequenceSpec) -> RunReport:
+    """An empty report echoing every flag but --out and --format, keyed by
+    the loaded ``specs``."""
+    config = {k.replace("_", "-"): v for k, v in vars(args).items() if k not in ("out", "format")}
+    return RunReport(config=config, spec_texts=[dump_spec(spec) for spec in specs])
+
+
 def _timed(run: RunReport, producer, *args,
            guard: tuple[str, str] | None = None) -> bool:
     """Add ``producer(*args)`` to ``run`` with its wall time and return
@@ -215,7 +216,7 @@ def _timed(run: RunReport, producer, *args,
             raise
         label, name = guard
         work = f"{name} sweeps"
-        report, ran = _rejection_report(
+        report, ran = rejection_report(
             "spec-rejected", f"{work} require every swept value to be computable",
             work, label, f"{type(exc).__name__}: {exc}",
         ), False
@@ -223,35 +224,12 @@ def _timed(run: RunReport, producer, *args,
     return ran
 
 
-def _value_table(name: str, claim: str, params, quantity: str, n_max: int,
-                 log_M, columns) -> CheckReport:
-    """Rows n = 0..n_max of ``log_M(n)``, each with the enclosure of every
-    (column, value) pair as <column>_lo and <column>_hi: a tabulation that
-    tests no claim."""
-    rows = []
-    for n in range(0, n_max + 1):
-        m = log_M(n)
-        extra = []
-        for column, value in columns:
-            v = value(n)
-            extra += [(f"{column}_lo", mpf_str(v.log_lo)), (f"{column}_hi", mpf_str(v.log_hi))]
-        rows.append(log_row((n,), quantity, m, extra=tuple(extra)))
-    return CheckReport(
-        name=name,
-        claim=claim,
-        verdict=Verdict(Outcome.CONFIRMED, Reason.SYMBOLIC_COMPARISON),
-        params=params,
-        rows=tuple(rows),
-        index_columns=("n",),
-    )
-
-
 def cmd_seq_show(args) -> RunReport:
     spec = _load(args.spec, args.precision)
     label = spec.label()
-    run = RunReport(config=_config(args), spec_texts=[dump_spec(spec)])
+    run = _start(args, spec)
     ws = WeightSequence(spec)
-    _timed(run, _value_table, f"seq-show[{label}]", "log-space values of M_n, M'_n and m_n",
+    _timed(run, value_table, f"seq-show[{label}]", "log-space values of M_n, M'_n and m_n",
            (("n_max", str(args.n_max)), ("spec", label)), "M_n (log)", args.n_max,
            ws.log_M, (("mprime", ws.log_Mprime), ("ratio", ws.ratio_m)),
            guard=(label, "seq-show"))
@@ -268,7 +246,7 @@ def cmd_seq_check(args) -> RunReport:
     if len(set(names)) != len(names):
         raise UsageError(f"--checks names a check more than once: {args.checks!r}")
     spec = _load(args.spec, args.precision)
-    run = RunReport(config=_config(args), spec_texts=[dump_spec(spec)])
+    run = _start(args, spec)
     ws = WeightSequence(spec)
     for name in names:
         _timed(run, _SEQ_CHECKS[name], ws, args.n_max, guard=(spec.label(), name))
@@ -278,7 +256,7 @@ def cmd_seq_check(args) -> RunReport:
 def cmd_seq_compare(args) -> RunReport:
     specM = _load(args.spec, args.precision)
     specN = _load(args.other, args.precision)
-    run = RunReport(config=_config(args), spec_texts=[dump_spec(specM), dump_spec(specN)])
+    run = _start(args, specM, specN)
     _timed(run, check_inclusion, WeightSequence(specM), WeightSequence(specN), args.n_max,
            guard=(f"{specM.label()} vs {specN.label()}", "inclusion"))
     return run
@@ -287,11 +265,11 @@ def cmd_seq_compare(args) -> RunReport:
 def cmd_seq_transform(args) -> RunReport:
     spec = _load(args.spec, args.precision)
     label, p = spec.label(), args.p
-    run = RunReport(config=_config(args), spec_texts=[dump_spec(spec)])
+    run = _start(args, spec)
     ws = WeightSequence(spec)
     if p >= 2:
         dilated = ws.dilation(p)
-        _timed(run, _value_table, f"transform-values[{label}, p={p}]",
+        _timed(run, value_table, f"transform-values[{label}, p={p}]",
                "log-space values of the dilated sequence and its primed normalization",
                (("p", str(p)), ("n_max", str(args.n_max)), ("spec", label)),
                "M_(pn) (log)", args.n_max, dilated.log_M,
@@ -302,93 +280,26 @@ def cmd_seq_transform(args) -> RunReport:
     return run
 
 
-def _ckn_equivalence_report(k_max: int, n_max: int) -> CheckReport:
-    """The convolution twin (one table) against the enumeration twin; each
-    row also requires both to equal the primary Stirling value."""
-    table = log_power_table(k_max, n_max)
-    rows = []
-    for k in range(1, k_max + 1):
-        for n in range(0, n_max + 1):
-            convolved = table[k][n]
-            enumerated = ckn_bruteforce(k, n)
-            primary = ckn(k, n)
-            agree = convolved == enumerated == primary
-            rows.append(
-                EvidenceRow(
-                    index=(k, n),
-                    quantity="c(k,n) convolution vs enumeration",
-                    lo=dec_str(convolved),
-                    hi=dec_str(enumerated),
-                    outcome=Outcome.CONFIRMED if agree else Outcome.REFUTED,
-                    note="" if agree else f"stirling {dec_str(primary)}",
-                )
-            )
-    return aggregate_rows(
-        "ckn-oracle-equivalence",
-        "truncated convolution equals brute-force composition enumeration",
-        rows,
-        params=(("k_max", str(k_max)), ("n_max", str(n_max))),
-        reason_confirmed=Reason.SYMBOLIC_COMPARISON,
-        index_columns=("k", "n"),
-    )
-
-
 def cmd_ckn(args) -> RunReport:
-    run = RunReport(config=_config(args))
+    run = _start(args)
     _timed(run, verify_ckn_bound, args.k_max, args.n_max)
-    _timed(run, _ckn_equivalence_report, min(6, args.k_max), min(18, args.n_max))
+    _timed(run, verify_ckn_oracle_equivalence, min(6, args.k_max), min(18, args.n_max))
     return run
 
 
-def _diag_derivative_report(p: int, k_max: int, n_max: int) -> CheckReport:
-    rows = [
-        diagonal_derivative_row(p, k, n)
-        for n in range(1, n_max + 1)
-        for k in range(1, min(k_max, n) + 1)
-    ]
-    return aggregate_rows(
-        "diag-derivative",
-        "|diagonal derivative| obeys the (2e)^n n^(n-k) x^(-(pn-k)/p) estimate",
-        rows,
-        params=(("p", str(p)), ("k_max", str(k_max)), ("n_max", str(n_max))),
-        index_columns=("p", "k", "n"),
-    )
-
-
 def cmd_alpha(args) -> RunReport:
-    run = RunReport(config=_config(args))
+    run = _start(args)
     _timed(run, verify_root_series_magnitude_bound, args.p, args.n_max)
     for k in range(1, args.k_max + 1):
         _timed(run, verify_root_series_bounds, args.p, k, args.n_max)
-    _timed(run, _diag_derivative_report, args.p, args.k_max, min(args.n_max, 8))
+    _timed(run, verify_diagonal_derivatives, args.p, args.k_max, min(args.n_max, 8))
     return run
 
 
 def cmd_ineq62(args) -> RunReport:
-    run = RunReport(config=_config(args))
+    run = _start(args)
     _timed(run, verify_factorial_inequality_sweep, args.p, args.n_max)
     return run
-
-
-def _rejection_report(name: str, claim: str, quantity: str,
-                      label: str, message: str) -> CheckReport:
-    """One inconclusive check standing in for work that could not run on
-    the spec(s) named ``label``, with the error message as its witness note."""
-    row = EvidenceRow(
-        index=(0,),
-        quantity=quantity,
-        lo="",
-        hi="",
-        outcome=Outcome.INCONCLUSIVE,
-        note=message,
-    )
-    return CheckReport(
-        name=f"{name}[{label}]",
-        claim=claim,
-        verdict=Verdict(Outcome.INCONCLUSIVE, Reason.PRECISION_EXHAUSTED, (row,)),
-        params=(("spec", label),),
-        rows=(row,),
-    )
 
 
 def _run_bang(run: RunReport, ws: WeightSequence, deriv_n_max: int, n_max: int,
@@ -401,7 +312,7 @@ def _run_bang(run: RunReport, ws: WeightSequence, deriv_n_max: int, n_max: int,
     try:
         series = BangSeries(ws)
     except TailUncertifiedError as exc:
-        run.add(_rejection_report(
+        run.add(rejection_report(
             "bang-rejected", "extremal series requires all-index log-convexity of M'",
             "construction", label, str(exc),
         ))
@@ -428,7 +339,7 @@ def _write_plot_data(series: BangSeries, path: str, points: int, K: int) -> None
 
 def cmd_bang(args) -> RunReport:
     spec = _load(args.spec, args.precision)
-    run = RunReport(config=_config(args), spec_texts=[dump_spec(spec)])
+    run = _start(args, spec)
     series = _run_bang(run, WeightSequence(spec), args.deriv_n_max, args.n_max,
                        args.sharpness_n_max, guarded=True)
     if args.plot_data:
@@ -450,7 +361,7 @@ def cmd_thm61(args) -> RunReport:
     if A <= 0:
         raise UsageError("--A must be positive")
     label = spec.label()
-    run = RunReport(config=_config(args), spec_texts=[dump_spec(spec)])
+    run = _start(args, spec)
     _timed(run, coeff_level_check, WeightSequence(spec), args.p, A, args.n_max,
            guard=(label, "substitution-coefficients"))
     _timed(run, final_bound_assembly, spec, args.p, args.assembly_n_max,
@@ -463,12 +374,6 @@ def cmd_thm61(args) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _depth(default: int, override: int | None, minimum: int = 1) -> int:
-    if override is None:
-        return default
-    return max(minimum, min(default, override))
-
-
 def run_battery(
     precision: int | None = None,
     n_max: int | None = None,
@@ -477,84 +382,73 @@ def run_battery(
 ) -> RunReport:
     """The full verification battery over the shipped family configs, plus
     criteria sweeps for any user-supplied spec documents."""
-    d = lambda default, minimum=1: _depth(default, n_max, minimum)
+    d = lambda default, minimum=1: default if n_max is None else max(minimum, min(default, n_max))
 
-    constant = _load(_shipped_spec("constant"), precision)
-    gevrey1 = _load(_shipped_spec("gevrey1"), precision)
-    il1 = _load(_shipped_spec("iterated_log1"), precision)
-    il2 = _load(_shipped_spec("iterated_log2"), precision)
-    paper8 = _load(_shipped_spec("paper8"), precision)
-    built_ins = (constant, gevrey1, il1, il2, paper8)
+    shipped = [_load(_shipped_spec(name), precision)
+               for name in ("constant", "gevrey1", "iterated_log1", "iterated_log2", "paper8")]
     extras = [_load(path, precision) for path in extra_specs or []]
     run = RunReport(config=config or {},
-                    spec_texts=[dump_spec(spec) for spec in (*built_ins, *extras)])
+                    spec_texts=[dump_spec(spec) for spec in (*shipped, *extras)])
+    built_ins = [WeightSequence(spec) for spec in shipped]
+    constant, gevrey1, il1, il2, paper8 = built_ins
 
     # exact coefficient oracle
     _timed(run, verify_ckn_bound, d(10), d(30))
-    _timed(run, _ckn_equivalence_report, d(5), d(14))
+    _timed(run, verify_ckn_oracle_equivalence, d(5), d(14))
     for p in (2, 3):
         _timed(run, verify_root_series_magnitude_bound, p, d(60))
         _timed(run, verify_root_series_bounds, p, 2, d(40))
         _timed(run, verify_factorial_inequality_sweep, p, d(15))
 
     # sequence criteria
-    ws = {spec.label(): WeightSequence(spec) for spec in built_ins}
-    _timed(run, check_log_convex, ws[constant.label()], "M", d(40, 2))
-    _timed(run, check_log_convex, ws[gevrey1.label()], "Mprime", d(40, 2))
-    _timed(run, check_log_convex, ws[il1.label()], "M", d(40, 2))
-    _timed(run, check_log_convex, ws[il2.label()], "M", d(40, 2))
+    _timed(run, check_log_convex, constant, "M", d(40, 2))
+    _timed(run, check_log_convex, gevrey1, "Mprime", d(40, 2))
+    _timed(run, check_log_convex, il1, "M", d(40, 2))
+    _timed(run, check_log_convex, il2, "M", d(40, 2))
     # the double-log family starts below its convexity threshold: measured
     # segments only (non-convexity at small n is expected and reported by
     # seq-check, not asserted here)
-    _timed(run, check_log_convex, ws[paper8.label()], "M", d(60, 9), 7)
-    _timed(run, check_log_convex, ws[paper8.label()], "Mprime", d(60, 4), 2)
-    _timed(run, check_monotone, ws[paper8.label()], d(80))
-    for spec in built_ins:
-        _timed(run, check_derivation_closed, ws[spec.label()], d(40))
+    _timed(run, check_log_convex, paper8, "M", d(60, 9), 7)
+    _timed(run, check_log_convex, paper8, "Mprime", d(60, 4), 2)
+    _timed(run, check_monotone, paper8, d(80))
+    for ws in built_ins:
+        _timed(run, check_derivation_closed, ws, d(40))
 
     # quasianalyticity: base families and dilations
-    _timed(run, quasianalyticity_report, ws[constant.label()], d(400))
-    _timed(run, quasianalyticity_report, ws[gevrey1.label()], d(2000))
-    _timed(run, quasianalyticity_report, ws[paper8.label()], d(300))
-    _timed(run, transform_report, ws[il1.label()], 2, d(300))
-    _timed(run, transform_report, ws[il2.label()], 2, d(300))
-    _timed(run, transform_report, ws[il2.label()], 3, d(300))
-    _timed(run, transform_report, ws[paper8.label()], 3, d(200))
+    _timed(run, quasianalyticity_report, constant, d(400))
+    _timed(run, quasianalyticity_report, gevrey1, d(2000))
+    _timed(run, quasianalyticity_report, paper8, d(300))
+    _timed(run, transform_report, il1, 2, d(300))
+    _timed(run, transform_report, il2, 2, d(300))
+    _timed(run, transform_report, il2, 3, d(300))
+    _timed(run, transform_report, paper8, 3, d(200))
 
     # inclusion in the dilated class, plus the strict non-inclusion witness
-    for spec in built_ins:
-        base = ws[spec.label()]
+    for ws in built_ins:
         for p in (2, 3):
-            _timed(run, check_inclusion, base, base.dilation(p), d(40))
-    _timed(run, check_inclusion, ws[gevrey1.label()], ws[constant.label()], d(40))
+            _timed(run, check_inclusion, ws, ws.dilation(p), d(40))
+    _timed(run, check_inclusion, gevrey1, constant, d(40))
 
     # extremal series
-    for spec in (constant, gevrey1):
-        _run_bang(run, ws[spec.label()], d(8), d(12), d(6))
+    for ws in (constant, gevrey1):
+        _run_bang(run, ws, d(8), d(12), d(6))
 
     # power-substitution bound
-    for spec in (gevrey1, paper8):
+    for ws in (gevrey1, paper8):
         for p in (2, 3, 5):
             for A in (Fraction(1), Fraction(3)):
-                _timed(run, coeff_level_check, ws[spec.label()], p, A, d(12))
-    _timed(run, final_bound_assembly, gevrey1, 2, d(8))
+                _timed(run, coeff_level_check, ws, p, A, d(12))
+    _timed(run, final_bound_assembly, gevrey1.spec, 2, d(8))
 
     # user-supplied documents: seq-check's criteria sweeps (negative
     # fixtures land here), clamped to the indices the family defines, each
     # guarded on its own
     for spec in extras:
         extra_ws = WeightSequence(spec)
-        top = extra_ws.last_index
-
-        def clamp(default: int, slack: int = 0) -> int:
-            depth = d(default)
-            if top is not None:
-                depth = max(1, min(depth, top - slack))
-            return depth
-
-        depths = {"monotone": clamp(20), "log-convex": clamp(20),
-                  "quasianalytic": clamp(50, slack=1)}
-        if top is not None and top < 2:
+        top = DEFAULT_MAX_INDEX if extra_ws.last_index is None else extra_ws.last_index
+        clamp = lambda default, slack=0: max(1, min(d(default), top - slack))
+        depths = {"monotone": clamp(20), "log-convex": clamp(20), "quasianalytic": clamp(50, 1)}
+        if top < 2:
             del depths["log-convex"]
         for name, depth in depths.items():
             _timed(run, _SEQ_CHECKS[name], extra_ws, depth, guard=(spec.label(), name))
@@ -563,7 +457,7 @@ def run_battery(
 
 def cmd_report_all(args) -> RunReport:
     return run_battery(precision=args.precision, n_max=args.n_max,
-                       extra_specs=args.spec, config=_config(args))
+                       extra_specs=args.spec, config=_start(args).config)
 
 
 # ---------------------------------------------------------------------------
@@ -583,10 +477,6 @@ _HANDLERS = {
     "thm61": cmd_thm61,
     "report-all": cmd_report_all,
 }
-
-
-def _config(args) -> dict:
-    return {k.replace("_", "-"): v for k, v in vars(args).items() if k not in ("out", "format")}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -609,10 +499,8 @@ def main(argv: list[str] | None = None) -> int:
     for line in run.summary_lines():
         print(line, file=sys.stderr)
 
-    out = args.out
-    fmt = args.format
-    if out is None and args.command != "report-all":
-        if fmt == "json":
+    if args.out is None and args.command != "report-all":
+        if args.format == "json":
             sys.stdout.write(run.to_json())
         else:
             if len(run.checks) != 1:
@@ -622,8 +510,8 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(check_to_csv(run.checks[0].report))
     else:
         try:
-            written = write_report(run, out, fmt)
-        except (OSError, FileExistsError, ValueError) as exc:
+            written = write_report(run, args.out, args.format)
+        except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
         for path in written:

@@ -280,6 +280,37 @@ def verify_ckn_bound(k_max: int, n_max: int) -> CheckReport:
     )
 
 
+def verify_ckn_oracle_equivalence(k_max: int, n_max: int) -> CheckReport:
+    """The convolution twin (one table) against the enumeration twin; each
+    row also requires both to equal the primary Stirling value."""
+    table = log_power_table(k_max, n_max)
+    rows = []
+    for k in range(1, k_max + 1):
+        for n in range(0, n_max + 1):
+            convolved = table[k][n]
+            enumerated = ckn_bruteforce(k, n)
+            primary = ckn(k, n)
+            agree = convolved == enumerated == primary
+            rows.append(
+                EvidenceRow(
+                    index=(k, n),
+                    quantity="c(k,n) convolution vs enumeration",
+                    lo=dec_str(convolved),
+                    hi=dec_str(enumerated),
+                    outcome=Outcome.CONFIRMED if agree else Outcome.REFUTED,
+                    note="" if agree else f"stirling {dec_str(primary)}",
+                )
+            )
+    return aggregate_rows(
+        "ckn-oracle-equivalence",
+        "truncated convolution equals brute-force composition enumeration",
+        rows,
+        params=(("k_max", str(k_max)), ("n_max", str(n_max))),
+        reason_confirmed=Reason.SYMBOLIC_COMPARISON,
+        index_columns=("k", "n"),
+    )
+
+
 # ---------------------------------------------------------------------------
 # root-substitution series a_i, b_j and the diagonal derivatives
 # ---------------------------------------------------------------------------
@@ -386,6 +417,23 @@ def diagonal_derivative_row(p: int, k: int, n: int) -> EvidenceRow:
         lo=dec_str(value),
         hi=dec_str(coeff * e_lo_pow(n)),
         outcome=leq_with_e_power(value, coeff, n),
+    )
+
+
+def verify_diagonal_derivatives(p: int, k_max: int, n_max: int) -> CheckReport:
+    """The diagonal-derivative estimate for 1 <= n <= n_max and
+    1 <= k <= min(k_max, n)."""
+    rows = [
+        diagonal_derivative_row(p, k, n)
+        for n in range(1, n_max + 1)
+        for k in range(1, min(k_max, n) + 1)
+    ]
+    return aggregate_rows(
+        "diag-derivative",
+        "|diagonal derivative| obeys the (2e)^n n^(n-k) x^(-(pn-k)/p) estimate",
+        rows,
+        params=(("p", str(p)), ("k_max", str(k_max)), ("n_max", str(n_max))),
+        index_columns=("p", "k", "n"),
     )
 
 

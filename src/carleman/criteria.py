@@ -28,6 +28,7 @@ from .outcomes import (
     Reason,
     Verdict,
     aggregate_rows,
+    fact_verdict,
 )
 from .sequences import FAMILIES, SequenceSpec, WeightSequence
 
@@ -42,6 +43,29 @@ def log_row(index, quantity, value: LogReal, outcome=None, note="", extra=()) ->
         outcome=outcome,
         note=note,
         extra=extra,
+    )
+
+
+def value_table(name: str, claim: str, params, quantity: str, n_max: int,
+                log_M, columns) -> CheckReport:
+    """Rows n = 0..n_max of ``log_M(n)``, each with the enclosure of every
+    (column, value) pair as <column>_lo and <column>_hi: a tabulation that
+    tests no claim."""
+    rows = []
+    for n in range(0, n_max + 1):
+        m = log_M(n)
+        extra = []
+        for column, value in columns:
+            v = value(n)
+            extra += [(f"{column}_lo", mpf_str(v.log_lo)), (f"{column}_hi", mpf_str(v.log_hi))]
+        rows.append(log_row((n,), quantity, m, extra=tuple(extra)))
+    return CheckReport(
+        name=name,
+        claim=claim,
+        verdict=Verdict(Outcome.CONFIRMED, Reason.SYMBOLIC_COMPARISON),
+        params=params,
+        rows=tuple(rows),
+        index_columns=("n",),
     )
 
 
@@ -153,11 +177,9 @@ def quasianalyticity_report(ws: WeightSequence, n_max: int) -> CheckReport:
     if rule is None:
         claim = "quasianalyticity undecided (no symbolic rule for this family)"
         note = "no symbolic rule; empirical trend only"
-        outcome, reason = Outcome.INCONCLUSIVE, Reason.DEPTH_EXHAUSTED
     else:
         claim = f"sum M_n/((n+1) M_(n+1)) is {rule[0]}"
         note = f"{rule[0]}: {rule[1]}"
-        outcome, reason = Outcome.CONFIRMED, Reason.SYMBOLIC_COMPARISON
     trend = tuple(
         log_row((n,), "partial sum S_n (log)", total, note=note)
         for n, total in sums.items()
@@ -165,7 +187,7 @@ def quasianalyticity_report(ws: WeightSequence, n_max: int) -> CheckReport:
     return CheckReport(
         name=f"quasianalytic[{ws.spec.label()}]",
         claim=claim,
-        verdict=Verdict(outcome, reason, trend),
+        verdict=fact_verdict(rule is not None, trend),
         params=(("n_max", str(n_max)), ("spec", ws.spec.label())),
         rows=trend,
         index_columns=("n",),
@@ -199,16 +221,12 @@ def check_derivation_closed(ws: WeightSequence, n_max: int) -> CheckReport:
         lambda n: ws.log_M(n + 1) / ws.log_M(n), n_max, "(M_(n+1)/M_n)^(1/n) (log)"
     )
     rule = derivation_closed_rule(ws.spec)
-    if rule is not None:
-        verdict = Verdict(Outcome.CONFIRMED, Reason.SYMBOLIC_COMPARISON, (rows[-1],))
-        claim = "sup_n (M_(n+1)/M_n)^(1/n) < oo (closed under derivation/division)"
-    else:
-        verdict = Verdict(Outcome.INCONCLUSIVE, Reason.DEPTH_EXHAUSTED, (rows[-1],))
-        claim = "boundedness of sup_n (M_(n+1)/M_n)^(1/n) undecided (trend only)"
     return CheckReport(
         name=f"derivation-closed[{ws.spec.label()}]",
-        claim=claim,
-        verdict=verdict,
+        claim=("sup_n (M_(n+1)/M_n)^(1/n) < oo (closed under derivation/division)"
+               if rule is not None
+               else "boundedness of sup_n (M_(n+1)/M_n)^(1/n) undecided (trend only)"),
+        verdict=fact_verdict(rule is not None, (rows[-1],)),
         params=(
             ("n_max", str(n_max)),
             ("spec", ws.spec.label()),
@@ -259,8 +277,7 @@ def check_inclusion(wsM: WeightSequence, wsN: WeightSequence, n_max: int) -> Che
         return CheckReport(
             name=f"inclusion[{specM.label()} vs {specN.label()}]",
             claim=claim,
-            verdict=verdict
-            or Verdict(Outcome.CONFIRMED, Reason.SYMBOLIC_COMPARISON, (rows[-1],)),
+            verdict=verdict or fact_verdict(True, (rows[-1],)),
             params=(("n_max", str(n_max)), ("seqM", specM.label()), ("seqN", specN.label())),
             rows=tuple(rows),
             index_columns=("n",),
@@ -299,7 +316,7 @@ def check_inclusion(wsM: WeightSequence, wsN: WeightSequence, n_max: int) -> Che
 
     return report(
         "inclusion undecided (no symbolic rule for this pair)",
-        Verdict(Outcome.INCONCLUSIVE, Reason.DEPTH_EXHAUSTED, (rows[-1],)),
+        fact_verdict(False, (rows[-1],)),
     )
 
 

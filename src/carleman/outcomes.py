@@ -119,6 +119,30 @@ class CheckReport:
     certificate: BoundCertificate | None = None
 
 
+def fact_verdict(fact: bool, evidence: tuple[EvidenceRow, ...]) -> Verdict:
+    """The verdict of a claim only a symbolic fact can decide: confirmed
+    when there is a fact, else inconclusive at the swept depth.  The
+    measured ``evidence`` is carried either way."""
+    if fact:
+        return Verdict(Outcome.CONFIRMED, Reason.SYMBOLIC_COMPARISON, evidence)
+    return Verdict(Outcome.INCONCLUSIVE, Reason.DEPTH_EXHAUSTED, evidence)
+
+
+def rejection_report(name: str, claim: str, quantity: str,
+                     label: str, message: str) -> CheckReport:
+    """One inconclusive check standing in for work that could not run on
+    the spec(s) named ``label``, with the error message as its witness note."""
+    row = EvidenceRow(index=(0,), quantity=quantity, lo="", hi="",
+                      outcome=Outcome.INCONCLUSIVE, note=message)
+    return CheckReport(
+        name=f"{name}[{label}]",
+        claim=claim,
+        verdict=Verdict(Outcome.INCONCLUSIVE, Reason.PRECISION_EXHAUSTED, (row,)),
+        params=(("spec", label),),
+        rows=(row,),
+    )
+
+
 def aggregate_rows(
     name: str,
     claim: str,

@@ -127,8 +127,9 @@ class SequenceSpec:
 
     ``precision`` is the working precision in significant decimal digits;
     together with the family parameters it fixes every emitted enclosure
-    bit-for-bit.  A nested ``base`` takes the outer spec's precision.  The parameters a family declares in :data:`FAMILIES` are
-    parsed and validated on construction.
+    bit-for-bit.  A nested ``base`` takes the outer spec's precision.  The
+    parameters a family declares in :data:`FAMILIES` are parsed and
+    validated on construction.
     """
 
     family: str

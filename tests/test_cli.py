@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from carleman import cli
+from carleman import coefficients as co
 from carleman.cli import main
 from carleman.outcomes import Outcome
 from carleman.sequences import DEFAULT_MAX_INDEX, MAX_PRECISION, WeightSequence
@@ -562,22 +563,22 @@ class TestReportAll:
 class TestCknOracleEquivalence:
     def test_convolution_from_one_table_build(self, monkeypatch):
         calls = []
-        real = cli.log_power_table
+        real = co.log_power_table
         monkeypatch.setattr(
-            cli, "log_power_table", lambda k, n: calls.append((k, n)) or real(k, n)
+            co, "log_power_table", lambda k, n: calls.append((k, n)) or real(k, n)
         )
-        report = cli._ckn_equivalence_report(4, 10)
+        report = co.verify_ckn_oracle_equivalence(4, 10)
         assert calls == [(4, 10)]
         assert report.verdict.outcome is Outcome.CONFIRMED
         assert len(report.rows) == 4 * 11
         assert all(r.note == "" for r in report.rows)
 
     def test_stirling_mismatch_refutes_the_row(self, monkeypatch):
-        real = cli.ckn
+        real = co.ckn
         monkeypatch.setattr(
-            cli, "ckn", lambda k, n: real(k, n) + (1 if (k, n) == (2, 5) else 0)
+            co, "ckn", lambda k, n: real(k, n) + (1 if (k, n) == (2, 5) else 0)
         )
-        report = cli._ckn_equivalence_report(3, 8)
+        report = co.verify_ckn_oracle_equivalence(3, 8)
         refuted = [r for r in report.rows if r.outcome is Outcome.REFUTED]
         assert [r.index for r in refuted] == [(2, 5)]
         assert refuted[0].note.startswith("stirling ")

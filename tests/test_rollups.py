@@ -21,7 +21,7 @@ import pytest
 from carleman import coefficients as co
 from carleman import substitution as su
 from carleman.bang import BangSeries
-from carleman.cli import _diag_derivative_report, main
+from carleman.cli import main
 from carleman.intervals import LogReal
 from carleman.outcomes import EvidenceRow, Outcome, Reason, aggregate_rows
 from carleman.sequences import SequenceSpec, WeightSequence
@@ -111,7 +111,7 @@ class TestDiagonalDerivative:
             return 2**n * Fraction(n) ** (n - k) * ((co.E_LO + co.E_UP) / 2) ** n
 
         monkeypatch.setattr(co, "diagonal_derivative", straddle)
-        report = _diag_derivative_report(2, 2, 3)
+        report = co.verify_diagonal_derivatives(2, 2, 3)
         assert report.verdict.outcome is I
         assert [row.index for row in report.verdict.evidence] == [target]
         assert _outcomes(report) == {C, I}
