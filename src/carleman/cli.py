@@ -1,8 +1,8 @@
 """Batch command line with machine-readable reports and exit codes.
 
-Wiring only: this module parses arguments, adds the checks that the modules
-owning their math build to a ``RunReport`` (or the rejection standing in for
-one that cannot run), and writes the report.
+This module only wires: it parses arguments, adds to a ``RunReport`` the
+checks built by the modules that own their math (or a rejection standing in
+for a check that cannot run), and writes the report.
 
 Exit code contract: 0 when every executed check is confirmed, 1 when any
 check is refuted, 2 when any check is inconclusive and none is refuted,
