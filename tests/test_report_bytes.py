@@ -118,6 +118,15 @@ RUNS = {
         "f9165f61827cc4e3773e9c0ad9e3c5b216c527d495e6bd127cba482f3bc47f1f",
         "0e73385cf627cdb533aafe96dacd0eeb04ebf596a573516bbb64d828e676717e",
     ),
+    # a non-integer A in the e A enclosure and its certificate radius, which
+    # report-all (A in {1, 3}) does not reach; p = 3 certifies on [-1,1]
+    "thm61-odd-p-rational-A": (
+        ["thm61", "--spec", "gevrey1.json", "--p", "3", "--A", "7/2", "--n-max", "4",
+         "--assembly-n-max", "2"],
+        0,
+        "c43ef21a354ddb2c86251ae20d89b2771e0adfe17514af38e4c758391a2e1774",
+        "be765acc67f29a60cf446d3c9352631af06bd4c98a92bf82c97690756f7e8597",
+    ),
     "seq-compare-rejected": (
         ["seq-compare", "--spec", "iterated_log4.json", "--other", "iterated_log4.json",
          "--n-max", "2"],
