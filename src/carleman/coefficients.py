@@ -2,10 +2,11 @@
 root-substitution series, plus the elementary inequalities built on them.
 
 Everything here is exact ``fractions.Fraction`` arithmetic.  The only
-irrational constant that enters is e, and it enters exclusively through a
-fixed rational enclosure ``E_LO < e < E_UP``; each inequality check picks
-the side that can only weaken the claim, so rounding can never promote a
-false statement to confirmed.
+irrational constant that enters is e, through a fixed rational enclosure
+``E_LO < e < E_UP``, and only in :func:`leq_with_e_power`, :func:`exact_row`
+and :func:`e_times` of this module: a claim is confirmed against ``E_LO``
+and refuted against ``E_UP``, so rounding can never promote a false
+statement to confirmed.
 
 Notation used throughout (defined here, in one variable x):
 
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
@@ -48,6 +49,7 @@ from math import comb, factorial, lcm
 from mpmath.libmp import from_int, mpf_div, round_nearest, to_str
 
 from .errors import EnumerationCapError
+from .intervals import LogReal
 from .outcomes import (
     CheckReport,
     EvidenceRow,
@@ -114,6 +116,26 @@ def leq_with_e_power(lhs: Fraction, rhs_coeff: Fraction, e_exp: int) -> Outcome:
     if lhs > rhs_coeff * e_up_pow(e_exp):
         return Outcome.REFUTED
     return Outcome.INCONCLUSIVE
+
+
+def exact_row(index, quantity: str, lhs: Fraction, coeff: Fraction, e_exp: int,
+              also=(), **fields) -> EvidenceRow:
+    """The evidence row of ``lhs <= coeff * e^e_exp``, decided by
+    :func:`leq_with_e_power` and combined (worst outcome) with the row's
+    other exact links ``also``.  It prints ``lhs`` and the ``E_LO``
+    ceiling; ``fields`` are the row's ``note`` and ``extra``."""
+    return EvidenceRow(index=index, quantity=quantity, lo=dec_str(lhs),
+                       hi=dec_str(coeff * e_lo_pow(e_exp)),
+                       outcome=worst_outcome([*also, leq_with_e_power(lhs, coeff, e_exp)]),
+                       **fields)
+
+
+def e_times(A: Fraction, bits: int) -> tuple[LogReal, LogReal]:
+    """The log enclosure [E_LO A, E_UP A] of e A, which confirms only under
+    its lower side and refutes only over its upper side, and ``E_UP`` A
+    alone, for a certificate radius that must not understate e A."""
+    up = LogReal.from_fraction(E_UP * A, bits)
+    return LogReal(LogReal.from_fraction(E_LO * A, bits).log_lo, up.log_hi, bits), up
 
 
 # ---------------------------------------------------------------------------
@@ -251,25 +273,13 @@ def verify_ckn_bound(k_max: int, n_max: int) -> CheckReport:
         kfact = factorial(k)
         for n in range(1, n_max + 1):
             c = ckn(k, n)
-            coeff = Fraction(2**n * kfact, n**k)
-            lemma = leq_with_e_power(c, coeff, n)
             cauchy = Outcome.CONFIRMED if c <= 2**n else Outcome.REFUTED
-            outcome = worst_outcome([cauchy, lemma])
-            note = "" if outcome is Outcome.CONFIRMED else "cauchy" if cauchy is Outcome.REFUTED else "lemma"
-            rows.append(
-                EvidenceRow(
-                    index=(k, n),
-                    quantity="c(k,n) vs (2e)^n k!/n^k",
-                    lo=dec_str(c),
-                    hi=dec_str(coeff * e_lo_pow(n)),
-                    outcome=outcome,
-                    note=note,
-                    extra=(
-                        ("c_num", str(c.numerator)),
-                        ("c_den", str(c.denominator)),
-                    ),
-                )
-            )
+            row = exact_row((k, n), "c(k,n) vs (2e)^n k!/n^k", c,
+                            Fraction(2**n * kfact, n**k), n, also=(cauchy,),
+                            extra=(("c_num", str(c.numerator)), ("c_den", str(c.denominator))))
+            if row.outcome is not Outcome.CONFIRMED:
+                row = replace(row, note="cauchy" if cauchy is Outcome.REFUTED else "lemma")
+            rows.append(row)
     return aggregate_rows(
         "ckn-bound",
         "c(k,n) <= (2e)^n k!/n^k and c(k,n) <= 2^n on the grid",
@@ -371,16 +381,8 @@ def verify_root_series_bounds(p: int, k: int, n_max: int) -> CheckReport:
     for n in range(1, n_max + 1):
         mag = abs(b[n])
         exact = Outcome.CONFIRMED if mag <= ckn(k, n) / kfact else Outcome.REFUTED
-        outcome = worst_outcome([exact, leq_with_e_power(mag, Fraction(2**n, n**k), n)])
-        rows.append(
-            EvidenceRow(
-                index=(k, n),
-                quantity="|b_n| vs c(k,n)/k! and (2e)^n/n^k",
-                lo=dec_str(mag),
-                hi=dec_str(Fraction(2**n, n**k) * e_lo_pow(n)),
-                outcome=outcome,
-            )
-        )
+        rows.append(exact_row((k, n), "|b_n| vs c(k,n)/k! and (2e)^n/n^k", mag,
+                              Fraction(2**n, n**k), n, also=(exact,)))
     return aggregate_rows(
         "root-series-bound",
         "|b_n| <= c(k,n)/k! <= (2e)^n/n^k",
@@ -409,15 +411,8 @@ def diagonal_derivative_row(p: int, k: int, n: int) -> EvidenceRow:
     """The three-valued check of the estimate
     |alpha_k^(n)(x, x)| <= (2e)^n n^(n-k) x^(-(pn-k)/p), made at x = 1,
     which decides every x > 0 (see :func:`diagonal_derivative`)."""
-    value = abs(diagonal_derivative(p, k, n))
-    coeff = 2**n * Fraction(n) ** (n - k)
-    return EvidenceRow(
-        index=(p, k, n),
-        quantity="|diag derivative at x = 1| vs (2e)^n n^(n-k)",
-        lo=dec_str(value),
-        hi=dec_str(coeff * e_lo_pow(n)),
-        outcome=leq_with_e_power(value, coeff, n),
-    )
+    return exact_row((p, k, n), "|diag derivative at x = 1| vs (2e)^n n^(n-k)",
+                     abs(diagonal_derivative(p, k, n)), 2**n * Fraction(n) ** (n - k), n)
 
 
 def verify_diagonal_derivatives(p: int, k_max: int, n_max: int) -> CheckReport:
@@ -451,16 +446,8 @@ def verify_factorial_inequality(p: int, n: int, k: int) -> EvidenceRow:
     if not (0 <= k < p * n):
         raise ValueError("k must satisfy 0 <= k < p*n")
     m = p * n - k
-    lhs = Fraction(n**m)
-    rhs_coeff = Fraction(factorial(m))
-    outcome = leq_with_e_power(lhs, rhs_coeff, p * n)
-    return EvidenceRow(
-        index=(p, n, k),
-        quantity="n^(pn-k) vs e^(pn) (pn-k)!",
-        lo=dec_str(lhs),
-        hi=dec_str(rhs_coeff * e_lo_pow(p * n)),
-        outcome=outcome,
-    )
+    return exact_row((p, n, k), "n^(pn-k) vs e^(pn) (pn-k)!",
+                     Fraction(n**m), Fraction(factorial(m)), p * n)
 
 
 def verify_factorial_inequality_sweep(p: int, n_max: int) -> CheckReport:

@@ -25,8 +25,9 @@ M'^(p)_n = n^(-(p-1)n) M'_{pn}.  Two complementary checks live here:
 
       n (2e)^n (eA)^(pn) M'_{pn} / n^((p-1)n).
 
-Every comparison with a power of e confirms only against the lower side of
-e and refutes only against its upper side.
+Every comparison with a power of e is made in :mod:`.coefficients`: the
+factorial link and the assembly rows through :func:`.coefficients.exact_row`,
+e A and the certificate radius through :func:`.coefficients.e_times`.
 """
 
 from __future__ import annotations
@@ -36,13 +37,10 @@ from fractions import Fraction
 from math import factorial
 
 from .coefficients import (
-    E_LO,
-    E_UP,
-    dec_str,
     diagonal_derivative,
     diagonal_derivative_row,
-    e_lo_pow,
-    leq_with_e_power,
+    e_times,
+    exact_row,
     verify_factorial_inequality,
 )
 from .criteria import log_row, quasianalyticity_report
@@ -63,13 +61,7 @@ def coeff_level_check(ws: WeightSequence, p: int, A: Fraction, n_max: int) -> Ch
     A confirmed report carries the certificate C = 1, R = (e A)^p."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    # e A with the lower side of e below and the upper side above: a row
-    # confirms only under the E_LO ceiling and refutes only over the E_UP one
-    eA = LogReal(
-        LogReal.from_fraction(E_LO * A, ws.bits).log_lo,
-        LogReal.from_fraction(E_UP * A, ws.bits).log_hi,
-        ws.bits,
-    )
+    eA, eA_up = e_times(A, ws.bits)
     dilated = ws.dilation(p)
     rows: list[EvidenceRow] = []
     for n in range(1, n_max + 1):
@@ -103,7 +95,7 @@ def coeff_level_check(ws: WeightSequence, p: int, A: Fraction, n_max: int) -> Ch
         index_columns=("n",),
         certificate=BoundCertificate(
             C=LogReal.one(ws.bits),
-            R=LogReal.from_fraction(E_UP * A, ws.bits).pow_int(p),
+            R=eA_up.pow_int(p),
             # t -> t^p maps [0,1] onto itself for even p, [-1,1] for odd p
             interval_id="[0,1]" if p % 2 == 0 else "[-1,1]",
             seq=ws.spec,
@@ -130,16 +122,9 @@ def final_bound_assembly(spec: SequenceSpec, p: int, n_max: int) -> CheckReport:
             abs(diagonal_derivative(p, k, n)) * Fraction(n) ** (k - p * n)
             for k in range(1, n + 1)
         )
-        ceiling_coeff = n * Fraction(2) ** n * Fraction(n) ** ((1 - p) * n)
-        rows.append(
-            EvidenceRow(
-                index=(p, 0, n),
-                quantity="sum_k |alpha_k^(n)| n^(k-pn) vs n 2^n n^((1-p)n) e^n",
-                lo=dec_str(exact_sum),
-                hi=dec_str(ceiling_coeff * e_lo_pow(n)),
-                outcome=leq_with_e_power(exact_sum, ceiling_coeff, n),
-            )
-        )
+        rows.append(exact_row((p, 0, n),
+                              "sum_k |alpha_k^(n)| n^(k-pn) vs n 2^n n^((1-p)n) e^n",
+                              exact_sum, n * Fraction(2) ** n * Fraction(n) ** ((1 - p) * n), n))
     return aggregate_rows(
         f"substitution-assembly[{spec.label()}]",
         "each diagonal derivative obeys its estimate and the exact k-sum of "

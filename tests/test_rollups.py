@@ -136,7 +136,7 @@ class TestCoefficientLevel:
     @pytest.mark.parametrize("ineq", [C, I])
     def test_lower_side_of_e_alone_is_inconclusive(self, monkeypatch, ws, ineq):
         # the E_LO ceiling falls under the lhs, the E_UP ceiling stays above it
-        monkeypatch.setattr(su, "E_LO", Fraction(1, 100))
+        monkeypatch.setattr(co, "E_LO", Fraction(1, 100))
         monkeypatch.setattr(
             su, "verify_factorial_inequality", lambda p, n, k: SimpleNamespace(outcome=ineq)
         )
@@ -147,8 +147,8 @@ class TestCoefficientLevel:
     @pytest.mark.parametrize("ineq", [C, I])
     def test_assembled_link_refutes(self, monkeypatch, ws, ineq):
         # both sides of e far below e put every ceiling under the lhs
-        monkeypatch.setattr(su, "E_LO", Fraction(1, 100))
-        monkeypatch.setattr(su, "E_UP", Fraction(1, 100))
+        monkeypatch.setattr(co, "E_LO", Fraction(1, 100))
+        monkeypatch.setattr(co, "E_UP", Fraction(1, 100))
         monkeypatch.setattr(
             su, "verify_factorial_inequality", lambda p, n, k: SimpleNamespace(outcome=ineq)
         )
@@ -189,9 +189,13 @@ class TestRefutedCheckPublishesNoCertificate:
         return check
 
     def test_substitution_coefficients(self, monkeypatch, capsys):
-        # both sides of e far below e: every coefficient row is refuted
-        monkeypatch.setattr(su, "E_LO", Fraction(1, 100))
-        monkeypatch.setattr(su, "E_UP", Fraction(1, 100))
+        # both sides of e far below e: every coefficient row is refuted (the
+        # cached powers are replaced too, so no stand-in power stays cached)
+        low = Fraction(1, 100)
+        monkeypatch.setattr(co, "E_LO", low)
+        monkeypatch.setattr(co, "E_UP", low)
+        monkeypatch.setattr(co, "e_lo_pow", lambda m: low**m)
+        monkeypatch.setattr(co, "e_up_pow", lambda m: low**m)
         gevrey = str(Path(co.__file__).parent / "data" / "specs" / "gevrey1.json")
         check = self._check(capsys, ["thm61", "--spec", gevrey, "--n-max", "3",
                                      "--assembly-n-max", "1"], "substitution-coefficients")
@@ -219,9 +223,8 @@ class TestLooseLowerSideOfE:
         # [1/100, E_UP] still encloses e: no comparison with a power of e
         # may refute through it
         low = Fraction(1, 100)
-        for module in (co, su):
-            monkeypatch.setattr(module, "E_LO", low)
-            monkeypatch.setattr(module, "e_lo_pow", lambda m: low**m)
+        monkeypatch.setattr(co, "E_LO", low)
+        monkeypatch.setattr(co, "e_lo_pow", lambda m: low**m)
         gevrey = str(Path(co.__file__).parent / "data" / "specs" / "gevrey1.json")
         outcomes = {}
         for argv in (["ckn", "--k-max", "3", "--n-max", "6"],
