@@ -31,6 +31,14 @@ TRANSFORMED_IL1 = {
     "precision": 80,
 }
 
+#: a chain of two dilations: every fact is read at the product p = 6
+NESTED_IL1 = {
+    "version": 1,
+    "family": "transformed",
+    "params": {"p": 3, "base": TRANSFORMED_IL1},
+    "precision": 80,
+}
+
 #: a threshold no working precision can isolate: every sweep on it fails
 ITERATED_LOG4 = {"version": 1, "family": "iterated_log", "params": {"k": 4}}
 
@@ -81,6 +89,20 @@ RUNS = {
         2,
         "7bf5db468ce42d1aed2f79ca7ab6cf442d8cc8e6549dff57f234c63d8d44b67c",
         "322d409d07511f03fc031a86241cf6b13456defe8cca8088fba4f0c3a7b5d3a2",
+    ),
+    "seq-check-nested": (
+        ["seq-check", "--spec", "nested_il1.json", "--n-max", "3"],
+        0,
+        "c127e679be2a415ecdce59072ebc68a4d07959cc20d2f54851b20e3acf47e0ce",
+        "4b13e64a855aab48416ec5c44af925b9c6be47d0429a88f611943788da8e7430",
+    ),
+    # inclusion's dilation route at the chain's factor 6
+    "seq-compare-nested": (
+        ["seq-compare", "--spec", "iterated_log1.json", "--other", "nested_il1.json",
+         "--n-max", "3"],
+        0,
+        "12af8870acf3f9976a623de53530b3061488c0d7bc7b529690fa3b10ccf47d8c",
+        "8d4e2252fbc1c74126bc8b0cbb8c8cf5b1d2ebed78e61526672085320d3f83cb",
     ),
     "seq-show": (
         ["seq-show", "--spec", "iterated_log1.json", "--n-max", "3"],
@@ -151,6 +173,7 @@ def _spec_files(root: Path) -> None:
     for name in ("gevrey1", "iterated_log1"):
         shutil.copy(SPECS / f"{name}.json", root / f"{name}.json")
     (root / "transformed_il1.json").write_text(json.dumps(TRANSFORMED_IL1))
+    (root / "nested_il1.json").write_text(json.dumps(NESTED_IL1))
     (root / "iterated_log4.json").write_text(json.dumps(ITERATED_LOG4))
 
 
