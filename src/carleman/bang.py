@@ -36,7 +36,7 @@ from .intervals import (
     sum_values,
 )
 from .outcomes import CheckReport, Outcome, aggregate_rows, worst_outcome
-from .sequences import FAMILIES, BoundCertificate, WeightSequence, _memoized
+from .sequences import BoundCertificate, WeightSequence, _memoized, family_fact
 
 #: the documented CSV layout of the three extremal-series checks
 _CSV_LAYOUT = ("n", "lower_bound_log", "value_log_lo", "value_log_hi", "ceiling_log", "verdict")
@@ -60,13 +60,11 @@ class BangSeries:
     def __init__(self, ws: WeightSequence):
         self.ws = ws
         self.bits = ws.bits
-        rule = FAMILIES[ws.spec.family].mprime_logconvex
-        if rule is None:
+        if family_fact(ws.spec, "mprime_logconvex") is None:
             raise TailUncertifiedError(
                 f"no all-index log-convexity rule for {ws.spec.label()}; "
                 "tail bounds would be uncertified"
             )
-        self.rule = rule(ws.spec)
         self._confirmed_to = 0
         self._lock = threading.RLock()
         self._two_m: dict[int, LogReal] = {}

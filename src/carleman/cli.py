@@ -268,12 +268,11 @@ def cmd_seq_transform(args) -> RunReport:
     run = _start(args, spec)
     ws = WeightSequence(spec)
     if p >= 2:
-        dilated = ws.dilation(p)
         _timed(run, value_table, f"transform-values[{label}, p={p}]",
                "log-space values of the dilated sequence and its primed normalization",
                (("p", str(p)), ("n_max", str(args.n_max)), ("spec", label)),
-               "M_(pn) (log)", args.n_max, dilated.log_M,
-               (("mprime_sub", dilated.log_Mprime_sub),),
+               "M_(pn) (log)", args.n_max, ws.dilation(p).log_M,
+               (("mprime_sub", lambda n: ws.log_Mprime_sub(p, n)),),
                guard=(label, "transform-values"))
     _timed(run, transform_report, ws, p, max(8, args.n_max),
            guard=(label, "transform-quasianalytic"))

@@ -79,14 +79,19 @@ def _e_enclosure() -> tuple[Fraction, Fraction]:
 E_LO, E_UP = _e_enclosure()
 
 
-@lru_cache(maxsize=4096)
 def e_lo_pow(m: int) -> Fraction:
-    return E_LO**m
+    return _power(E_LO.numerator, E_LO.denominator, m)
 
 
-@lru_cache(maxsize=4096)
 def e_up_pow(m: int) -> Fraction:
-    return E_UP**m
+    return _power(E_UP.numerator, E_UP.denominator, m)
+
+
+@lru_cache(maxsize=8192)
+def _power(numerator: int, denominator: int, m: int) -> Fraction:
+    # keyed on the constant's value, so a rebound E_LO or E_UP is read at
+    # once; two ints hash in well under a microsecond, a Fraction in ~4
+    return Fraction(numerator, denominator) ** m
 
 
 def dec_str(x: Fraction | int, digits: int = 17) -> str:

@@ -30,7 +30,7 @@ from .outcomes import (
     aggregate_rows,
     fact_verdict,
 )
-from .sequences import FAMILIES, SequenceSpec, WeightSequence
+from .sequences import WeightSequence, family_fact
 
 
 def log_row(index, quantity, value: LogReal, outcome=None, note="", extra=()) -> EvidenceRow:
@@ -133,19 +133,6 @@ def check_log_convex(
 # ---------------------------------------------------------------------------
 
 
-def quasianalyticity_rule(spec: SequenceSpec) -> tuple[str, str] | None:
-    """Symbolic convergence/divergence of sum M_n / ((n+1) M_{n+1}) for a
-    built-in family, else None.
-
-    The term asymptotics are closed-form per family (the ``quasianalytic``
-    fact of :data:`~carleman.sequences.FAMILIES`); each claim is settled by
-    the harmonic/p-series comparison or Cauchy condensation.
-    """
-    base, p = spec.base_chain()
-    rule = FAMILIES[base.family].quasianalytic
-    return None if rule is None else rule(base, p)
-
-
 def carleman_terms(ws: WeightSequence, n_max: int) -> Iterator[LogReal]:
     """The terms M_n / ((n+1) M_{n+1}) for n = 1..n_max, one at a time.
 
@@ -173,7 +160,7 @@ def quasianalyticity_report(ws: WeightSequence, n_max: int) -> CheckReport:
     sums = partial_sums(
         carleman_terms(ws, n_max), {1, n_max // 4, n_max // 2, n_max} - {0}, ws.bits
     )
-    rule = quasianalyticity_rule(ws.spec)
+    rule = family_fact(ws.spec, "quasianalytic")
     if rule is None:
         claim = "quasianalyticity undecided (no symbolic rule for this family)"
         note = "no symbolic rule; empirical trend only"
@@ -199,19 +186,6 @@ def quasianalyticity_report(ws: WeightSequence, n_max: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def derivation_closed_rule(spec: SequenceSpec) -> str | None:
-    """Symbolic boundedness of sup_n (M_{n+1}/M_n)^(1/n), else None.
-
-    Reads the ``derivation_closed`` fact of the innermost base family.  For
-    every built-in family the single-step ratio grows at most polynomially
-    in n, so its n-th root tends to 1 and the sup is finite; index dilation
-    raises the ratio to at most a fixed power and preserves boundedness.
-    """
-    base, _ = spec.base_chain()
-    rule = FAMILIES[base.family].derivation_closed
-    return None if rule is None else rule(base)
-
-
 def check_derivation_closed(ws: WeightSequence, n_max: int) -> CheckReport:
     """Report the running sup enclosure of (M_{n+1}/M_n)^(1/n) together with
     the family's symbolic boundedness verdict (trend only for tables)."""
@@ -220,7 +194,7 @@ def check_derivation_closed(ws: WeightSequence, n_max: int) -> CheckReport:
     rows = _running_sup_rows(
         lambda n: ws.log_M(n + 1) / ws.log_M(n), n_max, "(M_(n+1)/M_n)^(1/n) (log)"
     )
-    rule = derivation_closed_rule(ws.spec)
+    rule = family_fact(ws.spec, "derivation_closed")
     return CheckReport(
         name=f"derivation-closed[{ws.spec.label()}]",
         claim=("sup_n (M_(n+1)/M_n)^(1/n) < oo (closed under derivation/division)"
@@ -240,12 +214,6 @@ def check_derivation_closed(ws: WeightSequence, n_max: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 # inclusion: sup (M_n/N_n)^(1/n)
 # ---------------------------------------------------------------------------
-
-
-def _gevrey_index(spec: SequenceSpec) -> Fraction | None:
-    """Gevrey exponent of a non-dilated spec; constant counts as s = 0."""
-    index = FAMILIES[spec.family].gevrey_index
-    return None if index is None else index(spec)
 
 
 def check_inclusion(wsM: WeightSequence, wsN: WeightSequence, n_max: int) -> CheckReport:
@@ -286,7 +254,7 @@ def check_inclusion(wsM: WeightSequence, wsN: WeightSequence, n_max: int) -> Che
     if specM.structure_key() == specN.structure_key():
         return report("included: identical sequences (sup = 1)")
 
-    if baseM.structure_key() == baseN.structure_key() and pN % pM == 0 and pN >= pM:
+    if baseM.structure_key() == baseN.structure_key() and pN % pM == 0:
         monotone = check_monotone(wsM, n_max * (pN // pM))
         if monotone.verdict.outcome is Outcome.CONFIRMED:
             return report(
@@ -304,8 +272,8 @@ def check_inclusion(wsM: WeightSequence, wsN: WeightSequence, n_max: int) -> Che
             ),
         )
 
-    sM = _gevrey_index(specM)
-    sN = _gevrey_index(specN)
+    sM = family_fact(specM, "gevrey_index")
+    sN = family_fact(specN, "gevrey_index")
     if sM is not None and sN is not None:
         if sM <= sN:
             return report(f"included: (n!)^({sM}-{sN}) <= 1 pointwise (sup <= 1)")

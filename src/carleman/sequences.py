@@ -79,10 +79,7 @@ def log_factorial(n: int, bits: int) -> LogReal:
         return facts[n]
 
 
-_tower_lock = threading.RLock()
-_tower_cache: dict[tuple[int, int], int] = {}
-
-
+@lru_cache(maxsize=None)
 def tower_threshold(k: int, bits: int) -> int:
     """Smallest integer strictly greater than the k-fold tower e^^k,
     recovered from a certified enclosure at ``bits``.
@@ -95,25 +92,18 @@ def tower_threshold(k: int, bits: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    key = (bits, k)
-    with _tower_lock:
-        cached = _tower_cache.get(key)
-        if cached is not None:
-            return cached
-        t = (fone, fone)
-        for _ in range(k):
-            t = mpi_exp(t, bits)
-            try:
-                floor_lo, floor_hi = (to_int(x, round_floor) for x in t)
-            except (OverflowError, ValueError) as exc:
-                raise PrecisionExhaustedError(f"tower e^^{k} exceeds the exponent range") from exc
-            if floor_lo != floor_hi:
-                raise PrecisionExhaustedError(
-                    f"enclosure of e^^{k} cannot isolate an integer at this precision"
-                )
-        result = floor_lo + 1
-        _tower_cache[key] = result
-        return result
+    t = (fone, fone)
+    for _ in range(k):
+        t = mpi_exp(t, bits)
+        try:
+            floor_lo, floor_hi = (to_int(x, round_floor) for x in t)
+        except (OverflowError, ValueError) as exc:
+            raise PrecisionExhaustedError(f"tower e^^{k} exceeds the exponent range") from exc
+        if floor_lo != floor_hi:
+            raise PrecisionExhaustedError(
+                f"enclosure of e^^{k} cannot isolate an integer at this precision"
+            )
+    return floor_lo + 1
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +250,10 @@ class Family:
     """Everything the package knows about one weight-sequence family.
 
     ``log_M(ws, n)`` encloses log M_n for n >= 1; ``last_index(spec)`` is the
-    largest index defined (None: unbounded).  Each fact is None when no
-    closed form is encoded.  ``quasianalytic`` and ``derivation_closed`` are
-    read at the end of :meth:`SequenceSpec.base_chain`; ``mprime_logconvex``
-    (M' log-convex at every index) and ``gevrey_index`` are not, so a
-    dilated spec has neither.
+    largest index defined (None: unbounded).  The remaining fields are facts,
+    each a callable ``(base, p)`` or None when no closed form is encoded;
+    they are read only through :func:`family_fact`.  ``mprime_logconvex``
+    says M' is log-convex at every index.
     """
 
     params: tuple[Param, ...]
@@ -272,9 +261,29 @@ class Family:
     label: Callable[[SequenceSpec], str] = lambda spec: spec.family
     last_index: Callable[[SequenceSpec], int | None] = lambda spec: None
     quasianalytic: Callable[[SequenceSpec, int], tuple[str, str]] | None = None
-    derivation_closed: Callable[[SequenceSpec], str] | None = None
-    mprime_logconvex: Callable[[SequenceSpec], str] | None = None
-    gevrey_index: Callable[[SequenceSpec], Fraction] | None = None
+    derivation_closed: Callable[[SequenceSpec, int], str] | None = None
+    mprime_logconvex: Callable[[SequenceSpec, int], str] | None = None
+    gevrey_index: Callable[[SequenceSpec, int], Fraction] | None = None
+
+
+#: the facts a dilation M_n -> M_(pn) keeps, each read at the innermost base
+#: with p the product of the chain's factors.  A dilation only shrinks the
+#: quasianalyticity terms, and the rule takes p to say by how much; it raises
+#: the single-step derivation ratio to at most a fixed power, so the sup of
+#: its n-th roots stays bounded.  Nothing is encoded for M' log-convexity or
+#: the Gevrey index of a dilation.
+_KEPT_BY_DILATION = ("quasianalytic", "derivation_closed")
+
+
+def family_fact(spec: SequenceSpec, name: str):
+    """The family fact ``name`` of ``spec``, or None when none is encoded:
+    ``rule(base, p)`` for the innermost base and the product p of
+    :meth:`SequenceSpec.base_chain`."""
+    base, p = spec.base_chain()
+    rule = getattr(FAMILIES[base.family], name)
+    if rule is None or (p > 1 and name not in _KEPT_BY_DILATION):
+        return None
+    return rule(base, p)
 
 
 def _family(family) -> Family:
@@ -369,9 +378,9 @@ FAMILIES: dict[str, Family] = {
         log_M=lambda ws, n: LogReal.one(ws.bits),
         # terms are exactly 1/(n+1) for every p: the harmonic series
         quasianalytic=lambda base, p: ("divergent", "harmonic comparison: terms equal 1/(n+1)"),
-        derivation_closed=lambda base: "ratio is identically 1",
-        mprime_logconvex=lambda spec: "M'_k = k!: ratios k+1 increase",
-        gevrey_index=lambda spec: Fraction(0),
+        derivation_closed=lambda base, p: "ratio is identically 1",
+        mprime_logconvex=lambda base, p: "M'_k = k!: ratios k+1 increase",
+        gevrey_index=lambda base, p: Fraction(0),
     ),
     # M_n = (n!)^s for a positive rational s
     "gevrey": Family(
@@ -383,13 +392,13 @@ FAMILIES: dict[str, Family] = {
         quasianalytic=lambda base, p: (
             "convergent", f"p-series comparison: terms <= 1/(n+1)^(1+{base.s})"
         ),
-        derivation_closed=lambda base: (
+        derivation_closed=lambda base, p: (
             f"ratio (n+1)^{base.s} is polynomial in n; n-th root tends to 1"
         ),
-        mprime_logconvex=lambda spec: (
-            f"M'_k = (k!)^(1+{spec.s}): ratios (k+1)^(1+{spec.s}) increase"
+        mprime_logconvex=lambda base, p: (
+            f"M'_k = (k!)^(1+{base.s}): ratios (k+1)^(1+{base.s}) increase"
         ),
-        gevrey_index=lambda spec: spec.s,
+        gevrey_index=lambda base, p: base.s,
     ),
     # M_n = L(n_k)^(-n_k) L(n_k + n)^(n_k + n), L the k-fold logarithm and
     # n_k = tower_threshold(k) the smallest integer above e^^k
@@ -400,7 +409,7 @@ FAMILIES: dict[str, Family] = {
         ),
         label=lambda spec: f"iterated_log(k={spec.k})",
         quasianalytic=_iterated_log_quasianalytic,
-        derivation_closed=lambda base: (
+        derivation_closed=lambda base, p: (
             "ratio grows like the iterated logarithm; n-th root tends to 1"
         ),
         # Write L_j for the j-fold logarithm and g(x) = x log L_k(x), so that
@@ -415,7 +424,7 @@ FAMILIES: dict[str, Family] = {
         # difference of g inside that range: M is log-convex at every index.
         # log k! has second differences log((k+1)/k) > 0, and a sum of
         # convex sequences is convex, so M'_k = k! M_k is log-convex too.
-        mprime_logconvex=lambda spec: (
+        mprime_logconvex=lambda base, p: (
             "shifted tower sequence is log-convex at every index; times k! stays log-convex"
         ),
     ),
@@ -429,7 +438,7 @@ FAMILIES: dict[str, Family] = {
         quasianalytic=lambda base, p: (
             "divergent", f"condensation: terms ~ 1/(n (log log n)^{max(p, 1)}) diverge"
         ),
-        derivation_closed=lambda base: (
+        derivation_closed=lambda base, p: (
             "ratio grows like the double logarithm; n-th root tends to 1"
         ),
     ),
@@ -521,14 +530,13 @@ class WeightSequence:
     def _compute_ratio_m(self, k: int) -> LogReal:
         return self.log_Mprime(k + 1) / self.log_Mprime(k)
 
-    def log_Mprime_sub(self, n: int) -> LogReal:
-        """Enclosure of n^(-(p-1) n) M'_(pn) for a dilation M_(pn) of a base
-        M: the envelope of the power-substitution bound, from the base's M'
-        (value 1 at n = 0, by the 0^0 = 1 convention)."""
+    def log_Mprime_sub(self, p: int, n: int) -> LogReal:
+        """Enclosure of n^(-(p-1) n) M'_(pn): the envelope of the
+        power-substitution bound for the dilation M_(pn) of this sequence,
+        from its M' (value 1 at n = 0, by the 0^0 = 1 convention)."""
         if n == 0:
             return LogReal.one(self.bits)
-        value = self._base.log_Mprime(self.spec.p * n)
-        return value / LogReal.from_int(n, self.bits).pow_int((self.spec.p - 1) * n)
+        return self.log_Mprime(p * n) / LogReal.from_int(n, self.bits).pow_int((p - 1) * n)
 
     def dilation(self, p: int) -> "WeightSequence":
         """The index dilation n -> M_(pn) of this sequence, which reads its
@@ -563,8 +571,8 @@ def _memoized(lock, memo: dict, key, bits: int, compute: Callable[..., LogReal],
 
 def power_substitute(spec: SequenceSpec, p: int) -> SequenceSpec:
     """Index dilation of a sequence: the spec of n -> M_{p n}, at the
-    precision of ``spec``.  Its :meth:`WeightSequence.log_Mprime_sub` is the
-    primed normalization n -> n^(-(p-1) n) * M'_{p n}.
+    precision of ``spec``.  Its primed normalization n^(-(p-1) n) M'_{p n}
+    is ``WeightSequence(spec).log_Mprime_sub(p, n)``.
     """
     if not isinstance(p, int) or p < 2:
         raise ValueError("p must be an integer >= 2")

@@ -59,10 +59,11 @@ def coeff_level_check(ws: WeightSequence, p: int, A: Fraction, n_max: int) -> Ch
     extremal coefficient profile of ``ws``, for 1 <= n <= n_max, A > 0 and
     an integer p >= 2, with the factorial inequality link checked exactly.
     A confirmed report carries the certificate C = 1, R = (e A)^p."""
+    if not isinstance(p, int) or p < 2:
+        raise ValueError("p must be an integer >= 2")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     eA, eA_up = e_times(A, ws.bits)
-    dilated = ws.dilation(p)
     rows: list[EvidenceRow] = []
     for n in range(1, n_max + 1):
         ineq_link = verify_factorial_inequality(p, n, 0).outcome
@@ -72,7 +73,7 @@ def coeff_level_check(ws: WeightSequence, p: int, A: Fraction, n_max: int) -> Ch
             * ws.log_Mprime(p * n)
             / log_factorial(p * n, ws.bits)
         )
-        ceiling = eA.pow_int(p * n) * dilated.log_Mprime_sub(n)
+        ceiling = eA.pow_int(p * n) * ws.log_Mprime_sub(p, n)
         outcome = worst_outcome([ineq_link, lhs.leq(ceiling)])
         rows.append(
             log_row(

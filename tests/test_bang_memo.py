@@ -155,8 +155,7 @@ def _cold_pair(spec):
     """A fresh series and a fresh sequence, with the tower cache emptied
     after the series is built so the sequence fill finds it cold."""
     series = BangSeries(WeightSequence(spec))
-    with seq._tower_lock:
-        seq._tower_cache.clear()
+    seq.tower_threshold.cache_clear()
     return WeightSequence(spec), series
 
 

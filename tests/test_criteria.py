@@ -16,11 +16,10 @@ from carleman.criteria import (
     check_log_convex,
     check_monotone,
     quasianalyticity_report,
-    quasianalyticity_rule,
 )
 from carleman.intervals import mpf_str, partial_sums, sum_values, working_precision
 from carleman.outcomes import Outcome, Reason
-from carleman.sequences import SequenceSpec, WeightSequence, power_substitute
+from carleman.sequences import SequenceSpec, WeightSequence, family_fact, power_substitute
 from conftest import encloses_fraction, iv_endpoints, log_hi, log_iv, log_lo, prefix_sums
 
 #: one spec of each family, the gevrey family at several s
@@ -138,18 +137,18 @@ class TestCarleman:
             (SequenceSpec(family="paper8"), "divergent"),
         ]
         for spec, claim in cases:
-            assert quasianalyticity_rule(spec)[0] == claim
+            assert family_fact(spec, "quasianalytic")[0] == claim
 
     def test_transform_rules(self):
         il1 = SequenceSpec(family="iterated_log", k=1)
         il2 = SequenceSpec(family="iterated_log", k=2)
         t_il1 = power_substitute(il1, 2)
-        assert quasianalyticity_rule(t_il1)[0] == "convergent"
+        assert family_fact(t_il1, "quasianalytic")[0] == "convergent"
         for p in (2, 3):
             t_il2 = power_substitute(il2, p)
-            assert quasianalyticity_rule(t_il2)[0] == "divergent"
+            assert family_fact(t_il2, "quasianalytic")[0] == "divergent"
         t8 = power_substitute(SequenceSpec(family="paper8"), 5)
-        assert quasianalyticity_rule(t8)[0] == "divergent"
+        assert family_fact(t8, "quasianalytic")[0] == "divergent"
 
     def test_table_has_no_rule(self):
         spec = SequenceSpec(family="table", log_values=("0", "1", "2", "3", "4", "5"))

@@ -11,6 +11,7 @@ import ast
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
@@ -49,6 +50,17 @@ def _e_scopes(path: Path):
 def test_only_coefficients_names_a_side_of_e():
     found = {scope for path in sorted(SRC.glob("*.py")) for scope in _e_scopes(path)}
     assert found - {("coefficients", name) for name in E_HOME} == set()
+
+
+def test_a_rebound_side_of_e_is_read_at_once():
+    # 8 <= e^3 is confirmed against E_LO; with E_LO = 1 only E_UP is left,
+    # and 8 lies under E_UP^3 without being confirmed
+    lhs, m = Fraction(8), 3
+    assert co.leq_with_e_power(lhs, 1, m) is Outcome.CONFIRMED
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(co, "E_LO", Fraction(1))
+        assert co.leq_with_e_power(lhs, 1, m) is Outcome.INCONCLUSIVE
+    assert co.leq_with_e_power(lhs, 1, m) is Outcome.CONFIRMED
 
 
 def _e_bounds(bits: int = 600) -> tuple[Fraction, Fraction]:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction
+from functools import partial
 from math import factorial
 from pathlib import Path
 
@@ -306,7 +307,7 @@ class TestPowerSubstitute:
             assert encloses_fraction(ws.log_M(n), Fraction(factorial(2 * n)), ws.bits)
 
     def test_mprime_normalization_examples(self, gevrey1_spec):
-        mprime = WeightSequence(power_substitute(gevrey1_spec, 2)).log_Mprime_sub
+        mprime = partial(WeightSequence(gevrey1_spec).log_Mprime_sub, 2)
         spec_bits = gevrey1_spec.bits
         v0 = mprime(0)
         assert log_lo(v0) == log_hi(v0) == 0
@@ -314,6 +315,16 @@ class TestPowerSubstitute:
         assert encloses_fraction(mprime(2), Fraction(144), spec_bits)
         # n = 1: 1^0 * (2!)^2 = 4
         assert encloses_fraction(mprime(1), Fraction(4), spec_bits)
+
+    def test_mprime_normalization_of_an_undilated_sequence(self, gevrey1_spec):
+        # n^(-(p-1)n) M'_(pn) with M'_k = (k!)^2, read from the sequence's
+        # own M' memo at every n, not only at n = 0
+        ws = WeightSequence(gevrey1_spec)
+        for p in (2, 3):
+            for n in range(0, 6):
+                exact = Fraction(factorial(p * n) ** 2, n ** ((p - 1) * n))
+                assert encloses_fraction(ws.log_Mprime_sub(p, n), exact, ws.bits)
+        assert set(ws._mprime_memo) == {p * n for p in (2, 3) for n in range(1, 6)}
 
     def test_composition_matches_product_transform(self, gevrey1_spec):
         t2 = power_substitute(gevrey1_spec, 2)
@@ -326,7 +337,7 @@ class TestPowerSubstitute:
 
     def test_transform_of_constant_stays_one(self, constant_spec):
         ws = WeightSequence(power_substitute(constant_spec, 3))
-        mprime = ws.log_Mprime_sub
+        mprime = partial(WeightSequence(constant_spec).log_Mprime_sub, 3)
         assert log_lo(ws.log_M(7)) == log_hi(ws.log_M(7)) == 0
         # M'^(p)_n = n^(-(p-1)n) (pn)!: at n = 2, p = 3: 2^(-4) * 720
         assert encloses_fraction(mprime(2), Fraction(720, 16), ws.bits)
