@@ -21,7 +21,6 @@ additionally confirms it numerically over the indices it touches.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import factorial
 
@@ -35,8 +34,9 @@ from .intervals import (
     mpf_str,
     sum_values,
 )
+from .memo import Memo
 from .outcomes import CheckReport, Outcome, aggregate_rows, worst_outcome
-from .sequences import BoundCertificate, WeightSequence, _memoized, family_fact
+from .sequences import BoundCertificate, WeightSequence, family_fact
 
 #: the documented CSV layout of the three extremal-series checks
 _CSV_LAYOUT = ("n", "lower_bound_log", "value_log_lo", "value_log_hi", "ceiling_log", "verdict")
@@ -65,31 +65,28 @@ class BangSeries:
                 f"no all-index log-convexity rule for {ws.spec.label()}; "
                 "tail bounds would be uncertified"
             )
-        self._confirmed_to = 0
-        self._lock = threading.RLock()
-        self._two_m: dict[int, LogReal] = {}
-        self._heads: dict[tuple[int, int], LogReal] = {}
+        self._confirmed = Memo()
+        self._two_m = Memo()
+        self._heads = Memo()
         self._two = LogReal.from_int(2, self.bits)
 
     # -- certification ---------------------------------------------------------
 
     def _ensure_confirmed(self, k: int) -> None:
         """Numerically confirm M'_n^2 <= M'_(n-1) M'_(n+1) for n up to k."""
-        if k <= self._confirmed_to:
-            return
-        for n in range(max(1, self._confirmed_to), k + 1):
-            lhs, rhs = convexity_sides(self.ws.log_Mprime, n)
-            if lhs.leq(rhs) is not Outcome.CONFIRMED:
-                raise TailUncertifiedError(
-                    f"log-convexity of M' not confirmed at index {n} "
-                    f"for {self.ws.spec.label()}"
-                )
-        with self._lock:
-            self._confirmed_to = max(self._confirmed_to, k)
+        self._confirmed.grow(None, k, lambda _: 0, self._confirm_next)
+
+    def _confirm_next(self, _, confirmed: list[int]) -> int:
+        n = len(confirmed)
+        lhs, rhs = convexity_sides(self.ws.log_Mprime, n)
+        if lhs.leq(rhs) is not Outcome.CONFIRMED:
+            raise TailUncertifiedError(f"log-convexity of M' not confirmed at index {n} "
+                                       f"for {self.ws.spec.label()}")
+        return n
 
     def two_m(self, k: int) -> LogReal:
         """2 m_k = 2 M'_{k+1}/M'_k, memoized."""
-        return _memoized(self._lock, self._two_m, k, self.bits, self._compute_two_m, k)
+        return self._two_m.get(k, self._compute_two_m, k)
 
     def _compute_two_m(self, k: int) -> LogReal:
         return self._two * self.ws.ratio_m(k)
@@ -125,7 +122,7 @@ class BangSeries:
         if K < n:
             raise ValueError("truncation must satisfy K >= n")
         self._ensure_confirmed(K + 1)
-        return _memoized(self._lock, self._heads, (n, K), self.bits, self._compute_head_sum, n, K)
+        return self._heads.get((n, K), self._compute_head_sum, n, K)
 
     def _compute_head_sum(self, n: int, K: int) -> LogReal:
         return sum_values(

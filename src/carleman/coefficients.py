@@ -30,17 +30,16 @@ Combinatorics*, 1974; Graham-Knuth-Patashnik, *Concrete Mathematics*):
 * (a-series)^k = ((1+t)^(1/p) - 1)^k expands binomially, so
   b_n = (1/k!) sum_{j=0..k} (-1)^(k-j) C(k, j) binom(j/p, n).
 
-Both live in tables that grow on demand under a lock.  The dense-series
-convolution (:class:`SeriesPoly`, :func:`log_power_table`) and the
-composition enumeration (:func:`ckn_bruteforce`) stay as independent twins
-of the closed forms; the ``ckn-oracle-equivalence`` check and the tests
-compare all three.
+Both live in tables that grow on demand under a lock (a
+:class:`~carleman.memo.Memo`).  The dense-series convolution
+(:class:`SeriesPoly`, :func:`log_power_table`) and the composition
+enumeration (:func:`ckn_bruteforce`) stay as independent twins of the closed
+forms; the ``ckn-oracle-equivalence`` check and the tests compare all three.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -50,6 +49,7 @@ from mpmath.libmp import from_int, mpf_div, round_nearest, to_str
 
 from .errors import EnumerationCapError
 from .intervals import LogReal
+from .memo import Memo
 from .outcomes import (
     CheckReport,
     EvidenceRow,
@@ -59,7 +59,7 @@ from .outcomes import (
     worst_outcome,
 )
 
-#: default cap for the brute-force composition enumeration (count 2^(n-1))
+#: cap for the brute-force composition enumeration (count 2^(n-1))
 ENUMERATION_CAP = 18
 
 _RENDER_BITS = 192
@@ -94,18 +94,18 @@ def _power(numerator: int, denominator: int, m: int) -> Fraction:
     return Fraction(numerator, denominator) ** m
 
 
-def dec_str(x: Fraction | int, digits: int = 17) -> str:
+def dec_str(x: Fraction | int) -> str:
     """Deterministic decimal rendering of an exact rational.
 
     Numerator and denominator are each rounded once to 192 bits (nearest),
-    divided at 192 bits and printed with ``digits`` significant digits: the
-    same digits as ``mp.nstr(mp.mpf(num) / mp.mpf(den), digits)`` at 192
-    bits, without touching mpmath's global precision.
+    divided at 192 bits and printed with 17 significant digits: the same
+    digits as ``mp.nstr(mp.mpf(num) / mp.mpf(den), 17)`` at 192 bits,
+    without touching mpmath's global precision.
     """
     fr = Fraction(x)
     num = from_int(fr.numerator, _RENDER_BITS, round_nearest)
     den = from_int(fr.denominator, _RENDER_BITS, round_nearest)
-    return to_str(mpf_div(num, den, _RENDER_BITS, round_nearest), digits)
+    return to_str(mpf_div(num, den, _RENDER_BITS, round_nearest), 17)
 
 
 def leq_with_e_power(lhs: Fraction, rhs_coeff: Fraction, e_exp: int) -> Outcome:
@@ -192,43 +192,30 @@ def log_series(n_max: int) -> SeriesPoly:
 # log-power coefficients c(k, n)
 # ---------------------------------------------------------------------------
 
-_pow_table_lock = threading.RLock()
-_pow_table_cache: dict[tuple[int, int], list[SeriesPoly]] = {}
+#: n_max -> powers 0, 1, ... of the log series at order n_max
+_pow_table_cache = Memo()
 
 
 def log_power_table(k_max: int, n_max: int) -> list[SeriesPoly]:
-    """Powers 1..k_max of the log series at order n_max (index 0 unused),
-    by iterated convolution: the twin of the Stirling route in :func:`ckn`."""
-    key = (k_max, n_max)
-    with _pow_table_lock:
-        cached = _pow_table_cache.get(key)
-        if cached is not None:
-            return cached
-        base = log_series(n_max)
-        table: list[SeriesPoly] = [None, base]  # type: ignore[list-item]
-        for _ in range(2, k_max + 1):
-            table.append(table[-1].mul(base))
-        _pow_table_cache[key] = table
-        return table
+    """Powers 0..k_max of the log series at order n_max, by iterated
+    convolution: the twin of the Stirling route in :func:`ckn`."""
+    return _pow_table_cache.grow(
+        n_max, k_max, lambda n: SeriesPoly((Fraction(1),) + (Fraction(0),) * n),
+        lambda n, rows: log_series(n) if len(rows) == 1 else rows[-1].mul(rows[1]))[: k_max + 1]
 
 
-_stirling_lock = threading.RLock()
 #: row n holds the unsigned Stirling numbers [n k] for k = 0..n
-_stirling_rows: list[tuple[int, ...]] = [(1,)]
+_stirling_rows = Memo()
 
 
 def _stirling_row(n: int) -> tuple[int, ...]:
     """[n k] for k = 0..n, from [m+1 k] = m [m k] + [m k-1]."""
-    with _stirling_lock:
-        while len(_stirling_rows) <= n:
-            m = len(_stirling_rows) - 1
-            prev = _stirling_rows[m]
-            _stirling_rows.append(
-                (m * prev[0],)
-                + tuple(m * prev[k] + prev[k - 1] for k in range(1, m + 1))
-                + (1,)
-            )
-        return _stirling_rows[n]
+    return _stirling_rows.grow(None, n, lambda _: (1,), _next_stirling_row)[n]
+
+
+def _next_stirling_row(_, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+    m, prev = len(rows) - 1, rows[-1]
+    return (m * prev[0], *(m * prev[k] + prev[k - 1] for k in range(1, m + 1)), 1)
 
 
 def ckn(k: int, n: int) -> Fraction:
@@ -246,15 +233,15 @@ def ckn(k: int, n: int) -> Fraction:
     return Fraction(factorial(k) * _stirling_row(n)[k], factorial(n))
 
 
-def ckn_bruteforce(k: int, n: int, cap: int = ENUMERATION_CAP) -> Fraction:
+def ckn_bruteforce(k: int, n: int) -> Fraction:
     """Independent oracle for c(k, n): explicit sum over the compositions of
     n into k positive parts.  Refuses n beyond the enumeration cap."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > cap:
-        raise EnumerationCapError(f"composition enumeration capped at n = {cap}")
+    if n > ENUMERATION_CAP:
+        raise EnumerationCapError(f"composition enumeration capped at n = {ENUMERATION_CAP}")
     if n < k:
         return Fraction(0)
     # every part divides L = lcm(1..n), so L^k / prod is an integer
@@ -348,9 +335,8 @@ def root_series_magnitudes(p: int, i_max: int) -> list[Fraction]:
     return mags
 
 
-_root_lock = threading.RLock()
-#: (p, k) -> (falling products prod_{i<n} (j - i p) for j = 0..k, b_0..b_(n-1))
-_root_cache: dict[tuple[int, int], tuple[list[int], list[Fraction]]] = {}
+#: (p, k) -> row n = (prod_{i<n} (j - i p) for j = 0..k, b_n), n = 0, 1, ...
+_root_cache = Memo()
 
 
 def root_power_series(p: int, k: int, n_max: int) -> list[Fraction]:
@@ -367,15 +353,15 @@ def root_power_series(p: int, k: int, n_max: int) -> list[Fraction]:
         raise ValueError("p must be an integer >= 2")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    with _root_lock:
-        falling, b = _root_cache.setdefault((p, k), ([1] * (k + 1), []))
-        while len(b) <= n_max:
-            n = len(b)
-            total = sum((-1) ** (k - j) * comb(k, j) * f for j, f in enumerate(falling))
-            b.append(Fraction(total, factorial(k) * p**n * factorial(n)))
-            for j in range(k + 1):
-                falling[j] *= j - n * p
-        return b[: n_max + 1]
+    rows = _root_cache.grow((p, k), n_max, lambda _: ((1,) * (k + 1), Fraction(0)), _next_root_row)
+    return [b for _, b in rows[: n_max + 1]]
+
+
+def _next_root_row(key: tuple[int, int], rows: list) -> tuple[tuple[int, ...], Fraction]:
+    (p, k), n = key, len(rows)
+    falling = tuple(f * (j - (n - 1) * p) for j, f in enumerate(rows[-1][0]))
+    total = sum((-1) ** (k - j) * comb(k, j) * f for j, f in enumerate(falling))
+    return falling, Fraction(total, factorial(k) * p**n * factorial(n))
 
 
 def verify_root_series_bounds(p: int, k: int, n_max: int) -> CheckReport:

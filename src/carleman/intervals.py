@@ -90,8 +90,8 @@ def working_precision(bits: int):
     mpmath precision is global state; this guard sets it for a block and
     keeps concurrent callers consistent.  No computation of the package
     reads it: :class:`LogReal` arithmetic and every family ``log_M`` body
-    round at their own precision.  Its one caller is the memo fill
-    (``sequences._memoized``).
+    round at their own precision.  Its one caller is the fill of M
+    (``sequences.WeightSequence._compute_log_M``).
     """
     with _prec_lock:
         old_iv, old_mp = iv.prec, mp.prec

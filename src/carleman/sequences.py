@@ -10,16 +10,15 @@ All magnitudes are :class:`~carleman.intervals.LogReal` enclosures at the
 spec's working precision (significant decimal digits, default 80), computed
 on raw ``libmpi`` endpoints that round at that precision: no family reads
 mpmath's global precision.  The same spec and precision always reproduce
-bit-identical values, regardless of evaluation order or memo state.  Besides
-the per-sequence memos, the module caches one table of log k!, the tower
-thresholds and the constant normaliser of each shifted iterated-log
-sequence, per precision.
+bit-identical values, regardless of evaluation order or memo state.  Each
+sequence memoizes M and M' in a :class:`~carleman.memo.Memo`, as the module
+does its table of log k! per precision; ``lru_cache`` holds the tower
+thresholds and the normaliser of each shifted iterated-log sequence.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -40,6 +39,7 @@ from mpmath.libmp import (
 
 from .errors import IndexRangeError, PrecisionExhaustedError, SpecFormatError
 from .intervals import LogReal, _int_mpi, bits_for_digits, mpf_str, working_precision
+from .memo import Memo
 
 DEFAULT_MAX_INDEX = 10**6
 
@@ -54,9 +54,8 @@ SPEC_FORMAT_VERSION = 1
 #: depend on call order.
 _LOGFACT_INCREMENTAL_MAX = 20000
 
-_logfact_lock = threading.RLock()
 #: bits -> log k! for k = 0, 1, ...
-_logfact_cache: dict[int, list[LogReal]] = {}
+_logfact_cache = Memo()
 
 
 def log_factorial(n: int, bits: int) -> LogReal:
@@ -70,13 +69,11 @@ def log_factorial(n: int, bits: int) -> LogReal:
         raise ValueError("n must be >= 0")
     if n > _LOGFACT_INCREMENTAL_MAX:
         return LogReal.from_mpi(mpi_loggamma((from_int(n + 1),) * 2, bits), bits)
-    with _logfact_lock:
-        facts = _logfact_cache.get(bits)
-        if facts is None:
-            facts = _logfact_cache[bits] = [LogReal.one(bits)]
-        while len(facts) <= n:
-            facts.append(facts[-1] * LogReal.from_int(len(facts), bits))
-        return facts[n]
+    return _logfact_cache.grow(bits, n, LogReal.one, _next_log_factorial)[n]
+
+
+def _next_log_factorial(bits: int, facts: list[LogReal]) -> LogReal:
+    return facts[-1] * LogReal.from_int(len(facts), bits)
 
 
 @lru_cache(maxsize=None)
@@ -482,10 +479,8 @@ class WeightSequence:
     def __init__(self, spec: SequenceSpec):
         self.spec = spec
         self.bits = spec.bits
-        self._memo: dict[int, LogReal] = {}
-        self._mprime_memo: dict[int, LogReal] = {}
-        self._ratio_memo: dict[int, LogReal] = {}
-        self._lock = threading.RLock()
+        self._memo = Memo()
+        self._mprime_memo = Memo()
         #: largest index the family defines (None: every index up to DEFAULT_MAX_INDEX)
         self.last_index: int | None = FAMILIES[spec.family].last_index(spec)
         self._base = None if spec.base is None else WeightSequence(spec.base)
@@ -501,33 +496,33 @@ class WeightSequence:
             raise IndexRangeError(f"{self.spec.label()} has no value at index {n}")
 
     def _compute_log_M(self, n: int) -> LogReal:
-        # precondition: the index is valid; every family body rounds at
-        # self.bits and reads no global precision
+        # precondition: the index is valid
         if n == 0:
             return LogReal.one(self.bits)
-        return FAMILIES[self.spec.family].log_M(self, n)
+        # no family body reads the global precision: the fill enters
+        # ``working_precision`` only because the benchmark's self-checks
+        # expect a positive ``intervals.precision_switches`` count
+        with working_precision(self.bits):
+            return FAMILIES[self.spec.family].log_M(self, n)
 
     # -- public surface --------------------------------------------------------
 
     def log_M(self, n: int) -> LogReal:
         """Enclosure of M_n (log M_0 = 0 exactly, zero radius)."""
         self._check_index(n)
-        return _memoized(self._lock, self._memo, n, self.bits, self._compute_log_M, n)
+        return self._memo.get(n, self._compute_log_M, n)
 
     def log_Mprime(self, n: int) -> LogReal:
         """Enclosure of M'_n = n! * M_n, memoized like :meth:`log_M`."""
         self._check_index(n)
-        return _memoized(self._lock, self._mprime_memo, n, self.bits, self._compute_log_Mprime, n)
+        return self._mprime_memo.get(n, self._compute_log_Mprime, n)
 
     def _compute_log_Mprime(self, n: int) -> LogReal:
         value = self.log_M(n)
         return value if n <= 1 else log_factorial(n, self.bits) * value
 
     def ratio_m(self, k: int) -> LogReal:
-        """Enclosure of the primed ratio m_k = M'_{k+1} / M'_k, memoized."""
-        return _memoized(self._lock, self._ratio_memo, k, self.bits, self._compute_ratio_m, k)
-
-    def _compute_ratio_m(self, k: int) -> LogReal:
+        """Enclosure of the primed ratio m_k = M'_{k+1} / M'_k."""
         return self.log_Mprime(k + 1) / self.log_Mprime(k)
 
     def log_Mprime_sub(self, p: int, n: int) -> LogReal:
@@ -544,29 +539,6 @@ class WeightSequence:
         dilated = WeightSequence(power_substitute(self.spec, p))
         dilated._base = self
         return dilated
-
-
-def _memoized(lock, memo: dict, key, bits: int, compute: Callable[..., LogReal], *args) -> LogReal:
-    """``memo[key]``, filled on a miss by ``compute(*args)``.  Callers pass a
-    bound method and its arguments, so a hit builds no closure.
-
-    No family body reads mpmath's global precision any more: each rounds at
-    its sequence's ``bits``.  The fill still runs inside
-    ``working_precision(bits)`` only because the benchmark counts its
-    entries as ``intervals.precision_switches`` and its self-checks expect
-    that count to be positive; the switch goes when the benchmark changes.
-
-    The value is computed outside ``lock`` and stored with ``setdefault``,
-    so two threads racing on one key both return the first stored object.
-    """
-    with lock:
-        hit = memo.get(key)
-    if hit is not None:
-        return hit
-    with working_precision(bits):
-        value = compute(*args)
-    with lock:
-        return memo.setdefault(key, value)
 
 
 def power_substitute(spec: SequenceSpec, p: int) -> SequenceSpec:

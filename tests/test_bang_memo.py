@@ -199,7 +199,6 @@ def test_concurrent_memo_fill_matches_serial(fast_switching):
         # every thread got the memo's own entries
         for mprime, ratios, heads, two_m, _ in results:
             assert all(x is ws.log_Mprime(k) for k, x in zip(range(40, -1, -1), mprime))
-            assert all(x is ws.ratio_m(k) for k, x in enumerate(ratios))
             assert all(
                 x is series.head_sum(n, series.default_truncation(n))
                 for n, x in enumerate(heads)

@@ -23,6 +23,7 @@ from carleman.bang import BangSeries
 from carleman.criteria import check_log_convex
 from carleman.errors import PrecisionExhaustedError
 from carleman.intervals import LogReal, bits_for_digits, partial_sums, sum_values
+from carleman.memo import Memo
 from carleman.sequences import (
     SequenceSpec,
     WeightSequence,
@@ -160,9 +161,9 @@ def test_cold_log_caches_filled_by_two_threads_match_a_serial_fill(monkeypatch):
     def endpoints(calls) -> list:
         return [(v.log_lo, v.log_hi, v.bits) for v in (f(k, bits) for f, k, bits in calls)]
 
-    monkeypatch.setattr(sequences, "_logfact_cache", {})
+    monkeypatch.setattr(sequences, "_logfact_cache", Memo())
     serial = [endpoints(calls) for calls in work]
-    monkeypatch.setattr(sequences, "_logfact_cache", {})
+    monkeypatch.setattr(sequences, "_logfact_cache", Memo())
     start = threading.Barrier(len(work), timeout=60)
     results: list = [None] * len(work)
 

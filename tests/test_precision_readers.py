@@ -5,7 +5,7 @@ read ``iv.prec`` or ``mp.prec`` (or their ``dps`` views), and no new code
 may enter ``working_precision``, which sets them.  Interval values carry
 their own precision, and every family ``log_M`` body rounds on ``libmpi``
 at its sequence's precision, so no computation reads the global setting.
-The memo fill still enters ``working_precision`` because the benchmark
+The fill of M still enters ``working_precision`` because the benchmark
 counts those entries and expects a positive count; the switch goes with the
 next benchmark change.  Both sets below only shrink.
 
@@ -22,7 +22,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "carleman"
 READERS = {"intervals.working_precision"}
 
 #: module.qualname of every function that still calls ``working_precision``
-CALLERS = {"sequences._memoized"}
+CALLERS = {"sequences.WeightSequence._compute_log_M"}
 
 #: the arithmetic path: every ``LogReal`` method and the summation functions
 ARITHMETIC = (

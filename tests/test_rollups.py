@@ -189,13 +189,10 @@ class TestRefutedCheckPublishesNoCertificate:
         return check
 
     def test_substitution_coefficients(self, monkeypatch, capsys):
-        # both sides of e far below e: every coefficient row is refuted (the
-        # cached powers are replaced too, so no stand-in power stays cached)
+        # both sides of e far below e: every coefficient row is refuted
         low = Fraction(1, 100)
         monkeypatch.setattr(co, "E_LO", low)
         monkeypatch.setattr(co, "E_UP", low)
-        monkeypatch.setattr(co, "e_lo_pow", lambda m: low**m)
-        monkeypatch.setattr(co, "e_up_pow", lambda m: low**m)
         gevrey = str(Path(co.__file__).parent / "data" / "specs" / "gevrey1.json")
         check = self._check(capsys, ["thm61", "--spec", gevrey, "--n-max", "3",
                                      "--assembly-n-max", "1"], "substitution-coefficients")
@@ -224,7 +221,6 @@ class TestLooseLowerSideOfE:
         # may refute through it
         low = Fraction(1, 100)
         monkeypatch.setattr(co, "E_LO", low)
-        monkeypatch.setattr(co, "e_lo_pow", lambda m: low**m)
         gevrey = str(Path(co.__file__).parent / "data" / "specs" / "gevrey1.json")
         outcomes = {}
         for argv in (["ckn", "--k-max", "3", "--n-max", "6"],
