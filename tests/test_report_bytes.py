@@ -7,6 +7,8 @@ check name the package writes.
 Each run is also made with mpmath's process-global precision set to 113
 bits (and restored afterwards): no report byte may depend on it.
 
+The sampled values that ``bang --plot-data`` writes are pinned the same way.
+
 A change that alters these reports on purpose updates the digests here and
 records the change in CHANGES.md.
 """
@@ -14,6 +16,7 @@ records the change in CHANGES.md.
 import hashlib
 import json
 import shutil
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -189,6 +192,19 @@ def _tree_digest(root: Path) -> str:
 AMBIENT_BITS = (None, 113)
 
 
+@contextmanager
+def _ambient(bits):
+    """Run a block with mpmath's global precision at ``bits`` (None leaves
+    it untouched), restoring it afterwards."""
+    saved = iv.prec, mp.prec
+    if bits is not None:
+        iv.prec = mp.prec = bits
+    try:
+        yield
+    finally:
+        iv.prec, mp.prec = saved
+
+
 @pytest.mark.parametrize("name, ambient_bits", [
     pytest.param(name, bits, id=name if bits is None else f"{name}@{bits}bits")
     for bits in AMBIENT_BITS
@@ -198,14 +214,28 @@ def test_report_bytes_are_pinned(name, ambient_bits, tmp_path, monkeypatch):
     argv, exit_code, json_digest, csv_digest = RUNS[name]
     monkeypatch.chdir(tmp_path)
     _spec_files(tmp_path)
-    saved = iv.prec, mp.prec
-    if ambient_bits is not None:
-        iv.prec = mp.prec = ambient_bits
-    try:
+    with _ambient(ambient_bits):
         assert main(argv + ["--out", "json"]) == exit_code
         assert main(argv + ["--format", "csv", "--out", "csv"]) == exit_code
-    finally:
-        iv.prec, mp.prec = saved
     (document,) = Path("json").glob("report-*.json")
     assert hashlib.sha256(document.read_bytes()).hexdigest() == json_digest
     assert _tree_digest(Path("csv")) == csv_digest
+
+
+#: ``bang --plot-data`` at the default ``--plot-k`` of 48: each sample is a
+#: 49-term cosine head whose term rounding shows past the 2^-48 tail
+PLOT_ARGV = ["bang", "--spec", "gevrey1.json", "--precision", "20", "--n-max", "2",
+             "--deriv-n-max", "1", "--sharpness-n-max", "1", "--plot-data", "plot.csv",
+             "--plot-points", "9", "--out", "json"]
+PLOT_DIGEST = "80c20ac53b21fa4c83474156b7f9be6f37923d500d7b85bfd932edd6d0c279f4"
+
+
+@pytest.mark.parametrize("ambient_bits", AMBIENT_BITS,
+                         ids=["plot-data" if b is None else f"plot-data@{b}bits"
+                              for b in AMBIENT_BITS])
+def test_plot_bytes_are_pinned(ambient_bits, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _spec_files(tmp_path)
+    with _ambient(ambient_bits):
+        assert main(PLOT_ARGV) == 0
+    assert hashlib.sha256(Path("plot.csv").read_bytes()).hexdigest() == PLOT_DIGEST
