@@ -15,8 +15,9 @@ plus a certified tail interval; the tail bound
 follows from the monotone ratios (m_j non-decreasing), which is exactly
 log-convexity of M'.  A finite numeric check cannot certify the infinite
 tail, so construction requires a family for which ratio monotonicity holds
-at every index by an encoded closed-form argument, and every evaluator
-additionally confirms it numerically over the indices it touches.
+at every index by an encoded closed-form argument, and every head sum,
+tail bound and sample of F also confirms it numerically over the indices it
+touches.  A single term's value does not rest on it; only a tail bound does.
 """
 
 from __future__ import annotations
@@ -48,13 +49,15 @@ class BangSeries:
 
     Construction only rejects sequences whose family has no
     ``mprime_logconvex`` fact (table, dilated, and the measured-only
-    double-log family); it computes no value.  Every certified evaluator
-    re-confirms log-convexity of M' numerically over the range it touches,
-    so a value no precision can compute fails there, not at construction.
+    double-log family); it computes no value.  :meth:`head_sum`,
+    :meth:`tail_bound` and :meth:`eval_F` re-confirm log-convexity of M'
+    numerically over the range they touch, once per call, so a value no
+    precision can compute fails there, not at construction.  A single
+    :meth:`deriv_term` needs none: only a tail bound rests on log-convexity.
 
-    Each certified head sum is computed once per (n, K) and each 2 m_k once
-    per k; refilling either memo reproduces the identical interval, so the
-    memos change no result.
+    Each certified head sum is computed once per n and each 2 m_k once per
+    k; refilling either memo reproduces the identical interval, so the memos
+    change no result.
     """
 
     def __init__(self, ws: WeightSequence):
@@ -91,14 +94,9 @@ class BangSeries:
     def _compute_two_m(self, k: int) -> LogReal:
         return self._two * self.ws.ratio_m(k)
 
-    def term_magnitude(self, k: int) -> LogReal:
-        """Coefficient M'_k / (2 m_k)^k of the k-th cosine term."""
-        self._ensure_confirmed(k + 1)
-        return self.ws.log_Mprime(k) / self.two_m(k).pow_int(k)
-
     def deriv_term(self, k: int, n: int) -> LogReal:
-        """Magnitude M'_k (2 m_k)^(n-k) of the k-th term's n-th derivative."""
-        self._ensure_confirmed(k + 1)
+        """Magnitude M'_k (2 m_k)^(n-k) of the k-th term's n-th derivative;
+        at n = 0 the coefficient M'_k / (2 m_k)^k of the k-th cosine term."""
         return self.ws.log_Mprime(k) * self.two_m(k).pow_int(n - k)
 
     # -- derivatives at zero -----------------------------------------------------
@@ -109,39 +107,37 @@ class BangSeries:
         below one unit in the last place of the head."""
         return max(2 * n + 8, n + self.bits + 2)
 
-    def tail_bound(self, n: int, K: int) -> LogReal:
-        """Upper bound M'_n 2^(n-K) for sum_{k>K} M'_k (2 m_k)^(n-k)."""
-        if K < n:
-            raise ValueError("truncation must satisfy K >= n")
+    def tail_bound(self, n: int) -> LogReal:
+        """Upper bound M'_n 2^(n-K) for sum_{k>K} M'_k (2 m_k)^(n-k), K the
+        :meth:`default_truncation` of n."""
+        K = self.default_truncation(n)
         self._ensure_confirmed(K + 1)
         return self.ws.log_Mprime(n) * self._two.pow_int(n - K)
 
-    def head_sum(self, n: int, K: int) -> LogReal:
-        """Enclosure of sum_k M'_k (2 m_k)^(n-k): the K+1 term head plus the
-        certified tail interval, memoized per (n, K)."""
-        if K < n:
-            raise ValueError("truncation must satisfy K >= n")
-        self._ensure_confirmed(K + 1)
-        return self._heads.get((n, K), self._compute_head_sum, n, K)
+    def head_sum(self, n: int) -> LogReal:
+        """Enclosure of sum_k M'_k (2 m_k)^(n-k): the K+1 term head, K the
+        :meth:`default_truncation` of n, plus the certified tail interval,
+        memoized per n."""
+        self._ensure_confirmed(self.default_truncation(n) + 1)
+        return self._heads.get(n, self._compute_head_sum, n)
 
-    def _compute_head_sum(self, n: int, K: int) -> LogReal:
-        return sum_values(
-            [self.deriv_term(k, n) for k in range(0, K + 1)], tail_upper=self.tail_bound(n, K)
-        )
+    def _compute_head_sum(self, n: int) -> LogReal:
+        terms = [self.deriv_term(k, n) for k in range(0, self.default_truncation(n) + 1)]
+        return sum_values(terms, tail_upper=self.tail_bound(n))
 
     def F_deriv_at_zero(self, n: int) -> SignedEnclosure:
         """Signed enclosure of F^(n)(0).
 
         Odd n vanish exactly (odd cosine derivatives at 0).  Even n = 2j
         carry sign (-1)^j and magnitude sum_k M'_k (2 m_k)^(2j-k), the
-        :meth:`head_sum` at the :meth:`default_truncation`.
+        :meth:`head_sum`.
         """
         if n < 0:
             raise ValueError("n must be >= 0")
         if n % 2 == 1:
             return SignedEnclosure.zero()
         sign = 1 if (n // 2) % 2 == 0 else -1
-        return SignedEnclosure(sign, self.head_sum(n, self.default_truncation(n)))
+        return SignedEnclosure(sign, self.head_sum(n))
 
     def f_deriv_at_zero(self, n: int) -> SignedEnclosure:
         """Signed enclosure of f^(n)(0) for the even factorization
@@ -199,7 +195,7 @@ class BangSeries:
         """
         rows = []
         for n in range(1, n_max + 1):
-            total = self.head_sum(n, self.default_truncation(n))
+            total = self.head_sum(n)
             ceiling = self._two.pow_int(n + 1) * self.ws.log_Mprime(n)
             rows.append(
                 log_row(
@@ -263,5 +259,5 @@ class BangSeries:
         if abs(xi) > 1:
             raise ValueError("xi must lie in [-1, 1]")
         self._ensure_confirmed(K + 1)
-        terms = [(self.term_magnitude(k), self.ws.ratio_m(k)) for k in range(0, K + 1)]
+        terms = [(self.deriv_term(k, 0), self.ws.ratio_m(k)) for k in range(0, K + 1)]
         return cosine_sum(terms, xi, self._two.pow_int(-K))

@@ -7,10 +7,12 @@ for a check that cannot run), and writes the report.
 Exit code contract: 0 when every executed check is confirmed, 1 when any
 check is refuted, 2 when any check is inconclusive and none is refuted,
 3 for configuration/usage errors (unreadable or malformed spec documents,
-bad flag combinations).  Every check that reads a spec document is
-guarded on its own: an error inside it becomes one inconclusive
-``spec-rejected`` check whose quantity names that check, the later checks
-still run, and the report is still written.
+bad flag combinations).  Each check on a spec document named on the
+command line, and each extremal-series check, has its own guard: an error
+inside it becomes one inconclusive ``spec-rejected`` check whose quantity
+names that check, the later checks still run, and the report is still
+written.  The other ``report-all`` checks on the shipped specs have none:
+no admitted ``--precision`` or ``--n-max`` makes one of them fail.
 
 Without ``--out`` the report document goes to stdout (JSON, or CSV for a
 single-check command) and the human summary to stderr; with ``--out``, and
@@ -302,11 +304,11 @@ def cmd_ineq62(args) -> RunReport:
 
 
 def _run_bang(run: RunReport, ws: WeightSequence, deriv_n_max: int, n_max: int,
-              sharpness_n_max: int, guarded: bool = False) -> BangSeries | None:
-    """Add the three extremal-series checks to ``run`` and return the series.
-    With ``guarded`` each check is guarded on its own, and a rejected one
-    makes the result None.  A family with no all-index log-convexity rule
-    for M' gets one bang-rejected check instead, and None."""
+              sharpness_n_max: int) -> BangSeries | None:
+    """Add the three extremal-series checks to ``run``, each with its own
+    guard, and return the series, or None when one of them was rejected.  A
+    family with no all-index log-convexity rule for M' gets one
+    bang-rejected check instead, and None."""
     label = ws.spec.label()
     try:
         series = BangSeries(ws)
@@ -316,14 +318,10 @@ def _run_bang(run: RunReport, ws: WeightSequence, deriv_n_max: int, n_max: int,
             "construction", label, str(exc),
         ))
         return None
-    ran = [
-        _timed(run, producer, depth, guard=(label, name) if guarded else None)
-        for name, producer, depth in (
-            ("bang-lower-bounds", series.verify_derivative_lower_bounds, deriv_n_max),
-            ("bang-membership", series.verify_membership, n_max),
-            ("bang-sharpness", series.sharpness_evidence, sharpness_n_max),
-        )
-    ]
+    checks = (("bang-lower-bounds", series.verify_derivative_lower_bounds, deriv_n_max),
+              ("bang-membership", series.verify_membership, n_max),
+              ("bang-sharpness", series.sharpness_evidence, sharpness_n_max))
+    ran = [_timed(run, producer, depth, guard=(label, name)) for name, producer, depth in checks]
     return series if all(ran) else None
 
 
@@ -340,7 +338,7 @@ def cmd_bang(args) -> RunReport:
     spec = _load(args.spec, args.precision)
     run = _start(args, spec)
     series = _run_bang(run, WeightSequence(spec), args.deriv_n_max, args.n_max,
-                       args.sharpness_n_max, guarded=True)
+                       args.sharpness_n_max)
     if args.plot_data:
         if series is None:
             # a spec one of the checks could not compute has no samples to plot
@@ -441,7 +439,7 @@ def run_battery(
 
     # user-supplied documents: seq-check's criteria sweeps (negative
     # fixtures land here), clamped to the indices the family defines, each
-    # guarded on its own
+    # with its own guard
     for spec in extras:
         extra_ws = WeightSequence(spec)
         top = DEFAULT_MAX_INDEX if extra_ws.last_index is None else extra_ws.last_index

@@ -18,6 +18,7 @@ and summed in one pass, so the check holds no list that grows with n_max.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from dataclasses import replace
 from fractions import Fraction
 
 from .intervals import LogReal, mpf_str, partial_sums
@@ -221,7 +222,7 @@ def check_inclusion(wsM: WeightSequence, wsN: WeightSequence, n_max: int) -> Che
 
     Symbolic routes, in order:
 
-    * identical structure: sup = 1;
+    * identical structure (specs equal up to precision): sup = 1;
     * N is an index dilation of M (or a coarser dilation of the same base):
       pointwise M_{an} <= M_{bn} follows from measured monotonicity, so the
       sup enclosure is <= 1;
@@ -251,10 +252,10 @@ def check_inclusion(wsM: WeightSequence, wsN: WeightSequence, n_max: int) -> Che
             index_columns=("n",),
         )
 
-    if specM.structure_key() == specN.structure_key():
+    if replace(specM, precision=specN.precision) == specN:
         return report("included: identical sequences (sup = 1)")
 
-    if baseM.structure_key() == baseN.structure_key() and pN % pM == 0:
+    if replace(baseM, precision=baseN.precision) == baseN and pN % pM == 0:
         monotone = check_monotone(wsM, n_max * (pN // pM))
         if monotone.verdict.outcome is Outcome.CONFIRMED:
             return report(

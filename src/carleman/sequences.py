@@ -7,9 +7,9 @@ one entry of :data:`FAMILIES`: its parameters, label, evaluation, index
 range and the per-family facts the criteria rely on.
 
 All magnitudes are :class:`~carleman.intervals.LogReal` enclosures at the
-spec's working precision (significant decimal digits, default 80), computed
-on raw ``libmpi`` endpoints that round at that precision: no family reads
-mpmath's global precision.  The same spec and precision always reproduce
+spec's working precision (significant decimal digits), computed on raw
+``libmpi`` endpoints that round at that precision: no family reads mpmath's
+global precision.  The same spec and precision always reproduce
 bit-identical values, regardless of evaluation order or memo state.  Each
 sequence memoizes M and M' in a :class:`~carleman.memo.Memo`, as the module
 does its table of log k! per precision; ``lru_cache`` holds the tower
@@ -38,7 +38,8 @@ from mpmath.libmp import (
 )
 
 from .errors import IndexRangeError, PrecisionExhaustedError, SpecFormatError
-from .intervals import LogReal, _int_mpi, bits_for_digits, mpf_str, working_precision
+from .intervals import (DEFAULT_DIGITS, LogReal, _int_mpi, bits_for_digits, mpf_str,
+                        working_precision)
 from .memo import Memo
 
 DEFAULT_MAX_INDEX = 10**6
@@ -125,7 +126,7 @@ class SequenceSpec:
     log_values: tuple[str, ...] | None = None
     base: "SequenceSpec | None" = None
     p: int | None = None
-    precision: int = 80
+    precision: int = DEFAULT_DIGITS
 
     def __post_init__(self) -> None:
         entry = _family(self.family)
@@ -156,13 +157,6 @@ class SequenceSpec:
             power *= spec.p
             spec = spec.base
         return spec, power
-
-    def structure_key(self) -> tuple:
-        """Family + parameters, ignoring precision (used by symbolic rules)."""
-        values = (getattr(self, param.name) for param in FAMILIES[self.family].params)
-        return (self.family, *(
-            v.structure_key() if isinstance(v, SequenceSpec) else v for v in values
-        ))
 
     def to_dict(self) -> dict:
         return {
@@ -207,7 +201,7 @@ def spec_from_dict(doc: dict) -> SequenceSpec:
         raise SpecFormatError("params must be an object")
     names = [param.name for param in _family(family).params]
     _reject_unknown(params, names, f"{family} parameter")
-    precision = doc.get("precision", 80)
+    precision = doc.get("precision", DEFAULT_DIGITS)
     return SequenceSpec(family=family, precision=precision, **{n: params.get(n) for n in names})
 
 

@@ -73,17 +73,9 @@ def old_heads(spec):
 def test_head_sum_equals_per_call_route(spec, old_heads):
     series = BangSeries(WeightSequence(spec))
     for n in range(N_MAX + 1):
-        assert _bits(series.head_sum(n, series.default_truncation(n))) == old_heads[n], n
+        assert _bits(series.head_sum(n)) == old_heads[n], n
         if n % 2 == 0:
             assert _bits(series.F_deriv_at_zero(n).magnitude) == old_heads[n], n
-
-
-def test_explicit_truncation_equals_per_call_route(spec):
-    series = BangSeries(WeightSequence(spec))
-    ws = WeightSequence(spec)
-    # several truncations of one n: the memo keys on (n, K), not on n
-    for n, K in ((0, 1), (4, 4), (6, 26), (6, 6), (6, 40), (9, 40), (9, 12)):
-        assert _bits(series.head_sum(n, K)) == _bits(_old_head(ws, n, K)), (n, K)
 
 
 def test_memoized_factors_equal_fresh_ones(spec):
@@ -113,9 +105,9 @@ def test_evaluation_order_does_not_change_bytes(spec, old_heads):
     down = BangSeries(WeightSequence(spec))
     up = BangSeries(WeightSequence(spec))
     for n in range(N_MAX, -1, -1):
-        assert _bits(down.head_sum(n, down.default_truncation(n))) == old_heads[n], n
+        assert _bits(down.head_sum(n)) == old_heads[n], n
     for n in range(0, N_MAX + 1):
-        assert _bits(up.head_sum(n, up.default_truncation(n))) == old_heads[n], n
+        assert _bits(up.head_sum(n)) == old_heads[n], n
     for build in (
         lambda s: s.verify_derivative_lower_bounds(N_MAX // 2),
         lambda s: s.verify_membership(N_MAX),
@@ -126,14 +118,11 @@ def test_evaluation_order_does_not_change_bytes(spec, old_heads):
 
 def test_memo_hit_is_the_same_object():
     series = BangSeries(WeightSequence(SPECS["constant"]))
-    K = series.default_truncation(6)
-    first = series.head_sum(6, K)
-    assert series.head_sum(6, K) is first
+    first = series.head_sum(6)
+    assert series.head_sum(6) is first
     assert series.F_deriv_at_zero(6).magnitude is first
     assert series.two_m(3) is series.two_m(3)
     assert series.ws.log_Mprime(5) is series.ws.log_Mprime(5)
-    with pytest.raises(ValueError):
-        series.head_sum(6, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +153,7 @@ def _fill(ws, series, sync=lambda: None):
     mprime = [ws.log_Mprime(k) for k in range(40, -1, -1)]
     ratios = [ws.ratio_m(k) for k in range(40)]
     sync()
-    heads = [series.head_sum(n, series.default_truncation(n)) for n in range(10)]
+    heads = [series.head_sum(n) for n in range(10)]
     two_m = [series.two_m(k) for k in range(40)]
     F = [series.F_deriv_at_zero(2 * j).magnitude for j in range(5)]
     return mprime, ratios, heads, two_m, F
@@ -199,10 +188,7 @@ def test_concurrent_memo_fill_matches_serial(fast_switching):
         # every thread got the memo's own entries
         for mprime, ratios, heads, two_m, _ in results:
             assert all(x is ws.log_Mprime(k) for k, x in zip(range(40, -1, -1), mprime))
-            assert all(
-                x is series.head_sum(n, series.default_truncation(n))
-                for n, x in enumerate(heads)
-            )
+            assert all(x is series.head_sum(n) for n, x in enumerate(heads))
             assert all(x is series.two_m(k) for k, x in enumerate(two_m))
 
 
@@ -211,4 +197,4 @@ def test_default_precision_spot_check(gevrey1_spec):
     ws = WeightSequence(gevrey1_spec)
     for n in (0, 1, 8):
         K = series.default_truncation(n)
-        assert _bits(series.head_sum(n, K)) == _bits(_old_head(ws, n, K)), n
+        assert _bits(series.head_sum(n)) == _bits(_old_head(ws, n, K)), n

@@ -10,7 +10,9 @@ import pytest
 
 from carleman import cli
 from carleman import coefficients as co
+from carleman.bang import BangSeries
 from carleman.cli import main
+from carleman.errors import PrecisionExhaustedError
 from carleman.outcomes import Outcome
 from carleman.sequences import DEFAULT_MAX_INDEX, MAX_PRECISION, WeightSequence
 from conftest import (
@@ -511,6 +513,26 @@ class TestReportAll:
             assert check["name"] == "spec-rejected[iterated_log(k=4)]"
             assert check["verdict"]["outcome"] == "inconclusive"
             assert check["evidence"][0]["note"].startswith("PrecisionExhaustedError: ")
+
+    def test_failing_bang_check_stays_local(self, tmp_path, monkeypatch):
+        # a bang check that cannot compute becomes one spec-rejected check
+        # and the battery still writes its document
+        def exhausted(self, n_max):
+            raise PrecisionExhaustedError("no precision isolates the head")
+
+        monkeypatch.setattr(BangSeries, "verify_membership", exhausted)
+        out = tmp_path / "r"
+        assert run(["report-all", "--n-max", "2", "--out", str(out)]) == 2
+        checks = json.loads(next(out.glob("report-*.json")).read_text())["checks"]
+        assert len(checks) == 57
+        rejected = [c for c in checks if c["name"].startswith("spec-rejected")]
+        assert [c["name"] for c in rejected] == [
+            "spec-rejected[constant]", "spec-rejected[gevrey(s=1)]"]
+        for check in rejected:
+            assert check["evidence"][0]["quantity"] == "bang-membership sweeps"
+            assert check["evidence"][0]["note"].startswith("PrecisionExhaustedError: ")
+        names = [c["name"].split("[")[0] for c in checks]
+        assert names.count("bang-lower-bounds") == names.count("bang-sharpness") == 2
 
     def test_default_outputs_are_named_by_the_config_hash(self, monkeypatch, tmp_path):
         # without --out every file name carries the hash, so two depths

@@ -236,6 +236,20 @@ class TestInclusion:
         assert report.verdict.outcome is Outcome.CONFIRMED
         assert report.claim.startswith("included: identical")
 
+    def test_identity_ignores_precision(self):
+        low = WeightSequence(SequenceSpec(family="gevrey", s=Fraction(1), precision=20))
+        high = WeightSequence(SequenceSpec(family="gevrey", s=Fraction(1), precision=80))
+        report = check_inclusion(low, high, 10)
+        assert report.verdict.outcome is Outcome.CONFIRMED
+        assert report.claim.startswith("included: identical")
+
+    def test_dilation_rule_ignores_precision(self):
+        spec = SequenceSpec(family="iterated_log", k=1, precision=20)
+        dilated = replace(power_substitute(spec, 2), precision=80)
+        report = check_inclusion(WeightSequence(spec), WeightSequence(dilated), 10)
+        assert report.verdict.outcome is Outcome.CONFIRMED
+        assert "dilation" in report.claim
+
     def test_dilation_rule(self, gevrey1_ws, paper8_ws):
         for ws in (gevrey1_ws, paper8_ws):
             for p in (2, 3):

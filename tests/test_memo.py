@@ -1,5 +1,5 @@
-"""The cache primitive, and the guard that keeps every lock of the package
-in it.
+"""The cache primitive, the guard that keeps every lock of the package in
+it, and the inventory of the ``lru_cache`` functions it leaves as they are.
 
 * two threads that miss one key at once both return the first stored
   object;
@@ -24,30 +24,55 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "carleman"
 #: ``intervals`` goes with ``working_precision``.
 LOCK_SITES = {"memo.Memo.__init__", "intervals"}
 
+#: module.qualname of every function under ``functools.lru_cache`` (or
+#: ``cache``).  The set only shrinks: each is a pure function of its
+#: arguments whose cache gets hits on the benchmark workloads.
+LRU_CACHED = {
+    "intervals._fraction_mpi",
+    "intervals._log_int",
+    "sequences._x_log_L_start",
+    "sequences.tower_threshold",
+    "coefficients._power",
+}
 
-def _lock_sites(path: Path) -> set[str]:
+
+def _name(node) -> str | None:
+    """The bare name a call or decorator refers to: ``f`` for ``f(...)``,
+    ``m.f(...)``, ``@f`` and ``@m.f(...)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _sites(hit) -> set[str]:
+    """module.qualname of every scope of the package that holds a node for
+    which ``hit`` is true (a definition is inside its own scope)."""
     found = set()
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = [*scope, node.name]
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in ("Lock", "RLock"):
-                found.add(".".join(scope))
+        if hit(node):
+            found.add(".".join(scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
     return found
 
 
 def test_only_the_listed_scopes_build_a_lock():
-    sites = set()
-    for path in sorted(SRC.glob("*.py")):
-        sites |= _lock_sites(path)
-    assert sites == LOCK_SITES
+    assert _sites(lambda node: isinstance(node, ast.Call)
+                  and _name(node) in ("Lock", "RLock")) == LOCK_SITES
+
+
+def test_only_the_listed_functions_are_lru_cached():
+    def cached(node):
+        return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+            _name(d) in ("lru_cache", "cache") for d in node.decorator_list)
+
+    assert _sites(cached) == LRU_CACHED
 
 
 @pytest.fixture()

@@ -201,8 +201,8 @@ class TestRefutedCheckPublishesNoCertificate:
     def test_bang_membership(self, monkeypatch, capsys):
         # a head sum 100 times its value overshoots the 2^(n+1) M'_n ceiling
         head_sum = BangSeries.head_sum
-        monkeypatch.setattr(BangSeries, "head_sum", lambda self, n, K: (
-            head_sum(self, n, K) * LogReal.from_int(100, self.bits)))
+        monkeypatch.setattr(BangSeries, "head_sum", lambda self, n: (
+            head_sum(self, n) * LogReal.from_int(100, self.bits)))
         constant = str(Path(co.__file__).parent / "data" / "specs" / "constant.json")
         check = self._check(capsys, ["bang", "--spec", constant, "--n-max", "3",
                                      "--deriv-n-max", "1", "--sharpness-n-max", "1"],
