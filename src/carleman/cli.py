@@ -107,7 +107,10 @@ def _int_in(minimum: int, maximum: int = MAX_DEPTH):
 
 
 _COUNT = _int_in(1)
-_N_MAX = _int_in(1, DEFAULT_MAX_INDEX)
+#: the quasianalyticity and derivation-closure rows and the primed ratio of
+#: seq-show read index n + 1, so the deepest sweep stops one short of the
+#: largest index a sequence evaluates
+_N_MAX = _int_in(1, DEFAULT_MAX_INDEX - 1)
 
 
 def build_parser() -> argparse.ArgumentParser:

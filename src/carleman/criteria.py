@@ -11,17 +11,18 @@ Two kinds of evidence feed every verdict here:
   boundedness claim; numerical summation alone never does, because the
   criteria are limit statements.
 
-The quasianalyticity series is streamed: its terms are made one at a time
-and summed in one pass, so the check holds no list that grows with n_max.
+The quasianalyticity check spot-checks its family's pointwise term bound
+at a fixed sample of indices instead of summing the series: the bound and
+the rule that sums it cover every index, and a wrong bound refutes at the
+sample.  Past the log k! table, its cost does not grow with n_max.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import replace
 from fractions import Fraction
 
-from .intervals import LogReal, mpf_str, partial_sums
+from .intervals import LogReal, mpf_str
 from .outcomes import (
     CheckReport,
     EvidenceRow,
@@ -31,7 +32,7 @@ from .outcomes import (
     aggregate_rows,
     fact_verdict,
 )
-from .sequences import WeightSequence, family_fact
+from .sequences import _LOGFACT_INCREMENTAL_MAX, WeightSequence, family_fact
 
 
 def log_row(index, quantity, value: LogReal, outcome=None, note="", extra=()) -> EvidenceRow:
@@ -130,56 +131,62 @@ def check_log_convex(
 
 
 # ---------------------------------------------------------------------------
-# quasianalyticity: symbolic rule + partial-sum trend
+# quasianalyticity: symbolic rule, spot-checked at sampled indices
 # ---------------------------------------------------------------------------
 
 
-def carleman_terms(ws: WeightSequence, n_max: int) -> Iterator[LogReal]:
-    """The terms M_n / ((n+1) M_{n+1}) for n = 1..n_max, one at a time.
-
-    The summation starts at n = 1; the constant n = 0 term does not affect
-    the criterion.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    return _carleman_terms(ws, n_max)
+#: the quantity of a quasianalyticity row
+_TERM = "t_n = M_n/((n+1) M_(n+1)) (log)"
 
 
-def _carleman_terms(ws: WeightSequence, n_max: int) -> Iterator[LogReal]:
-    # each M_(n+1) is carried into the next term, so it is looked up once
-    upper = ws.log_M(1)
-    for n in range(1, n_max + 1):
-        lower, upper = upper, ws.log_M(n + 1)
-        yield lower / LogReal.from_int(n + 1, ws.bits) / upper
+def sampled_indices(n_max: int, n0: int) -> list[int]:
+    """The indices in [1, n_max] a quasianalyticity check tests: every
+    n < n0 + 8, the powers of two, n_max, and the log-factorial seam pair,
+    whose terms read log n! by both of its routes."""
+    seam = _LOGFACT_INCREMENTAL_MAX
+    picked = {*range(1, n0 + 8), *(1 << j for j in range(n_max.bit_length())),
+              n_max, seam, seam + 1}
+    return sorted(n for n in picked if n <= n_max)
 
 
 def quasianalyticity_report(ws: WeightSequence, n_max: int) -> CheckReport:
-    """The family's symbolic quasianalyticity verdict, with the partial sums
-    S_N of :func:`carleman_terms` at N = 1, n_max/4, n_max/2 and n_max as
-    its trend rows, taken in one pass over the terms.  Without a symbolic
-    rule the verdict is inconclusive and carries the empirical trend only."""
-    sums = partial_sums(
-        carleman_terms(ws, n_max), {1, n_max // 4, n_max // 2, n_max} - {0}, ws.bits
-    )
-    rule = family_fact(ws.spec, "quasianalytic")
-    if rule is None:
+    """The family's symbolic quasianalyticity verdict, spot-checked.
+
+    At each of :func:`sampled_indices` the term
+    t_n = M_n / ((n+1) M_(n+1)) is compared in the log domain with the
+    bound of the family's :class:`~carleman.sequences.TermBound`, so a
+    wrong fact refutes.  An index below the fact's n0 is shown with no
+    outcome.  The sample does not grow with n_max: the fact, not the rows,
+    covers every index.  Without a symbolic rule the rows show the sampled
+    terms only and the verdict is inconclusive."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    fact = family_fact(ws.spec, "quasianalytic")
+    n0 = 1 if fact is None else fact.n0
+    rows = []
+    for n in sampled_indices(n_max, n0):
+        term = ws.log_M(n) / LogReal.from_int(n + 1, ws.bits) / ws.log_M(n + 1)
+        if fact is None or n < n0:
+            note = "no symbolic rule; sampled term only" if fact is None else (
+                f"below n_0 = {n0}: no bound claimed")
+            rows.append(log_row((n,), _TERM, term, note=note))
+            continue
+        rhs = fact.rhs(n, ws.bits)
+        rows.append(log_row(
+            (n,), _TERM, term,
+            term.leq(rhs) if fact.series == "convergent" else rhs.leq(term),
+            note=f"{fact.series}: {fact.rule}",
+            extra=(("rhs_lo", mpf_str(rhs.log_lo)), ("rhs_hi", mpf_str(rhs.log_hi))),
+        ))
+    params = (("n_max", str(n_max)), ("spec", ws.spec.label()))
+    if fact is None:
         claim = "quasianalyticity undecided (no symbolic rule for this family)"
-        note = "no symbolic rule; empirical trend only"
     else:
-        claim = f"sum M_n/((n+1) M_(n+1)) is {rule[0]}"
-        note = f"{rule[0]}: {rule[1]}"
-    trend = tuple(
-        log_row((n,), "partial sum S_n (log)", total, note=note)
-        for n, total in sums.items()
-    )
-    return CheckReport(
-        name=f"quasianalytic[{ws.spec.label()}]",
-        claim=claim,
-        verdict=fact_verdict(rule is not None, trend),
-        params=(("n_max", str(n_max)), ("spec", ws.spec.label())),
-        rows=trend,
-        index_columns=("n",),
-    )
+        claim = f"sum M_n/((n+1) M_(n+1)) is {fact.series}"
+        params += (("bound", fact.statement()),)
+    report = aggregate_rows(f"quasianalytic[{ws.spec.label()}]", claim, rows, params=params,
+                            reason_confirmed=Reason.SYMBOLIC_COMPARISON, index_columns=("n",))
+    return report if fact else replace(report, verdict=fact_verdict(False, report.rows))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,8 @@ are genuine enclosures (the true value always lies inside) and never depend
 on mpmath's process-global precision.
 
 Multiplication, division, and powers are exact linear operations on the log
-interval; sums of values re-enter the linear domain through exp / log round
-trips, which widen by outward rounding only.  One accumulation loop serves
-both :func:`sum_values` and :func:`partial_sums`, which streams its terms and
-takes the log only at the requested partial sums.
+interval; sums of values (:func:`sum_values`) re-enter the linear domain
+through exp / log round trips, which widen by outward rounding only.
 
 The cold memo fill builds one value per index, so each piece of interval
 arithmetic on that path is done once: the log of an integer is evaluated
@@ -27,7 +25,7 @@ zeros, infinities, NaN and values near the cap to the ``libmp`` comparisons.
 from __future__ import annotations
 
 import threading
-from collections.abc import Collection, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -275,19 +273,6 @@ def _log_int(n: int, bits: int) -> LogReal:
                    from_man_exp(log_n, -wp, bits, round_ceiling), bits)
 
 
-def _running_sums(terms: Iterable[LogReal], bits: int) -> Iterator[tuple]:
-    """The raw ``libmpi`` running sums of the values of ``terms``, one per
-    term, accumulated at ``bits``; a term made at more bits raises
-    ``ValueError`` rather than being rounded down.  The one summation loop:
-    :func:`sum_values` and :func:`partial_sums` both read it."""
-    acc = (fzero, fzero)
-    for t in terms:
-        if t.bits > bits:
-            raise ValueError(f"a term made at {t.bits} bits cannot be summed at {bits}")
-        acc = mpi_add(acc, mpi_exp(t._mpi(), bits), bits)
-        yield acc
-
-
 def sum_values(terms: Iterable[LogReal], tail_upper: LogReal | None = None) -> LogReal:
     """Enclosure of a finite sum of positive values, plus an optional
     certified tail interval ``[0, tail_upper]``, at the largest precision of
@@ -301,29 +286,12 @@ def sum_values(terms: Iterable[LogReal], tail_upper: LogReal | None = None) -> L
     if not terms:
         raise ValueError("sum_values needs at least one term")
     bits = max(t.bits for t in (*terms, tail_upper) if t is not None)
-    for acc in _running_sums(terms, bits):
-        pass
+    acc = (fzero, fzero)
+    for t in terms:
+        acc = mpi_add(acc, mpi_exp(t._mpi(), bits), bits)
     if tail_upper is not None:
         acc = mpi_add(acc, (fzero, mpf_exp(tail_upper.log_hi, bits, round_ceiling)), bits)
     return LogReal.from_mpi(mpi_log(acc, bits), bits)
-
-
-def partial_sums(terms: Iterable[LogReal], at: Collection[int], bits: int) -> dict[int, LogReal]:
-    """Enclosures of the partial sums S_N of the values of ``terms`` at each
-    N in ``at``, by increasing N, in one pass at ``bits`` that holds no term.
-
-    Each S_N is bit for bit ``sum_values`` of the first N terms when every
-    term is made at ``bits``: the fold from zero runs in the same order.
-    """
-    wanted = set(at)
-    sums = {
-        n: LogReal.from_mpi(mpi_log(acc, bits), bits)
-        for n, acc in enumerate(_running_sums(terms, bits), 1)
-        if n in wanted
-    }
-    if sums.keys() != wanted:
-        raise ValueError("partial sums asked for at an index without a term")
-    return sums
 
 
 def cosine_sum(terms: Sequence[tuple[LogReal, LogReal]], xi: Fraction,

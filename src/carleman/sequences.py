@@ -28,6 +28,8 @@ from pathlib import Path
 from mpmath.libmp import (
     fone,
     from_int,
+    mpi_add,
+    mpi_div,
     mpi_exp,
     mpi_log,
     mpi_loggamma,
@@ -236,6 +238,40 @@ class Param:
     dump: Callable[[object], object] = lambda value: value
 
 
+#: the factor between a quasianalyticity term bound and its comparand: it
+#: lets the enclosure of a term separate from the bound at every precision,
+#: even where the term equals the comparand (constant, gevrey at p = 1)
+_TERM_SLACK = 2
+
+
+@dataclass(frozen=True)
+class TermBound:
+    """A quasianalyticity fact: Carleman's series sum_n t_n, with
+    t_n = M_n / ((n+1) M_(n+1)), is ``series`` ("convergent" or
+    "divergent") by ``rule``, because from index ``n0`` on every term obeys
+    t_n <= 2 c_n (convergent) or t_n >= c_n / 2 (divergent), where sum c_n
+    converges or diverges.  ``comparand(n, bits, *args)`` encloses c_n,
+    described by ``shape``."""
+
+    series: str
+    rule: str
+    shape: str
+    comparand: Callable[..., LogReal]
+    args: tuple = ()
+    n0: int = 1
+
+    def statement(self) -> str:
+        if self.series == "convergent":
+            return f"for n >= {self.n0}: t_n <= {_TERM_SLACK} * {self.shape}"
+        return f"for n >= {self.n0}: {_TERM_SLACK} t_n >= {self.shape}"
+
+    def rhs(self, n: int, bits: int) -> LogReal:
+        """Enclosure of the bound on t_n at ``bits``."""
+        bound = self.comparand(n, bits, *self.args)
+        slack = LogReal.from_fraction(Fraction(_TERM_SLACK), bits)
+        return bound * slack if self.series == "convergent" else bound / slack
+
+
 @dataclass(frozen=True)
 class Family:
     """Everything the package knows about one weight-sequence family.
@@ -251,18 +287,19 @@ class Family:
     log_M: Callable
     label: Callable[[SequenceSpec], str] = lambda spec: spec.family
     last_index: Callable[[SequenceSpec], int | None] = lambda spec: None
-    quasianalytic: Callable[[SequenceSpec, int], tuple[str, str]] | None = None
+    quasianalytic: Callable[[SequenceSpec, int], TermBound] | None = None
     derivation_closed: Callable[[SequenceSpec, int], str] | None = None
     mprime_logconvex: Callable[[SequenceSpec, int], str] | None = None
     gevrey_index: Callable[[SequenceSpec, int], Fraction] | None = None
 
 
 #: the facts a dilation M_n -> M_(pn) keeps, each read at the innermost base
-#: with p the product of the chain's factors.  A dilation only shrinks the
-#: quasianalyticity terms, and the rule takes p to say by how much; it raises
-#: the single-step derivation ratio to at most a fixed power, so the sup of
-#: its n-th roots stays bounded.  Nothing is encoded for M' log-convexity or
-#: the Gevrey index of a dilation.
+#: with p the product of the chain's factors.  The quasianalyticity term of
+#: a dilation is exp(log M_(pn) - log M_(pn+p)) / (n+1), and each family's
+#: term bound takes p to say how small that is; a dilation raises the
+#: single-step derivation ratio to at most a fixed power, so the sup of its
+#: n-th roots stays bounded.  Nothing is encoded for M' log-convexity or the
+#: Gevrey index of a dilation.
 _KEPT_BY_DILATION = ("quasianalytic", "derivation_closed")
 
 
@@ -348,17 +385,69 @@ def _dilated_last_index(spec: SequenceSpec) -> int | None:
     return None if top is None else top // spec.p
 
 
-def _iterated_log_quasianalytic(base: SequenceSpec, p: int) -> tuple[str, str]:
+def _power_comparand(n: int, bits: int, exponent: Fraction) -> LogReal:
+    """(n+1)^(-exponent)."""
+    return LogReal.from_int(n + 1, bits).pow_fraction(-exponent)
+
+
+def _tower_slope(y: int, k: int, bits: int):
+    """Raw ``libmpi`` enclosure of g'(y) = log L_k(y) + 1/(L_1(y) ... L_k(y)),
+    the slope of g(y) = y log L_k(y) (see the ``iterated_log`` comment)."""
+    log = product = LogReal.from_int(y, bits)._mpi()
+    for _ in range(k - 1):
+        log = mpi_log(log, bits)
+        product = mpi_mul(product, log, bits)
+    return mpi_add(mpi_log(log, bits), mpi_div(_int_mpi(1, bits), product, bits), bits)
+
+
+def _tower_comparand(n: int, bits: int, k: int, start: int, p: int, lower: bool) -> LogReal:
+    """exp(-p h) / (n+1) for x = start + p n, where the term of the dilation
+    by p of log M_m = g(start + m) - g(start) is exp(g(x) - g(x+p)) / (n+1)
+    and g is convex on [x, x+p], x >= e^^k.  Convexity gives
+    p g'(x) <= g(x+p) - g(x) <= p g'(x+p), so h = g'(x+p) bounds the term
+    from below (``lower``) and h = log L_k(x) <= g'(x) from above."""
+    x = start + p * n
+    if lower:
+        h = _tower_slope(x + p, k, bits)
+    else:
+        h = LogReal.from_int(x, bits)._mpi()
+        for _ in range(k):
+            h = mpi_log(h, bits)
+    return (LogReal.from_mpi(mpi_mul(_int_mpi(-p, bits), h, bits), bits)
+            / LogReal.from_int(n + 1, bits))
+
+
+def _tower_divergent(rule: str, k: int, start: int, p: int, n0: int = 1) -> TermBound:
+    """The divergent fact of a shifted tower sequence of depth k, dilated by
+    p, with x = start + pn past e^^k from index ``n0`` on.  There
+    1/(L_1 ... L_k) <= 1, so the comparand is at least
+    e^(-p) / ((n+1) L_k(x+p)^p): a divergent condensation series when p = 1
+    or k >= 2."""
+    return TermBound(
+        "divergent", rule,
+        f"exp(-p g'(x+p))/(n+1), x = {start} + pn, g(y) = y log L_k(y), k = {k}, p = {p}",
+        _tower_comparand, (k, start, p, True), n0,
+    )
+
+
+def _iterated_log_quasianalytic(base: SequenceSpec, p: int) -> TermBound:
+    start = tower_threshold(base.k, base.bits)
     if p == 1:
         # terms ~ 1/((n+1) L_k(n)) >= c/(n log n); condensation on the
         # divergent Abel-type series
-        return "divergent", "condensation: terms ~ 1/(n * iterated-log_k(n))"
+        return _tower_divergent("condensation: terms ~ 1/(n * iterated-log_k(n))",
+                                base.k, start, p)
     if base.k == 1:
-        # terms ~ 1/(n (log n)^p) with p >= 2: Bertrand series converges
-        return "convergent", f"condensation: terms ~ 1/(n (log n)^{p}), exponent {p} > 1"
+        # terms <= 1/(n (log n)^p) with p >= 2: Bertrand series converges
+        return TermBound(
+            "convergent", f"condensation: terms ~ 1/(n (log n)^{p}), exponent {p} > 1",
+            f"1/((n+1) log(x)^p), x = {start} + pn, p = {p}", _tower_comparand,
+            (1, start, p, False),
+        )
     # k >= 2: (L_k n)^p grows slower than any power of log n, so the
     # condensed series sum 1/(log m)^p-type still diverges
-    return "divergent", f"condensation: terms ~ 1/(n (iterated-log_{base.k} n)^{p}) diverge"
+    return _tower_divergent(
+        f"condensation: terms ~ 1/(n (iterated-log_{base.k} n)^{p}) diverge", base.k, start, p)
 
 
 #: every weight-sequence family, by the name spec documents use
@@ -368,7 +457,10 @@ FAMILIES: dict[str, Family] = {
         params=(),
         log_M=lambda ws, n: LogReal.one(ws.bits),
         # terms are exactly 1/(n+1) for every p: the harmonic series
-        quasianalytic=lambda base, p: ("divergent", "harmonic comparison: terms equal 1/(n+1)"),
+        quasianalytic=lambda base, p: TermBound(
+            "divergent", "harmonic comparison: terms equal 1/(n+1)", "(n+1)^-1",
+            _power_comparand, (Fraction(1),),
+        ),
         derivation_closed=lambda base, p: "ratio is identically 1",
         mprime_logconvex=lambda base, p: "M'_k = k!: ratios k+1 increase",
         gevrey_index=lambda base, p: Fraction(0),
@@ -379,9 +471,10 @@ FAMILIES: dict[str, Family] = {
         log_M=lambda ws, n: log_factorial(n, ws.bits).pow_fraction(ws.spec.s),
         label=lambda spec: f"gevrey(s={spec.s})",
         # terms 1/(n+1)^(1+s) for p = 1; a dilation only shrinks them
-        # (extra factor ((pn)!/(pn+p)!)^s <= (pn+1)^(-ps))
-        quasianalytic=lambda base, p: (
-            "convergent", f"p-series comparison: terms <= 1/(n+1)^(1+{base.s})"
+        # (extra factor ((pn)!/(pn+p)!)^s <= (n+1)^(-s))
+        quasianalytic=lambda base, p: TermBound(
+            "convergent", f"p-series comparison: terms <= 1/(n+1)^(1+{base.s})",
+            f"(n+1)^-(1+{base.s})", _power_comparand, (1 + base.s,),
         ),
         derivation_closed=lambda base, p: (
             f"ratio (n+1)^{base.s} is polynomial in n; n-th root tends to 1"
@@ -425,9 +518,10 @@ FAMILIES: dict[str, Family] = {
     "paper8": Family(
         params=(),
         log_M=lambda ws, n: _shifted_log_M(3, 2, n, ws.bits),
-        # double-log base: same regime as iterated_log(k=2) for every p
-        quasianalytic=lambda base, p: (
-            "divergent", f"condensation: terms ~ 1/(n (log log n)^{max(p, 1)}) diverge"
+        # double-log base: the iterated_log(k=2) rule from start 3, where
+        # g(y) = y log log log y is convex once 3 + pn >= 16 > e^e
+        quasianalytic=lambda base, p: _tower_divergent(
+            f"condensation: terms ~ 1/(n (log log n)^{p}) diverge", 2, 3, p, -(-13 // p)
         ),
         derivation_closed=lambda base, p: (
             "ratio grows like the double logarithm; n-th root tends to 1"

@@ -15,7 +15,8 @@ and convert.
 
 Members that only the tests need live here too: the two power routes over
 :class:`~carleman.coefficients.SeriesPoly`, the signed root series, the
-prefix route of the partial sums, and the path of a shipped fixture.
+prefix route of the partial sums, the streamed quasianalyticity terms, and
+the path of a shipped fixture.
 """
 
 from fractions import Fraction
@@ -186,10 +187,19 @@ def ref_partial_sums(terms, bits: int) -> list:
 
 def prefix_sums(terms, at) -> dict:
     """``sum_values`` of each prefix of ``terms`` of a length N in ``at``,
-    by increasing N: the route the quasianalyticity trend took before it
-    streamed its terms, kept as the twin of ``intervals.partial_sums``."""
+    by increasing N."""
     terms = list(terms)
     return {n: sum_values(terms[:n]) for n in sorted(at)}
+
+
+def carleman_terms(ws: WeightSequence, n_max: int):
+    """The quasianalyticity terms M_n / ((n+1) M_(n+1)) of ``ws`` for
+    n = 1..n_max, one at a time: the stream the check summed before it
+    sampled, kept as the twin of its rows."""
+    upper = ws.log_M(1)
+    for n in range(1, n_max + 1):
+        lower, upper = upper, ws.log_M(n + 1)
+        yield lower / LogReal.from_int(n + 1, ws.bits) / upper
 
 
 def ref_log_factorial(n: int, bits: int):

@@ -11,16 +11,12 @@ from mpmath import iv
 from carleman import coefficients as co
 from carleman.bang import BangSeries
 from carleman.cli import main, run_battery
-from carleman.criteria import (
-    carleman_terms,
-    check_inclusion,
-    quasianalyticity_report,
-)
+from carleman.criteria import check_inclusion, quasianalyticity_report
 from carleman.intervals import sum_values, working_precision
 from carleman.outcomes import Outcome
 from carleman.sequences import SequenceSpec, WeightSequence
 from carleman.substitution import coeff_level_check, transform_report
-from conftest import iv_endpoints, log_iv, shipped_fixture
+from conftest import carleman_terms, iv_endpoints, log_iv, shipped_fixture
 
 CONSTANT = SequenceSpec(family="constant")
 GEVREY1 = SequenceSpec(family="gevrey", s=Fraction(1))
@@ -141,8 +137,8 @@ def test_criterion_7_quasianalyticity_verdicts():
         assert "divergent" in quasianalyticity_report(
             WeightSequence(CONSTANT), 50
         ).claim
-        # gevrey(1): partial sums at N = 10^4 plus the certified
-        # analytic tail bracket pi^2/6 - 1 within 1e-6
+        # gevrey(1): the partial sum at N = 10^4 of the streamed terms plus
+        # the certified analytic tail bracket pi^2/6 - 1 within 1e-6
         ws = WeightSequence(GEVREY1)
         N = 10**4
         assert quasianalyticity_report(ws, N).verdict.outcome is Outcome.CONFIRMED

@@ -24,6 +24,8 @@ from conftest import (
 
 SPECS = Path(__file__).resolve().parents[1] / "src" / "carleman" / "data" / "specs"
 
+SHIPPED = ("constant", "gevrey1", "iterated_log1", "iterated_log2", "paper8")
+
 
 def run(argv):
     return main(argv)
@@ -47,7 +49,7 @@ def _bounded_integer_options():
         for action in sub._actions:
             if getattr(action.type, "__qualname__", "") == "_int_in.<locals>.integer":
                 flag = action.option_strings[0]
-                cap = {"--n-max": DEFAULT_MAX_INDEX, "--precision": MAX_PRECISION}.get(
+                cap = {"--n-max": DEFAULT_MAX_INDEX - 1, "--precision": MAX_PRECISION}.get(
                     flag, cli.MAX_DEPTH)
                 yield flag, cap, argv
 
@@ -135,6 +137,19 @@ class TestExitCodes:
                 parser.parse_args(argv + [flag, str(value)])
             assert f"to {cap}" in capsys.readouterr().err
             assert run(argv + [flag, str(value)]) == 3
+
+    def test_n_max_stops_one_short_of_the_largest_index(self, tmp_path, gevrey_path):
+        # the quasianalyticity term at n reads M_(n+1): the top --n-max is
+        # refused before any work, and the one below it reads the last index
+        out = tmp_path / "r.json"
+        assert run(["seq-check", "--spec", gevrey_path, "--n-max", str(DEFAULT_MAX_INDEX),
+                    "--out", str(out)]) == 3
+        assert not out.exists()
+        assert run(["seq-check", "--spec", gevrey_path, "--checks", "quasianalytic",
+                    "--n-max", str(DEFAULT_MAX_INDEX - 1), "--out", str(out)]) == 0
+        (check,) = json.loads(out.read_text())["checks"]
+        assert check["verdict"]["outcome"] == "confirmed"
+        assert check["evidence"][-1]["index"] == [DEFAULT_MAX_INDEX - 1]
 
     def test_every_subcommand_has_its_bounded_options_checked(self):
         checked = {(argv[0], flag) for flag, _, argv in _bounded_integer_options()}
@@ -441,7 +456,7 @@ class TestCommands:
             assert rejected["evidence"][0]["quantity"] == f"{name} sweeps"
 
     def test_failing_check_does_not_drop_the_later_checks(self, tmp_path):
-        # the quasianalyticity sums at n = 2 need M_3, one past the table;
+        # the quasianalyticity term at n = 2 needs M_3, one past the table;
         # monotonicity on [0, 2) still runs, and passes
         spec = tmp_path / "t3.json"
         spec.write_text('{"family": "table", "params": {"log_values": ["0", "1", "4"]}}')
@@ -577,9 +592,41 @@ class TestReportAll:
 
         monkeypatch.setattr(WeightSequence, "_compute_log_M", counted)
         cli.run_battery()
-        assert sum(calls.values()) == 5216
+        assert sum(calls.values()) == 1525
         assert {key: count for key, count in calls.items()
                 if count > 1 and not key[0].startswith("transformed")} == {}
+
+
+class TestQuasianalyticRows:
+    """Every row of a quasianalyticity check at or past its fact's n0
+    compares the term with the fact's bound and carries that outcome; a row
+    below n0 says so and has none."""
+
+    @staticmethod
+    def _rows(checks):
+        return [row for check in checks
+                if check.report.name.startswith(("quasianalytic[", "transform-quasianalytic["))
+                for row in check.report.rows]
+
+    @staticmethod
+    def _assert_tested(rows):
+        assert rows
+        for row in rows:
+            extra = dict(row.extra)
+            if row.outcome is None:
+                assert row.note.startswith("below n_0 = ") and not extra, row
+            else:
+                assert row.outcome is Outcome.CONFIRMED and {"rhs_lo", "rhs_hi"} <= set(extra)
+
+    def test_default_battery(self):
+        self._assert_tested(self._rows(cli.run_battery().checks))
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_default_subcommands(self, name):
+        spec = str(SPECS / f"{name}.json")
+        for argv in (["seq-check", "--spec", spec], ["seq-transform", "--spec", spec]):
+            args = cli.build_parser().parse_args(argv)
+            self._assert_tested(self._rows(cli._HANDLERS[args.command](args).checks))
 
 
 class TestCknOracleEquivalence:

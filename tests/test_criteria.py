@@ -1,26 +1,39 @@
 """Sequence criteria: convexity and monotonicity sweeps, the
-quasianalyticity series with its symbolic verdicts, derivation closure, and
-the inclusion criterion."""
+quasianalyticity facts with their sampled term bounds, derivation closure,
+and the inclusion criterion."""
 
-import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from mpmath import iv
 
+from mpmath.libmp import from_man_exp, mpi_mul
+
+from carleman import criteria, sequences
 from carleman.criteria import (
-    carleman_terms,
     check_derivation_closed,
     check_inclusion,
     check_log_convex,
     check_monotone,
+    log_row,
     quasianalyticity_report,
+    sampled_indices,
 )
-from carleman.intervals import mpf_str, partial_sums, sum_values, working_precision
+from carleman.intervals import LogReal, sum_values, working_precision
 from carleman.outcomes import Outcome, Reason
 from carleman.sequences import SequenceSpec, WeightSequence, family_fact, power_substitute
-from conftest import encloses_fraction, iv_endpoints, log_hi, log_iv, log_lo, prefix_sums
+from conftest import (
+    carleman_terms,
+    encloses_fraction,
+    iv_endpoints,
+    log_hi,
+    log_iv,
+    log_lo,
+    prefix_sums,
+    ref_partial_sums,
+    same_endpoints,
+)
 
 #: one spec of each family, the gevrey family at several s
 TREND_SPECS = (
@@ -102,11 +115,13 @@ class TestMonotone:
 
 class TestCarleman:
     def test_constant_terms_and_rule(self, constant_ws):
-        verdict = quasianalyticity_report(constant_ws, 50).verdict
+        report = quasianalyticity_report(constant_ws, 50)
         total = sum_values(list(carleman_terms(constant_ws, 50)))
-        assert verdict.outcome is Outcome.CONFIRMED
-        assert verdict.reason is Reason.SYMBOLIC_COMPARISON
-        assert "divergent" in verdict.evidence[0].note
+        assert report.verdict.outcome is Outcome.CONFIRMED
+        assert report.verdict.reason is Reason.SYMBOLIC_COMPARISON
+        assert "divergent" in report.claim
+        assert all("divergent" in r.note and r.outcome is Outcome.CONFIRMED
+                   for r in report.rows)
         # S_N = sum_{n=1..N} 1/(n+1) = H_{N+1} - 1
         expected = sum(Fraction(1, n + 1) for n in range(1, 51))
         assert encloses_fraction(total, expected, constant_ws.bits)
@@ -115,10 +130,10 @@ class TestCarleman:
         # terms are exactly 1/(n+1)^2: S_N + tail = pi^2/6 - 1 with
         # tail in [1/(N+2), 1/(N+1)]
         N = 400
-        verdict = quasianalyticity_report(gevrey1_ws, N).verdict
+        report = quasianalyticity_report(gevrey1_ws, N)
         total = sum_values(list(carleman_terms(gevrey1_ws, N)))
-        assert verdict.outcome is Outcome.CONFIRMED
-        assert "convergent" in verdict.evidence[0].note
+        assert report.verdict.outcome is Outcome.CONFIRMED
+        assert "convergent" in report.claim
         exact = sum(Fraction(1, (n + 1) ** 2) for n in range(1, N + 1))
         assert encloses_fraction(total, exact, gevrey1_ws.bits)
         with working_precision(gevrey1_ws.bits):
@@ -137,24 +152,27 @@ class TestCarleman:
             (SequenceSpec(family="paper8"), "divergent"),
         ]
         for spec, claim in cases:
-            assert family_fact(spec, "quasianalytic")[0] == claim
+            assert family_fact(spec, "quasianalytic").series == claim
 
     def test_transform_rules(self):
         il1 = SequenceSpec(family="iterated_log", k=1)
         il2 = SequenceSpec(family="iterated_log", k=2)
         t_il1 = power_substitute(il1, 2)
-        assert family_fact(t_il1, "quasianalytic")[0] == "convergent"
+        assert family_fact(t_il1, "quasianalytic").series == "convergent"
         for p in (2, 3):
             t_il2 = power_substitute(il2, p)
-            assert family_fact(t_il2, "quasianalytic")[0] == "divergent"
+            assert family_fact(t_il2, "quasianalytic").series == "divergent"
         t8 = power_substitute(SequenceSpec(family="paper8"), 5)
-        assert family_fact(t8, "quasianalytic")[0] == "divergent"
+        assert family_fact(t8, "quasianalytic").series == "divergent"
 
     def test_table_has_no_rule(self):
         spec = SequenceSpec(family="table", log_values=("0", "1", "2", "3", "4", "5"))
-        verdict = quasianalyticity_report(WeightSequence(spec), 4).verdict
-        assert verdict.outcome is Outcome.INCONCLUSIVE
-        assert verdict.reason is Reason.DEPTH_EXHAUSTED
+        report = quasianalyticity_report(WeightSequence(spec), 4)
+        assert report.verdict.outcome is Outcome.INCONCLUSIVE
+        assert report.verdict.reason is Reason.DEPTH_EXHAUSTED
+        # the sampled terms, with no outcome and no bound
+        assert [r.index[0] for r in report.rows] == [1, 2, 3, 4]
+        assert all(r.outcome is None and r.extra == () for r in report.rows)
 
     def test_report_wrapper(self, paper8_ws):
         report = quasianalyticity_report(paper8_ws, 60)
@@ -163,34 +181,58 @@ class TestCarleman:
 
     @pytest.mark.parametrize("digits", [20, 30, 80])
     @pytest.mark.parametrize("spec", TREND_SPECS, ids=lambda spec: spec.label())
-    def test_streamed_trend_equals_the_prefix_sums(self, spec, digits):
+    def test_streamed_trend_equals_the_prefix_sums(self, spec, digits, monkeypatch):
+        # the check's rows are the streamed twin's terms at the sampled
+        # indices, bit for bit; the twin's one-pass running sums there are
+        # the prefix sums of sum_values, the route of criterion 7
         ws, n_max = WeightSequence(replace(spec, precision=digits)), 101
-        at = {1, n_max // 4, n_max // 2, n_max}
-        streamed = partial_sums(carleman_terms(ws, n_max), at, ws.bits)
-        twin = prefix_sums(carleman_terms(ws, n_max), at)
-        assert list(streamed) == list(twin) == sorted(at)
-        assert [(v.log_lo, v.log_hi, v.bits) for v in streamed.values()] == [
-            (v.log_lo, v.log_hi, v.bits) for v in twin.values()
-        ]
-        rows = quasianalyticity_report(ws, n_max).rows
-        assert [(r.index[0], r.lo, r.hi) for r in rows] == [
-            (n, mpf_str(v.log_lo), mpf_str(v.log_hi)) for n, v in twin.items()
-        ]
+        fact = family_fact(ws.spec, "quasianalytic")
+        at = sampled_indices(n_max, 1 if fact is None else fact.n0)
+        terms = list(carleman_terms(ws, n_max))
+        running = ref_partial_sums(terms, ws.bits)
+        assert all(same_endpoints(total, running[n - 1])
+                   for n, total in prefix_sums(terms, at).items())
+        values = []
 
-    def test_the_trend_holds_no_list_of_terms(self):
-        # with the memo and the log-factorial table warm, the check's only
-        # growth is its four rows and one term at a time
-        ws, n_max = WeightSequence(SequenceSpec(family="gevrey", s="3/2", precision=20)), 5000
-        for n in range(n_max + 2):
-            ws.log_M(n)
-        tracemalloc.start()
-        try:
-            base, _ = tracemalloc.get_traced_memory()
-            quasianalyticity_report(ws, n_max)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - base < 256 * 1024
+        def recording_row(index, quantity, value, *args, **kwargs):
+            values.append((index[0], value.log_lo, value.log_hi, value.bits))
+            return log_row(index, quantity, value, *args, **kwargs)
+
+        monkeypatch.setattr(criteria, "log_row", recording_row)
+        rows = quasianalyticity_report(ws, n_max).rows
+        assert [r.index[0] for r in rows] == at
+        twin = [(n, terms[n - 1].log_lo, terms[n - 1].log_hi, terms[n - 1].bits) for n in at]
+        assert values == twin
+
+    def test_the_sample_does_not_grow_with_n_max(self):
+        assert sampled_indices(20100, 1) == [
+            *range(1, 9), *(2**j for j in range(4, 15)), 20000, 20001, 20100]
+        # indices below n0 + 8, and the seam pair only once n_max reaches it
+        assert sampled_indices(40, 13) == [*range(1, 21), 32, 40]
+        assert sampled_indices(20000, 1)[-1] == 20000
+        assert sampled_indices(1, 13) == [1]
+        assert len(sampled_indices(999_999, 1)) == 8 + 16 + 3
+
+    def test_the_check_reads_only_its_sampled_indices(self):
+        # the seam pair reads log n! by both routes: M_20000 from the
+        # incremental table, M_20001 and M_20002 from the log-gamma
+        ws = WeightSequence(SequenceSpec(family="gevrey", s="1", precision=20))
+        report = quasianalyticity_report(ws, 20100)
+        assert report.verdict.outcome is Outcome.CONFIRMED
+        sampled = [*range(1, 9), *(2**j for j in range(4, 15)), 20000, 20001, 20100]
+        assert {n for n in range(0, 20200) if n in ws._memo} == {
+            m for n in sampled for m in (n, n + 1)}
+
+    def test_a_row_below_n0_has_no_outcome(self, paper8_ws):
+        # paper8's bound needs 3 + n >= 16 > e^e: n0 = 13
+        report = quasianalyticity_report(paper8_ws, 8)
+        assert report.verdict.outcome is Outcome.CONFIRMED
+        assert [r.index[0] for r in report.rows] == list(range(1, 9))
+        assert all(r.outcome is None and r.note == "below n_0 = 13: no bound claimed"
+                   for r in report.rows)
+        tested = quasianalyticity_report(paper8_ws, 40).rows
+        assert [r.index[0] for r in tested if r.outcome is Outcome.CONFIRMED] == [
+            *range(13, 21), 32, 40]
 
     def test_divergent_trend_matches_rule_for_iterated(self):
         # numerical sanity behind the symbolic claim: partial sums of the
@@ -199,6 +241,85 @@ class TestCarleman:
         terms = list(carleman_terms(ws, 300))
         with working_precision(ws.bits):
             assert log_lo(sum_values(terms)) > log_hi(sum_values(terms[:151]))
+
+
+#: (spec, p, N): each fact's bound is tested against the streamed twin at
+#: every index from its n0 to N
+EVERY_INDEX = (
+    *((SequenceSpec(family="constant"), 1, 2000),),
+    *((SequenceSpec(family="gevrey", s=s), 1, 2000) for s in ("1/2", "1", "2")),
+    (SequenceSpec(family="gevrey", s="1"), 2, 300),
+    *((spec, p, 300)
+      for spec in (SequenceSpec(family="iterated_log", k=1),
+                   SequenceSpec(family="iterated_log", k=2),
+                   SequenceSpec(family="paper8"))
+      for p in (1, 2, 3)),
+)
+
+
+@pytest.mark.parametrize("spec, p, N", EVERY_INDEX,
+                         ids=[f"{spec.label()}-p{p}" for spec, p, _ in EVERY_INDEX])
+def test_each_bound_holds_at_every_index(spec, p, N):
+    ws = WeightSequence(spec if p == 1 else power_substitute(spec, p))
+    fact = family_fact(ws.spec, "quasianalytic")
+    compare = LogReal.leq if fact.series == "convergent" else LogReal.geq
+    for n, term in enumerate(carleman_terms(ws, N), 1):
+        if n >= fact.n0:
+            assert compare(term, fact.rhs(n, ws.bits)) is Outcome.CONFIRMED, n
+
+
+#: one spec of each rule: (spec, p)
+RULES = (
+    (SequenceSpec(family="constant"), 1),
+    (SequenceSpec(family="gevrey", s="1"), 1),
+    (SequenceSpec(family="iterated_log", k=1), 1),
+    (SequenceSpec(family="iterated_log", k=1), 2),
+    (SequenceSpec(family="iterated_log", k=2), 3),
+    (SequenceSpec(family="paper8"), 1),
+)
+
+#: one spec of each divergent tower rule.  paper8 is taken at p = 3: at p = 1
+#: its slope g'(x) = log log log x + ... is about 0.65 at x = 300, so half of
+#: it stays within the slack of 2 on any sample the check reaches
+SLOPE_RULES = (
+    (SequenceSpec(family="iterated_log", k=1), 1),
+    (SequenceSpec(family="iterated_log", k=2), 3),
+    (SequenceSpec(family="paper8"), 3),
+)
+
+
+class TestAWeakenedBoundRefutes:
+    @staticmethod
+    def _verdict(spec, p, mutate=None, monkeypatch=None):
+        ws = WeightSequence(spec if p == 1 else power_substitute(spec, p))
+        if mutate is not None:
+            fact = mutate(family_fact(ws.spec, "quasianalytic"))
+            monkeypatch.setattr(criteria, "family_fact", lambda spec, name: fact)
+        return quasianalyticity_report(ws, 300).verdict
+
+    @pytest.mark.parametrize("spec, p", RULES, ids=[f"{s.label()}-p{p}" for s, p in RULES])
+    def test_slack_one_half(self, spec, p, monkeypatch):
+        assert self._verdict(spec, p).outcome is Outcome.CONFIRMED
+        monkeypatch.setattr(sequences, "_TERM_SLACK", Fraction(1, 2))
+        verdict = self._verdict(spec, p)
+        assert verdict.outcome is Outcome.REFUTED
+        assert verdict.reason is Reason.INTERVAL_SEPARATION
+
+    def test_gevrey_exponent_one_plus_two_s(self, monkeypatch):
+        spec = SequenceSpec(family="gevrey", s="1/2")
+        verdict = self._verdict(spec, 1, lambda fact: replace(fact, args=(1 + 2 * spec.s,)),
+                                monkeypatch)
+        assert verdict.outcome is Outcome.REFUTED
+
+    @pytest.mark.parametrize("spec, p", SLOPE_RULES,
+                             ids=[f"{s.label()}-p{p}" for s, p in SLOPE_RULES])
+    def test_half_the_slope(self, spec, p, monkeypatch):
+        # p g'(x+p) replaced by (p/2) g'(x+p) in the divergent bound
+        slope = sequences._tower_slope
+        half = (from_man_exp(1, -1), from_man_exp(1, -1))
+        monkeypatch.setattr(sequences, "_tower_slope",
+                            lambda y, k, bits: mpi_mul(slope(y, k, bits), half, bits))
+        assert self._verdict(spec, p).outcome is Outcome.REFUTED
 
 
 class TestDerivationClosed:

@@ -20,7 +20,6 @@ from carleman.intervals import (
     SignedEnclosure,
     bits_for_digits,
     mpf_str,
-    partial_sums,
     sum_values,
     working_precision,
 )
@@ -190,14 +189,6 @@ def test_sum_values_of_nothing():
             sum_values([], tail_upper=tail_upper)
         with pytest.raises(ValueError, match="at least one term"):
             sum_values(iter(()), tail_upper=tail_upper)
-
-
-def test_partial_sums_refuse_a_finer_term_and_a_missing_index():
-    coarse, fine = LogReal.from_int(2, 96), LogReal.from_int(3, 160)
-    with pytest.raises(ValueError, match="160 bits"):
-        partial_sums([coarse, fine], {2}, 96)
-    with pytest.raises(ValueError, match="without a term"):
-        partial_sums([coarse], {1, 2}, 96)
 
 
 def test_sum_values_tail_interval_is_one_sided():

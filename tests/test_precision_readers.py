@@ -24,12 +24,10 @@ READERS = {"intervals.working_precision"}
 #: module.qualname of every function that still calls ``working_precision``
 CALLERS = {"sequences.WeightSequence._compute_log_M"}
 
-#: the arithmetic path: every ``LogReal`` method and the summation functions
+#: the arithmetic path: every ``LogReal`` method and the summation function
 ARITHMETIC = (
     "intervals.LogReal.",
-    "intervals._running_sums",
     "intervals.sum_values",
-    "intervals.partial_sums",
 )
 
 

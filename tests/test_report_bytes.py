@@ -51,28 +51,28 @@ RUNS = {
         ["report-all", "--n-max", "3", "--precision", "20",
          "--spec", "nonconvex_table.json", "--spec", "transformed_il1.json"],
         1,
-        "f7451df683d171120fd7646cd1a4a9ff2f3461b8cb8bf326b2983e08f5afca16",
-        "a2138046ca650bc7815dcb763d724fe3709dd3b9bcbb3d83fd69d06cceee71bf",
+        "5afba7ebb68682c94e0c18fc0f3ba8d6f23d8a1528d1ce8aee83cf6a0c816d60",
+        "2b933f61c23920885867b38c9ee8a4bd3003f14cf831fbef64d59cb4b0053f6e",
     ),
     # every battery sweep at its default depth: the bytes a refactor of the
     # command line must keep
     "report-all-default": (
         ["report-all"],
         0,
-        "8b1f54d9a8be684d222458a6c1c17c841073ed1d7f810eec9605c5b5182f0b0f",
-        "317ad93240e4df8f2ed34558bb76b3e124117d41d79d945550668f1ff1c28dba",
+        "3d3e4bfa32113c001677fade962f4be2457830f5b3d8853dbee13ee2dc2ef18d",
+        "bda104027eec004278d245e68b779572c04205d5c21682f7484adde0e11a4f75",
     ),
     "seq-check-table": (
         ["seq-check", "--spec", "nonconvex_table.json", "--n-max", "3"],
         1,
-        "69e1e8d5e3986bf8456e41afa8beeae27b706752b1ad72680f18cd6322c02b57",
-        "18859801e5685b3ee5d05c0d548ac8b330f6c61266ccc9d34be405d641161227",
+        "7756a23e6eb10ede95415618fc7303c834992b2fc58029800a9294fb1505c470",
+        "83f14e548db2d2db2172928aac033f4d25264c0f05a3b421bbb3e1fbd471e7fb",
     ),
     "seq-check-transformed": (
         ["seq-check", "--spec", "transformed_il1.json", "--n-max", "3"],
         0,
-        "b92994f423d0351855786ef93ea3c1b7141329a178dc580acaaeacba39b56690",
-        "fc0bfc2e88be2369d764110bda8af89baf3100b05283582ffa6dcb228fdd5f78",
+        "320de54c4140b3ddfa4a82e81884e35e0faa358e660baad5267aca9810ac4739",
+        "26d66d15d4030accb11354ff7114441e81faa631506a34951978706534c0eafb",
     ),
     "bang": (
         ["bang", "--spec", "iterated_log1.json", "--deriv-n-max", "2",
@@ -96,8 +96,8 @@ RUNS = {
     "seq-check-nested": (
         ["seq-check", "--spec", "nested_il1.json", "--n-max", "3"],
         0,
-        "c127e679be2a415ecdce59072ebc68a4d07959cc20d2f54851b20e3acf47e0ce",
-        "4b13e64a855aab48416ec5c44af925b9c6be47d0429a88f611943788da8e7430",
+        "714784ddcb8b83bf6b30a1a97b3bf42d8fcb920eced98867c8617a56ec91d139",
+        "a70885c778ac999ad6bbc4c03d51854797bfe655075f728d7776638ec7c241f0",
     ),
     # inclusion's dilation route at the chain's factor 6
     "seq-compare-nested": (
@@ -116,8 +116,8 @@ RUNS = {
     "seq-transform": (
         ["seq-transform", "--spec", "iterated_log1.json", "--p", "2", "--n-max", "3"],
         0,
-        "7cecbce9eb4eeee3962f91f3b3d1bfb68fabdf95af8614931dc66cda2082cfc9",
-        "8f6611bb12d95fd23b39dba1689ea4c547f51ae7aef5fa52a19ca0fcab15a410",
+        "8356ac9e561f80c45f9c004b6feb626f4bbe23a02eb413404463ecc1b8f57ea7",
+        "44a47846eb71180fed7a9d8c8c66d88856bda1b7b0fd842990ee818e3e37fc90",
     ),
     "ckn": (
         ["ckn", "--k-max", "3", "--n-max", "4"],
@@ -162,8 +162,8 @@ RUNS = {
     "report-all-rejected": (
         ["report-all", "--n-max", "2", "--precision", "20", "--spec", "iterated_log4.json"],
         2,
-        "acf0ec7fd25a84053eb9cd29896c3dd9f01504c85ebafd76085d4f432df167f0",
-        "276b1556222693231eaa350896116d22803093e0b27c8e9bb605aba41ab6ea1f",
+        "f459b4243ade1ec9211cd67386b4db682895651ec4defdff2d58f5670a159604",
+        "6f6034f8e7d72e89180d6a6db13e5f679807fc0e853edfc1285331ae304b7593",
     ),
 }
 
