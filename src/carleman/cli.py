@@ -268,8 +268,13 @@ def cmd_seq_compare(args) -> RunReport:
 
 
 def cmd_seq_transform(args) -> RunReport:
+    # the dilated quasianalyticity check reads the base at p (depth + 1)
+    p, depth = args.p, max(8, args.n_max)
+    if p * (depth + 1) > DEFAULT_MAX_INDEX:
+        raise UsageError(f"--p {p} with --n-max {args.n_max} reads index {p * (depth + 1)}, "
+                         f"beyond the maximum {DEFAULT_MAX_INDEX}")
     spec = _load(args.spec, args.precision)
-    label, p = spec.label(), args.p
+    label = spec.label()
     run = _start(args, spec)
     ws = WeightSequence(spec)
     if p >= 2:
@@ -279,8 +284,7 @@ def cmd_seq_transform(args) -> RunReport:
                "M_(pn) (log)", args.n_max, ws.dilation(p).log_M,
                (("mprime_sub", lambda n: ws.log_Mprime_sub(p, n)),),
                guard=(label, "transform-values"))
-    _timed(run, transform_report, ws, p, max(8, args.n_max),
-           guard=(label, "transform-quasianalytic"))
+    _timed(run, transform_report, ws, p, depth, guard=(label, "transform-quasianalytic"))
     return run
 
 

@@ -11,10 +11,11 @@ Two kinds of evidence feed every verdict here:
   boundedness claim; numerical summation alone never does, because the
   criteria are limit statements.
 
-The quasianalyticity check spot-checks its family's pointwise term bound
-at a fixed sample of indices instead of summing the series: the bound and
-the rule that sums it cover every index, and a wrong bound refutes at the
-sample.  Past the log k! table, its cost does not grow with n_max.
+The quasianalyticity and derivation-closure checks spot-check their
+family's pointwise term bound at a fixed sample of indices instead of
+summing the series or streaming its ratios: the bound and its rule cover
+every index, and a wrong bound refutes at the sample.  Past the log k!
+table, their cost does not grow with n_max.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .outcomes import (
     aggregate_rows,
     fact_verdict,
 )
-from .sequences import _LOGFACT_INCREMENTAL_MAX, WeightSequence, family_fact
+from .sequences import _LOGFACT_INCREMENTAL_MAX, TermBound, WeightSequence, family_fact
 
 
 def log_row(index, quantity, value: LogReal, outcome=None, note="", extra=()) -> EvidenceRow:
@@ -131,16 +132,17 @@ def check_log_convex(
 
 
 # ---------------------------------------------------------------------------
-# quasianalyticity: symbolic rule, spot-checked at sampled indices
+# term bounds, spot-checked at sampled indices: quasianalyticity and
+# derivation closure
 # ---------------------------------------------------------------------------
 
 
-#: the quantity of a quasianalyticity row
+#: the quantity of a term-bound row
 _TERM = "t_n = M_n/((n+1) M_(n+1)) (log)"
 
 
 def sampled_indices(n_max: int, n0: int) -> list[int]:
-    """The indices in [1, n_max] a quasianalyticity check tests: every
+    """The indices in [1, n_max] a term-bound check tests: every
     n < n0 + 8, the powers of two, n_max, and the log-factorial seam pair,
     whose terms read log n! by both of its routes."""
     seam = _LOGFACT_INCREMENTAL_MAX
@@ -149,74 +151,67 @@ def sampled_indices(n_max: int, n0: int) -> list[int]:
     return sorted(n for n in picked if n <= n_max)
 
 
-def quasianalyticity_report(ws: WeightSequence, n_max: int) -> CheckReport:
-    """The family's symbolic quasianalyticity verdict, spot-checked.
+def _term_bound_report(ws: WeightSequence, n_max: int, check: str, fact: TermBound | None,
+                       claim: str, note: str = "") -> CheckReport:
+    """The check ``check`` of the family's symbolic ``fact``, spot-checked.
 
     At each of :func:`sampled_indices` the term
     t_n = M_n / ((n+1) M_(n+1)) is compared in the log domain with the
-    bound of the family's :class:`~carleman.sequences.TermBound`, so a
-    wrong fact refutes.  An index below the fact's n0 is shown with no
-    outcome.  The sample does not grow with n_max: the fact, not the rows,
-    covers every index.  Without a symbolic rule the rows show the sampled
-    terms only and the verdict is inconclusive."""
+    fact's bound, so a wrong fact refutes; each compared row carries
+    ``note``.  An index below the fact's n0 is shown with no outcome.  The
+    sample does not grow with n_max: the fact, not the rows, covers every
+    index.  Without a fact the rows show the sampled terms only and the
+    verdict is inconclusive."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    fact = family_fact(ws.spec, "quasianalytic")
     n0 = 1 if fact is None else fact.n0
     rows = []
     for n in sampled_indices(n_max, n0):
         term = ws.log_M(n) / LogReal.from_int(n + 1, ws.bits) / ws.log_M(n + 1)
         if fact is None or n < n0:
-            note = "no symbolic rule; sampled term only" if fact is None else (
+            row_note = "no symbolic rule; sampled term only" if fact is None else (
                 f"below n_0 = {n0}: no bound claimed")
-            rows.append(log_row((n,), _TERM, term, note=note))
+            rows.append(log_row((n,), _TERM, term, note=row_note))
             continue
         rhs = fact.rhs(n, ws.bits)
         rows.append(log_row(
             (n,), _TERM, term,
-            term.leq(rhs) if fact.series == "convergent" else rhs.leq(term),
-            note=f"{fact.series}: {fact.rule}",
+            term.leq(rhs) if fact.direction == "upper" else rhs.leq(term),
+            note=note,
             extra=(("rhs_lo", mpf_str(rhs.log_lo)), ("rhs_hi", mpf_str(rhs.log_hi))),
         ))
     params = (("n_max", str(n_max)), ("spec", ws.spec.label()))
-    if fact is None:
-        claim = "quasianalyticity undecided (no symbolic rule for this family)"
-    else:
-        claim = f"sum M_n/((n+1) M_(n+1)) is {fact.series}"
+    if fact is not None:
         params += (("bound", fact.statement()),)
-    report = aggregate_rows(f"quasianalytic[{ws.spec.label()}]", claim, rows, params=params,
+    report = aggregate_rows(f"{check}[{ws.spec.label()}]", claim, rows, params=params,
                             reason_confirmed=Reason.SYMBOLIC_COMPARISON, index_columns=("n",))
     return report if fact else replace(report, verdict=fact_verdict(False, report.rows))
 
 
-# ---------------------------------------------------------------------------
-# derivation closure: sup (M_{n+1}/M_n)^(1/n)
-# ---------------------------------------------------------------------------
+def quasianalyticity_report(ws: WeightSequence, n_max: int) -> CheckReport:
+    """Carleman's criterion: the family's quasianalyticity fact bounds every
+    term of sum M_n/((n+1) M_(n+1)) by a convergent or divergent series."""
+    fact = family_fact(ws.spec, "quasianalytic")
+    if fact is None:
+        return _term_bound_report(ws, n_max, "quasianalytic", None,
+                                  "quasianalyticity undecided (no symbolic rule for this family)")
+    series = "convergent" if fact.direction == "upper" else "divergent"
+    return _term_bound_report(ws, n_max, "quasianalytic", fact,
+                              f"sum M_n/((n+1) M_(n+1)) is {series}", f"{series}: {fact.rule}")
 
 
 def check_derivation_closed(ws: WeightSequence, n_max: int) -> CheckReport:
-    """Report the running sup enclosure of (M_{n+1}/M_n)^(1/n) together with
-    the family's symbolic boundedness verdict (trend only for tables)."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    rows = _running_sup_rows(
-        lambda n: ws.log_M(n + 1) / ws.log_M(n), n_max, "(M_(n+1)/M_n)^(1/n) (log)"
-    )
-    rule = family_fact(ws.spec, "derivation_closed")
-    return CheckReport(
-        name=f"derivation-closed[{ws.spec.label()}]",
-        claim=("sup_n (M_(n+1)/M_n)^(1/n) < oo (closed under derivation/division)"
-               if rule is not None
-               else "boundedness of sup_n (M_(n+1)/M_n)^(1/n) undecided (trend only)"),
-        verdict=fact_verdict(rule is not None, (rows[-1],)),
-        params=(
-            ("n_max", str(n_max)),
-            ("spec", ws.spec.label()),
-            ("rule", rule or "none"),
-        ),
-        rows=tuple(rows),
-        index_columns=("n",),
-    )
+    """Closure under derivation: the family's fact is a lower bound
+    2 t_n >= c_n, that is M_(n+1)/M_n <= 2/((n+1) c_n), whose n-th roots
+    stay bounded."""
+    fact = family_fact(ws.spec, "derivation_closed")
+    if fact is None:
+        return _term_bound_report(
+            ws, n_max, "derivation-closed", None,
+            "boundedness of sup_n (M_(n+1)/M_n)^(1/n) undecided (trend only)")
+    return _term_bound_report(ws, n_max, "derivation-closed", fact,
+                              "sup_n (M_(n+1)/M_n)^(1/n) < oo (closed under derivation/division)",
+                              f"bounded: {fact.rule}")
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +236,15 @@ def check_inclusion(wsM: WeightSequence, wsN: WeightSequence, n_max: int) -> Che
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    rows = _running_sup_rows(
-        lambda n: wsM.log_M(n) / wsN.log_M(n), n_max, "(M_n/N_n)^(1/n) (log)"
-    )
+    # each row: the root (M_n/N_n)^(1/n) and the running sup of the roots
+    rows = []
+    running: LogReal | None = None
+    for n in range(1, n_max + 1):
+        root = (wsM.log_M(n) / wsN.log_M(n)).pow_fraction(Fraction(1, n))
+        running = root if running is None else running.max_with(root)
+        rows.append(log_row((n,), "(M_n/N_n)^(1/n) (log)", root,
+                            extra=(("sup_lo", mpf_str(running.log_lo)),
+                                   ("sup_hi", mpf_str(running.log_hi)))))
     specM, specN = wsM.spec, wsN.spec
     baseM, pM = specM.base_chain()
     baseN, pN = specN.base_chain()
@@ -294,25 +295,3 @@ def check_inclusion(wsM: WeightSequence, wsN: WeightSequence, n_max: int) -> Che
         "inclusion undecided (no symbolic rule for this pair)",
         fact_verdict(False, (rows[-1],)),
     )
-
-
-def _running_sup_rows(ratio, n_max: int, quantity: str) -> list[EvidenceRow]:
-    """Rows n = 1..n_max of the enclosure of ratio(n)^(1/n), each carrying
-    the running sup of those roots."""
-    rows = []
-    running: LogReal | None = None
-    for n in range(1, n_max + 1):
-        root = ratio(n).pow_fraction(Fraction(1, n))
-        running = root if running is None else running.max_with(root)
-        rows.append(
-            log_row(
-                (n,),
-                quantity,
-                root,
-                extra=(
-                    ("sup_lo", mpf_str(running.log_lo)),
-                    ("sup_hi", mpf_str(running.log_hi)),
-                ),
-            )
-        )
-    return rows

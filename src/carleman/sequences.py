@@ -238,22 +238,22 @@ class Param:
     dump: Callable[[object], object] = lambda value: value
 
 
-#: the factor between a quasianalyticity term bound and its comparand: it
-#: lets the enclosure of a term separate from the bound at every precision,
-#: even where the term equals the comparand (constant, gevrey at p = 1)
+#: the factor between a term bound and its comparand: it lets the enclosure
+#: of a term separate from the bound at every precision, even where the
+#: term equals the comparand (constant, gevrey at p = 1)
 _TERM_SLACK = 2
 
 
 @dataclass(frozen=True)
 class TermBound:
-    """A quasianalyticity fact: Carleman's series sum_n t_n, with
-    t_n = M_n / ((n+1) M_(n+1)), is ``series`` ("convergent" or
-    "divergent") by ``rule``, because from index ``n0`` on every term obeys
-    t_n <= 2 c_n (convergent) or t_n >= c_n / 2 (divergent), where sum c_n
-    converges or diverges.  ``comparand(n, bits, *args)`` encloses c_n,
-    described by ``shape``."""
+    """A bound on t_n = M_n / ((n+1) M_(n+1)) by ``rule``: from index ``n0``
+    on, t_n <= 2 c_n (``direction`` "upper") or 2 t_n >= c_n ("lower"), with
+    c_n enclosed by ``comparand(n, bits, *args)`` and described by ``shape``.
+    As a quasianalyticity fact, sum c_n converges (upper) or diverges
+    (lower), and so does sum t_n; as a derivation-closure fact it is lower:
+    M_(n+1)/M_n <= 2/((n+1) c_n), whose n-th roots stay bounded."""
 
-    series: str
+    direction: str
     rule: str
     shape: str
     comparand: Callable[..., LogReal]
@@ -261,7 +261,7 @@ class TermBound:
     n0: int = 1
 
     def statement(self) -> str:
-        if self.series == "convergent":
+        if self.direction == "upper":
             return f"for n >= {self.n0}: t_n <= {_TERM_SLACK} * {self.shape}"
         return f"for n >= {self.n0}: {_TERM_SLACK} t_n >= {self.shape}"
 
@@ -269,7 +269,7 @@ class TermBound:
         """Enclosure of the bound on t_n at ``bits``."""
         bound = self.comparand(n, bits, *self.args)
         slack = LogReal.from_fraction(Fraction(_TERM_SLACK), bits)
-        return bound * slack if self.series == "convergent" else bound / slack
+        return bound * slack if self.direction == "upper" else bound / slack
 
 
 @dataclass(frozen=True)
@@ -288,18 +288,17 @@ class Family:
     label: Callable[[SequenceSpec], str] = lambda spec: spec.family
     last_index: Callable[[SequenceSpec], int | None] = lambda spec: None
     quasianalytic: Callable[[SequenceSpec, int], TermBound] | None = None
-    derivation_closed: Callable[[SequenceSpec, int], str] | None = None
+    derivation_closed: Callable[[SequenceSpec, int], TermBound] | None = None
     mprime_logconvex: Callable[[SequenceSpec, int], str] | None = None
     gevrey_index: Callable[[SequenceSpec, int], Fraction] | None = None
 
 
 #: the facts a dilation M_n -> M_(pn) keeps, each read at the innermost base
-#: with p the product of the chain's factors.  The quasianalyticity term of
-#: a dilation is exp(log M_(pn) - log M_(pn+p)) / (n+1), and each family's
-#: term bound takes p to say how small that is; a dilation raises the
-#: single-step derivation ratio to at most a fixed power, so the sup of its
-#: n-th roots stays bounded.  Nothing is encoded for M' log-convexity or the
-#: Gevrey index of a dilation.
+#: with p the product of the chain's factors.  Both are term bounds: the
+#: term of a dilation is exp(log M_(pn) - log M_(pn+p)) / (n+1), and each
+#: family's bound takes p to say how small (quasianalyticity) or how large
+#: (derivation closure) that is.  Nothing is encoded for M' log-convexity
+#: or the Gevrey index of a dilation.
 _KEPT_BY_DILATION = ("quasianalytic", "derivation_closed")
 
 
@@ -417,17 +416,24 @@ def _tower_comparand(n: int, bits: int, k: int, start: int, p: int, lower: bool)
             / LogReal.from_int(n + 1, bits))
 
 
-def _tower_divergent(rule: str, k: int, start: int, p: int, n0: int = 1) -> TermBound:
-    """The divergent fact of a shifted tower sequence of depth k, dilated by
-    p, with x = start + pn past e^^k from index ``n0`` on.  There
+def _tower_lower(rule: str, k: int, start: int, p: int, n0: int = 1) -> TermBound:
+    """The lower term bound of a shifted tower sequence of depth k, dilated
+    by p, with x = start + pn past e^^k from index ``n0`` on.  There
     1/(L_1 ... L_k) <= 1, so the comparand is at least
     e^(-p) / ((n+1) L_k(x+p)^p): a divergent condensation series when p = 1
-    or k >= 2."""
+    or k >= 2, and for every p the ratio M_(n+1)/M_n <= 2 e^p L_k(x+p)^p
+    has n-th roots that tend to 1."""
     return TermBound(
-        "divergent", rule,
+        "lower", rule,
         f"exp(-p g'(x+p))/(n+1), x = {start} + pn, g(y) = y log L_k(y), k = {k}, p = {p}",
         _tower_comparand, (k, start, p, True), n0,
     )
+
+
+def _step_comparand(n: int, bits: int, p: int, exponent: Fraction) -> LogReal:
+    """(n+1)^-1 (pn+p)^-exponent."""
+    return (LogReal.from_int(p * n + p, bits).pow_fraction(-exponent)
+            / LogReal.from_int(n + 1, bits))
 
 
 def _iterated_log_quasianalytic(base: SequenceSpec, p: int) -> TermBound:
@@ -435,18 +441,18 @@ def _iterated_log_quasianalytic(base: SequenceSpec, p: int) -> TermBound:
     if p == 1:
         # terms ~ 1/((n+1) L_k(n)) >= c/(n log n); condensation on the
         # divergent Abel-type series
-        return _tower_divergent("condensation: terms ~ 1/(n * iterated-log_k(n))",
-                                base.k, start, p)
+        return _tower_lower("condensation: terms ~ 1/(n * iterated-log_k(n))",
+                            base.k, start, p)
     if base.k == 1:
         # terms <= 1/(n (log n)^p) with p >= 2: Bertrand series converges
         return TermBound(
-            "convergent", f"condensation: terms ~ 1/(n (log n)^{p}), exponent {p} > 1",
+            "upper", f"condensation: terms ~ 1/(n (log n)^{p}), exponent {p} > 1",
             f"1/((n+1) log(x)^p), x = {start} + pn, p = {p}", _tower_comparand,
             (1, start, p, False),
         )
     # k >= 2: (L_k n)^p grows slower than any power of log n, so the
     # condensed series sum 1/(log m)^p-type still diverges
-    return _tower_divergent(
+    return _tower_lower(
         f"condensation: terms ~ 1/(n (iterated-log_{base.k} n)^{p}) diverge", base.k, start, p)
 
 
@@ -458,10 +464,12 @@ FAMILIES: dict[str, Family] = {
         log_M=lambda ws, n: LogReal.one(ws.bits),
         # terms are exactly 1/(n+1) for every p: the harmonic series
         quasianalytic=lambda base, p: TermBound(
-            "divergent", "harmonic comparison: terms equal 1/(n+1)", "(n+1)^-1",
+            "lower", "harmonic comparison: terms equal 1/(n+1)", "(n+1)^-1",
             _power_comparand, (Fraction(1),),
         ),
-        derivation_closed=lambda base, p: "ratio is identically 1",
+        derivation_closed=lambda base, p: TermBound(
+            "lower", "ratio is identically 1", "(n+1)^-1", _power_comparand, (Fraction(1),),
+        ),
         mprime_logconvex=lambda base, p: "M'_k = k!: ratios k+1 increase",
         gevrey_index=lambda base, p: Fraction(0),
     ),
@@ -473,11 +481,12 @@ FAMILIES: dict[str, Family] = {
         # terms 1/(n+1)^(1+s) for p = 1; a dilation only shrinks them
         # (extra factor ((pn)!/(pn+p)!)^s <= (n+1)^(-s))
         quasianalytic=lambda base, p: TermBound(
-            "convergent", f"p-series comparison: terms <= 1/(n+1)^(1+{base.s})",
+            "upper", f"p-series comparison: terms <= 1/(n+1)^(1+{base.s})",
             f"(n+1)^-(1+{base.s})", _power_comparand, (1 + base.s,),
         ),
-        derivation_closed=lambda base, p: (
-            f"ratio (n+1)^{base.s} is polynomial in n; n-th root tends to 1"
+        derivation_closed=lambda base, p: TermBound(
+            "lower", f"ratio <= (pn+p)^(p*{base.s}) is polynomial in n; n-th root tends to 1",
+            f"(n+1)^-1 (pn+p)^-(p*{base.s}), p = {p}", _step_comparand, (p, p * base.s),
         ),
         mprime_logconvex=lambda base, p: (
             f"M'_k = (k!)^(1+{base.s}): ratios (k+1)^(1+{base.s}) increase"
@@ -493,8 +502,9 @@ FAMILIES: dict[str, Family] = {
         ),
         label=lambda spec: f"iterated_log(k={spec.k})",
         quasianalytic=_iterated_log_quasianalytic,
-        derivation_closed=lambda base, p: (
-            "ratio grows like the iterated logarithm; n-th root tends to 1"
+        derivation_closed=lambda base, p: _tower_lower(
+            "ratio grows like the iterated logarithm; n-th root tends to 1",
+            base.k, tower_threshold(base.k, base.bits), p,
         ),
         # Write L_j for the j-fold logarithm and g(x) = x log L_k(x), so that
         # log M_n = g(n_k + n) - g(n_k).  From L_j' = 1/(x L_1 ... L_(j-1)):
@@ -520,11 +530,11 @@ FAMILIES: dict[str, Family] = {
         log_M=lambda ws, n: _shifted_log_M(3, 2, n, ws.bits),
         # double-log base: the iterated_log(k=2) rule from start 3, where
         # g(y) = y log log log y is convex once 3 + pn >= 16 > e^e
-        quasianalytic=lambda base, p: _tower_divergent(
+        quasianalytic=lambda base, p: _tower_lower(
             f"condensation: terms ~ 1/(n (log log n)^{p}) diverge", 2, 3, p, -(-13 // p)
         ),
-        derivation_closed=lambda base, p: (
-            "ratio grows like the double logarithm; n-th root tends to 1"
+        derivation_closed=lambda base, p: _tower_lower(
+            "ratio grows like the double logarithm; n-th root tends to 1", 2, 3, p, -(-13 // p)
         ),
     ),
     # explicit log M_n values as exact decimal strings; each is parsed when

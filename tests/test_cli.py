@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from carleman import cli
+from carleman import cli, sequences
 from carleman import coefficients as co
 from carleman.bang import BangSeries
 from carleman.cli import main
+from carleman.criteria import sampled_indices
 from carleman.errors import PrecisionExhaustedError
 from carleman.outcomes import Outcome
 from carleman.sequences import DEFAULT_MAX_INDEX, MAX_PRECISION, WeightSequence
@@ -145,11 +146,29 @@ class TestExitCodes:
         assert run(["seq-check", "--spec", gevrey_path, "--n-max", str(DEFAULT_MAX_INDEX),
                     "--out", str(out)]) == 3
         assert not out.exists()
-        assert run(["seq-check", "--spec", gevrey_path, "--checks", "quasianalytic",
+        assert run(["seq-check", "--spec", gevrey_path,
+                    "--checks", "quasianalytic,derivation-closed",
                     "--n-max", str(DEFAULT_MAX_INDEX - 1), "--out", str(out)]) == 0
-        (check,) = json.loads(out.read_text())["checks"]
-        assert check["verdict"]["outcome"] == "confirmed"
-        assert check["evidence"][-1]["index"] == [DEFAULT_MAX_INDEX - 1]
+        for check in json.loads(out.read_text())["checks"]:
+            assert check["verdict"]["outcome"] == "confirmed"
+            assert len(check["evidence"]) == len(sampled_indices(DEFAULT_MAX_INDEX - 1, 1))
+            assert check["evidence"][-1]["index"] == [DEFAULT_MAX_INDEX - 1]
+
+    def test_seq_transform_n_max_counts_its_p(self, tmp_path, gevrey_path, monkeypatch,
+                                              capsys):
+        # the dilated term at n reads the base at p (n + 1): with the largest
+        # index at 50, p = 2 admits --n-max 24 and refuses 25 before any work
+        for module in (cli, sequences):
+            monkeypatch.setattr(module, "DEFAULT_MAX_INDEX", 50)
+        out = tmp_path / "r.json"
+        argv = ["seq-transform", "--spec", gevrey_path, "--p", "2", "--precision", "20",
+                "--out", str(out)]
+        assert run(argv + ["--n-max", "25"]) == 3
+        assert "reads index 52, beyond the maximum 50" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(argv + ["--n-max", "24"]) == 0
+        assert [c["verdict"]["outcome"] for c in json.loads(out.read_text())["checks"]] == [
+            "confirmed", "confirmed"]
 
     def test_every_subcommand_has_its_bounded_options_checked(self):
         checked = {(argv[0], flag) for flag, _, argv in _bounded_integer_options()}
@@ -598,14 +617,15 @@ class TestReportAll:
 
 
 class TestQuasianalyticRows:
-    """Every row of a quasianalyticity check at or past its fact's n0
-    compares the term with the fact's bound and carries that outcome; a row
-    below n0 says so and has none."""
+    """Every row of a term-bound check (quasianalyticity, derivation
+    closure) at or past its fact's n0 compares the term with the fact's
+    bound and carries that outcome; a row below n0 says so and has none."""
 
     @staticmethod
     def _rows(checks):
         return [row for check in checks
-                if check.report.name.startswith(("quasianalytic[", "transform-quasianalytic["))
+                if check.report.name.startswith(
+                    ("quasianalytic[", "transform-quasianalytic[", "derivation-closed["))
                 for row in check.report.rows]
 
     @staticmethod

@@ -2,6 +2,7 @@
 quasianalyticity facts with their sampled term bounds, derivation closure,
 and the inclusion criterion."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -152,18 +153,20 @@ class TestCarleman:
             (SequenceSpec(family="paper8"), "divergent"),
         ]
         for spec, claim in cases:
-            assert family_fact(spec, "quasianalytic").series == claim
+            direction = "upper" if claim == "convergent" else "lower"
+            assert family_fact(spec, "quasianalytic").direction == direction
+            assert quasianalyticity_report(WeightSequence(spec), 4).claim.endswith(claim)
 
     def test_transform_rules(self):
         il1 = SequenceSpec(family="iterated_log", k=1)
         il2 = SequenceSpec(family="iterated_log", k=2)
         t_il1 = power_substitute(il1, 2)
-        assert family_fact(t_il1, "quasianalytic").series == "convergent"
+        assert family_fact(t_il1, "quasianalytic").direction == "upper"
         for p in (2, 3):
             t_il2 = power_substitute(il2, p)
-            assert family_fact(t_il2, "quasianalytic").series == "divergent"
+            assert family_fact(t_il2, "quasianalytic").direction == "lower"
         t8 = power_substitute(SequenceSpec(family="paper8"), 5)
-        assert family_fact(t8, "quasianalytic").series == "divergent"
+        assert family_fact(t8, "quasianalytic").direction == "lower"
 
     def test_table_has_no_rule(self):
         spec = SequenceSpec(family="table", log_values=("0", "1", "2", "3", "4", "5"))
@@ -249,6 +252,7 @@ EVERY_INDEX = (
     *((SequenceSpec(family="constant"), 1, 2000),),
     *((SequenceSpec(family="gevrey", s=s), 1, 2000) for s in ("1/2", "1", "2")),
     (SequenceSpec(family="gevrey", s="1"), 2, 300),
+    *((SequenceSpec(family="gevrey", s=s), p, 300) for s in ("1/2", "2") for p in (2, 3)),
     *((spec, p, 300)
       for spec in (SequenceSpec(family="iterated_log", k=1),
                    SequenceSpec(family="iterated_log", k=2),
@@ -256,13 +260,26 @@ EVERY_INDEX = (
       for p in (1, 2, 3)),
 )
 
+#: the check of each term-bound fact
+CHECKS = {"quasianalytic": quasianalyticity_report,
+          "derivation_closed": check_derivation_closed}
 
-@pytest.mark.parametrize("spec, p, N", EVERY_INDEX,
-                         ids=[f"{spec.label()}-p{p}" for spec, p, _ in EVERY_INDEX])
-def test_each_bound_holds_at_every_index(spec, p, N):
+
+def _both_facts(cases):
+    """``cases`` for each term-bound fact, with ids ``label-pP``, prefixed
+    by the fact's name for any fact but quasianalyticity."""
+    return dict(
+        argvalues=[(fact, *case) for fact in CHECKS for case in cases],
+        ids=[("" if fact == "quasianalytic" else f"{fact}-") + f"{case[0].label()}-p{case[1]}"
+             for fact in CHECKS for case in cases],
+    )
+
+
+@pytest.mark.parametrize("fact_name, spec, p, N", **_both_facts(EVERY_INDEX))
+def test_each_bound_holds_at_every_index(fact_name, spec, p, N):
     ws = WeightSequence(spec if p == 1 else power_substitute(spec, p))
-    fact = family_fact(ws.spec, "quasianalytic")
-    compare = LogReal.leq if fact.series == "convergent" else LogReal.geq
+    fact = family_fact(ws.spec, fact_name)
+    compare = LogReal.leq if fact.direction == "upper" else LogReal.geq
     for n, term in enumerate(carleman_terms(ws, N), 1):
         if n >= fact.n0:
             assert compare(term, fact.rhs(n, ws.bits)) is Outcome.CONFIRMED, n
@@ -278,30 +295,29 @@ RULES = (
     (SequenceSpec(family="paper8"), 1),
 )
 
-#: one spec of each divergent tower rule.  paper8 is taken at p = 3: at p = 1
-#: its slope g'(x) = log log log x + ... is about 0.65 at x = 300, so half of
-#: it stays within the slack of 2 on any sample the check reaches
+#: one spec of each tower rule.  paper8 is taken at p = 3: at p = 1 its
+#: slope g'(x) = log log log x + ... is about 0.65 at x = 300, so half of it
+#: stays within the slack of 2 on any sample the check reaches
 SLOPE_RULES = (
     (SequenceSpec(family="iterated_log", k=1), 1),
     (SequenceSpec(family="iterated_log", k=2), 3),
     (SequenceSpec(family="paper8"), 3),
 )
 
-
 class TestAWeakenedBoundRefutes:
     @staticmethod
-    def _verdict(spec, p, mutate=None, monkeypatch=None):
+    def _verdict(spec, p, mutate=None, monkeypatch=None, fact_name="quasianalytic"):
         ws = WeightSequence(spec if p == 1 else power_substitute(spec, p))
         if mutate is not None:
-            fact = mutate(family_fact(ws.spec, "quasianalytic"))
+            fact = mutate(family_fact(ws.spec, fact_name))
             monkeypatch.setattr(criteria, "family_fact", lambda spec, name: fact)
-        return quasianalyticity_report(ws, 300).verdict
+        return CHECKS[fact_name](ws, 300).verdict
 
-    @pytest.mark.parametrize("spec, p", RULES, ids=[f"{s.label()}-p{p}" for s, p in RULES])
-    def test_slack_one_half(self, spec, p, monkeypatch):
-        assert self._verdict(spec, p).outcome is Outcome.CONFIRMED
+    @pytest.mark.parametrize("fact_name, spec, p", **_both_facts(RULES))
+    def test_slack_one_half(self, fact_name, spec, p, monkeypatch):
+        assert self._verdict(spec, p, fact_name=fact_name).outcome is Outcome.CONFIRMED
         monkeypatch.setattr(sequences, "_TERM_SLACK", Fraction(1, 2))
-        verdict = self._verdict(spec, p)
+        verdict = self._verdict(spec, p, fact_name=fact_name)
         assert verdict.outcome is Outcome.REFUTED
         assert verdict.reason is Reason.INTERVAL_SEPARATION
 
@@ -311,43 +327,85 @@ class TestAWeakenedBoundRefutes:
                                 monkeypatch)
         assert verdict.outcome is Outcome.REFUTED
 
-    @pytest.mark.parametrize("spec, p", SLOPE_RULES,
-                             ids=[f"{s.label()}-p{p}" for s, p in SLOPE_RULES])
-    def test_half_the_slope(self, spec, p, monkeypatch):
-        # p g'(x+p) replaced by (p/2) g'(x+p) in the divergent bound
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_gevrey_derivation_exponent_zero(self, p, monkeypatch):
+        # (n+1)^-1 (pn+p)^-(ps) with the exponent p s dropped: the bound
+        # then says the ratio M_(n+1)/M_n is at most 2
+        spec = SequenceSpec(family="gevrey", s="1/2")
+        assert self._verdict(spec, p, fact_name="derivation_closed").outcome is (
+            Outcome.CONFIRMED)
+        verdict = self._verdict(spec, p, lambda fact: replace(fact, args=(p, Fraction(0))),
+                                monkeypatch, "derivation_closed")
+        assert verdict.outcome is Outcome.REFUTED
+
+    @pytest.mark.parametrize("fact_name, spec, p", **_both_facts(SLOPE_RULES))
+    def test_half_the_slope(self, fact_name, spec, p, monkeypatch):
+        # p g'(x+p) replaced by (p/2) g'(x+p) in the lower tower bound
         slope = sequences._tower_slope
         half = (from_man_exp(1, -1), from_man_exp(1, -1))
         monkeypatch.setattr(sequences, "_tower_slope",
                             lambda y, k, bits: mpi_mul(slope(y, k, bits), half, bits))
-        assert self._verdict(spec, p).outcome is Outcome.REFUTED
+        assert self._verdict(spec, p, fact_name=fact_name).outcome is Outcome.REFUTED
+
+
+def _log_ratios(report):
+    """log M_(n+1)/M_n = -log t_n - log(n+1) read off each row of a
+    term-bound check, as floats by row index: both row endpoints."""
+    return {r.index[0]: [-float(x) - math.log(r.index[0] + 1) for x in (r.lo, r.hi)]
+            for r in report.rows}
 
 
 class TestDerivationClosed:
     def test_constant_sup_is_one(self, constant_ws):
+        # every ratio is 1: each sampled term is 1/(n+1), twice the bound
         report = check_derivation_closed(constant_ws, 50)
         assert report.verdict.outcome is Outcome.CONFIRMED
-        last = dict(report.rows[-1].extra)
-        assert float(last["sup_hi"]) == 0  # log(sup) = 0
+        assert [r.index[0] for r in report.rows] == sampled_indices(50, 1)
+        assert all(r.outcome is Outcome.CONFIRMED for r in report.rows)
+        assert all(abs(x) < 1e-15 for ends in _log_ratios(report).values() for x in ends)
 
     def test_gevrey_sup_enclosure_at_two(self, gevrey1_ws):
-        # (n+1)^(1/n) is maximal at n = 1 where it equals 2
+        # the ratio n + 1 has n-th root (n+1)^(1/n), maximal at n = 1 where
+        # it equals 2; the bound allows a ratio of at most 2 (n+1)
         report = check_derivation_closed(gevrey1_ws, 50)
         assert report.verdict.outcome is Outcome.CONFIRMED
-        sup_hi = max(float(dict(r.extra)["sup_hi"]) for r in report.rows)
-        with working_precision(gevrey1_ws.bits):
-            log2 = float(iv_endpoints(iv.log(iv.mpf(2)))[1])
-        assert sup_hi <= log2 * (1 + 1e-20)
+        assert dict(report.params)["bound"] == (
+            "for n >= 1: 2 t_n >= (n+1)^-1 (pn+p)^-(p*1), p = 1")
+        roots = {n: [x / n for x in ends] for n, ends in _log_ratios(report).items()}
+        assert all(abs(x - math.log(2)) < 1e-15 for x in roots[1])
+        assert max(x for ends in roots.values() for x in ends) < math.log(2) + 1e-15
+        for row in report.rows:
+            # t_n = (n+1)^-2 is the comparand, twice the bound
+            rhs = [float(dict(row.extra)[f"rhs_{end}"]) for end in ("lo", "hi")]
+            assert all(abs(float(row.lo) - x - math.log(2)) < 1e-14 for x in rhs)
 
     def test_iterated_log_bounded_by_rule(self):
         ws = WeightSequence(SequenceSpec(family="iterated_log", k=1))
         report = check_derivation_closed(ws, 40)
         assert report.verdict.outcome is Outcome.CONFIRMED
         assert report.verdict.reason is Reason.SYMBOLIC_COMPARISON
+        assert all(r.outcome is Outcome.CONFIRMED and r.note.startswith("bounded: ")
+                   for r in report.rows)
 
     def test_table_is_trend_only(self):
         spec = SequenceSpec(family="table", log_values=tuple(str(i) for i in range(12)))
         report = check_derivation_closed(WeightSequence(spec), 10)
         assert report.verdict.outcome is Outcome.INCONCLUSIVE
+        assert report.verdict.reason is Reason.DEPTH_EXHAUSTED
+        assert [r.index[0] for r in report.rows] == sampled_indices(10, 1)
+        assert all(r.outcome is None and r.extra == () for r in report.rows)
+        assert "bound" not in dict(report.params)
+
+    def test_the_check_reads_only_its_sampled_indices(self):
+        # no row streams: the check fills M only at the sampled indices and
+        # their successors, whatever n_max is
+        ws = WeightSequence(SequenceSpec(family="gevrey", s="1", precision=20))
+        report = check_derivation_closed(ws, 20000)
+        assert report.verdict.outcome is Outcome.CONFIRMED
+        sampled = sampled_indices(20000, 1)
+        assert [r.index[0] for r in report.rows] == sampled
+        assert {n for n in range(0, 20100) if n in ws._memo} == {
+            m for n in sampled for m in (n, n + 1)}
 
 
 class TestInclusion:

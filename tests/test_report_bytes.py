@@ -51,28 +51,28 @@ RUNS = {
         ["report-all", "--n-max", "3", "--precision", "20",
          "--spec", "nonconvex_table.json", "--spec", "transformed_il1.json"],
         1,
-        "5afba7ebb68682c94e0c18fc0f3ba8d6f23d8a1528d1ce8aee83cf6a0c816d60",
-        "2b933f61c23920885867b38c9ee8a4bd3003f14cf831fbef64d59cb4b0053f6e",
+        "21e1d7d11b043a233e84cf6f80ade0c0c5602785c1acf645786b269b39c6071f",
+        "bad054cc6d184b176691b5b0ce9afa56b027e35d580a98b0336e3b11178ca78c",
     ),
     # every battery sweep at its default depth: the bytes a refactor of the
     # command line must keep
     "report-all-default": (
         ["report-all"],
         0,
-        "3d3e4bfa32113c001677fade962f4be2457830f5b3d8853dbee13ee2dc2ef18d",
-        "bda104027eec004278d245e68b779572c04205d5c21682f7484adde0e11a4f75",
+        "4bf3c5f1131e821f952ee4cd2c3428174c7341e19092d99ee1444f98149dd7d6",
+        "570224f62a119bdd32c78d9cadea9c965d065f4b785c58762a4672745492ccef",
     ),
     "seq-check-table": (
         ["seq-check", "--spec", "nonconvex_table.json", "--n-max", "3"],
         1,
-        "7756a23e6eb10ede95415618fc7303c834992b2fc58029800a9294fb1505c470",
-        "83f14e548db2d2db2172928aac033f4d25264c0f05a3b421bbb3e1fbd471e7fb",
+        "9f97cc8d5ae6e12319fff03c9607930ee1881498f06ab3aca148e542c50a237c",
+        "8752d1431281968eaa4c4c3e990b793e3a3abb1ebfe528bd51f93ccff5e676db",
     ),
     "seq-check-transformed": (
         ["seq-check", "--spec", "transformed_il1.json", "--n-max", "3"],
         0,
-        "320de54c4140b3ddfa4a82e81884e35e0faa358e660baad5267aca9810ac4739",
-        "26d66d15d4030accb11354ff7114441e81faa631506a34951978706534c0eafb",
+        "ec0719a15643583f31baf86b4915d0a6f6cb601ec8e65c5afd011759e29ddbc8",
+        "5bf06dfeab18ef5e1043a697df0b4cf448dcf2d30fbff7f9b8adb14124edaff4",
     ),
     "bang": (
         ["bang", "--spec", "iterated_log1.json", "--deriv-n-max", "2",
@@ -96,8 +96,8 @@ RUNS = {
     "seq-check-nested": (
         ["seq-check", "--spec", "nested_il1.json", "--n-max", "3"],
         0,
-        "714784ddcb8b83bf6b30a1a97b3bf42d8fcb920eced98867c8617a56ec91d139",
-        "a70885c778ac999ad6bbc4c03d51854797bfe655075f728d7776638ec7c241f0",
+        "e2b90ee09248b9019eb6efd15946dbe1dc73b07206465a5a5ef7ac0d596c8280",
+        "7ec030a7988e50932d8fdfc82f0808412db04f600f91c7cbb5a29a341a2575a3",
     ),
     # inclusion's dilation route at the chain's factor 6
     "seq-compare-nested": (
@@ -162,8 +162,8 @@ RUNS = {
     "report-all-rejected": (
         ["report-all", "--n-max", "2", "--precision", "20", "--spec", "iterated_log4.json"],
         2,
-        "f459b4243ade1ec9211cd67386b4db682895651ec4defdff2d58f5670a159604",
-        "6f6034f8e7d72e89180d6a6db13e5f679807fc0e853edfc1285331ae304b7593",
+        "d6c3461904a363895ea262f0a9782bef1e7e478d47208b2b3d942be13d0588cc",
+        "a1b774810b4969e433f9162950acfeab914bda513f23ec37ffef15ba0ced2f9b",
     ),
 }
 
