@@ -229,8 +229,17 @@ def _timed(run: RunReport, producer, *args,
     return ran
 
 
+def _admit_depth(spec: SequenceSpec, deepest: int, flags: str) -> None:
+    """Exit 3 before any work when index ``deepest`` of ``spec`` reads its
+    innermost base (at the chain's factor times the index) past the maximum."""
+    index = spec.base_chain()[1] * deepest
+    if index > DEFAULT_MAX_INDEX:
+        raise UsageError(f"{flags} reads index {index}, beyond the maximum {DEFAULT_MAX_INDEX}")
+
+
 def cmd_seq_show(args) -> RunReport:
     spec = _load(args.spec, args.precision)
+    _admit_depth(spec, args.n_max + 1, f"--n-max {args.n_max}")
     label = spec.label()
     run = _start(args, spec)
     ws = WeightSequence(spec)
@@ -251,6 +260,7 @@ def cmd_seq_check(args) -> RunReport:
     if len(set(names)) != len(names):
         raise UsageError(f"--checks names a check more than once: {args.checks!r}")
     spec = _load(args.spec, args.precision)
+    _admit_depth(spec, args.n_max + 1, f"--n-max {args.n_max}")
     run = _start(args, spec)
     ws = WeightSequence(spec)
     for name in names:
@@ -261,6 +271,8 @@ def cmd_seq_check(args) -> RunReport:
 def cmd_seq_compare(args) -> RunReport:
     specM = _load(args.spec, args.precision)
     specN = _load(args.other, args.precision)
+    for spec in (specM, specN):
+        _admit_depth(spec, args.n_max, f"--n-max {args.n_max}")
     run = _start(args, specM, specN)
     _timed(run, check_inclusion, WeightSequence(specM), WeightSequence(specN), args.n_max,
            guard=(f"{specM.label()} vs {specN.label()}", "inclusion"))
@@ -268,12 +280,10 @@ def cmd_seq_compare(args) -> RunReport:
 
 
 def cmd_seq_transform(args) -> RunReport:
-    # the dilated quasianalyticity check reads the base at p (depth + 1)
     p, depth = args.p, max(8, args.n_max)
-    if p * (depth + 1) > DEFAULT_MAX_INDEX:
-        raise UsageError(f"--p {p} with --n-max {args.n_max} reads index {p * (depth + 1)}, "
-                         f"beyond the maximum {DEFAULT_MAX_INDEX}")
     spec = _load(args.spec, args.precision)
+    # the dilated quasianalyticity check reads the spec at p (depth + 1)
+    _admit_depth(spec, p * (depth + 1), f"--p {p} with --n-max {args.n_max}")
     label = spec.label()
     run = _start(args, spec)
     ws = WeightSequence(spec)

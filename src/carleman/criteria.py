@@ -14,8 +14,8 @@ Two kinds of evidence feed every verdict here:
 The quasianalyticity and derivation-closure checks spot-check their
 family's pointwise term bound at a fixed sample of indices instead of
 summing the series or streaming its ratios: the bound and its rule cover
-every index, and a wrong bound refutes at the sample.  Past the log k!
-table, their cost does not grow with n_max.
+every index, and a wrong bound refutes at the sample.  Their cost does
+not grow with n_max.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .outcomes import (
     aggregate_rows,
     fact_verdict,
 )
-from .sequences import _LOGFACT_INCREMENTAL_MAX, TermBound, WeightSequence, family_fact
+from .sequences import TermBound, WeightSequence, family_fact
 
 
 def log_row(index, quantity, value: LogReal, outcome=None, note="", extra=()) -> EvidenceRow:
@@ -143,11 +143,8 @@ _TERM = "t_n = M_n/((n+1) M_(n+1)) (log)"
 
 def sampled_indices(n_max: int, n0: int) -> list[int]:
     """The indices in [1, n_max] a term-bound check tests: every
-    n < n0 + 8, the powers of two, n_max, and the log-factorial seam pair,
-    whose terms read log n! by both of its routes."""
-    seam = _LOGFACT_INCREMENTAL_MAX
-    picked = {*range(1, n0 + 8), *(1 << j for j in range(n_max.bit_length())),
-              n_max, seam, seam + 1}
+    n < n0 + 8, the powers of two, and n_max."""
+    picked = {*range(1, n0 + 8), *(1 << j for j in range(n_max.bit_length())), n_max}
     return sorted(n for n in picked if n <= n_max)
 
 

@@ -188,8 +188,8 @@ class LogReal:
     def from_int(cls, n: int, bits: int) -> "LogReal":
         """log n for a positive integer n, bit for bit
         ``from_fraction(Fraction(n))`` without building the Fraction.  The
-        last 256 ``(n, bits)`` are cached, so the log-factorial fill and the
-        quasianalyticity term share log(n + 1)."""
+        last 256 ``(n, bits)`` are cached, so a constant such as the slack
+        of a term bound is evaluated once per precision."""
         if n <= 0:
             raise ValueError("LogReal represents positive reals only")
         return _log_int(n, bits)

@@ -12,8 +12,8 @@ spec's working precision (significant decimal digits), computed on raw
 global precision.  The same spec and precision always reproduce
 bit-identical values, regardless of evaluation order or memo state.  Each
 sequence memoizes M and M' in a :class:`~carleman.memo.Memo`, as the module
-does its table of log k! per precision; ``lru_cache`` holds the tower
-thresholds and the normaliser of each shifted iterated-log sequence.
+does log n! per (n, precision); ``lru_cache`` holds the tower thresholds
+and the normaliser of each shifted iterated-log sequence.
 """
 
 from __future__ import annotations
@@ -52,31 +52,24 @@ MAX_PRECISION = 1000
 
 SPEC_FORMAT_VERSION = 1
 
-#: boundary between the incremental exact-accumulation path for log n! and
-#: the direct interval log-gamma path; a pure function of n so results never
-#: depend on call order.
+#: read only by the benchmark, which splits its count of ``log_factorial``
+#: calls at this index; ``log_factorial`` has one route at every n
 _LOGFACT_INCREMENTAL_MAX = 20000
 
-#: bits -> log k! for k = 0, 1, ...
+#: (n, bits) -> log n!
 _logfact_cache = Memo()
 
 
 def log_factorial(n: int, bits: int) -> LogReal:
-    """Enclosure of log(n!) at ``bits``.
-
-    Small n accumulate exact per-integer logs (one outward-rounded
-    ``LogReal.from_int(k, bits)`` per step, the sums cached per precision);
-    large n go through the interval log-gamma.
-    """
+    """Enclosure of log(n!) at ``bits``: the interval log-gamma of n + 1,
+    memoized per (n, bits).  It is exactly 0 at n = 0 and n = 1."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > _LOGFACT_INCREMENTAL_MAX:
-        return LogReal.from_mpi(mpi_loggamma((from_int(n + 1),) * 2, bits), bits)
-    return _logfact_cache.grow(bits, n, LogReal.one, _next_log_factorial)[n]
+    return _logfact_cache.get((n, bits), _log_gamma, n + 1, bits)
 
 
-def _next_log_factorial(bits: int, facts: list[LogReal]) -> LogReal:
-    return facts[-1] * LogReal.from_int(len(facts), bits)
+def _log_gamma(x: int, bits: int) -> LogReal:
+    return LogReal.from_mpi(mpi_loggamma((from_int(x),) * 2, bits), bits)
 
 
 @lru_cache(maxsize=None)
@@ -268,7 +261,7 @@ class TermBound:
     def rhs(self, n: int, bits: int) -> LogReal:
         """Enclosure of the bound on t_n at ``bits``."""
         bound = self.comparand(n, bits, *self.args)
-        slack = LogReal.from_fraction(Fraction(_TERM_SLACK), bits)
+        slack = LogReal.from_int(_TERM_SLACK, bits)
         return bound * slack if self.direction == "upper" else bound / slack
 
 
@@ -616,8 +609,7 @@ class WeightSequence:
         return self._mprime_memo.get(n, self._compute_log_Mprime, n)
 
     def _compute_log_Mprime(self, n: int) -> LogReal:
-        value = self.log_M(n)
-        return value if n <= 1 else log_factorial(n, self.bits) * value
+        return log_factorial(n, self.bits) * self.log_M(n)
 
     def ratio_m(self, k: int) -> LogReal:
         """Enclosure of the primed ratio m_k = M'_{k+1} / M'_k."""

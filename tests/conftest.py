@@ -202,15 +202,16 @@ def carleman_terms(ws: WeightSequence, n_max: int):
         yield lower / LogReal.from_int(n + 1, ws.bits) / upper
 
 
-def ref_log_factorial(n: int, bits: int):
-    """Per-integer log accumulation up to the seam, log-gamma above it."""
+def ref_log_factorials(n_max: int, bits: int) -> list:
+    """log k! for k = 0..n_max by per-integer accumulation, the sum of
+    log m over m <= k: the twin of the log-gamma route, sharing none of it."""
     with working_precision(bits):
-        if n > 20000:
-            return iv.loggamma(iv.mpf(n + 1))
         acc = iv.mpf(0)
-        for m in range(1, n + 1):
+        out = [acc]
+        for m in range(1, n_max + 1):
             acc = acc + iv.log(iv.mpf(m))
-        return acc
+            out.append(acc)
+        return out
 
 
 def ref_shifted_log_M(start: int, k: int, n: int, bits: int):

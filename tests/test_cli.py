@@ -170,6 +170,34 @@ class TestExitCodes:
         assert [c["verdict"]["outcome"] for c in json.loads(out.read_text())["checks"]] == [
             "confirmed", "confirmed"]
 
+    @pytest.mark.parametrize("command, admitted", [
+        ("seq-show", 24), ("seq-check", 24), ("seq-compare", 25), ("seq-transform", 11),
+    ])
+    def test_a_transformed_document_counts_its_factor(self, tmp_path, gevrey_path, monkeypatch,
+                                                      capsys, command, admitted):
+        # transformed(gevrey(s=1), p=2) reads gevrey at twice each index:
+        # with the largest index at 50, the deepest admitted index reads 50
+        # or less, and one more --n-max reads index 52, refused before any work
+        for module in (cli, sequences):
+            monkeypatch.setattr(module, "DEFAULT_MAX_INDEX", 50)
+        doc = tmp_path / "t.json"
+        doc.write_text(json.dumps({"family": "transformed", "params": {
+            "p": 2, "base": {"family": "gevrey", "params": {"s": "1"}}}}))
+        out = tmp_path / "r.json"
+        argv = {
+            "seq-show": ["--spec", str(doc)],
+            "seq-check": ["--spec", str(doc), "--checks", "quasianalytic"],
+            "seq-compare": ["--spec", gevrey_path, "--other", str(doc)],
+            "seq-transform": ["--spec", str(doc), "--p", "2"],
+        }[command]
+        argv = [command, *argv, "--precision", "20", "--out", str(out)]
+        assert run(argv + ["--n-max", str(admitted + 1)]) == 3
+        assert "reads index 52, beyond the maximum 50" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(argv + ["--n-max", str(admitted)]) == 0
+        assert all(c["verdict"]["outcome"] == "confirmed"
+                   for c in json.loads(out.read_text())["checks"])
+
     def test_every_subcommand_has_its_bounded_options_checked(self):
         checked = {(argv[0], flag) for flag, _, argv in _bounded_integer_options()}
         assert {("alpha", "--p"), ("thm61", "--p"), ("report-all", "--n-max"),

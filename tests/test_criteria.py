@@ -22,6 +22,7 @@ from carleman.criteria import (
     sampled_indices,
 )
 from carleman.intervals import LogReal, sum_values, working_precision
+from carleman.memo import Memo
 from carleman.outcomes import Outcome, Reason
 from carleman.sequences import SequenceSpec, WeightSequence, family_fact, power_substitute
 from conftest import (
@@ -208,23 +209,23 @@ class TestCarleman:
         assert values == twin
 
     def test_the_sample_does_not_grow_with_n_max(self):
-        assert sampled_indices(20100, 1) == [
-            *range(1, 9), *(2**j for j in range(4, 15)), 20000, 20001, 20100]
-        # indices below n0 + 8, and the seam pair only once n_max reaches it
+        assert sampled_indices(20100, 1) == [*range(1, 9), *(2**j for j in range(4, 15)), 20100]
+        # every index below n0 + 8, and n_max once
         assert sampled_indices(40, 13) == [*range(1, 21), 32, 40]
-        assert sampled_indices(20000, 1)[-1] == 20000
+        assert sampled_indices(16384, 1)[-2:] == [8192, 16384]
         assert sampled_indices(1, 13) == [1]
-        assert len(sampled_indices(999_999, 1)) == 8 + 16 + 3
+        assert len(sampled_indices(999_999, 1)) == 8 + 16 + 1
 
-    def test_the_check_reads_only_its_sampled_indices(self):
-        # the seam pair reads log n! by both routes: M_20000 from the
-        # incremental table, M_20001 and M_20002 from the log-gamma
+    def test_the_check_reads_only_its_sampled_indices(self, monkeypatch):
+        # M and log n! are filled at the sampled indices and their
+        # successors only, however large n_max is
+        monkeypatch.setattr(sequences, "_logfact_cache", Memo())
         ws = WeightSequence(SequenceSpec(family="gevrey", s="1", precision=20))
         report = quasianalyticity_report(ws, 20100)
         assert report.verdict.outcome is Outcome.CONFIRMED
-        sampled = [*range(1, 9), *(2**j for j in range(4, 15)), 20000, 20001, 20100]
-        assert {n for n in range(0, 20200) if n in ws._memo} == {
-            m for n in sampled for m in (n, n + 1)}
+        read = {m for n in sampled_indices(20100, 1) for m in (n, n + 1)}
+        assert {n for n in range(0, 20200) if n in ws._memo} == read
+        assert set(sequences._logfact_cache._values) == {(n, ws.bits) for n in read}
 
     def test_a_row_below_n0_has_no_outcome(self, paper8_ws):
         # paper8's bound needs 3 + n >= 16 > e^e: n0 = 13
@@ -316,8 +317,15 @@ class TestAWeakenedBoundRefutes:
     @pytest.mark.parametrize("fact_name, spec, p", **_both_facts(RULES))
     def test_slack_one_half(self, fact_name, spec, p, monkeypatch):
         assert self._verdict(spec, p, fact_name=fact_name).outcome is Outcome.CONFIRMED
-        monkeypatch.setattr(sequences, "_TERM_SLACK", Fraction(1, 2))
-        verdict = self._verdict(spec, p, fact_name=fact_name)
+
+        # the slack is an integer read by LogReal.from_int, so a slack of 1/2
+        # in place of 2 is the comparand scaled by 4 against the bound
+        def slack_one_half(fact):
+            scale = LogReal.__truediv__ if fact.direction == "upper" else LogReal.__mul__
+            return replace(fact, comparand=lambda n, bits, *args: scale(
+                fact.comparand(n, bits, *args), LogReal.from_int(4, bits)))
+
+        verdict = self._verdict(spec, p, slack_one_half, monkeypatch, fact_name)
         assert verdict.outcome is Outcome.REFUTED
         assert verdict.reason is Reason.INTERVAL_SEPARATION
 

@@ -12,6 +12,7 @@ serial run.
 import sys
 import threading
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,11 +32,15 @@ from carleman.sequences import (
     tower_threshold,
 )
 from conftest import (
+    encloses_fraction,
+    iv_endpoints,
+    log_hi,
+    log_lo,
     ref_cosine_sum,
     ref_div,
     ref_from_fraction,
     ref_from_log_fraction,
-    ref_log_factorial,
+    ref_log_factorials,
     ref_mul,
     ref_partial_sums,
     ref_pow,
@@ -96,12 +101,18 @@ def test_sums_match_the_reference(terms, tail, bits):
     assert all(map(same_endpoints, prefixes, ref_partial_sums(values, bits)))
 
 
-@pytest.mark.parametrize("n", [20000, 20001])
-def test_log_factorial_matches_the_reference_on_both_sides_of_the_seam(n):
-    bits = bits_for_digits(30)
-    value = log_factorial(n, bits)
-    assert same_endpoints(value, ref_log_factorial(n, bits))
-    assert value.bits == bits
+@pytest.mark.parametrize("digits", [20, 30, 80])
+def test_log_factorial_overlaps_the_accumulation_and_encloses_n_factorial(digits):
+    # the twin's sum of n outward-rounded logs is wider than the log-gamma
+    # enclosure, so the two overlap rather than agree bit for bit
+    bits = bits_for_digits(digits)
+    ref = ref_log_factorials(20001, bits)
+    for n in (*range(301), *(2**j for j in range(9, 15)), 20000, 20001):
+        value = log_factorial(n, bits)
+        assert value.bits == bits
+        ref_lo, ref_hi = iv_endpoints(ref[n])
+        assert log_lo(value) <= ref_hi and ref_lo <= log_hi(value), n
+        assert encloses_fraction(value, Fraction(factorial(n)), bits), n
 
 
 @pytest.mark.parametrize("digits", [20, 30, 80])
@@ -147,7 +158,7 @@ def test_from_int_is_from_fraction_bit_for_bit(n, bits):
 
 def test_cold_log_caches_filled_by_two_threads_match_a_serial_fill(monkeypatch):
     # each worker alternates log k! at one precision with log k at the
-    # other, so the two precisions' tables fill at once while each
+    # other, so log k! fills at both precisions at once while each
     # worker's other calls race them
     low, high = bits_for_digits(20), bits_for_digits(80)
     work = [

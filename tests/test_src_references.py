@@ -6,7 +6,8 @@ member belongs in ``tests/conftest.py`` as a twin, or nowhere.  A reference
 is an ``ast.Name`` or ``ast.Attribute`` with the member's name anywhere in
 ``src/`` outside the member's own definition, so recursion alone does not
 count.  The public API in ``carleman.__all__`` is exempt, and so is each
-entry of :data:`ALLOWED`.
+entry of :data:`ALLOWED`.  Each name of :data:`BENCH_ONLY` is defined in
+``src/`` and read only by its benchmark module.
 """
 
 import ast
@@ -19,6 +20,13 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "carleman"
 
 #: members kept without a caller in ``src/``, each with the reason
 ALLOWED: dict[str, str] = {}
+
+#: module-level names that only the benchmark reads, each with its reader:
+#: no second route may read them in ``src/``, and deleting one changes the
+#: benchmark too
+BENCH_ONLY: dict[str, str] = {
+    "_LOGFACT_INCREMENTAL_MAX": "bench/tracing.py",
+}
 
 
 def _referenced_names(tree) -> Counter:
@@ -69,3 +77,14 @@ def test_every_allowed_member_exists():
         defined |= {name.rpartition(".")[2]
                     for name, _ in _members(ast.parse(path.read_text(encoding="utf-8")))}
     assert set(ALLOWED) <= defined
+
+
+
+def test_bench_only_names_are_read_by_the_benchmark_alone():
+    # the one reference to each in src/ is its definition
+    references = sum((_referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+                      for path in sorted(SRC.glob("*.py"))), Counter())
+    for name, reader in BENCH_ONLY.items():
+        assert references[name] == 1, name
+        bench = ast.parse((SRC.parents[1] / reader).read_text(encoding="utf-8"))
+        assert _referenced_names(bench)[name] > 0, name
