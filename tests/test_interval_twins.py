@@ -101,6 +101,18 @@ def test_sums_match_the_reference(terms, tail, bits):
     assert all(map(same_endpoints, prefixes, ref_partial_sums(values, bits)))
 
 
+@pytest.mark.parametrize("n", [20000, 20001])
+def test_log_factorial_matches_the_reference_on_both_sides_of_the_seam(n):
+    # 20000 is _LOGFACT_INCREMENTAL_MAX, where the benchmark's per-integer
+    # table stops; log_factorial takes one route on both sides of it
+    bits = bits_for_digits(30)
+    value = log_factorial(n, bits)
+    assert value.bits == bits
+    ref_lo, ref_hi = iv_endpoints(ref_log_factorials(n, bits)[n])
+    assert log_lo(value) <= ref_hi and ref_lo <= log_hi(value)
+    assert encloses_fraction(value, Fraction(factorial(n)), bits)
+
+
 @pytest.mark.parametrize("digits", [20, 30, 80])
 def test_log_factorial_overlaps_the_accumulation_and_encloses_n_factorial(digits):
     # the twin's sum of n outward-rounded logs is wider than the log-gamma

@@ -277,6 +277,15 @@ class TestLogFactorial:
                 log_factorial(n, spec.bits), Fraction(factorial(n)), spec.bits
             )
 
+    def test_seam_consistency(self):
+        # either side of _LOGFACT_INCREMENTAL_MAX, the benchmark's table
+        # bound: both must enclose the exact factorial
+        spec = SequenceSpec(family="constant", precision=30)
+        for n in (20000, 20001):
+            assert encloses_fraction(
+                log_factorial(n, spec.bits), Fraction(factorial(n)), spec.bits
+            )
+
     def test_large_index_via_loggamma(self):
         spec = SequenceSpec(family="gevrey", s=Fraction(1))
         ws = WeightSequence(spec)
