@@ -8,16 +8,18 @@ the series
 is an even smooth function whose derivatives at 0 come within geometric
 factors of the M' envelope: |F^(2n)(0)| >= M'_{2n} while
 sup |F^(n)| <= 2^(n+1) M'_n.  Everything computable here is a finite head
-plus a certified tail interval; the tail bound
+plus a certified tail interval.  The n-th derivative terms
+t_k = M'_k (2 m_k)^(n-k) have the ratio
 
-    M'_k (2 m_k)^(n-k) <= M'_n 2^(n-k)   for k >= n
+    t_(k+1) / t_k = 1/2 (m_k / m_(k+1))^(k+1-n)  <= 1/2   for k >= n,
 
-follows from the monotone ratios (m_j non-decreasing), which is exactly
-log-convexity of M'.  A finite numeric check cannot certify the infinite
-tail, so construction requires a family for which ratio monotonicity holds
-at every index by an encoded closed-form argument, and every head sum,
-tail bound and sample of F also confirms it numerically over the indices it
-touches.  A single term's value does not rest on it; only a tail bound does.
+because the ratios m_j do not decrease, which is exactly log-convexity of
+M'.  So past any K >= n the tail is at most t_(K+1) (1 + 1/2 + 1/4 + ...)
+= 2 t_(K+1).  A finite numeric check cannot certify the infinite tail, so
+construction requires a family for which ratio monotonicity holds at every
+index by an encoded closed-form argument, and every head sum and sample of F
+also confirms it numerically over the indices it touches.  A single term's
+value does not rest on it; only a tail bound does.
 """
 
 from __future__ import annotations
@@ -49,10 +51,10 @@ class BangSeries:
 
     Construction only rejects sequences whose family has no
     ``mprime_logconvex`` fact (table, dilated, and the measured-only
-    double-log family); it computes no value.  :meth:`head_sum`,
-    :meth:`tail_bound` and :meth:`eval_F` re-confirm log-convexity of M'
-    numerically over the range they touch, once per call, so a value no
-    precision can compute fails there, not at construction.  A single
+    double-log family); it computes no value.  :meth:`truncated_head` and
+    :meth:`eval_F` re-confirm log-convexity of M' numerically over the
+    range they touch, once per call, so a value no precision can compute
+    fails there, not at construction.  A single
     :meth:`deriv_term` needs none: only a tail bound rests on log-convexity.
 
     Each certified head sum is computed once per n and each 2 m_k once per
@@ -101,29 +103,37 @@ class BangSeries:
 
     # -- derivatives at zero -----------------------------------------------------
 
-    def default_truncation(self, n: int) -> int:
-        """Head length: the dominant term sits at k = n and the certified
-        tail halves per step, so n + (precision bits) + 2 pushes the tail
-        below one unit in the last place of the head."""
-        return max(2 * n + 8, n + self.bits + 2)
+    def truncated_head(self, n: int) -> tuple[list[LogReal], LogReal]:
+        """The head terms k = 0..K of sum_k M'_k (2 m_k)^(n-k) and the
+        certified bound 2 term_(K+1) of the rest (the ratio argument of the
+        module docstring).
 
-    def tail_bound(self, n: int) -> LogReal:
-        """Upper bound M'_n 2^(n-K) for sum_{k>K} M'_k (2 m_k)^(n-k), K the
-        :meth:`default_truncation` of n."""
-        K = self.default_truncation(n)
-        self._ensure_confirmed(K + 1)
-        return self.ws.log_Mprime(n) * self._two.pow_int(n - K)
+        K is the first index >= n at which the enclosure of 2 term_(K+1) is
+        certainly below 2^(-bits) times the lower end of the dominant term
+        term_n = M'_n, so the tail is under one unit in the last place of
+        the head; K is at most max(2n + 8, n + bits + 2).  Log-convexity of
+        M' is confirmed numerically up to K + 1.
+        """
+        floor = self.ws.log_Mprime(n) * self._two.pow_int(-self.bits)
+        cap = max(2 * n + 8, n + self.bits + 2)
+        head = [self.deriv_term(k, n) for k in range(n + 1)]
+        while True:
+            term = self.deriv_term(len(head), n)
+            tail = self._two * term
+            if len(head) > cap or tail.leq(floor) is Outcome.CONFIRMED:
+                break
+            head.append(term)
+        self._ensure_confirmed(len(head))
+        return head, tail
 
     def head_sum(self, n: int) -> LogReal:
-        """Enclosure of sum_k M'_k (2 m_k)^(n-k): the K+1 term head, K the
-        :meth:`default_truncation` of n, plus the certified tail interval,
-        memoized per n."""
-        self._ensure_confirmed(self.default_truncation(n) + 1)
+        """Enclosure of sum_k M'_k (2 m_k)^(n-k): the :meth:`truncated_head`
+        of n plus its certified tail interval, memoized per n."""
         return self._heads.get(n, self._compute_head_sum, n)
 
     def _compute_head_sum(self, n: int) -> LogReal:
-        terms = [self.deriv_term(k, n) for k in range(0, self.default_truncation(n) + 1)]
-        return sum_values(terms, tail_upper=self.tail_bound(n))
+        head, tail = self.truncated_head(n)
+        return sum_values(head, tail_upper=tail)
 
     def F_deriv_at_zero(self, n: int) -> SignedEnclosure:
         """Signed enclosure of F^(n)(0).

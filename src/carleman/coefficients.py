@@ -108,15 +108,17 @@ def dec_str(x: Fraction | int) -> str:
     return to_str(mpf_div(num, den, _RENDER_BITS, round_nearest), 17)
 
 
-def leq_with_e_power(lhs: Fraction, rhs_coeff: Fraction, e_exp: int) -> Outcome:
+def leq_with_e_power(lhs: Fraction, rhs_coeff: Fraction, e_exp: int,
+                     lo_ceiling: Fraction) -> Outcome:
     """Three-valued ``lhs <= rhs_coeff * e^e_exp`` using the safe enclosure.
 
-    Confirmed via E_LO (understates the right side), refuted via E_UP
-    (overstates it); anything between is inconclusive.
+    Confirmed via ``lo_ceiling``, the caller's ``rhs_coeff * E_LO^e_exp``
+    (it understates the right side), refuted via E_UP (overstates it);
+    anything between is inconclusive.
     """
     if e_exp < 0:
         raise ValueError("negative e-powers are not needed here")
-    if lhs <= rhs_coeff * e_lo_pow(e_exp):
+    if lhs <= lo_ceiling:
         return Outcome.CONFIRMED
     if lhs > rhs_coeff * e_up_pow(e_exp):
         return Outcome.REFUTED
@@ -128,11 +130,12 @@ def exact_row(index, quantity: str, lhs: Fraction, coeff: Fraction, e_exp: int,
     """The evidence row of ``lhs <= coeff * e^e_exp``, decided by
     :func:`leq_with_e_power` and combined (worst outcome) with the row's
     other exact links ``also``.  It prints ``lhs`` and the ``E_LO``
-    ceiling; ``fields`` are the row's ``note`` and ``extra``."""
-    return EvidenceRow(index=index, quantity=quantity, lo=dec_str(lhs),
-                       hi=dec_str(coeff * e_lo_pow(e_exp)),
-                       outcome=worst_outcome([*also, leq_with_e_power(lhs, coeff, e_exp)]),
-                       **fields)
+    ceiling, the one product the decision reads; ``fields`` are the row's
+    ``note`` and ``extra``."""
+    ceiling = coeff * e_lo_pow(e_exp)
+    outcome = leq_with_e_power(lhs, coeff, e_exp, ceiling)
+    return EvidenceRow(index=index, quantity=quantity, lo=dec_str(lhs), hi=dec_str(ceiling),
+                       outcome=worst_outcome([*also, outcome]), **fields)
 
 
 def e_times(A: Fraction, bits: int) -> tuple[LogReal, LogReal]:

@@ -189,7 +189,10 @@ class LogReal:
         """log n for a positive integer n, bit for bit
         ``from_fraction(Fraction(n))`` without building the Fraction.  The
         last 256 ``(n, bits)`` are cached, so a constant such as the slack
-        of a term bound is evaluated once per precision."""
+        of a term bound is evaluated once per precision.  Anything but an
+        ``int`` (a ``bool``, a float, a Fraction) is a ``TypeError``."""
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise TypeError(f"from_int needs an int, not {type(n).__name__}")
         if n <= 0:
             raise ValueError("LogReal represents positive reals only")
         return _log_int(n, bits)
@@ -221,7 +224,9 @@ class LogReal:
         return LogReal.from_mpi(mpi_sub(self._mpi(), other._mpi(), bits), bits)
 
     def pow_int(self, k: int) -> "LogReal":
-        return self.pow_fraction(Fraction(k))
+        """Bit for bit ``pow_fraction(Fraction(k))``, without the Fraction."""
+        factor = _int_mpi(k, self.bits)
+        return LogReal.from_mpi(mpi_mul(self._mpi(), factor, self.bits), self.bits)
 
     def pow_fraction(self, f: Fraction) -> "LogReal":
         factor = _fraction_mpi(f, self.bits)

@@ -1,25 +1,38 @@
-"""Memoized Bang head sums against the per-call route they replaced.
+"""Bang head sums: the memoized route against its per-call twin, and the
+ratio-tail truncation against the halving truncation it replaced.
 
-The per-call route rebuilt every head term from fresh enclosures: a new
-``LogReal.from_int(2)``, an unmemoized M'_k = k! M_k, the product 2 m_k,
-its power, and ``sum_values`` plus the tail bound.  The memoized route
-(``WeightSequence.log_Mprime``/``ratio_m``, ``BangSeries.two_m`` and
-``BangSeries.head_sum``) must reproduce it bit for bit, in any evaluation
-order and from several threads at once.
+The per-call route rebuilds every head term from fresh enclosures (a new
+``LogReal.from_int(2)``, an unmemoized M'_k = k! M_k, the product 2 m_k and
+its power) and stops by the same rule as ``BangSeries.truncated_head``.
+The memoized route (``WeightSequence.log_Mprime``/``ratio_m``,
+``BangSeries.two_m`` and ``BangSeries.head_sum``) must reproduce it bit for
+bit, in any evaluation order and from several threads at once.
+
+The halving twin is the truncation the package used before: a head of
+K = max(2n + 8, n + bits + 2) terms and the tail M'_n 2^(n-K), which
+assumes only that each term past n halves.  Every head sum must overlap the
+twin's enclosure and be no wider than :data:`WIDTH_FACTOR` times it, and the
+tail bound must cover the next terms past the head.  Two mutations of
+``bang.py``, run from its own source, must each break one of these checks,
+and a count of head terms keeps the truncation from growing back.
 """
 
 import sys
 import threading
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from carleman import bang
 from carleman import sequences as seq
 from carleman.bang import BangSeries
 from carleman.intervals import LogReal, mpf_str, sum_values, working_precision
+from carleman.outcomes import Outcome
 from carleman.reporting import check_to_csv
 from carleman.sequences import SequenceSpec, WeightSequence, log_factorial
-from conftest import log_iv
+from conftest import as_mpf, log_iv, mpf_to_fraction
 
 N_MAX = 24
 
@@ -29,9 +42,31 @@ SPECS = {
     "iterated_log(1)": SequenceSpec(family="iterated_log", k=1, precision=20),
 }
 
+#: the families of the twin comparison, each at 20 and at 80 digits
+TWIN_FAMILIES = {
+    "constant": dict(family="constant"),
+    "gevrey(1/2)": dict(family="gevrey", s=Fraction(1, 2)),
+    "gevrey(1)": dict(family="gevrey", s=Fraction(1)),
+    "gevrey(2)": dict(family="gevrey", s=Fraction(2)),
+    "iterated_log(1)": dict(family="iterated_log", k=1),
+    "iterated_log(2)": dict(family="iterated_log", k=2),
+}
+
+#: a head sum's log width is at most this multiple of the halving twin's (the
+#: widest at 20 and 80 digits, n <= 40, is exactly the twin's width)
+WIDTH_FACTOR = 1
+
+#: how many terms past the head the tail bound must cover
+REST_TERMS = 12
+
 
 def _bits(x: LogReal) -> tuple:
     return x.log_lo, x.log_hi
+
+
+# ---------------------------------------------------------------------------
+# the per-call route (bit for bit) and the halving twin (overlap)
+# ---------------------------------------------------------------------------
 
 
 def _old_mprime(ws: WeightSequence, n: int) -> LogReal:
@@ -42,16 +77,58 @@ def _old_mprime(ws: WeightSequence, n: int) -> LogReal:
         return LogReal.from_mpi((log_iv(log_factorial(n, ws.bits)) + log_iv(m))._mpi_, ws.bits)
 
 
-def _old_head(ws: WeightSequence, n: int, K: int) -> LogReal:
-    """Head of K+1 terms plus the tail, every factor computed afresh."""
-    with working_precision(ws.bits):
-        head = []
-        for k in range(0, K + 1):
-            ratio = _old_mprime(ws, k + 1) / _old_mprime(ws, k)
-            two_mk = LogReal.from_int(2, ws.bits) * ratio
-            head.append(_old_mprime(ws, k) * two_mk.pow_int(n - k))
-        tail = _old_mprime(ws, n) * LogReal.from_int(2, ws.bits).pow_int(n - K)
-        return sum_values(head, tail_upper=tail)
+def _fresh_term(ws: WeightSequence, k: int, n: int) -> LogReal:
+    ratio = _old_mprime(ws, k + 1) / _old_mprime(ws, k)
+    two_mk = LogReal.from_int(2, ws.bits) * ratio
+    return _old_mprime(ws, k) * two_mk.pow_int(n - k)
+
+
+def _per_call_head(ws: WeightSequence, n: int) -> LogReal:
+    """Head and ratio tail with every factor computed afresh: the head
+    stops at the first K >= n with 2 term_(K+1) certainly below 2^(-bits)
+    M'_n, or at the halving twin's K."""
+    two = LogReal.from_int(2, ws.bits)
+    floor = _old_mprime(ws, n) * two.pow_int(-ws.bits)
+    cap = max(2 * n + 8, n + ws.bits + 2)
+    head = [_fresh_term(ws, k, n) for k in range(n + 1)]
+    while True:
+        term = _fresh_term(ws, len(head), n)
+        tail = two * term
+        if len(head) > cap or tail.leq(floor) is Outcome.CONFIRMED:
+            return sum_values(head, tail_upper=tail)
+        head.append(term)
+
+
+def _halving_head(series: BangSeries, n: int) -> LogReal:
+    """The truncation before the ratio tail: K = max(2n + 8, n + bits + 2)
+    and the tail M'_n 2^(n-K)."""
+    K = max(2 * n + 8, n + series.bits + 2)
+    terms = [series.deriv_term(k, n) for k in range(K + 1)]
+    tail = series.ws.log_Mprime(n) * LogReal.from_int(2, series.bits).pow_int(n - K)
+    return sum_values(terms, tail_upper=tail)
+
+
+def _width(x: LogReal) -> Fraction:
+    return mpf_to_fraction(as_mpf(x.log_hi)) - mpf_to_fraction(as_mpf(x.log_lo))
+
+
+def _faults(series: BangSeries, n_max: int) -> list[tuple[str, int]]:
+    """(kind, n) for each head sum n <= n_max that misses the halving twin
+    ("overlap"), is wider than WIDTH_FACTOR times it ("width"), or whose
+    tail bound is below the next REST_TERMS terms past its head ("tail")."""
+    faults = []
+    for n in range(n_max + 1):
+        total, twin = series.head_sum(n), _halving_head(series, n)
+        if total.leq(twin) is Outcome.REFUTED or twin.leq(total) is Outcome.REFUTED:
+            faults.append(("overlap", n))
+        if _width(total) > WIDTH_FACTOR * _width(twin):
+            faults.append(("width", n))
+        head, tail = series.truncated_head(n)
+        rest = sum_values([series.deriv_term(k, n)
+                           for k in range(len(head), len(head) + REST_TERMS)])
+        if rest.leq(tail) is not Outcome.CONFIRMED:
+            faults.append(("tail", n))
+    return faults
 
 
 @pytest.fixture(scope="module", params=sorted(SPECS))
@@ -60,22 +137,89 @@ def spec(request):
 
 
 @pytest.fixture(scope="module")
-def old_heads(spec):
-    """The per-call route at the default truncation, n = 0..N_MAX."""
+def per_call_heads(spec):
+    """The per-call route, n = 0..N_MAX."""
     ws = WeightSequence(spec)
-    probe = BangSeries(WeightSequence(spec))
-    return {
-        n: _bits(_old_head(ws, n, probe.default_truncation(n)))
-        for n in range(N_MAX + 1)
-    }
+    return {n: _bits(_per_call_head(ws, n)) for n in range(N_MAX + 1)}
 
 
-def test_head_sum_equals_per_call_route(spec, old_heads):
+def test_head_sum_equals_per_call_route(spec, per_call_heads):
     series = BangSeries(WeightSequence(spec))
     for n in range(N_MAX + 1):
-        assert _bits(series.head_sum(n)) == old_heads[n], n
+        assert _bits(series.head_sum(n)) == per_call_heads[n], n
         if n % 2 == 0:
-            assert _bits(series.F_deriv_at_zero(n).magnitude) == old_heads[n], n
+            assert _bits(series.F_deriv_at_zero(n).magnitude) == per_call_heads[n], n
+
+
+@pytest.mark.parametrize("digits", [20, 80])
+@pytest.mark.parametrize("family", sorted(TWIN_FAMILIES))
+def test_head_sums_overlap_the_halving_twin(family, digits):
+    spec = SequenceSpec(precision=digits, **TWIN_FAMILIES[family])
+    assert _faults(BangSeries(WeightSequence(spec)), 40) == []
+
+
+# ---------------------------------------------------------------------------
+# mutations of bang.py, run from its own source
+# ---------------------------------------------------------------------------
+
+
+def _mutant(old: str, new: str) -> type:
+    """``BangSeries`` of ``bang.py`` with its one line ``old`` replaced."""
+    path = Path(bang.__file__)
+    source = path.read_text(encoding="utf-8")
+    assert source.count(old) == 1, old
+    module = types.ModuleType("carleman._bang_mutant")
+    module.__package__ = "carleman"
+    exec(compile(source.replace(old, new), str(path), "exec"), module.__dict__)
+    return module.BangSeries
+
+
+def test_a_tail_without_its_factor_two_is_caught():
+    mutant = _mutant("tail = self._two * term", "tail = term")
+    series = mutant(WeightSequence(SequenceSpec(family="constant", precision=20)))
+    assert {kind for kind, _ in _faults(series, 8)} == {"tail"}
+
+
+def test_a_ratio_bound_started_below_n_is_caught():
+    # the walk for K starts at 0: for gevrey(2) the terms below n are so
+    # small that the head stops before the dominant term k = n
+    mutant = _mutant("for k in range(n + 1)]", "for k in range(1)]")
+    spec = SequenceSpec(family="gevrey", s=Fraction(2), precision=20)
+    assert "overlap" in {kind for kind, _ in _faults(mutant(WeightSequence(spec)), 40)}
+
+
+# ---------------------------------------------------------------------------
+# the number of head terms
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family, digits, limit", [
+    ("constant", 20, 260),
+    ("constant", 80, 615),
+    ("gevrey(3/2)", 20, 190),
+    ("gevrey(3/2)", 80, 390),
+])
+def test_head_term_count(family, digits, limit, monkeypatch):
+    # the halving truncation took 446 terms at 20 digits and 1,242 at 80
+    params = {"constant": dict(family="constant"),
+              "gevrey(3/2)": dict(family="gevrey", s=Fraction(3, 2))}[family]
+    calls = []
+    deriv_term = BangSeries.deriv_term
+
+    def counted(self, k, n):
+        calls.append((k, n))
+        return deriv_term(self, k, n)
+
+    monkeypatch.setattr(BangSeries, "deriv_term", counted)
+    series = BangSeries(WeightSequence(SequenceSpec(precision=digits, **params)))
+    for n in (2, 8, 16, 24):
+        series.head_sum(n)
+    assert len(calls) <= limit
+
+
+# ---------------------------------------------------------------------------
+# the memo
+# ---------------------------------------------------------------------------
 
 
 def test_memoized_factors_equal_fresh_ones(spec):
@@ -101,13 +245,13 @@ def test_membership_total_equals_F_magnitude(spec):
             assert (row.lo, row.hi) == (mpf_str(mag.log_lo), mpf_str(mag.log_hi)), n
 
 
-def test_evaluation_order_does_not_change_bytes(spec, old_heads):
+def test_evaluation_order_does_not_change_bytes(spec, per_call_heads):
     down = BangSeries(WeightSequence(spec))
     up = BangSeries(WeightSequence(spec))
     for n in range(N_MAX, -1, -1):
-        assert _bits(down.head_sum(n)) == old_heads[n], n
+        assert _bits(down.head_sum(n)) == per_call_heads[n], n
     for n in range(0, N_MAX + 1):
-        assert _bits(up.head_sum(n)) == old_heads[n], n
+        assert _bits(up.head_sum(n)) == per_call_heads[n], n
     for build in (
         lambda s: s.verify_derivative_lower_bounds(N_MAX // 2),
         lambda s: s.verify_membership(N_MAX),
@@ -196,5 +340,4 @@ def test_default_precision_spot_check(gevrey1_spec):
     series = BangSeries(WeightSequence(gevrey1_spec))
     ws = WeightSequence(gevrey1_spec)
     for n in (0, 1, 8):
-        K = series.default_truncation(n)
-        assert _bits(series.head_sum(n)) == _bits(_old_head(ws, n, K)), n
+        assert _bits(series.head_sum(n)) == _bits(_per_call_head(ws, n)), n

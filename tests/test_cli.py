@@ -629,7 +629,9 @@ class TestReportAll:
         # the substitution checks read M' from the battery's sequences, so
         # every value of a shipped sequence is computed once; the only
         # repeats are the dilated-level fills of the transform and inclusion
-        # checks, which build their own dilations of one base sequence
+        # checks, which build their own dilations of one base sequence.  The
+        # count follows the Bang heads: each confirms log-convexity of M' up
+        # to its truncation K + 1, so a shorter head fills fewer values
         calls = Counter()
         compute = WeightSequence._compute_log_M
 
@@ -639,7 +641,7 @@ class TestReportAll:
 
         monkeypatch.setattr(WeightSequence, "_compute_log_M", counted)
         cli.run_battery()
-        assert sum(calls.values()) == 1525
+        assert sum(calls.values()) == 1182
         assert {key: count for key, count in calls.items()
                 if count > 1 and not key[0].startswith("transformed")} == {}
 

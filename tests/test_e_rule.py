@@ -56,11 +56,12 @@ def test_a_rebound_side_of_e_is_read_at_once():
     # 8 <= e^3 is confirmed against E_LO; with E_LO = 1 only E_UP is left,
     # and 8 lies under E_UP^3 without being confirmed
     lhs, m = Fraction(8), 3
-    assert co.leq_with_e_power(lhs, 1, m) is Outcome.CONFIRMED
+    assert co.leq_with_e_power(lhs, 1, m, co.e_lo_pow(m)) is Outcome.CONFIRMED
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(co, "E_LO", Fraction(1))
-        assert co.leq_with_e_power(lhs, 1, m) is Outcome.INCONCLUSIVE
-    assert co.leq_with_e_power(lhs, 1, m) is Outcome.CONFIRMED
+        assert co.leq_with_e_power(lhs, 1, m, co.e_lo_pow(m)) is Outcome.INCONCLUSIVE
+        assert co.exact_row((m,), "8 vs e^3", lhs, 1, m).outcome is Outcome.INCONCLUSIVE
+    assert co.leq_with_e_power(lhs, 1, m, co.e_lo_pow(m)) is Outcome.CONFIRMED
 
 
 def _e_bounds(bits: int = 600) -> tuple[Fraction, Fraction]:

@@ -168,6 +168,25 @@ def test_from_int_is_from_fraction_bit_for_bit(n, bits):
     assert (value.log_lo, value.log_hi, value.bits) == (twin.log_lo, twin.log_hi, bits)
 
 
+
+@pytest.mark.parametrize("bits", [33, 96, 295])
+def test_pow_int_is_pow_fraction_bit_for_bit(bits):
+    # pow_int rounds the integer exponent directly; it must round exactly as
+    # pow_fraction does through the Fraction and its cache
+    for a in (Fraction(2), Fraction(3, 7), Fraction(10**40 + 1, 3)):
+        x = LogReal.from_fraction(a, bits)
+        for k in range(-100, 100):
+            value, twin = x.pow_int(k), x.pow_fraction(Fraction(k))
+            assert (value.log_lo, value.log_hi, value.bits) == (twin.log_lo, twin.log_hi, bits)
+
+
+@pytest.mark.parametrize("n", [Fraction(1, 2), Fraction(2), 2.0, True, False, "2", None])
+def test_from_int_rejects_what_is_not_an_int(n):
+    # raised before any rounding: a Fraction once never returned, and a
+    # float or a bool was taken as its integer value
+    with pytest.raises(TypeError):
+        LogReal.from_int(n, 96)
+
 def test_cold_log_caches_filled_by_two_threads_match_a_serial_fill(monkeypatch):
     # each worker alternates log k! at one precision with log k at the
     # other, so log k! fills at both precisions at once while each
