@@ -20,12 +20,24 @@ construction requires a family for which ratio monotonicity holds at every
 index by an encoded closed-form argument, and every head sum and sample of F
 also confirms it numerically over the indices it touches.  A single term's
 value does not rest on it; only a tail bound does.
+
+Head sums are summed in the linear domain, in one sweep over k for every
+order n at once.  Per k the sweep holds linear enclosures of the anchor
+M'_k = t_k(k), of W_k = 2 m_k and of 1/W_k, and reaches t_k(n) from the
+anchor by |n - k| outward-rounded products: with W_k for n > k, with 1/W_k
+for n < k.  Anchoring at the dominant term keeps the sums about as narrow
+as adding the exp of each log-domain term.  Every k <= n enters the head of
+order n; past n its walk stops at the first K with t_(K+1) certainly at most
+2^(-bits-1) M'_n, so the tail [0, 2 t_(K+1)] is under one unit in the last
+place of the head.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+
+from mpmath.libmp import fzero, mpf_le, mpf_neg, mpf_shift, mpi_add, mpi_exp, mpi_log
 
 from .criteria import convexity_sides, log_row
 from .errors import TailUncertifiedError
@@ -35,7 +47,8 @@ from .intervals import (
     SignedEnclosure,
     cosine_sum,
     mpf_str,
-    sum_values,
+    pos_add,
+    pos_mul,
 )
 from .memo import Memo
 from .outcomes import CheckReport, Outcome, aggregate_rows, worst_outcome
@@ -51,15 +64,15 @@ class BangSeries:
 
     Construction only rejects sequences whose family has no
     ``mprime_logconvex`` fact (table, dilated, and the measured-only
-    double-log family); it computes no value.  :meth:`truncated_head` and
+    double-log family); it computes no value.  Each head-sum sweep and
     :meth:`eval_F` re-confirm log-convexity of M' numerically over the
     range they touch, once per call, so a value no precision can compute
     fails there, not at construction.  A single
     :meth:`deriv_term` needs none: only a tail bound rests on log-convexity.
 
-    Each certified head sum is computed once per n and each 2 m_k once per
-    k; refilling either memo reproduces the identical interval, so the memos
-    change no result.
+    Each certified head sum is computed once per n, and each 2 m_k and each
+    set of linear anchors once per k; refilling any memo reproduces the
+    identical interval, so the memos change no result.
     """
 
     def __init__(self, ws: WeightSequence):
@@ -72,6 +85,7 @@ class BangSeries:
             )
         self._confirmed = Memo()
         self._two_m = Memo()
+        self._anchors = Memo()
         self._heads = Memo()
         self._two = LogReal.from_int(2, self.bits)
 
@@ -101,39 +115,83 @@ class BangSeries:
         at n = 0 the coefficient M'_k / (2 m_k)^k of the k-th cosine term."""
         return self.ws.log_Mprime(k) * self.two_m(k).pow_int(n - k)
 
+    def _anchor(self, k: int) -> tuple:
+        """Linear enclosures of M'_k, of W_k = 2 m_k and of 1/W_k (the exp of
+        the exactly negated log of W_k), memoized."""
+        return self._anchors.get(k, self._compute_anchor, k)
+
+    def _compute_anchor(self, k: int) -> tuple:
+        w_lo, w_hi = self.two_m(k)._mpi()
+        return (mpi_exp(self.ws.log_Mprime(k)._mpi(), self.bits),
+                mpi_exp((w_lo, w_hi), self.bits),
+                mpi_exp((mpf_neg(w_hi), mpf_neg(w_lo)), self.bits))
+
+    def _column(self, k: int, low: int, top: int):
+        """(n, t_k(n)) for n = k, then n = k+1..top, then n = k-1 down to
+        low: the anchor t_k(k) = M'_k times |n - k| factors W_k (n > k) or
+        1/W_k (n < k), multiplied in that order."""
+        mprime, up, down = self._anchor(k)
+        yield k, mprime
+        for step, orders in ((up, range(k + 1, top + 1)), (down, range(k - 1, low - 1, -1))):
+            term = mprime
+            for n in orders:
+                term = pos_mul(term, step, self.bits)
+                yield n, term
+
     # -- derivatives at zero -----------------------------------------------------
 
-    def truncated_head(self, n: int) -> tuple[list[LogReal], LogReal]:
-        """The head terms k = 0..K of sum_k M'_k (2 m_k)^(n-k) and the
-        certified bound 2 term_(K+1) of the rest (the ratio argument of the
-        module docstring).
+    def _sweep(self, orders: list[int]) -> dict[int, tuple]:
+        """Head and ratio tail of sum_k t_k(n), t_k(n) = M'_k (2 m_k)^(n-k),
+        for each order n of the ascending ``orders``, in one pass over k.
 
-        K is the first index >= n at which the enclosure of 2 term_(K+1) is
-        certainly below 2^(-bits) times the lower end of the dominant term
-        term_n = M'_n, so the tail is under one unit in the last place of
-        the head; K is at most max(2n + 8, n + bits + 2).  Log-convexity of
-        M' is confirmed numerically up to K + 1.
+        Returns n -> (head, tail_hi, K + 1): the linear enclosure of
+        t_0(n) + ... + t_K(n), added by increasing k, and the bound
+        2 t_(K+1)(n) of the rest (the ratio argument of the module
+        docstring).  Every k <= n enters the head; K is the first index
+        >= n at which t_(K+1) is certainly at most 2^(-bits-1) times the
+        lower end of M'_n, and at most max(2n + 8, n + bits + 2).  Each cell
+        t_k(n) is the product chain of :meth:`_column`, so a result does not
+        depend on which other orders the sweep covers.  Log-convexity of M'
+        is confirmed numerically up to the largest K + 1.
         """
-        floor = self.ws.log_Mprime(n) * self._two.pow_int(-self.bits)
-        cap = max(2 * n + 8, n + self.bits + 2)
-        head = [self.deriv_term(k, n) for k in range(n + 1)]
-        while True:
-            term = self.deriv_term(len(head), n)
-            tail = self._two * term
-            if len(head) > cap or tail.leq(floor) is Outcome.CONFIRMED:
-                break
-            head.append(term)
-        self._ensure_confirmed(len(head))
-        return head, tail
+        bits, top = self.bits, orders[-1]
+        heads = dict.fromkeys(orders)
+        # the orders whose walk goes on, each with its stopping floor
+        walking = {n: mpf_shift(self._anchor(n)[0][0], -bits - 1) for n in orders}
+        done = {}
+        k = 0
+        while walking:
+            for n, term in self._column(k, next(iter(walking)), top):
+                floor = walking.get(n)
+                if floor is None:
+                    continue
+                if n < k and (k > max(2 * n + 8, n + bits + 2) or mpf_le(term[1], floor)):
+                    del walking[n]
+                    done[n] = (heads[n], mpf_shift(term[1], 1), k)
+                else:
+                    heads[n] = term if heads[n] is None else pos_add(heads[n], term, bits)
+            k += 1
+        self._ensure_confirmed(max(stop for _, _, stop in done.values()))
+        return done
 
     def head_sum(self, n: int) -> LogReal:
-        """Enclosure of sum_k M'_k (2 m_k)^(n-k): the :meth:`truncated_head`
-        of n plus its certified tail interval, memoized per n."""
-        return self._heads.get(n, self._compute_head_sum, n)
+        """Enclosure of sum_k M'_k (2 m_k)^(n-k): the head of :meth:`_sweep`
+        plus its certified tail interval, memoized per n.  A miss sweeps
+        every order <= n that the memo lacks, so asking for the deepest
+        order first fills all the others."""
+        return self._heads.get(n, self._fill_heads, n)
 
-    def _compute_head_sum(self, n: int) -> LogReal:
-        head, tail = self.truncated_head(n)
-        return sum_values(head, tail_upper=tail)
+    def _fill_heads(self, n: int) -> LogReal:
+        orders = [m for m in range(n) if m not in self._heads] + [n]
+        totals = {
+            m: LogReal.from_mpi(mpi_log(mpi_add(head, (fzero, tail), self.bits), self.bits),
+                                self.bits)
+            for m, (head, tail, _) in self._sweep(orders).items()
+        }
+        for m in orders[:-1]:
+            # stored as its own miss would be: an entry already there wins
+            self._heads.get(m, totals.__getitem__, m)
+        return totals[n]
 
     def F_deriv_at_zero(self, n: int) -> SignedEnclosure:
         """Signed enclosure of F^(n)(0).
@@ -162,7 +220,8 @@ class BangSeries:
         separation, and |f^(j)(0)| >= j! M'_{2j} / (2j)!.  The sign column
         is (-1)^j by construction of :meth:`F_deriv_at_zero`."""
         rows = []
-        for j in range(0, n_max + 1):
+        # deepest order first: its sweep fills every lower one
+        for j in range(n_max, -1, -1):
             F2 = self.F_deriv_at_zero(2 * j)
             lower = self.ws.log_Mprime(2 * j)
             mag_ok = F2.magnitude.geq(lower)
@@ -183,6 +242,7 @@ class BangSeries:
                     ),
                 )
             )
+        rows.reverse()
         return aggregate_rows(
             f"bang-lower-bounds[{self.ws.spec.label()}]",
             "F^(2j)(0) alternates in sign with |F^(2j)(0)| >= M'_{2j} and "
@@ -204,7 +264,7 @@ class BangSeries:
         confirmed report carries the certificate C = R = 2 on the real line.
         """
         rows = []
-        for n in range(1, n_max + 1):
+        for n in range(n_max, 0, -1):
             total = self.head_sum(n)
             ceiling = self._two.pow_int(n + 1) * self.ws.log_Mprime(n)
             rows.append(
@@ -216,6 +276,7 @@ class BangSeries:
                     extra=(("ceiling_log", mpf_str(ceiling.log_lo)),),
                 )
             )
+        rows.reverse()
         return aggregate_rows(
             f"bang-membership[{self.ws.spec.label()}]",
             "sum_k M'_k (2 m_k)^(n-k) <= 2^(n+1) M'_n on the tested range",
@@ -234,7 +295,7 @@ class BangSeries:
         scope.  The construction is specific to squaring (p = 2)."""
         rows = []
         one = LogReal.one(self.bits)
-        for n in range(0, n_max + 1):
+        for n in range(n_max, -1, -1):
             F2 = self.F_deriv_at_zero(2 * n)
             ratio = F2.magnitude / self.ws.log_Mprime(2 * n)
             ceiling = LogReal.from_int(4, self.bits).pow_int(n + 2)
@@ -248,6 +309,7 @@ class BangSeries:
                     extra=(("ceiling_log", mpf_str(ceiling.log_lo)),),
                 )
             )
+        rows.reverse()
         return aggregate_rows(
             f"bang-sharpness[{self.ws.spec.label()}]",
             "0 <= log(|F^(2n)(0)|/M'_{2n}) <= (n+2) log 4 on the tested range",

@@ -11,8 +11,8 @@ are genuine enclosures (the true value always lies inside) and never depend
 on mpmath's process-global precision.
 
 Multiplication, division, and powers are exact linear operations on the log
-interval; sums of values (:func:`sum_values`) re-enter the linear domain
-through exp / log round trips, which widen by outward rounding only.
+interval; sums of values use the linear kernels :func:`pos_mul` and
+:func:`pos_add`, and re-enter the log domain through ``mpi_log``.
 
 The cold memo fill builds one value per index, so each piece of interval
 arithmetic on that path is done once: the log of an integer is evaluated
@@ -25,7 +25,7 @@ zeros, infinities, NaN and values near the cap to the ``libmp`` comparisons.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,10 +36,12 @@ from mpmath.libmp import (
     from_int,
     from_man_exp,
     fzero,
+    mpf_add,
     mpf_exp,
     mpf_gt,
     mpf_le,
     mpf_lt,
+    mpf_mul,
     mpf_neg,
     mpi_add,
     mpi_cos,
@@ -278,25 +280,23 @@ def _log_int(n: int, bits: int) -> LogReal:
                    from_man_exp(log_n, -wp, bits, round_ceiling), bits)
 
 
-def sum_values(terms: Iterable[LogReal], tail_upper: LogReal | None = None) -> LogReal:
-    """Enclosure of a finite sum of positive values, plus an optional
-    certified tail interval ``[0, tail_upper]``, at the largest precision of
-    its operands.
+def pos_mul(s, t, bits: int):
+    """Outward-rounded product of two linear enclosures ``(lo, hi)`` of
+    positive reals, as raw ``libmp`` pairs, at ``bits``.
 
-    Accumulates in the linear domain; the result is exact up to outward
-    rounding of the exp/log round trips.  ``terms`` may be any non-empty
-    iterable: with no term the sum has no positive lower bound.
+    Precondition: both lower endpoints are > 0 (an enclosure made by
+    ``mpf_exp``, which never rounds to 0, is one).  Under it the result is
+    bit for bit ``mpi_mul(s, t, bits)``, without its sign and special-value
+    dispatch; a zero or negative endpoint gives a wrong interval.
     """
-    terms = list(terms)
-    if not terms:
-        raise ValueError("sum_values needs at least one term")
-    bits = max(t.bits for t in (*terms, tail_upper) if t is not None)
-    acc = (fzero, fzero)
-    for t in terms:
-        acc = mpi_add(acc, mpi_exp(t._mpi(), bits), bits)
-    if tail_upper is not None:
-        acc = mpi_add(acc, (fzero, mpf_exp(tail_upper.log_hi, bits, round_ceiling)), bits)
-    return LogReal.from_mpi(mpi_log(acc, bits), bits)
+    return mpf_mul(s[0], t[0], bits, round_floor), mpf_mul(s[1], t[1], bits, round_ceiling)
+
+
+def pos_add(s, t, bits: int):
+    """Outward-rounded sum of two linear enclosures ``(lo, hi)`` of positive
+    reals, as raw ``libmp`` pairs, at ``bits``: under the precondition of
+    :func:`pos_mul`, bit for bit ``mpi_add(s, t, bits)``."""
+    return mpf_add(s[0], t[0], bits, round_floor), mpf_add(s[1], t[1], bits, round_ceiling)
 
 
 def cosine_sum(terms: Sequence[tuple[LogReal, LogReal]], xi: Fraction,

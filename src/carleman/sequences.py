@@ -50,6 +50,13 @@ DEFAULT_MAX_INDEX = 10**6
 #: significant decimal digits
 MAX_PRECISION = 1000
 
+#: the most digits, and the largest decimal exponent magnitude, of a decimal
+#: or rational literal in a spec (``s``, ``log_values``).  Both are decided
+#: on the string before any integer is built, and together they keep every
+#: accepted value under CPython's 4,300-digit ``int_max_str_digits``
+MAX_LITERAL_DIGITS = 1000
+MAX_LITERAL_EXPONENT = 1000
+
 SPEC_FORMAT_VERSION = 1
 
 #: read only by the benchmark, which splits its count of ``log_factorial``
@@ -170,11 +177,24 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _parse_decimal(text: str) -> Fraction:
+def _parse_decimal(text, field: str) -> Fraction:
+    """The exact value of the decimal or rational literal ``text`` of the
+    spec field ``field``.  The literal's size is decided on the string
+    first, so no literal past :data:`MAX_LITERAL_DIGITS` or
+    :data:`MAX_LITERAL_EXPONENT` builds its integers."""
+    text = str(text)
+    mantissa, _, exponent = text.lower().partition("e")
+    if sum(c.isdigit() for c in mantissa) > MAX_LITERAL_DIGITS:
+        raise SpecFormatError(f"{field}: literal has more than {MAX_LITERAL_DIGITS} digits")
+    magnitude = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if magnitude.isdecimal() and (len(magnitude) > len(str(MAX_LITERAL_EXPONENT))
+                                  or int(magnitude) > MAX_LITERAL_EXPONENT):
+        raise SpecFormatError(
+            f"{field}: literal exponent exceeds {MAX_LITERAL_EXPONENT} in magnitude")
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SpecFormatError(f"not a decimal/rational literal: {text!r}") from exc
+        raise SpecFormatError(f"{field}: not a decimal/rational literal: {text!r}") from exc
 
 
 def _reject_unknown(keys, known, where: str) -> None:
@@ -313,7 +333,7 @@ def _family(family) -> Family:
 
 
 def _parse_s(value) -> Fraction:
-    s = None if value is None else _parse_decimal(value)
+    s = None if value is None else _parse_decimal(value, "gevrey s")
     if s is None or s <= 0:
         raise SpecFormatError("gevrey requires a positive rational s")
     return s
@@ -332,7 +352,7 @@ def _parse_log_values(values) -> tuple[str, ...]:
     if not isinstance(values, (list, tuple)) or not values:
         raise SpecFormatError("table requires a non-empty log_values list")
     text = tuple(str(v) for v in values)
-    parsed = [_parse_decimal(v) for v in text]
+    parsed = [_parse_decimal(v, f"table log_values[{i}]") for i, v in enumerate(text)]
     if parsed[0] != 0:
         raise SpecFormatError("table log_values must start with log M_0 = 0")
     if any(b < a for a, b in zip(parsed, parsed[1:])):
@@ -535,7 +555,7 @@ FAMILIES: dict[str, Family] = {
     "table": Family(
         params=(Param("log_values", _parse_log_values, list),),
         log_M=lambda ws, n: LogReal.from_log_fraction(
-            _parse_decimal(ws.spec.log_values[n]), ws.bits
+            _parse_decimal(ws.spec.log_values[n], f"table log_values[{n}]"), ws.bits
         ),
         label=lambda spec: f"table(len={len(spec.log_values)})",
         last_index=lambda spec: len(spec.log_values) - 1,

@@ -14,11 +14,12 @@ The package holds every endpoint as a raw ``libmp`` tuple; :func:`as_mpf`,
 and convert.
 
 Members that only the tests need live here too: the two power routes over
-:class:`~carleman.coefficients.SeriesPoly`, the signed root series, the
-prefix route of the partial sums, the streamed quasianalyticity terms, and
-the path of a shipped fixture.
+:class:`~carleman.coefficients.SeriesPoly`, the signed root series, the sum
+of ``LogReal`` values (:func:`sum_values`) and its prefix route, the
+streamed quasianalyticity terms, and the path of a shipped fixture.
 """
 
+from collections.abc import Iterable
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -27,7 +28,7 @@ import pytest
 from mpmath import iv, libmp, mp
 
 from carleman.coefficients import SeriesPoly, root_series_magnitudes
-from carleman.intervals import LogReal, SignedEnclosure, sum_values, working_precision
+from carleman.intervals import LogReal, SignedEnclosure, working_precision
 from carleman.sequences import MAX_PRECISION, SequenceSpec, WeightSequence
 
 
@@ -163,6 +164,28 @@ def ref_pow(a: LogReal, f: Fraction, bits: int):
         if f.denominator == 1:
             return log_iv(a) * int(f)
         return log_iv(a) * iv_from_fraction(f)
+
+
+def sum_values(terms: Iterable[LogReal], tail_upper: LogReal | None = None) -> LogReal:
+    """Enclosure of a finite sum of positive values, plus an optional
+    certified tail interval ``[0, tail_upper]``, at the largest precision of
+    its operands.
+
+    Accumulates in the linear domain; the result is exact up to outward
+    rounding of the exp/log round trips.  ``terms`` may be any non-empty
+    iterable: with no term the sum has no positive lower bound.
+    """
+    terms = list(terms)
+    if not terms:
+        raise ValueError("sum_values needs at least one term")
+    bits = max(t.bits for t in (*terms, tail_upper) if t is not None)
+    acc = (libmp.fzero, libmp.fzero)
+    for t in terms:
+        acc = libmp.mpi_add(acc, libmp.mpi_exp((t.log_lo, t.log_hi), bits), bits)
+    if tail_upper is not None:
+        tail_hi = libmp.mpf_exp(tail_upper.log_hi, bits, libmp.round_ceiling)
+        acc = libmp.mpi_add(acc, (libmp.fzero, tail_hi), bits)
+    return LogReal.from_mpi(libmp.mpi_log(acc, bits), bits)
 
 
 def ref_sum_values(terms, tail_upper: LogReal, bits: int):

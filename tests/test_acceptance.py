@@ -12,11 +12,11 @@ from carleman import coefficients as co
 from carleman.bang import BangSeries
 from carleman.cli import main, run_battery
 from carleman.criteria import check_inclusion, quasianalyticity_report
-from carleman.intervals import sum_values, working_precision
+from carleman.intervals import working_precision
 from carleman.outcomes import Outcome
 from carleman.sequences import SequenceSpec, WeightSequence
 from carleman.substitution import coeff_level_check, transform_report
-from conftest import carleman_terms, iv_endpoints, log_iv, shipped_fixture
+from conftest import carleman_terms, iv_endpoints, log_iv, shipped_fixture, sum_values
 
 CONSTANT = SequenceSpec(family="constant")
 GEVREY1 = SequenceSpec(family="gevrey", s=Fraction(1))

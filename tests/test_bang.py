@@ -53,9 +53,9 @@ class TestConstruction:
 
     def test_accepts_iterated_log(self):
         series = BangSeries(WeightSequence(SequenceSpec(family="iterated_log", k=1)))
-        # the truncated head at n = 0 confirms log-convexity of M' up to
-        # the term its tail bound reads
-        series.truncated_head(0)
+        # the head sum at n = 0 confirms log-convexity of M' up to the term
+        # its tail bound reads
+        series.head_sum(0)
 
 
 class TestDerivTerm:

@@ -1,20 +1,27 @@
-"""Bang head sums: the memoized route against its per-call twin, and the
-ratio-tail truncation against the halving truncation it replaced.
+"""Bang head sums: the linear sweep against its per-call twin, against the
+log-domain route it replaced, and against the halving truncation before
+that.
 
-The per-call route rebuilds every head term from fresh enclosures (a new
-``LogReal.from_int(2)``, an unmemoized M'_k = k! M_k, the product 2 m_k and
-its power) and stops by the same rule as ``BangSeries.truncated_head``.
-The memoized route (``WeightSequence.log_Mprime``/``ratio_m``,
-``BangSeries.two_m`` and ``BangSeries.head_sum``) must reproduce it bit for
-bit, in any evaluation order and from several threads at once.
+The per-call route computes one order at a time, with every factor made
+afresh (a new ``LogReal.from_int(2)``, an unmemoized M'_k = k! M_k, the
+product 2 m_k, their exps) and the general ``libmpi`` product and sum in
+place of the positive kernels.  It walks each term t_k(n) from its anchor
+M'_k by the same chain of factors W_k = 2 m_k or 1/W_k and stops by the
+same rule, so the memoized sweep (``BangSeries.head_sum``) must reproduce it
+bit for bit, in any evaluation order and from several threads at once.
 
-The halving twin is the truncation the package used before: a head of
-K = max(2n + 8, n + bits + 2) terms and the tail M'_n 2^(n-K), which
-assumes only that each term past n halves.  Every head sum must overlap the
-twin's enclosure and be no wider than :data:`WIDTH_FACTOR` times it, and the
-tail bound must cover the next terms past the head.  Two mutations of
-``bang.py``, run from its own source, must each break one of these checks,
-and a count of head terms keeps the truncation from growing back.
+The log-domain twin is the route the package used before the sweep: each
+term t_k(n) = M'_k (2 m_k)^(n-k) as a ``LogReal`` (``deriv_term``), summed
+by exp / log round trips (:func:`conftest.sum_values`), with the same stop
+rule decided on log enclosures.  Every head sum must overlap it and be no
+wider than :data:`WIDTH_FACTOR` times it, and the ratio tail of every order
+must cover the next terms past its head.  The halving twin is the
+truncation before that: a head of K = max(2n + 8, n + bits + 2) terms and
+the tail M'_n 2^(n-K); every head sum must still overlap it.
+
+Three mutations of ``bang.py``, run from its own source, must each break
+one of these checks, and a count of kernel products keeps the sweep from
+growing back.
 """
 
 import sys
@@ -24,15 +31,27 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from mpmath.libmp import (
+    fzero,
+    mpf_exp,
+    mpf_le,
+    mpf_neg,
+    mpf_shift,
+    mpi_add,
+    mpi_exp,
+    mpi_log,
+    mpi_mul,
+    round_ceiling,
+)
 
 from carleman import bang
 from carleman import sequences as seq
 from carleman.bang import BangSeries
-from carleman.intervals import LogReal, mpf_str, sum_values, working_precision
+from carleman.intervals import LogReal, mpf_str, working_precision
 from carleman.outcomes import Outcome
 from carleman.reporting import check_to_csv
 from carleman.sequences import SequenceSpec, WeightSequence, log_factorial
-from conftest import as_mpf, log_iv, mpf_to_fraction
+from conftest import as_mpf, log_iv, mpf_to_fraction, sum_values
 
 N_MAX = 24
 
@@ -42,7 +61,7 @@ SPECS = {
     "iterated_log(1)": SequenceSpec(family="iterated_log", k=1, precision=20),
 }
 
-#: the families of the twin comparison, each at 20 and at 80 digits
+#: the families of the twin comparisons, each at 20 and at 80 digits
 TWIN_FAMILIES = {
     "constant": dict(family="constant"),
     "gevrey(1/2)": dict(family="gevrey", s=Fraction(1, 2)),
@@ -52,9 +71,9 @@ TWIN_FAMILIES = {
     "iterated_log(2)": dict(family="iterated_log", k=2),
 }
 
-#: a head sum's log width is at most this multiple of the halving twin's (the
-#: widest at 20 and 80 digits, n <= 40, is exactly the twin's width)
-WIDTH_FACTOR = 1
+#: a head sum's log width is at most this multiple of the log-domain
+#: twin's (the widest at 20 and 80 digits, n <= 40, is 1.22 times it)
+WIDTH_FACTOR = Fraction(5, 4)
 
 #: how many terms past the head the tail bound must cover
 REST_TERMS = 12
@@ -65,7 +84,7 @@ def _bits(x: LogReal) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the per-call route (bit for bit) and the halving twin (overlap)
+# the per-call route (bit for bit), the log-domain twin and the halving twin
 # ---------------------------------------------------------------------------
 
 
@@ -77,22 +96,44 @@ def _old_mprime(ws: WeightSequence, n: int) -> LogReal:
         return LogReal.from_mpi((log_iv(log_factorial(n, ws.bits)) + log_iv(m))._mpi_, ws.bits)
 
 
-def _fresh_term(ws: WeightSequence, k: int, n: int) -> LogReal:
-    ratio = _old_mprime(ws, k + 1) / _old_mprime(ws, k)
-    two_mk = LogReal.from_int(2, ws.bits) * ratio
-    return _old_mprime(ws, k) * two_mk.pow_int(n - k)
+def _fresh_anchor(ws: WeightSequence, k: int) -> tuple:
+    """Linear M'_k, W_k and 1/W_k from fresh log enclosures."""
+    bits = ws.bits
+    two_mk = LogReal.from_int(2, bits) * (_old_mprime(ws, k + 1) / _old_mprime(ws, k))
+    return (mpi_exp(_bits(_old_mprime(ws, k)), bits),
+            mpi_exp(_bits(two_mk), bits),
+            mpi_exp((mpf_neg(two_mk.log_hi), mpf_neg(two_mk.log_lo)), bits))
 
 
 def _per_call_head(ws: WeightSequence, n: int) -> LogReal:
-    """Head and ratio tail with every factor computed afresh: the head
-    stops at the first K >= n with 2 term_(K+1) certainly below 2^(-bits)
-    M'_n, or at the halving twin's K."""
-    two = LogReal.from_int(2, ws.bits)
-    floor = _old_mprime(ws, n) * two.pow_int(-ws.bits)
-    cap = max(2 * n + 8, n + ws.bits + 2)
-    head = [_fresh_term(ws, k, n) for k in range(n + 1)]
+    """Head and ratio tail of order n alone: every k <= n enters, and past
+    n the head stops at the first K with t_(K+1) certainly at most
+    2^(-bits-1) M'_n, or past max(2n + 8, n + bits + 2)."""
+    bits = ws.bits
+    floor = mpf_shift(_fresh_anchor(ws, n)[0][0], -bits - 1)
+    cap = max(2 * n + 8, n + bits + 2)
+    acc, k = (fzero, fzero), 0
     while True:
-        term = _fresh_term(ws, len(head), n)
+        term, up, down = _fresh_anchor(ws, k)
+        for _ in range(abs(n - k)):
+            term = mpi_mul(term, up if n > k else down, bits)
+        if k > n and (k > cap or mpf_le(term[1], floor)):
+            total = mpi_add(acc, (fzero, mpf_shift(term[1], 1)), bits)
+            return LogReal.from_mpi(mpi_log(total, bits), bits)
+        acc = mpi_add(acc, term, bits)
+        k += 1
+
+
+def _log_head(series: BangSeries, n: int) -> LogReal:
+    """The log-domain route: terms ``deriv_term(k, n)``, the stop test
+    2 term_(K+1) <= 2^(-bits) M'_n on log enclosures, the tail
+    2 term_(K+1), all summed by exp / log round trips."""
+    two = LogReal.from_int(2, series.bits)
+    floor = series.ws.log_Mprime(n) * two.pow_int(-series.bits)
+    cap = max(2 * n + 8, n + series.bits + 2)
+    head = [series.deriv_term(k, n) for k in range(n + 1)]
+    while True:
+        term = series.deriv_term(len(head), n)
         tail = two * term
         if len(head) > cap or tail.leq(floor) is Outcome.CONFIRMED:
             return sum_values(head, tail_upper=tail)
@@ -112,21 +153,28 @@ def _width(x: LogReal) -> Fraction:
     return mpf_to_fraction(as_mpf(x.log_hi)) - mpf_to_fraction(as_mpf(x.log_lo))
 
 
+def _overlap(x: LogReal, y: LogReal) -> bool:
+    return Outcome.REFUTED not in (x.leq(y), y.leq(x))
+
+
 def _faults(series: BangSeries, n_max: int) -> list[tuple[str, int]]:
-    """(kind, n) for each head sum n <= n_max that misses the halving twin
-    ("overlap"), is wider than WIDTH_FACTOR times it ("width"), or whose
-    tail bound is below the next REST_TERMS terms past its head ("tail")."""
+    """(kind, n) for each head sum n <= n_max that misses the log-domain
+    twin ("overlap") or the halving twin ("halving"), is wider than
+    WIDTH_FACTOR times the log-domain twin ("width"), or whose ratio tail is
+    below the next REST_TERMS terms past its head ("tail")."""
     faults = []
+    sweep = series._sweep(list(range(n_max + 1)))
     for n in range(n_max + 1):
-        total, twin = series.head_sum(n), _halving_head(series, n)
-        if total.leq(twin) is Outcome.REFUTED or twin.leq(total) is Outcome.REFUTED:
+        total, twin = series.head_sum(n), _log_head(series, n)
+        if not _overlap(total, twin):
             faults.append(("overlap", n))
+        if not _overlap(total, _halving_head(series, n)):
+            faults.append(("halving", n))
         if _width(total) > WIDTH_FACTOR * _width(twin):
             faults.append(("width", n))
-        head, tail = series.truncated_head(n)
-        rest = sum_values([series.deriv_term(k, n)
-                           for k in range(len(head), len(head) + REST_TERMS)])
-        if rest.leq(tail) is not Outcome.CONFIRMED:
+        _, tail_hi, stop = sweep[n]
+        rest = sum_values([series.deriv_term(k, n) for k in range(stop, stop + REST_TERMS)])
+        if not mpf_le(mpf_exp(rest.log_hi, series.bits, round_ceiling), tail_hi):
             faults.append(("tail", n))
     return faults
 
@@ -154,6 +202,7 @@ def test_head_sum_equals_per_call_route(spec, per_call_heads):
 @pytest.mark.parametrize("digits", [20, 80])
 @pytest.mark.parametrize("family", sorted(TWIN_FAMILIES))
 def test_head_sums_overlap_the_halving_twin(family, digits):
+    # and the log-domain twin, within its width, with a covering tail
     spec = SequenceSpec(precision=digits, **TWIN_FAMILIES[family])
     assert _faults(BangSeries(WeightSequence(spec)), 40) == []
 
@@ -175,46 +224,54 @@ def _mutant(old: str, new: str) -> type:
 
 
 def test_a_tail_without_its_factor_two_is_caught():
-    mutant = _mutant("tail = self._two * term", "tail = term")
+    mutant = _mutant("mpf_shift(term[1], 1), k)", "term[1], k)")
     series = mutant(WeightSequence(SequenceSpec(family="constant", precision=20)))
     assert {kind for kind, _ in _faults(series, 8)} == {"tail"}
 
 
 def test_a_ratio_bound_started_below_n_is_caught():
-    # the walk for K starts at 0: for gevrey(2) the terms below n are so
-    # small that the head stops before the dominant term k = n
-    mutant = _mutant("for k in range(n + 1)]", "for k in range(1)]")
+    # the stop test also runs for 1 <= k <= n: for gevrey(2) the terms
+    # below n are so small that the head stops before the dominant term
+    mutant = _mutant("if n < k and (", "if 0 < k and (")
     spec = SequenceSpec(family="gevrey", s=Fraction(2), precision=20)
     assert "overlap" in {kind for kind, _ in _faults(mutant(WeightSequence(spec)), 40)}
 
 
+def test_a_downward_step_by_w_is_caught():
+    # t_k(n) for k > n walked down with W_k instead of 1/W_k
+    mutant = _mutant("(down, range(k - 1,", "(up, range(k - 1,")
+    series = mutant(WeightSequence(SequenceSpec(family="constant", precision=20)))
+    assert "overlap" in {kind for kind, _ in _faults(series, 8)}
+
+
 # ---------------------------------------------------------------------------
-# the number of head terms
+# the number of kernel products
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("family, digits, limit", [
-    ("constant", 20, 260),
-    ("constant", 80, 615),
-    ("gevrey(3/2)", 20, 190),
-    ("gevrey(3/2)", 80, 390),
-])
-def test_head_term_count(family, digits, limit, monkeypatch):
-    # the halving truncation took 446 terms at 20 digits and 1,242 at 80
+@pytest.mark.parametrize("family, digits, products", [
+    ("constant", 20, 3175),
+    ("constant", 80, 14945),
+    ("gevrey(3/2)", 20, 1910),
+    ("gevrey(3/2)", 80, 6842),
+], ids=["constant-20", "constant-80", "gevrey(3/2)-20", "gevrey(3/2)-80"])
+def test_kernel_product_count(family, digits, products, monkeypatch):
+    # one sweep over the orders <= 24; the log-domain route made one
+    # log-domain power and product per term and was held to at most 260
+    # terms for constant at 20 digits and 615 at 80, for the orders 2, 8,
+    # 16 and 24 alone
     params = {"constant": dict(family="constant"),
               "gevrey(3/2)": dict(family="gevrey", s=Fraction(3, 2))}[family]
     calls = []
-    deriv_term = BangSeries.deriv_term
+    pos_mul = bang.pos_mul
 
-    def counted(self, k, n):
-        calls.append((k, n))
-        return deriv_term(self, k, n)
+    def counted(s, t, bits):
+        calls.append(bits)
+        return pos_mul(s, t, bits)
 
-    monkeypatch.setattr(BangSeries, "deriv_term", counted)
-    series = BangSeries(WeightSequence(SequenceSpec(precision=digits, **params)))
-    for n in (2, 8, 16, 24):
-        series.head_sum(n)
-    assert len(calls) <= limit
+    monkeypatch.setattr(bang, "pos_mul", counted)
+    BangSeries(WeightSequence(SequenceSpec(precision=digits, **params))).head_sum(24)
+    assert len(calls) == products
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +289,7 @@ def test_memoized_factors_equal_fresh_ones(spec):
             two_mk = LogReal.from_int(2, ws.bits) * ratio
         assert _bits(series.ws.ratio_m(k)) == _bits(ratio)
         assert _bits(series.two_m(k)) == _bits(two_mk)
+        assert series._anchor(k) == _fresh_anchor(ws, k)
 
 
 def test_membership_total_equals_F_magnitude(spec):
@@ -260,12 +318,22 @@ def test_evaluation_order_does_not_change_bytes(spec, per_call_heads):
         assert check_to_csv(build(down)) == check_to_csv(build(up))
 
 
+@pytest.mark.parametrize("n", [0, 3, 8, 12])
+def test_a_head_sum_is_the_same_alone_and_after_a_deeper_sweep(spec, n):
+    alone = BangSeries(WeightSequence(spec)).head_sum(n)
+    swept = BangSeries(WeightSequence(spec))
+    swept.head_sum(2 * n + 1)
+    assert _bits(swept.head_sum(n)) == _bits(alone)
+
+
 def test_memo_hit_is_the_same_object():
     series = BangSeries(WeightSequence(SPECS["constant"]))
     first = series.head_sum(6)
     assert series.head_sum(6) is first
     assert series.F_deriv_at_zero(6).magnitude is first
+    assert series.head_sum(3) is series.head_sum(3)
     assert series.two_m(3) is series.two_m(3)
+    assert series._anchor(3) is series._anchor(3)
     assert series.ws.log_Mprime(5) is series.ws.log_Mprime(5)
 
 

@@ -3,6 +3,9 @@
 import argparse
 import json
 import re
+import subprocess
+import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -100,6 +103,30 @@ class TestExitCodes:
             bad.write_text(doc)
             assert run(["seq-show", "--spec", str(bad)]) == 3
             assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"family": "table", "params": {"log_values": ["0", "1e999999999"]}},
+         "table log_values[1]"),
+        ({"family": "gevrey", "params": {"s": "1e-99999"}}, "gevrey s"),
+    ])
+    def test_an_oversized_literal_is_three_at_once(self, tmp_path, capsys, monkeypatch,
+                                                   doc, field):
+        # decided on the string: no billion-digit integer is built and no
+        # huge rational is printed, so the exit is immediate and in-process
+        def forbidden(*args, **kwargs):
+            raise AssertionError("started a thread or a process")
+
+        monkeypatch.setattr(threading.Thread, "start", forbidden)
+        monkeypatch.setattr(subprocess, "Popen", forbidden)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code = run(["seq-check", "--spec", str(spec), "--n-max", "3",
+                    "--out", str(tmp_path / "r.json")])
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"error: {field}: literal exponent")
+        assert not (tmp_path / "r.json").exists()
 
     def test_unknown_check_is_three(self, gevrey_path, tmp_path, capsys):
         # an unknown name, a name given twice, or a list that names no

@@ -21,7 +21,7 @@ from carleman.criteria import (
     quasianalyticity_report,
     sampled_indices,
 )
-from carleman.intervals import LogReal, sum_values, working_precision
+from carleman.intervals import LogReal, working_precision
 from carleman.memo import Memo
 from carleman.outcomes import Outcome, Reason
 from carleman.sequences import SequenceSpec, WeightSequence, family_fact, power_substitute
@@ -35,6 +35,7 @@ from conftest import (
     prefix_sums,
     ref_partial_sums,
     same_endpoints,
+    sum_values,
 )
 
 #: one spec of each family, the gevrey family at several s

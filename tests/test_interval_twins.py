@@ -3,7 +3,8 @@
 Each primitive of :mod:`carleman.intervals` (and the three sequence helpers
 that round) must give exactly the endpoints of the ``mpmath.iv`` route the
 package used before values carried their precision, kept in
-``tests/conftest.py`` as ``ref_*``.  Two more properties follow from
+``tests/conftest.py`` as ``ref_*``.  The two positive kernels must give
+exactly the endpoints of the general ``libmpi`` product and sum.  Two more properties follow from
 values carrying their precision: the ambient mpmath precision changes no
 result, and concurrent callers at different precisions agree with a
 serial run.
@@ -18,12 +19,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import iv, mp
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    mpf_le,
+    mpf_sign,
+    mpi_add,
+    mpi_exp,
+    mpi_mul,
+)
 
 from carleman import sequences
 from carleman.bang import BangSeries
 from carleman.criteria import check_log_convex
 from carleman.errors import PrecisionExhaustedError
-from carleman.intervals import LogReal, bits_for_digits, sum_values
+from carleman.intervals import LogReal, bits_for_digits, pos_add, pos_mul
 from carleman.memo import Memo
 from carleman.sequences import (
     SequenceSpec,
@@ -48,6 +58,7 @@ from conftest import (
     ref_sum_values,
     ref_tower_threshold,
     same_endpoints,
+    sum_values,
 )
 
 precisions = st.sampled_from([33, 53, 96, 113, 295, 400])
@@ -99,6 +110,38 @@ def test_sums_match_the_reference(terms, tail, bits):
     )
     prefixes = [sum_values(values[:n]) for n in range(1, len(values) + 1)]
     assert all(map(same_endpoints, prefixes, ref_partial_sums(values, bits)))
+
+
+#: positive finite mpfs far apart in scale, each exact at up to 400 bits
+positive_mpfs = st.builds(from_man_exp, st.integers(min_value=1, max_value=2**400),
+                          st.integers(min_value=-600, max_value=600))
+
+
+def _ordered(a, b) -> tuple:
+    return (a, b) if mpf_le(a, b) else (b, a)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(s=st.tuples(positive_mpfs, positive_mpfs), t=st.tuples(positive_mpfs, positive_mpfs),
+       bits=st.sampled_from([33, 96, 295]))
+def test_positive_kernels_are_mpi_mul_and_mpi_add(s, t, bits):
+    s, t = _ordered(*s), _ordered(*t)
+    assert pos_mul(s, t, bits) == mpi_mul(s, t, bits)
+    assert pos_add(s, t, bits) == mpi_add(s, t, bits)
+
+
+@pytest.mark.parametrize("bits", [33, 96, 295])
+def test_the_positive_kernel_precondition(bits):
+    # the kernels' operands are exps of log endpoints, and mpf_exp rounds
+    # no log inside the LogReal cap down to 0
+    cap = from_int(-(10**24))
+    low = mpi_exp((cap, cap), bits)
+    assert mpf_sign(low[0]) == 1
+    assert pos_mul(low, low, bits) == mpi_mul(low, low, bits)
+    # a lower endpoint at or below 0 breaks the precondition, and the
+    # product is then no enclosure
+    s, t = (from_int(-1), from_int(2)), (from_int(3), from_int(4))
+    assert pos_mul(s, t, bits) != mpi_mul(s, t, bits) == (from_int(-4), from_int(8))
 
 
 @pytest.mark.parametrize("n", [20000, 20001])

@@ -20,7 +20,6 @@ from carleman.intervals import (
     SignedEnclosure,
     bits_for_digits,
     mpf_str,
-    sum_values,
     working_precision,
 )
 from carleman.outcomes import Outcome
@@ -30,6 +29,7 @@ from conftest import (
     log_lo,
     mpf_to_fraction,
     ref_rejects,
+    sum_values,
     value_endpoints,
 )
 

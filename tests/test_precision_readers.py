@@ -24,10 +24,13 @@ READERS = {"intervals.working_precision"}
 #: module.qualname of every function that still calls ``working_precision``
 CALLERS = {"sequences.WeightSequence._compute_log_M"}
 
-#: the arithmetic path: every ``LogReal`` method and the summation function
+#: the arithmetic path: every ``LogReal`` method, the two linear kernels and
+#: the Bang head sums that run on them
 ARITHMETIC = (
     "intervals.LogReal.",
-    "intervals.sum_values",
+    "intervals.pos_mul",
+    "intervals.pos_add",
+    "bang.BangSeries.",
 )
 
 

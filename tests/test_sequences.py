@@ -19,6 +19,8 @@ from carleman.errors import IndexRangeError, PrecisionExhaustedError, SpecFormat
 from carleman.intervals import LogReal, working_precision
 from carleman.sequences import (
     DEFAULT_MAX_INDEX,
+    MAX_LITERAL_DIGITS,
+    MAX_LITERAL_EXPONENT,
     MAX_PRECISION,
     SequenceSpec,
     WeightSequence,
@@ -426,6 +428,23 @@ class TestSpecDocuments:
     def test_gevrey_rational_s_from_string(self):
         spec = spec_from_dict({"family": "gevrey", "params": {"s": "3/2"}})
         assert spec.s == Fraction(3, 2)
+
+    def test_literal_caps(self):
+        # at both caps a literal loads and its spec prints; one digit or one
+        # exponent step past either cap is a format error naming the field
+        digits, exponent = MAX_LITERAL_DIGITS, MAX_LITERAL_EXPONENT
+        at_cap = ("9" * digits, f"1e{exponent}", f"1e-{exponent}",
+                  f"{'1' * (digits - 1)}.5e-0{exponent}", f"1/{'7' * (digits - 1)}")
+        for s in at_cap:
+            spec = spec_from_dict({"family": "gevrey", "params": {"s": s}})
+            assert spec.s == Fraction(s) and dump_spec(spec)
+        past_cap = ("9" * (digits + 1), f"1e{exponent + 1}", f"1e-{exponent + 1}",
+                    "1e" + "9" * 50, f"1/{'7' * digits}")
+        for s in past_cap:
+            with pytest.raises(SpecFormatError, match="^gevrey s: literal"):
+                spec_from_dict({"family": "gevrey", "params": {"s": s}})
+        with pytest.raises(SpecFormatError, match=r"^table log_values\[2\]: literal"):
+            spec_from_dict({"family": "table", "params": {"log_values": ["0", "1", "1e1001"]}})
 
     def test_labels(self, gevrey1_spec, constant_spec):
         assert gevrey1_spec.label() == "gevrey(s=1)"
