@@ -57,6 +57,7 @@ from .sequences import (
     MAX_PRECISION,
     SequenceSpec,
     WeightSequence,
+    _parse_decimal,
     dump_spec,
     load_spec,
 )
@@ -368,10 +369,7 @@ def cmd_bang(args) -> RunReport:
 
 def cmd_thm61(args) -> RunReport:
     spec = _load(args.spec, args.precision)
-    try:
-        A = Fraction(args.A)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not a rational number: {args.A!r}") from exc
+    A = _parse_decimal(args.A, "--A")
     if A <= 0:
         raise UsageError("--A must be positive")
     label = spec.label()

@@ -25,7 +25,6 @@ zeros, infinities, NaN and values near the cap to the ``libmp`` comparisons.
 from __future__ import annotations
 
 import threading
-from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,16 +36,12 @@ from mpmath.libmp import (
     from_man_exp,
     fzero,
     mpf_add,
-    mpf_exp,
     mpf_gt,
     mpf_le,
     mpf_lt,
     mpf_mul,
-    mpf_neg,
     mpi_add,
-    mpi_cos,
     mpi_div,
-    mpi_exp,
     mpi_log,
     mpi_mul,
     mpi_sub,
@@ -297,21 +292,6 @@ def pos_add(s, t, bits: int):
     reals, as raw ``libmp`` pairs, at ``bits``: under the precondition of
     :func:`pos_mul`, bit for bit ``mpi_add(s, t, bits)``."""
     return mpf_add(s[0], t[0], bits, round_floor), mpf_add(s[1], t[1], bits, round_ceiling)
-
-
-def cosine_sum(terms: Sequence[tuple[LogReal, LogReal]], xi: Fraction,
-               tail_upper: LogReal) -> "LinearEnclosure":
-    """Enclosure of sum c cos(2 m xi) over the pairs (c, m) of ``terms``, for
-    an exact rational xi, plus a certified tail interval ``[-tail_upper,
-    tail_upper]``, at the largest precision of its operands."""
-    bits = max(tail_upper.bits, *(x.bits for pair in terms for x in pair))
-    two, xi_mpi = _int_mpi(2, bits), _fraction_mpi(xi, bits)
-    acc = (fzero, fzero)
-    for c, m in terms:
-        angle = mpi_mul(mpi_mul(two, mpi_exp(m._mpi(), bits), bits), xi_mpi, bits)
-        acc = mpi_add(acc, mpi_mul(mpi_exp(c._mpi(), bits), mpi_cos(angle, bits), bits), bits)
-    tail_hi = mpf_exp(tail_upper.log_hi, bits, round_ceiling)
-    return LinearEnclosure(*mpi_add(acc, (mpf_neg(tail_hi), tail_hi), bits))
 
 
 @dataclass(frozen=True)

@@ -223,13 +223,14 @@ def spec_from_dict(doc: dict) -> SequenceSpec:
 def load_spec(path: str | Path) -> SequenceSpec:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecFormatError(f"cannot read spec file {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"spec file {path} is not valid JSON: {exc}") from exc
-    return spec_from_dict(doc)
+        return spec_from_dict(json.loads(text))
+    except (ValueError, RecursionError) as exc:
+        # not JSON, an integer past the interpreter's digit limit, or a base
+        # chain nested deeper than its recursion limit
+        raise SpecFormatError(f"spec file {path} is not a valid spec document: {exc}") from exc
 
 
 def dump_spec(spec: SequenceSpec) -> str:

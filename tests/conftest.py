@@ -306,6 +306,30 @@ OVER_CAP_DOCUMENTS = (
 )
 
 
+def nested_chain(depth: int) -> str:
+    """JSON text of ``transformed`` (p = 2) nested ``depth`` deep around
+    constant, built as text: ``json.dumps`` itself recurses per level."""
+    text = '{"family": "constant"}'
+    for _ in range(depth):
+        text = f'{{"family": "transformed", "params": {{"base": {text}, "p": 2}}}}'
+    return text
+
+
+_DIGITS_5000 = "1" + "0" * 4999
+
+#: spec documents, as JSON text, past a limit of the interpreter that parses
+#: them: an integer beyond its 4,300-digit int-to-str limit, and base chains
+#: nested past its recursion limit (in the spec parser at 250, in ``json``
+#: at 3,000); each is malformed, exit 3
+PARSER_LIMIT_DOCUMENTS = {
+    "precision of 5000 digits": f'{{"family": "constant", "precision": {_DIGITS_5000}}}',
+    "k of 5000 digits": f'{{"family": "iterated_log", "params": {{"k": {_DIGITS_5000}}}}}',
+    "version of 5000 digits": f'{{"version": {_DIGITS_5000}, "family": "constant"}}',
+    "chain 250 deep": nested_chain(250),
+    "chain 3000 deep": nested_chain(3000),
+}
+
+
 @pytest.fixture(scope="session")
 def constant_spec():
     return SequenceSpec(family="constant")

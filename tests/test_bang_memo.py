@@ -289,7 +289,8 @@ def test_memoized_factors_equal_fresh_ones(spec):
             two_mk = LogReal.from_int(2, ws.bits) * ratio
         assert _bits(series.ws.ratio_m(k)) == _bits(ratio)
         assert _bits(series.two_m(k)) == _bits(two_mk)
-        assert series._anchor(k) == _fresh_anchor(ws, k)
+        # the anchor memo holds W_k itself, then its three linear enclosures
+        assert series._anchor(k) == (series.two_m(k), *_fresh_anchor(ws, k))
 
 
 def test_membership_total_equals_F_magnitude(spec):

@@ -22,6 +22,7 @@ from carleman.sequences import DEFAULT_MAX_INDEX, MAX_PRECISION, WeightSequence
 from conftest import (
     FALSY_PARAMS_DOCUMENTS,
     OVER_CAP_DOCUMENTS,
+    PARSER_LIMIT_DOCUMENTS,
     UNKNOWN_KEY_DOCUMENTS,
     shipped_fixture,
 )
@@ -127,6 +128,33 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err.startswith(f"error: {field}: literal exponent")
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("name", sorted(PARSER_LIMIT_DOCUMENTS))
+    def test_a_document_past_a_parser_limit_is_three_at_once(self, tmp_path, capsys, name):
+        spec = tmp_path / "spec.json"
+        spec.write_text(PARSER_LIMIT_DOCUMENTS[name])
+        start = time.perf_counter()
+        assert run(["seq-show", "--spec", str(spec), "--n-max", "3"]) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.startswith(f"error: spec file {spec} ")
+
+    def test_an_undecodable_spec_file_is_three(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(b'\xff\xfe{"family": "constant"}')
+        assert run(["seq-show", "--spec", str(spec)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot read spec file {spec}")
+
+    # an exponent past MAX_LITERAL_EXPONENT either way, a zero denominator
+    # and an exponent inside a fraction
+    @pytest.mark.parametrize("A", ["1e999999999", "1e-99999", "1/0", "3/1e5"])
+    def test_a_thm61_A_outside_the_literal_grammar_is_three_at_once(self, gevrey_path,
+                                                                     capsys, A):
+        # --A is a spec literal: decided on the string, so no power of ten
+        # with a billion digits is built
+        start = time.perf_counter()
+        assert run(["thm61", "--spec", gevrey_path, "--A", A]) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.startswith("error: --A: ")
 
     def test_unknown_check_is_three(self, gevrey_path, tmp_path, capsys):
         # an unknown name, a name given twice, or a list that names no

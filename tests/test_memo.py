@@ -1,5 +1,6 @@
 """The cache primitive, the guard that keeps every lock of the package in
-it, and the inventory of the ``lru_cache`` functions it leaves as they are.
+it, the count of its constructions per scope, and the inventory of the
+``lru_cache`` functions it leaves as they are.
 
 * two threads that miss one key at once both return the first stored
   object;
@@ -11,6 +12,7 @@ it, and the inventory of the ``lru_cache`` functions it leaves as they are.
 import ast
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,16 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "carleman"
 #: set only shrinks: a new cache uses ``Memo``, and the precision lock of
 #: ``intervals`` goes with ``working_precision``.
 LOCK_SITES = {"memo.Memo.__init__", "intervals"}
+
+#: module.qualname -> the number of ``Memo()`` constructions in that scope.
+#: The counts only shrink: a value is cached in one memo, not in a second
+#: one keyed like it.
+MEMO_SITES = {
+    "bang.BangSeries.__init__": 3,
+    "coefficients": 3,
+    "sequences": 1,
+    "sequences.WeightSequence.__init__": 2,
+}
 
 #: module.qualname of every function under ``functools.lru_cache`` (or
 #: ``cache``).  The set only shrinks: each is a pure function of its
@@ -44,16 +56,17 @@ def _name(node) -> str | None:
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 
 
-def _sites(hit) -> set[str]:
+def _sites(hit) -> Counter:
     """module.qualname of every scope of the package that holds a node for
-    which ``hit`` is true (a definition is inside its own scope)."""
-    found = set()
+    which ``hit`` is true (a definition is inside its own scope), with the
+    number of such nodes in it."""
+    found = Counter()
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = [*scope, node.name]
         if hit(node):
-            found.add(".".join(scope))
+            found[".".join(scope)] += 1
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -63,8 +76,12 @@ def _sites(hit) -> set[str]:
 
 
 def test_only_the_listed_scopes_build_a_lock():
-    assert _sites(lambda node: isinstance(node, ast.Call)
-                  and _name(node) in ("Lock", "RLock")) == LOCK_SITES
+    assert set(_sites(lambda node: isinstance(node, ast.Call)
+                      and _name(node) in ("Lock", "RLock"))) == LOCK_SITES
+
+
+def test_each_scope_builds_the_listed_number_of_memos():
+    assert _sites(lambda node: isinstance(node, ast.Call) and _name(node) == "Memo") == MEMO_SITES
 
 
 def test_only_the_listed_functions_are_lru_cached():
@@ -72,7 +89,7 @@ def test_only_the_listed_functions_are_lru_cached():
         return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
             _name(d) in ("lru_cache", "cache") for d in node.decorator_list)
 
-    assert _sites(cached) == LRU_CACHED
+    assert set(_sites(cached)) == LRU_CACHED
 
 
 @pytest.fixture()
