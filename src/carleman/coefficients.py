@@ -102,9 +102,8 @@ def dec_str(x: Fraction | int) -> str:
     digits as ``mp.nstr(mp.mpf(num) / mp.mpf(den), 17)`` at 192 bits,
     without touching mpmath's global precision.
     """
-    fr = Fraction(x)
-    num = from_int(fr.numerator, _RENDER_BITS, round_nearest)
-    den = from_int(fr.denominator, _RENDER_BITS, round_nearest)
+    num = from_int(x.numerator, _RENDER_BITS, round_nearest)
+    den = from_int(x.denominator, _RENDER_BITS, round_nearest)
     return to_str(mpf_div(num, den, _RENDER_BITS, round_nearest), 17)
 
 
@@ -247,15 +246,20 @@ def ckn_bruteforce(k: int, n: int) -> Fraction:
         raise EnumerationCapError(f"composition enumeration capped at n = {ENUMERATION_CAP}")
     if n < k:
         return Fraction(0)
+    if k == 1:
+        return Fraction(1, n)
     # every part divides L = lcm(1..n), so L^k / prod is an integer
     scale = lcm(*range(1, n + 1)) ** k
     total = 0
-    # compositions of n into k positive parts <-> k-1 cut points in 1..n-1
-    for cuts in itertools.combinations(range(1, n), k - 1):
-        prod = 1
-        for a, b in zip((0,) + cuts, cuts + (n,)):
-            prod *= b - a
-        total += scale // prod
+    # the first k-2 parts <-> k-2 cut points in 1..n-2; the rest r >= 2
+    # splits into a + (r - a) in one pass
+    for cuts in itertools.combinations(range(1, n - 1), k - 2):
+        s, last = scale, 0
+        for cut in cuts:
+            s //= cut - last
+            last = cut
+        r = n - last
+        total += sum(s // (a * (r - a)) for a in range(1, r))
     return Fraction(total, scale)
 
 

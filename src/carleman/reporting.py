@@ -17,6 +17,7 @@ import io
 import json
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 # CPython's builtin SHA-256 gives hashlib's digests without loading OpenSSL's
@@ -90,7 +91,12 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        """The document: exactly ``json.dumps(self.as_dict(), indent=2,
+        sort_keys=True)`` and a newline."""
+        out: list[str] = []
+        _write_json(self.as_dict(), "\n", out)
+        out.append("\n")
+        return "".join(out)
 
     def config_hash(self) -> str:
         payload = json.dumps(
@@ -109,6 +115,59 @@ class RunReport:
                 f"(rows={len(c.report.rows)}, {c.ms:.0f} ms)"
             )
         return lines
+
+
+def _write_json(value, indent: str, out: list[str]) -> None:
+    """Append the chunks of ``json.dumps(value, indent=2, sort_keys=True)``
+    to ``out``, ``indent`` being the newline and indentation of ``value``'s
+    own line.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder, which
+    keeps every small chunk of the document alive until one final join.
+    Here each container inside a list (a check, an evidence row) is joined
+    on its own, so only one such element's chunks are alive at a time.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner, sep = indent + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            if isinstance(item, (list, tuple, dict)):
+                chunks: list[str] = []
+                _write_json(item, inner, chunks)
+                out.append("".join(chunks))
+            else:
+                _write_json(item, inner, out)
+            sep = ","
+        out.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner, sep = indent + "  ", "{"
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                # json's own key text, or its TypeError for a key it refuses
+                (key,) = json.loads(json.dumps({key: None}))
+            out.append(sep + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, out)
+            sep = ","
+        out.append(indent + "}")
+    else:
+        # floats, and the TypeError for a value JSON cannot hold
+        out.append(json.dumps(value))
 
 
 def _row_mapping(report: CheckReport, row) -> dict[str, str]:

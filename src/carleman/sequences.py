@@ -227,6 +227,8 @@ def load_spec(path: str | Path) -> SequenceSpec:
         raise SpecFormatError(f"cannot read spec file {path}: {exc}") from exc
     try:
         return spec_from_dict(json.loads(text))
+    except SpecFormatError as exc:
+        raise SpecFormatError(f"spec file {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         # not JSON, an integer past the interpreter's digit limit, or a base
         # chain nested deeper than its recursion limit

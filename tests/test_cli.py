@@ -126,7 +126,8 @@ class TestExitCodes:
                     "--out", str(tmp_path / "r.json")])
         assert time.perf_counter() - start < 1
         assert code == 3
-        assert capsys.readouterr().err.startswith(f"error: {field}: literal exponent")
+        assert capsys.readouterr().err.startswith(
+            f"error: spec file {spec}: {field}: literal exponent")
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("name", sorted(PARSER_LIMIT_DOCUMENTS))
@@ -137,6 +138,14 @@ class TestExitCodes:
         assert run(["seq-show", "--spec", str(spec), "--n-max", "3"]) == 3
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().err.startswith(f"error: spec file {spec} ")
+
+    def test_a_bad_second_spec_is_named(self, gevrey_path, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"family": "gevrey", "params": {"s": "1e-99999"}}))
+        assert run(["seq-compare", "--spec", gevrey_path, "--other", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: spec file {bad}: gevrey s: literal exponent")
+        assert gevrey_path not in err
 
     def test_an_undecodable_spec_file_is_three(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

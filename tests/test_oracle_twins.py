@@ -7,7 +7,9 @@
   a-series;
 * the diagonal derivative at x = 1, scaled by x^(-(pn-k)/p), against
   sympy's symbolic derivative at sample points x = q^p;
-* the integer-sum composition enumeration against a plain Fraction sum;
+* the integer-sum composition enumeration against a plain Fraction sum,
+  and its one-pass sum over the last two parts against the enumeration of
+  every cut point;
 * single-rounding ``dec_str`` against the mpmath rendering at 192 bits
   under the global-precision guard;
 * the on-demand caches filled from two threads at once against a serial
@@ -18,7 +20,7 @@ import itertools
 import sys
 import threading
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 import sympy
@@ -141,6 +143,26 @@ def test_integer_enumeration_equals_fraction_enumeration():
     for n in range(0, 13):
         for k in range(1, max(n, 1) + 2):
             assert co.ckn_bruteforce(k, n) == _fraction_sum_enumeration(k, n), (k, n)
+
+
+def _cut_enumeration(k: int, n: int) -> Fraction:
+    """The integer-sum enumeration over all k-1 cut points in 1..n-1."""
+    if n < k:
+        return Fraction(0)
+    scale = lcm(*range(1, n + 1)) ** k
+    total = 0
+    for cuts in itertools.combinations(range(1, n), k - 1):
+        prod = 1
+        for a, b in zip((0,) + cuts, cuts + (n,)):
+            prod *= b - a
+        total += scale // prod
+    return Fraction(total, scale)
+
+
+def test_last_two_parts_in_one_pass_equal_the_full_cut_enumeration():
+    for k in range(1, 7):
+        for n in range(0, co.ENUMERATION_CAP + 1):
+            assert co.ckn_bruteforce(k, n) == _cut_enumeration(k, n), (k, n)
 
 
 def _reference_dec_str(x) -> str:
