@@ -152,6 +152,25 @@ RUNS = {
         "c43ef21a354ddb2c86251ae20d89b2771e0adfe17514af38e4c758391a2e1774",
         "be765acc67f29a60cf446d3c9352631af06bd4c98a92bf82c97690756f7e8597",
     ),
+    # the oracle documents at the depths of the benchmark's oracle workload
+    "ckn-bench-depth": (
+        ["ckn", "--k-max", "24", "--n-max", "48"],
+        0,
+        "42d25fb24caf85878e7ad495f03a62428eeb2803eff709daf570a45d670ea441",
+        "33069590f4f0733c5f8a09ebc1ab0ba86799e32cd05e77463a2ac119a8d49a56",
+    ),
+    "alpha-bench-depth": (
+        ["alpha", "--p", "3", "--k-max", "4", "--n-max", "40"],
+        0,
+        "f43d0bbfa6337bf4f5a87ed2c69290805b461a2393123402595c777970aa3751",
+        "0013acceef9eba294a5ae8ddeb1fe5fb4a84cf1239ff8b1c9a568d5253b7a949",
+    ),
+    "ineq62-bench-depth": (
+        ["ineq62", "--p", "2", "--n-max", "32"],
+        0,
+        "6d93bc68f649851929e9f470342e9fcdd6e58ac8b19223b3cffb415265378474",
+        "074e15f0c8f6cf7e3d130faa024c5cd4e36785de74dcc3deabf877572db59289",
+    ),
     "seq-compare-rejected": (
         ["seq-compare", "--spec", "iterated_log4.json", "--other", "iterated_log4.json",
          "--n-max", "2"],
