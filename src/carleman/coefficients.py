@@ -43,9 +43,10 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm, log
+from typing import NamedTuple
 
-from mpmath.libmp import from_int, mpf_div, round_nearest, to_str
+from mpmath.libmp import from_man_exp, to_str
 
 from .errors import EnumerationCapError
 from .intervals import LogReal
@@ -63,6 +64,11 @@ from .outcomes import (
 ENUMERATION_CAP = 18
 
 _RENDER_BITS = 192
+
+#: mpmath's ``to_str`` at 17 digits reads 20 (``to_digits_exp`` at dps + 3)
+#: from a binary fixed-point number of this many significant bits
+_LOG2_10 = log(10, 2)
+_DIGIT_BITS = int(20 * _LOG2_10) + 10
 
 
 def _e_enclosure() -> tuple[Fraction, Fraction]:
@@ -94,30 +100,96 @@ def _power(numerator: int, denominator: int, m: int) -> Fraction:
     return Fraction(numerator, denominator) ** m
 
 
-def dec_str(x: Fraction | int) -> str:
+class Ratio(NamedTuple):
+    """A rational in lowest terms (denominator > 0) as a bare integer pair:
+    what :func:`dec_str` and :func:`leq_with_e_power` read of a Fraction."""
+
+    numerator: int
+    denominator: int
+
+
+def dec_str(x: Fraction | Ratio | int) -> str:
     """Deterministic decimal rendering of an exact rational.
 
-    Numerator and denominator are each rounded once to 192 bits (nearest),
-    divided at 192 bits and printed with 17 significant digits: the same
-    digits as ``mp.nstr(mp.mpf(num) / mp.mpf(den), 17)`` at 192 bits,
-    without touching mpmath's global precision.
+    Numerator and denominator are each rounded once to 192 bits (nearest,
+    ties to even), divided at 192 bits (correctly rounded) and printed
+    with 17 significant digits: the same string as
+    ``mp.nstr(mp.mpf(num) / mp.mpf(den), 17)`` at 192 bits, computed on
+    plain integers by mpmath's own digit rules.  Only a quotient whose
+    leading bit lies more than 3500 places from the point, where mpmath
+    rescales by a power of ten, is printed by mpmath's ``to_str``.
     """
-    num = from_int(x.numerator, _RENDER_BITS, round_nearest)
-    den = from_int(x.denominator, _RENDER_BITS, round_nearest)
-    return to_str(mpf_div(num, den, _RENDER_BITS, round_nearest), 17)
+    num = x.numerator
+    if not num:
+        return "0.0"
+    man, exp = _quotient(abs(num), x.denominator)
+    top = exp + man.bit_length()
+    if abs(top) > 3500:
+        return to_str(from_man_exp(-man if num < 0 else man, exp), 17)
+    # ``to_digits_exp``: the digits of the binary fixed-point value, truncated
+    fixprec = max(_DIGIT_BITS - top, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    offset = exp + fixprec
+    fixed = man << offset if offset >= 0 else man >> -offset
+    digits = str(fixed * 10**fixdps >> fixprec)
+    point = len(digits) - fixdps - 1
+    # ``to_str``: round half up on the 18th digit, then lay out
+    lead = int(digits[:17]) + (digits[17:18] >= "5")
+    if lead == 10**17:
+        lead, point = 10**16, point + 1
+    digits, split = str(lead), 1
+    if -5 < point < 17:
+        if point < 0:
+            digits = "0" * -point + digits
+        else:
+            split = point + 1
+        point = 0
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if text[-1] == ".":
+        text += "0"
+    sign = "-" if num < 0 else ""
+    return f"{sign}{text}e{point:+d}" if point else sign + text
+
+
+def _quotient(num: int, den: int) -> tuple[int, int]:
+    """(man, exp) with man 2^exp the 192-bit quotient of num and den (both
+    positive) that mpmath's ``mpf_div`` gives after ``from_int`` rounds each
+    to 192 bits: every rounding to nearest, ties to even."""
+    a, a_exp = _round_nearest(num, 0)
+    b, b_exp = _round_nearest(den, 0)
+    # a quotient of at least 194 bits, rounded with its remainder as sticky
+    shift = _RENDER_BITS + 2 + b.bit_length() - a.bit_length()
+    quot, rem = divmod(a << shift, b)
+    return _round_nearest(quot, a_exp - b_exp - shift, rem != 0)
+
+
+def _round_nearest(man: int, exp: int, sticky: bool = False) -> tuple[int, int]:
+    """man 2^exp rounded to _RENDER_BITS bits, to nearest with ties to even;
+    ``sticky`` says the exact value lies strictly above man 2^exp, by less
+    than 2^exp."""
+    drop = man.bit_length() - _RENDER_BITS
+    if drop <= 0:
+        return man, exp
+    # the kept bits and the round bit; the bits below it are read only at
+    # a possible tie, by one comparison rather than a mask as wide as man
+    kept = man >> (drop - 1)
+    if kept & 1 and (kept & 2 or sticky or kept << (drop - 1) != man):
+        return (kept >> 1) + 1, exp + drop
+    return kept >> 1, exp + drop
 
 
 def leq_with_e_power(lhs: Fraction, rhs_coeff: Fraction, e_exp: int,
-                     lo_ceiling: Fraction) -> Outcome:
+                     lo_ceiling: Fraction | Ratio) -> Outcome:
     """Three-valued ``lhs <= rhs_coeff * e^e_exp`` using the safe enclosure.
 
     Confirmed via ``lo_ceiling``, the caller's ``rhs_coeff * E_LO^e_exp``
-    (it understates the right side), refuted via E_UP (overstates it);
-    anything between is inconclusive.
+    (it understates the right side) compared by integer
+    cross-multiplication, refuted via E_UP (overstates it); anything
+    between is inconclusive.
     """
     if e_exp < 0:
         raise ValueError("negative e-powers are not needed here")
-    if lhs <= lo_ceiling:
+    if lhs.numerator * lo_ceiling.denominator <= lo_ceiling.numerator * lhs.denominator:
         return Outcome.CONFIRMED
     if lhs > rhs_coeff * e_up_pow(e_exp):
         return Outcome.REFUTED
@@ -131,7 +203,12 @@ def exact_row(index, quantity: str, lhs: Fraction, coeff: Fraction, e_exp: int,
     other exact links ``also``.  It prints ``lhs`` and the ``E_LO``
     ceiling, the one product the decision reads; ``fields`` are the row's
     ``note`` and ``extra``."""
-    ceiling = coeff * e_lo_pow(e_exp)
+    power = e_lo_pow(e_exp)
+    # coeff E_LO^e_exp in lowest terms, by the two cross gcds of a product
+    # of reduced fractions
+    g, h = gcd(coeff.numerator, power.denominator), gcd(power.numerator, coeff.denominator)
+    ceiling = Ratio((coeff.numerator // g) * (power.numerator // h),
+                    (coeff.denominator // h) * (power.denominator // g))
     outcome = leq_with_e_power(lhs, coeff, e_exp, ceiling)
     return EvidenceRow(index=index, quantity=quantity, lo=dec_str(lhs), hi=dec_str(ceiling),
                        outcome=worst_outcome([*also, outcome]), **fields)

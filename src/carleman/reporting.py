@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -280,13 +282,26 @@ def write_report(run: RunReport, out: str | None, fmt: str) -> list[Path]:
 
 def write_once(target: Path, text: str) -> None:
     """Write ``text`` unless ``target`` already holds it; a file with other
-    content raises :class:`FileExistsError` (outputs are append-only)."""
+    content raises :class:`FileExistsError` (outputs are append-only).
+
+    The text goes to a temporary file beside ``target``, which is linked
+    into place only if ``target`` is absent: a writer that fails or is
+    stopped halfway never leaves a partial ``target``, and of two writers
+    racing on one name the second compares its bytes with the first's."""
     target.parent.mkdir(parents=True, exist_ok=True)
-    if target.exists():
-        existing = target.read_text(encoding="utf-8")
-        if existing == text:
-            return
-        raise FileExistsError(
-            f"{target} exists with different content; outputs are append-only"
-        )
-    target.write_text(text, encoding="utf-8")
+    # unique among live writers; a stopped writer's leftover is overwritten
+    temporary = target.with_name(f".{target.name}.{os.getpid()}-{next(_temporary_ids)}.tmp")
+    try:
+        temporary.write_text(text, encoding="utf-8")
+        os.link(temporary, target)
+    except FileExistsError:
+        if target.read_bytes() != text.encode("utf-8"):
+            raise FileExistsError(
+                f"{target} exists with different content; outputs are append-only"
+            ) from None
+    finally:
+        temporary.unlink(missing_ok=True)
+
+
+#: suffixes of this process's temporary report files
+_temporary_ids = itertools.count()

@@ -10,13 +10,20 @@
 * the integer-sum composition enumeration against a plain Fraction sum,
   and its one-pass sum over the last two parts against the enumeration of
   every cut point;
-* single-rounding ``dec_str`` against the mpmath rendering at 192 bits
-  under the global-precision guard;
+* the integer ``dec_str`` against the mpmath rendering at 192 bits under
+  the global-precision guard and against its former route on mpmath's raw
+  ``from_int``/``mpf_div``/``to_str``, on both sides of the 3500-bit
+  exponent seam where mpmath rescales by a power of ten; its 192-bit
+  quotient against ``mpf_div`` itself;
+* ``exact_row``, whose ``E_LO`` ceiling is an integer pair, against its
+  former route through the ``Fraction`` product, on every row of the
+  oracle checks at the depths of the benchmark;
 * the on-demand caches filled from two threads at once against a serial
   fill.
 """
 
 import itertools
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -27,9 +34,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv, mp
+from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest, to_str
 from sympy.functions.combinatorial.numbers import stirling
 
 from carleman import coefficients as co
+from carleman import substitution as su
+from carleman.outcomes import EvidenceRow, worst_outcome
+from carleman.sequences import SequenceSpec
 from carleman.intervals import working_precision
 from carleman.memo import Memo
 from conftest import pow_convolve, root_series_signed
@@ -171,10 +182,76 @@ def _reference_dec_str(x) -> str:
         return mp.nstr(mp.mpf(fr.numerator) / mp.mpf(fr.denominator), 17)
 
 
+def _mpf_quotient(x):
+    """The former route's 192-bit quotient, a raw mpf."""
+    num = from_int(x.numerator, 192, round_nearest)
+    den = from_int(x.denominator, 192, round_nearest)
+    return mpf_div(num, den, 192, round_nearest)
+
+
+def _mpf_dec_str(x) -> str:
+    """The former route of ``dec_str``: mpmath's raw quotient and ``to_str``."""
+    return to_str(_mpf_quotient(x), 17)
+
+
+#: both sides of mpmath's seam: a quotient whose leading bit lies more
+#: than 3500 places from the point is rescaled by a power of ten first
+SEAM_VALUES = [
+    Fraction(1, 3**2300),
+    Fraction(-(2**3600) - 1, 3),
+    10**1100,
+    Fraction(7, 2**3499),
+    Fraction(1, 2**3500),
+    Fraction(1, 2**3501),
+    Fraction(-1, 2**3502),
+    2**3499,
+    -(2**3499) - 1,
+    2**3500,
+    Fraction(2**3500 + 1, 3),
+    Fraction(10**1053 + 7, 3),
+    Fraction(3, 10**1053 + 7),
+]
+
+
+def _near_ties(rng):
+    """Rationals a hair from a decimal tie of the 18th digit and from a
+    binary tie of the 192-bit rounding."""
+    d, e = rng.randrange(10**17, 10**18), rng.randrange(-40, 40)
+    tie = Fraction(10 * d + 5, 10) * Fraction(10) ** e
+    a, shift = rng.getrandbits(192) | 1 << 191, rng.randrange(1, 60)
+    half = (a << shift) + (1 << (shift - 1))
+    return [tie, tie + Fraction(1, 10**60), tie - Fraction(1, 10**60),
+            Fraction(half, 3), Fraction(3, half), Fraction(half, half - 2)]
+
+
 class TestDecStr:
     @settings(max_examples=300, deadline=None)
     @given(x=st.fractions())
     def test_random_rationals(self, x):
+        assert co.dec_str(x) == _reference_dec_str(x)
+
+    @settings(max_examples=10_000, deadline=None, derandomize=True)
+    @given(num=st.integers(min_value=-(2**700), max_value=2**700),
+           den=st.integers(min_value=1, max_value=2**700))
+    def test_many_rationals_match_the_reference(self, num, den):
+        x = Fraction(num, den)
+        assert co.dec_str(x) == _reference_dec_str(x)
+
+    def test_matches_the_former_route_and_its_quotient(self):
+        rng = random.Random(30)
+        values = [*SEAM_VALUES]
+        for _ in range(3000):
+            values.append(Fraction(rng.getrandbits(rng.randrange(1, 900)) * rng.choice((1, -1)),
+                                   rng.getrandbits(rng.randrange(1, 900)) or 1))
+            values += _near_ties(rng)
+        for x in map(Fraction, values):
+            assert co.dec_str(x) == _mpf_dec_str(x), x
+            if x:
+                man, exp = co._quotient(abs(x.numerator), x.denominator)
+                assert from_man_exp(man if x > 0 else -man, exp) == _mpf_quotient(x), x
+
+    @pytest.mark.parametrize("x", SEAM_VALUES, ids=range(len(SEAM_VALUES)))
+    def test_both_sides_of_the_exponent_seam(self, x):
         assert co.dec_str(x) == _reference_dec_str(x)
 
     @settings(max_examples=100, deadline=None)
@@ -229,6 +306,42 @@ class TestDecStr:
         before = (mp.prec, iv.prec)
         co.dec_str(x)
         assert (mp.prec, iv.prec) == before
+
+
+def _fraction_exact_row(index, quantity, lhs, coeff, e_exp, also=(), **fields):
+    """The former route of ``exact_row``: the ``E_LO`` ceiling as a
+    ``Fraction`` product, rendered by the former ``dec_str``."""
+    ceiling = coeff * co.e_lo_pow(e_exp)
+    outcome = co.leq_with_e_power(lhs, coeff, e_exp, ceiling)
+    return EvidenceRow(index=index, quantity=quantity, lo=_mpf_dec_str(lhs),
+                       hi=_mpf_dec_str(ceiling), outcome=worst_outcome([*also, outcome]),
+                       **fields)
+
+
+#: every check that decides through ``exact_row``, at the benchmark's depths
+EXACT_ROW_CHECKS = {
+    "ckn-bound": lambda: [co.verify_ckn_bound(24, 48)],
+    "factorial-inequality": lambda: [co.verify_factorial_inequality_sweep(p, 32)
+                                     for p in (2, 3, 4)],
+    "root-series-bound": lambda: [co.verify_root_series_bounds(p, k, 40)
+                                  for p in (2, 3, 4) for k in range(1, 5)],
+    "diag-derivative": lambda: [co.verify_diagonal_derivatives(p, 4, 40) for p in (2, 3, 4)],
+    "substitution-assembly": lambda: [su.final_bound_assembly(SequenceSpec(family="constant"),
+                                                              p, 10) for p in (2, 3, 4)],
+}
+
+
+@pytest.mark.parametrize("check", sorted(EXACT_ROW_CHECKS))
+def test_exact_row_matches_the_fraction_route(check, monkeypatch):
+    reports = EXACT_ROW_CHECKS[check]()
+    with monkeypatch.context() as patch:
+        patch.setattr(co, "exact_row", _fraction_exact_row)
+        patch.setattr(su, "exact_row", _fraction_exact_row)
+        twins = EXACT_ROW_CHECKS[check]()
+    for report, twin in zip(reports, twins, strict=True):
+        assert [(row.outcome, row.lo, row.hi) for row in report.rows] == \
+            [(row.outcome, row.lo, row.hi) for row in twin.rows]
+        assert report == twin
 
 
 @pytest.fixture

@@ -10,7 +10,8 @@ counts those entries and expects a positive count; the switch goes with the
 next benchmark change.  Both sets below only shrink.
 
 The interval arithmetic itself builds and compares no ``mpf`` or ``iv``
-object at all: it works on raw ``libmp`` tuples.
+object at all: it works on raw ``libmp`` tuples.  Nor does the exact
+oracle's row path, which decides and renders on plain integers.
 """
 
 import ast
@@ -24,13 +25,19 @@ READERS = {"intervals.working_precision"}
 #: module.qualname of every function that still calls ``working_precision``
 CALLERS = {"sequences.WeightSequence._compute_log_M"}
 
-#: the arithmetic path: every ``LogReal`` method, the two linear kernels and
-#: the Bang head sums that run on them
+#: the arithmetic path: every ``LogReal`` method, the two linear kernels,
+#: the Bang head sums that run on them, and the exact oracle's rows with
+#: their integer rendering
 ARITHMETIC = (
     "intervals.LogReal.",
     "intervals.pos_mul",
     "intervals.pos_add",
     "bang.BangSeries.",
+    "coefficients.dec_str",
+    "coefficients._quotient",
+    "coefficients._round_nearest",
+    "coefficients.exact_row",
+    "coefficients.leq_with_e_power",
 )
 
 
