@@ -65,8 +65,9 @@ ENUMERATION_CAP = 18
 
 _RENDER_BITS = 192
 
-#: mpmath's ``to_str`` at 17 digits reads 20 (``to_digits_exp`` at dps + 3)
-#: from a binary fixed-point number of this many significant bits
+#: log2(10), and the bits of the binary fixed-point number from which
+#: mpmath's ``to_str`` reads 20 digits to print 17 (``to_digits_exp`` at
+#: dps + 3)
 _LOG2_10 = log(10, 2)
 _DIGIT_BITS = int(20 * _LOG2_10) + 10
 
@@ -155,27 +156,28 @@ def _quotient(num: int, den: int) -> tuple[int, int]:
     """(man, exp) with man 2^exp the 192-bit quotient of num and den (both
     positive) that mpmath's ``mpf_div`` gives after ``from_int`` rounds each
     to 192 bits: every rounding to nearest, ties to even."""
-    a, a_exp = _round_nearest(num, 0)
-    b, b_exp = _round_nearest(den, 0)
+    a, a_exp = _round_nearest(num)
+    b, b_exp = _round_nearest(den)
     # a quotient of at least 194 bits, rounded with its remainder as sticky
     shift = _RENDER_BITS + 2 + b.bit_length() - a.bit_length()
     quot, rem = divmod(a << shift, b)
-    return _round_nearest(quot, a_exp - b_exp - shift, rem != 0)
+    man, q_exp = _round_nearest(quot, rem != 0)
+    return man, a_exp - b_exp - shift + q_exp
 
 
-def _round_nearest(man: int, exp: int, sticky: bool = False) -> tuple[int, int]:
-    """man 2^exp rounded to _RENDER_BITS bits, to nearest with ties to even;
-    ``sticky`` says the exact value lies strictly above man 2^exp, by less
-    than 2^exp."""
+def _round_nearest(man: int, sticky: bool = False) -> tuple[int, int]:
+    """(kept, drop) with kept 2^drop the integer man rounded to
+    _RENDER_BITS bits, to nearest with ties to even; ``sticky`` says the
+    exact value lies strictly between man and man + 1."""
     drop = man.bit_length() - _RENDER_BITS
     if drop <= 0:
-        return man, exp
+        return man, 0
     # the kept bits and the round bit; the bits below it are read only at
     # a possible tie, by one comparison rather than a mask as wide as man
     kept = man >> (drop - 1)
     if kept & 1 and (kept & 2 or sticky or kept << (drop - 1) != man):
-        return (kept >> 1) + 1, exp + drop
-    return kept >> 1, exp + drop
+        return (kept >> 1) + 1, drop
+    return kept >> 1, drop
 
 
 def leq_with_e_power(lhs: Fraction, rhs_coeff: Fraction, e_exp: int,

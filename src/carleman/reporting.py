@@ -280,6 +280,10 @@ def write_report(run: RunReport, out: str | None, fmt: str) -> list[Path]:
     return written
 
 
+#: suffixes of this process's temporary report files
+_temporary_ids = itertools.count()
+
+
 def write_once(target: Path, text: str) -> None:
     """Write ``text`` unless ``target`` already holds it; a file with other
     content raises :class:`FileExistsError` (outputs are append-only).
@@ -302,6 +306,3 @@ def write_once(target: Path, text: str) -> None:
     finally:
         temporary.unlink(missing_ok=True)
 
-
-#: suffixes of this process's temporary report files
-_temporary_ids = itertools.count()
