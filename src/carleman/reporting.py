@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import os
 import re
+import threading
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -280,10 +280,6 @@ def write_report(run: RunReport, out: str | None, fmt: str) -> list[Path]:
     return written
 
 
-#: suffixes of this process's temporary report files
-_temporary_ids = itertools.count()
-
-
 def write_once(target: Path, text: str) -> None:
     """Write ``text`` unless ``target`` already holds it; a file with other
     content raises :class:`FileExistsError` (outputs are append-only).
@@ -293,8 +289,9 @@ def write_once(target: Path, text: str) -> None:
     stopped halfway never leaves a partial ``target``, and of two writers
     racing on one name the second compares its bytes with the first's."""
     target.parent.mkdir(parents=True, exist_ok=True)
-    # unique among live writers; a stopped writer's leftover is overwritten
-    temporary = target.with_name(f".{target.name}.{os.getpid()}-{next(_temporary_ids)}.tmp")
+    # unique among live writers, since a thread writes one file at a time; a
+    # stopped writer's leftover is overwritten
+    temporary = target.with_name(f".{target.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
         temporary.write_text(text, encoding="utf-8")
         os.link(temporary, target)

@@ -7,6 +7,7 @@ file is accepted and a different one raises ``FileExistsError``.
 """
 
 import os
+import sys
 import threading
 
 import pytest
@@ -59,26 +60,34 @@ def test_a_different_existing_file_raises(tmp_path):
 
 @pytest.mark.parametrize("same", [True, False], ids=["same-text", "other-text"])
 def test_racing_writers_leave_one_whole_file(tmp_path, same):
-    texts = [TEXT, TEXT if same else TEXT.replace("x", "y")]
-    for attempt in range(20):
-        target = tmp_path / f"report-{attempt}.json"
-        barrier = threading.Barrier(len(texts), timeout=60)
-        errors = []
+    # three writers on two cores, switching threads as often as possible
+    texts = [TEXT, TEXT, TEXT if same else TEXT.replace("x", "y")]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for attempt in range(20):
+            target = tmp_path / f"report-{attempt}.json"
+            barrier = threading.Barrier(len(texts), timeout=60)
+            errors = []
 
-        def writer(text):
-            barrier.wait()
-            try:
-                write_once(target, text)
-            except FileExistsError as exc:
-                errors.append(exc)
+            def writer(text):
+                barrier.wait()
+                try:
+                    write_once(target, text)
+                except FileExistsError as exc:
+                    errors.append(exc)
 
-        threads = [threading.Thread(target=writer, args=(text,)) for text in texts]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert len(errors) == (0 if same else 1)
-        assert target.read_text(encoding="utf-8") in texts
+            threads = [threading.Thread(target=writer, args=(text,)) for text in texts]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            written = target.read_text(encoding="utf-8")
+            assert written in texts
+            assert len(errors) == sum(text != written for text in texts)
+    finally:
+        sys.setswitchinterval(old)
     assert sorted(os.listdir(tmp_path)) == sorted(f"report-{i}.json" for i in range(20))
 
 
