@@ -207,10 +207,13 @@ def exact_row(index, quantity: str, lhs: Fraction, coeff: Fraction, e_exp: int,
     ``note`` and ``extra``."""
     power = e_lo_pow(e_exp)
     # coeff E_LO^e_exp in lowest terms, by the two cross gcds of a product
-    # of reduced fractions
-    g, h = gcd(coeff.numerator, power.denominator), gcd(power.numerator, coeff.denominator)
-    ceiling = Ratio((coeff.numerator // g) * (power.numerator // h),
-                    (coeff.denominator // h) * (power.denominator // g))
+    # of reduced fractions; the power's parts are E_LO's to the e_exp, so
+    # each gcd reads them reduced modulo coeff's far smaller part
+    cn, cd = coeff.numerator, coeff.denominator
+    g, h = gcd(cn, pow(E_LO.denominator, e_exp, cn)), gcd(cd, pow(E_LO.numerator, e_exp, cd))
+    pn, pd = power.numerator, power.denominator
+    # a division by 1 would still copy the power's part
+    ceiling = Ratio(cn // g * (pn // h if h > 1 else pn), cd // h * (pd // g if g > 1 else pd))
     outcome = leq_with_e_power(lhs, coeff, e_exp, ceiling)
     return EvidenceRow(index=index, quantity=quantity, lo=dec_str(lhs), hi=dec_str(ceiling),
                        outcome=worst_outcome([*also, outcome]), **fields)

@@ -331,9 +331,29 @@ EXACT_ROW_CHECKS = {
 }
 
 
+def _checking_ceilings(monkeypatch, run):
+    """``run()`` with every ceiling that ``exact_row`` passes to
+    ``leq_with_e_power`` checked against the ``Fraction`` product: the
+    integer pair must be that product in lowest terms, which the 17 printed
+    digits alone would hardly ever tell apart from an unreduced pair."""
+    decide, ceilings = co.leq_with_e_power, []
+
+    def recording(lhs, coeff, e_exp, lo_ceiling):
+        ceilings.append((lo_ceiling, coeff * co.e_lo_pow(e_exp)))
+        return decide(lhs, coeff, e_exp, lo_ceiling)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(co, "leq_with_e_power", recording)
+        result = run()
+    assert ceilings
+    for pair, product in ceilings:
+        assert (pair.numerator, pair.denominator) == (product.numerator, product.denominator)
+    return result
+
+
 @pytest.mark.parametrize("check", sorted(EXACT_ROW_CHECKS))
 def test_exact_row_matches_the_fraction_route(check, monkeypatch):
-    reports = EXACT_ROW_CHECKS[check]()
+    reports = _checking_ceilings(monkeypatch, EXACT_ROW_CHECKS[check])
     with monkeypatch.context() as patch:
         patch.setattr(co, "exact_row", _fraction_exact_row)
         patch.setattr(su, "exact_row", _fraction_exact_row)
@@ -342,6 +362,16 @@ def test_exact_row_matches_the_fraction_route(check, monkeypatch):
         assert [(row.outcome, row.lo, row.hi) for row in report.rows] == \
             [(row.outcome, row.lo, row.hi) for row in twin.rows]
         assert report == twin
+
+
+def test_exact_row_ceiling_cancels_against_both_parts_of_e(monkeypatch):
+    # E_LO's numerator has no prime factor below 200, so the oracle's own
+    # coefficients hardly ever cancel against it
+    num, den = co.E_LO.numerator, co.E_LO.denominator
+    coeffs = [Fraction(den, num), Fraction(7 * den**2, 11 * num), Fraction(3, num**3),
+              Fraction(den**5), Fraction(1, 3)]
+    _checking_ceilings(monkeypatch, lambda: [co.exact_row((m,), "1 vs c e^m", Fraction(1), c, m)
+                                             for c in coeffs for m in (0, 1, 2, 5)])
 
 
 @pytest.fixture
