@@ -302,4 +302,3 @@ def write_once(target: Path, text: str) -> None:
             ) from None
     finally:
         temporary.unlink(missing_ok=True)
-
